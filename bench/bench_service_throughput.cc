@@ -230,7 +230,7 @@ int main() {
   // service, the way concurrent arrivals of recurring dashboard queries
   // hit an admission path. The in-flight dedup table must collapse the
   // storm to ONE stage-1 execution per distinct fingerprint — every other
-  // request rides the winner's shared future or the cache.
+  // request parks a continuation on the winner's run or hits the cache.
   double storm_ms = 0.0;
   uint64_t storm_runs = 0, storm_joins = 0, storm_hits = 0;
   bool dedup_ok = true;
@@ -261,13 +261,20 @@ int main() {
 
   // --- lifetime gate: drop-plan-early PredictAsync storm ----------------
   // Every submission's Plan is a clone destroyed the moment PredictAsync
-  // returns — the fire-and-forget contract. The service must predict from
-  // its registry clones (one per distinct plan, interned across the
-  // storm), satisfy every future, and drain the registry afterwards.
+  // returns — the fire-and-forget contract. Every future must still be
+  // satisfied, bit-identical to a sequential Predictor on the same plan,
+  // with one stage-1 run per distinct plan.
   double drop_ms = 0.0;
-  uint64_t drop_runs = 0, drop_clones = 0;
+  uint64_t drop_runs = 0;
   bool drop_ok = true;
   {
+    Predictor reference(&db, &samples, units);
+    std::vector<Prediction> expected;
+    for (const Plan& p : distinct) {
+      auto pred = reference.Predict(p);
+      if (!pred.ok()) return 1;
+      expected.push_back(std::move(pred).value());
+    }
     for (int rep = 0; rep < kReps; ++rep) {
       PredictionService service(&db, &samples, units);
       const auto t0 = std::chrono::steady_clock::now();
@@ -277,26 +284,23 @@ int main() {
         Plan doomed = p->Clone();
         futures.push_back(service.PredictAsync(doomed));
       }  // doomed destroyed here, long before most workers run
-      for (auto& f : futures) {
-        auto r = f.get();
+      for (size_t i = 0; i < futures.size(); ++i) {
+        auto r = futures[i].get();
         if (!r.ok()) {
           std::fprintf(stderr, "drop-plan predict failed: %s\n",
                        r.status().ToString().c_str());
           drop_ok = false;
+          continue;
         }
+        const Prediction& want =
+            expected[static_cast<size_t>(stream[i] - distinct.data())];
+        drop_ok = drop_ok && r->mean() == want.mean() &&
+                  r->breakdown.variance == want.breakdown.variance;
       }
       drop_ms += MsSince(t0);
       const ServiceStats st = service.stats();
       drop_runs += st.sample_runs;
-      drop_clones += st.plan_clones;
-      // The registry drains per-request, so a repeat submitted after its
-      // predecessor already completed legitimately re-clones: clones land
-      // between one per distinct plan (fully overlapped storm) and one
-      // per request (fully sequential), never more.
-      drop_ok = drop_ok && st.sample_runs == distinct.size() &&
-                st.plan_clones >= distinct.size() &&
-                st.plan_clones <= stream.size() &&
-                service.plan_registry_size() == 0;
+      drop_ok = drop_ok && st.sample_runs == distinct.size();
     }
     drop_ms /= kReps;
   }
@@ -1046,10 +1050,9 @@ int main() {
               static_cast<double>(storm_runs) / kReps, stream.size(),
               distinct.size(), static_cast<double>(storm_joins) / kReps,
               static_cast<double>(storm_hits) / kReps);
-  std::printf("drop-plan storm: %.1f stage-1 runs and %.1f registry clones/rep "
-              "(callers destroyed every plan at submit)\n",
-              static_cast<double>(drop_runs) / kReps,
-              static_cast<double>(drop_clones) / kReps);
+  std::printf("drop-plan storm: %.1f stage-1 runs/rep (callers destroyed "
+              "every plan at submit)\n",
+              static_cast<double>(drop_runs) / kReps);
   std::printf("single-plan cold latency (full-ratio samples): %.2f ms at "
               "num_threads=1, %.2f ms at num_threads=4 (%.2fx, %u hw threads)\n",
               lat1_ms, lat4_ms, single_plan_speedup, hw);
@@ -1124,7 +1127,8 @@ int main() {
               batch_qps / seq_qps, batch_pass ? "PASS" : "FAIL");
   std::printf("async dedup: one stage-1 run per distinct fingerprint: %s\n",
               dedup_ok ? "PASS" : "FAIL");
-  std::printf("plan lifetime: futures outlive dropped caller plans: %s\n",
+  std::printf("plan lifetime: futures outlive dropped caller plans, "
+              "bit-identical: %s\n",
               drop_ok ? "PASS" : "FAIL");
   std::printf("continuation handoff: losers block zero workers: %s\n",
               progress_ok ? "PASS" : "FAIL");
@@ -1285,7 +1289,6 @@ int main() {
       "\"async_storm_qps\":%.1f,\"drop_plan_storm_qps\":%.1f,"
       "\"speedup_batch_cold\":%.3f,\"speedup_batch_hot\":%.3f,"
       "\"speedup_async_storm\":%.3f,\"storm_stage1_runs_per_rep\":%.2f,"
-      "\"drop_storm_registry_clones_per_rep\":%.2f,"
       "\"single_plan_cold_ms_t1\":%.3f,\"single_plan_cold_ms_t4\":%.3f,"
       "\"single_plan_cold_speedup\":%.3f,"
       "\"sort_agg_cold_ms_t1\":%.3f,\"sort_agg_cold_ms_t4\":%.3f,"
@@ -1315,7 +1318,7 @@ int main() {
       hot_ms, storm_ms, drop_ms, seq_qps, batch_qps, hot_qps, storm_qps,
       drop_qps, batch_qps / seq_qps, hot_qps / seq_qps, storm_qps / seq_qps,
       static_cast<double>(storm_runs) / kReps,
-      static_cast<double>(drop_clones) / kReps, lat1_ms, lat4_ms,
+      lat1_ms, lat4_ms,
       single_plan_speedup, sa1_ms, sa4_ms, sort_agg_speedup, hw,
       parallel_parity_ok ? "true" : "false",
       single_plan_pass ? "true" : "false",

@@ -53,10 +53,10 @@ int main() {
   SampleOptions sample_options;
   sample_options.sampling_ratio = 0.05;
   const SampleDb samples = SampleDb::Build(db, sample_options);
-  // PredictAsync owns a registry copy of each plan, so the plans vector
-  // may reallocate while the worker pool predicts; repeated plans share
-  // one sample run through the in-flight dedup table, and predictions are
-  // bit-identical to a sequential run at any thread count.
+  // A queued PredictAsync request owns a copy of its plan, so the plans
+  // vector may reallocate while the worker pool predicts; repeated plans
+  // share one sample run through the in-flight dedup table, and
+  // predictions are bit-identical to a sequential run at any thread count.
   ServiceOptions service_options;
   service_options.predictor.num_threads = 0;
   service_options.predictor.max_batch_size = 0;

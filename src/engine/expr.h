@@ -90,8 +90,8 @@ void AppendKeyU64(std::string* out, uint64_t v);
 /// the input (string constants still alias the process-wide intern pool,
 /// which is immortal). Expressions are immutable and refcounted, so
 /// sharing an ExprPtr is normally enough — this exists for owners that
-/// must be independent of every allocation the builder made, e.g. the
-/// service's plan registry, whose clones outlive the caller's plan.
+/// must be independent of every allocation the builder made, e.g. a
+/// queued PredictAsync request, whose plan clone outlives the caller's.
 ExprPtr CloneExprTree(const ExprPtr& e);
 
 /// Remaps column indexes by adding `offset` (used when pushing predicates

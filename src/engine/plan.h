@@ -110,9 +110,9 @@ class Plan {
   /// schemas, leaf spans and counters are copied verbatim and expression
   /// trees are cloned node for node, so the copy shares no allocation with
   /// the original and needs no re-Finalize (and hence no Database). This
-  /// is the ownership primitive behind the service's plan registry:
-  /// PredictAsync clones the caller's plan, so the caller may destroy it
-  /// the moment the call returns.
+  /// is the ownership primitive behind fire-and-forget PredictAsync: a
+  /// queued request holds a clone of the caller's plan, so the caller may
+  /// destroy it the moment the call returns.
   Plan Clone() const;
 
   const PlanNode* root() const { return root_.get(); }

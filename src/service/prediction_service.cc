@@ -94,10 +94,6 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
   for (Shard& shard : shards_) shard.slots.resize(slot_count * kSlotWays);
   stripes_storage_.reset(new StatsStripe[shard_count]);
   stripes_ = stripes_storage_.get();
-  // The plan registry shards by the same fingerprint mask as the cache, so
-  // a cold async storm across distinct plans never serializes on one
-  // registry lock (ROADMAP direction-2 follow-up).
-  registry_shards_.reset(new RegistryShard[shard_count]);
 
   if (options_.feedback.enabled && options_.feedback.window_size > 0) {
     feedback_.reset(new FeedbackRegistry(options_.feedback, shard_count));
@@ -121,8 +117,7 @@ void PredictionService::Shutdown() {
   // Workers drain the queue before exiting, so every future handed out by
   // PredictAsync before the shutdown flag was set is satisfied. Requests
   // that lose the race (PredictAsync observing shutdown_ == true) are
-  // rejected with Status::Unavailable — or, with drain_on_shutdown, run
-  // inline on their calling thread — instead of being enqueued into a
+  // rejected with Status::Unavailable instead of being enqueued into a
   // pool nobody drains. The joined threads stay in workers_ — the vector
   // is never mutated after construction, so concurrent readers
   // (ParallelFor, num_workers) race with nothing.
@@ -186,50 +181,13 @@ uint64_t PredictionService::Fingerprint(const Plan& plan,
                                             : identity.fingerprint;
 }
 
-std::shared_ptr<const Plan> PredictionService::InternPlan(
-    const Plan& plan, const std::string& key, uint64_t fingerprint) {
-  RegistryShard& shard = RegistryShardFor(fingerprint);
-  {
-    MutexLock lock(&shard.mu);
-    auto it = shard.plans.find(key);
-    if (it != shard.plans.end()) {
-      ++it->second.refs;
-      return it->second.plan;
-    }
-  }
-  // Deep-copy outside the lock: the clone walks every node, schema and
-  // expression of the plan, and must not serialize unrelated submitters.
-  auto clone = std::make_shared<const Plan>(plan.Clone());
-  MutexLock lock(&shard.mu);
-  auto [it, inserted] = shard.plans.try_emplace(key);
-  if (inserted) {
-    it->second.plan = std::move(clone);
-    StripeFor(fingerprint).plan_clones.fetch_add(1, std::memory_order_relaxed);
-  }
-  // else: a concurrent submitter interned first — use its copy, drop ours.
-  ++it->second.refs;
-  return it->second.plan;
-}
-
-void PredictionService::ReleasePlan(const std::string& key,
-                                    uint64_t fingerprint) {
-  RegistryShard& shard = RegistryShardFor(fingerprint);
-  MutexLock lock(&shard.mu);
-  auto it = shard.plans.find(key);
-  if (it != shard.plans.end() && --it->second.refs == 0) {
-    shard.plans.erase(it);
-  }
-}
-
-size_t PredictionService::plan_registry_size() const {
-  size_t total = 0;
-  const size_t n = shards_.size();  // registry shard count == cache shard count
-  for (size_t i = 0; i < n; ++i) {
-    RegistryShard& shard = registry_shards_[i];
-    MutexLock lock(&shard.mu);
-    total += shard.plans.size();
-  }
-  return total;
+PredictionService::Request PredictionService::MakeRequest(
+    const Plan& plan, const RequestContext& ctx) const {
+  Request req;
+  req.identity = plan.Identity();
+  req.fingerprint = Fingerprint(plan, *req.identity);
+  req.ctx = ctx;
+  return req;
 }
 
 void PredictionService::RecordOutcome(uint64_t fingerprint, bool hit,
@@ -238,9 +196,8 @@ void PredictionService::RecordOutcome(uint64_t fingerprint, bool hit,
   // Exactly one matrix cell moves per request, and every reported
   // aggregate (predictions, the hit/miss split, the outcome split) is a
   // sum over cells — neither invariant can tear. (inflight_joins is NOT
-  // bumped here: joiners are counted when they park/join in
-  // LookupArtifacts, so tests can observe the join while the winner is
-  // still mid-stages.)
+  // bumped here: joiners are counted when they park in Route, so tests can
+  // observe the join while the owner is still mid-stages.)
   stripe.outcome[hit ? 1 : 0][static_cast<size_t>(outcome)].fetch_add(
       1, std::memory_order_relaxed);
   if (lock_free) {
@@ -252,19 +209,26 @@ PredictionService::RequestContext PredictionService::MakeContext(
     const RequestOptions& opts) {
   RequestContext ctx;
   ctx.allow_degraded = opts.allow_degraded;
-  if (opts.deadline_ms > 0.0) {
+  if (!(opts.deadline_ms > 0.0)) return ctx;  // NaN included: no deadline
+  using Ms = std::chrono::duration<double, std::milli>;
+  const auto now = std::chrono::steady_clock::now();
+  // A budget past the end of the clock's range (+inf included) is no
+  // deadline; the 1 ms margin absorbs the double rounding of `room`.
+  const Ms room = std::chrono::steady_clock::time_point::max() - now;
+  if (opts.deadline_ms < room.count() - 1.0) {
     ctx.has_deadline = true;
-    ctx.deadline = std::chrono::steady_clock::now() +
-                   std::chrono::microseconds(
-                       static_cast<int64_t>(std::llround(opts.deadline_ms * 1000.0)));
+    ctx.deadline = now + std::chrono::duration_cast<
+                             std::chrono::steady_clock::duration>(
+                             Ms(opts.deadline_ms));
   }
   return ctx;
 }
 
-Prediction PredictionService::MakeDegradedFromCost(uint64_t fingerprint,
-                                                   double scalar_cost) {
+Prediction PredictionService::MakeDegraded(uint64_t fingerprint,
+                                           const Plan& plan) {
   const DegradedOptions& dg = options_.degraded;
-  const double mean = std::max(0.0, scalar_cost) * dg.cost_scale_ms;
+  const double mean =
+      std::max(0.0, OptimizerScalarCost(plan, *db_)) * dg.cost_scale_ms;
   // The degraded interval is widest where we already know we mispredict:
   // the family's windowed feedback error replaces the configured default
   // when larger, then the whole sigma is inflated — a cost-only guess is
@@ -283,11 +247,6 @@ Prediction PredictionService::MakeDegradedFromCost(uint64_t fingerprint,
   out.degraded = true;
   out.calibration = pipeline_.calibration();
   return out;
-}
-
-Prediction PredictionService::MakeDegraded(uint64_t fingerprint,
-                                           const Plan& plan) {
-  return MakeDegradedFromCost(fingerprint, OptimizerScalarCost(plan, *db_));
 }
 
 void PredictionService::MaybeSpuriousWakeup() {
@@ -516,32 +475,27 @@ StatusOr<PredictionService::Artifacts> PredictionService::RunStages(
 }
 
 StatusOr<PredictionService::Artifacts> PredictionService::RunOwnedStages(
-    const Plan& plan, uint64_t fingerprint, const IdentityPtr& identity,
-    const Lookup& lk, const RequestContext& ctx) {
-  if (breaker_ != nullptr) {
-    const BreakerDecision admit = breaker_->Admit(fingerprint);
-    if (admit.shed) {
-      // Quarantined: stage 1 is not consulted at all (the fault injector
-      // included — a shed is invisible to the schedule's attempt count).
-      // The in-flight entry this request registered still completes, so
-      // every joiner/waiter resolves with the same quarantine status
-      // instead of deadlocking on an abandoned promise.
-      const StatusOr<Artifacts> result(
-          Status::Unavailable("plan family quarantined by circuit breaker"));
-      CompleteRun(lk.owned, fingerprint, identity, lk.generation, result);
-      return result;
-    }
-    // admit.probe runs the stages normally; its verdict below closes or
-    // re-opens the family.
+    const Plan& plan, const Request& req, const Ticket& ticket) {
+  if (breaker_ != nullptr && breaker_->Admit(req.fingerprint).shed) {
+    // Quarantined: stage 1 is not consulted at all (the fault injector
+    // included — a shed is invisible to the schedule's attempt count).
+    // The run still completes, so every parked continuation resolves with
+    // the same quarantine status. (A half-open probe is admitted and runs
+    // the stages normally; its verdict below closes or re-opens the
+    // family.)
+    const StatusOr<Artifacts> shed(
+        Status::Unavailable("plan family quarantined by circuit breaker"));
+    CompleteRun(plan, req, ticket, shed);
+    return shed;
   }
-  StatusOr<Artifacts> result = RunStages(plan, fingerprint, ctx);
+  StatusOr<Artifacts> result = RunStages(plan, req.fingerprint, req.ctx);
   if (options_.post_stages_hook) options_.post_stages_hook();
   if (breaker_ != nullptr) {
     // Injected faults and deadline cancellations count as failures: a run
     // that could not complete is a failure from the family's viewpoint.
-    breaker_->OnStageResult(fingerprint, result.ok());
+    breaker_->OnStageResult(req.fingerprint, result.ok());
   }
-  CompleteRun(lk.owned, fingerprint, identity, lk.generation, result);
+  CompleteRun(plan, req, ticket, result);
   return result;
 }
 
@@ -594,379 +548,191 @@ PredictionService::EntryPtr PredictionService::FindEntry(
   return it->second;
 }
 
-void PredictionService::FulfillAsync(AsyncRequest& req,
-                                     const StatusOr<Artifacts>& artifacts,
-                                     bool hit) {
-  // Build the result while the owned plan is still alive (the degraded
-  // fallback may need it), then release the registry reference before the
-  // promise fires: a caller that saw the future complete also sees the
-  // registry drained. Requests that never interned (submit-time fast
-  // paths) hold no reference to release — and must not decrement one
-  // taken by a different request for the same key; their degraded cost
-  // was precomputed at submit time instead.
-  StatusOr<Prediction> result(Status::OK());
-  Outcome outcome = Outcome::kOk;
-  if (artifacts.ok()) {
-    result = pipeline_.PredictFromArtifacts(artifacts.value());
-  } else if (req.ctx.allow_degraded) {
-    outcome = Outcome::kDegraded;
-    result = req.plan != nullptr
-                 ? MakeDegraded(req.fingerprint, *req.plan)
-                 : MakeDegradedFromCost(req.fingerprint,
-                                        std::max(0.0, req.degraded_cost));
-  } else {
-    outcome = OutcomeFor(artifacts.status());
-    result = artifacts.status();
-  }
-  if (req.plan != nullptr) {
-    ReleasePlan(req.identity->key, req.fingerprint);
-    req.plan.reset();
-  }
-  RecordOutcome(req.fingerprint, hit, outcome);
-  req.promise.set_value(std::move(result));
-}
-
-void PredictionService::FulfillAsyncFromEntry(AsyncRequest& req,
-                                              const EntryPtr& entry,
-                                              bool lock_free) {
-  if (req.plan != nullptr) {
-    ReleasePlan(req.identity->key, req.fingerprint);
-    req.plan.reset();
-  }
-  Prediction out = CombineCached(entry);
-  RecordOutcome(req.fingerprint, /*hit=*/true, Outcome::kOk, lock_free);
-  req.promise.set_value(std::move(out));
-}
-
-void PredictionService::CompleteRun(const std::shared_ptr<Inflight>& owned,
-                                    uint64_t fingerprint,
-                                    const IdentityPtr& identity,
-                                    uint64_t generation,
+void PredictionService::CompleteRun(const Plan& plan, const Request& req,
+                                    const Ticket& ticket,
                                     const StatusOr<Artifacts>& result) {
-  std::vector<std::shared_ptr<AsyncRequest>> waiters;
-  Shard& shard = ShardFor(fingerprint);
+  std::vector<ContinuationPtr> waiters;
+  Shard& shard = ShardFor(req.fingerprint);
   {
     MutexLock lock(&shard.mu);
-    if (owned != nullptr) {
-      auto it = shard.inflight.find(fingerprint);
-      if (it != shard.inflight.end() && it->second == owned) {
+    if (ticket.owned != nullptr) {
+      auto it = shard.inflight.find(req.fingerprint);
+      if (it != shard.inflight.end() && it->second == ticket.owned) {
         shard.inflight.erase(it);
       }
       // Detach the continuation list under the same lock that guards
-      // registration: once the entry is unreachable no new waiter can be
+      // parking: once the entry is unreachable no new waiter can be
       // parked, so none is ever lost. (If InvalidateCache already detached
       // the entry, the waiters parked before the flush are still here.)
-      waiters = std::move(owned->waiters);
+      waiters = std::move(ticket.owned->waiters);
     }
     if (options_.cache_capacity > 0 && result.ok()) {
-      if (generation_.load(std::memory_order_acquire) == generation) {
-        CachePutLocked(shard, fingerprint, identity, result.value(),
-                       generation);
+      if (generation_.load(std::memory_order_acquire) == ticket.generation) {
+        CachePutLocked(shard, req.fingerprint, req.identity, result.value(),
+                       ticket.generation);
       } else {
         // InvalidateCache ran while this prediction was in flight: its
         // artifacts may predate the flush, drop the insert.
-        StripeFor(fingerprint)
+        StripeFor(req.fingerprint)
             .stale_drops.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
-  // Wake the blocking sync joiners, then finish every parked async loser
-  // with the cheap stage-3 combination (continuation handoff): the losers
-  // returned their workers long ago, so a same-fingerprint storm never
-  // starves the pool. On a failed run every joiner receives this same
-  // status (or its own degraded fallback) — the winner's error is the
-  // group's error, never a placeholder.
-  if (owned != nullptr) owned->promise.set_value(result);
-  for (const auto& w : waiters) {
-    FulfillAsync(*w, result, /*hit=*/true);
+  // Finish every parked continuation with the cheap stage-3 combination
+  // (continuation handoff). A sync or batch caller that already left at
+  // its deadline keeps its claim, and is skipped.
+  for (const ContinuationPtr& w : waiters) {
+    if (w->Claim()) Deliver(*w, result, /*hit=*/true, plan);
   }
 }
 
-PredictionService::Lookup PredictionService::LookupArtifacts(
-    uint64_t fingerprint, const IdentityPtr& identity,
-    const std::shared_ptr<AsyncRequest>& park, bool register_owned) {
-  Lookup lk;
-  Shard& shard = ShardFor(fingerprint);
+PredictionService::Ticket PredictionService::Route(const Request& req,
+                                                   ContinuationPtr waiter,
+                                                   bool register_owned) {
+  Ticket t;
+  // Hits are served even past the deadline: the result is already free,
+  // and deadlines bound work consumption, not delivery.
+  if (TryLockFreeHit(req.fingerprint, *req.identity, &t.entry)) {
+    t.lock_free = true;
+    return t;
+  }
+  Shard& shard = ShardFor(req.fingerprint);
   MutexLock lock(&shard.mu);
-  lk.generation = generation_.load(std::memory_order_acquire);
+  t.generation = generation_.load(std::memory_order_acquire);
   if (options_.cache_capacity > 0) {
-    auto it = shard.entries.find(fingerprint);
+    auto it = shard.entries.find(req.fingerprint);
     // Confirm the canonical structure: a fingerprint collision must be
     // a miss, never another plan's artifacts.
-    if (it != shard.entries.end() && it->second->identity->key == identity->key) {
+    if (it != shard.entries.end() &&
+        it->second->identity->key == req.identity->key) {
       const EntryPtr& entry = it->second;
       entry->last_used.store(shard.ticket.fetch_add(1, std::memory_order_relaxed),
                              std::memory_order_relaxed);
       // Republish: the entry may have been displaced from its slot ways by
       // slot-index neighbours; the most recent user wins a way back.
       PublishSlotLocked(shard, entry);
-      lk.entry = entry;
-      return lk;
+      t.entry = entry;
+      return t;
     }
   }
-  auto it = shard.inflight.find(fingerprint);
-  if (it != shard.inflight.end() && it->second->identity->key == identity->key) {
-    if (park != nullptr) {
-      // Continuation handoff: park {request, promise} on the in-flight
-      // record — the winner finishes us with one cheap stage-3 run. No
-      // thread ever blocks in future::get() on this path. The winner
-      // records the parked request's resolution cell when it fulfills it;
-      // the join itself is counted NOW, so a gated winner's joiners are
-      // observable while it is still mid-stages.
-      it->second->waiters.push_back(park);
-      lk.parked = true;
-      StripeFor(fingerprint).inflight_joins.fetch_add(
-          1, std::memory_order_relaxed);
-    } else {
-      lk.join = it->second;
-      StripeFor(fingerprint).inflight_joins.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  } else if (it == shard.inflight.end() && register_owned) {
-    lk.owned = std::make_shared<Inflight>(identity);
-    shard.inflight.emplace(fingerprint, lk.owned);
+  auto it = shard.inflight.find(req.fingerprint);
+  if (it != shard.inflight.end() &&
+      it->second->identity->key == req.identity->key) {
+    // The owner finishes the parked request with one cheap stage-3 run;
+    // the join is counted NOW, so a gated owner's joiners are observable
+    // while it is still mid-stages.
+    if (waiter == nullptr) waiter = std::make_shared<Continuation>(req);
+    it->second->waiters.push_back(waiter);
+    t.waiter = std::move(waiter);
+    StripeFor(req.fingerprint)
+        .inflight_joins.fetch_add(1, std::memory_order_relaxed);
+    return t;
   }
-  // else: the fingerprint is in flight for a structurally different plan
-  // (hash collision) — run solo, without registering.
-  return lk;
+  if (!register_owned) return t;
+  t.owner = true;
+  // The fingerprint in flight for a structurally different plan (hash
+  // collision) leaves `owned` null: run solo, without registering.
+  if (it == shard.inflight.end()) {
+    t.owned = std::make_shared<Inflight>(req.identity);
+    shard.inflight.emplace(req.fingerprint, t.owned);
+  }
+  return t;
 }
 
-StatusOr<Prediction> PredictionService::PredictImpl(const Plan& plan,
-                                                    const RequestContext& ctx) {
-  const IdentityPtr identity = plan.Identity();
-  const uint64_t fingerprint = Fingerprint(plan, *identity);
-
-  // Hits are served even past the deadline: the result is already free,
-  // and deadlines bound work consumption, not delivery.
-  EntryPtr hit;
-  if (TryLockFreeHit(fingerprint, *identity, &hit)) {
-    Prediction out = CombineCached(hit);
-    RecordOutcome(fingerprint, /*hit=*/true, Outcome::kOk,
-                  /*lock_free=*/true);
-    return out;
+StatusOr<Prediction> PredictionService::Serve(
+    const Request& req, const StatusOr<Artifacts>& artifacts, bool hit,
+    const Plan& plan) {
+  StatusOr<Prediction> out = artifacts.status();
+  if (artifacts.ok()) {
+    out = pipeline_.PredictFromArtifacts(artifacts.value());
+  } else if (req.ctx.allow_degraded) {
+    out = MakeDegraded(req.fingerprint, plan);
   }
-
-  Lookup lk = LookupArtifacts(fingerprint, identity, /*park=*/nullptr,
-                              /*register_owned=*/true);
-  if (lk.entry != nullptr) {
-    Prediction out = CombineCached(lk.entry);
-    RecordOutcome(fingerprint, /*hit=*/true, Outcome::kOk);
-    return out;
-  }
-
-  if (lk.join != nullptr) {
-    // Another request is already sampling this plan. Sync paths must hand
-    // a value back to their caller, so waiting here is inherent — and it
-    // blocks only the caller's own thread. (Batch shards park the future
-    // instead; async requests park a continuation.) With a deadline the
-    // wait is bounded: a timed-out joiner DETACHES — it abandons the
-    // shared future (the winner completes, caches and drains everyone
-    // else normally) and resolves on its own.
-    if (ctx.has_deadline) {
-      if (lk.join->future.wait_until(ctx.deadline) ==
-          std::future_status::timeout) {
-        if (ctx.allow_degraded) {
-          Prediction out = MakeDegraded(fingerprint, plan);
-          RecordOutcome(fingerprint, /*hit=*/true, Outcome::kDegraded);
-          return out;
-        }
-        RecordOutcome(fingerprint, /*hit=*/true, Outcome::kDeadline);
-        return Status::DeadlineExceeded(
-            "deadline expired waiting on the in-flight winner");
-      }
-    }
-    StatusOr<Artifacts> joined = lk.join->future.get();
-    if (joined.ok()) {
-      Prediction out = pipeline_.PredictFromArtifacts(joined.value());
-      RecordOutcome(fingerprint, /*hit=*/true, Outcome::kOk);
-      return out;
-    }
-    if (ctx.allow_degraded) {
-      Prediction out = MakeDegraded(fingerprint, plan);
-      RecordOutcome(fingerprint, /*hit=*/true, Outcome::kDegraded);
-      return out;
-    }
-    RecordOutcome(fingerprint, /*hit=*/true, OutcomeFor(joined.status()));
-    return joined.status();
-  }
-
-  // This request runs (or is shed from) the stages itself: a miss.
-  StatusOr<Artifacts> result =
-      RunOwnedStages(plan, fingerprint, identity, lk, ctx);
-  if (result.ok()) {
-    Prediction out = pipeline_.PredictFromArtifacts(result.value());
-    RecordOutcome(fingerprint, /*hit=*/false, Outcome::kOk);
-    return out;
-  }
-  if (ctx.allow_degraded) {
-    Prediction out = MakeDegraded(fingerprint, plan);
-    RecordOutcome(fingerprint, /*hit=*/false, Outcome::kDegraded);
-    return out;
-  }
-  RecordOutcome(fingerprint, /*hit=*/false, OutcomeFor(result.status()));
-  return result.status();
+  RecordOutcome(req.fingerprint, hit, OutcomeOf(out));
+  return out;
 }
 
-StatusOr<Prediction> PredictionService::Predict(const Plan& plan) {
-  return PredictImpl(plan, RequestContext());
+Prediction PredictionService::ServeEntry(const Request& req,
+                                         const EntryPtr& entry,
+                                         bool lock_free) {
+  Prediction out = CombineCached(entry);
+  RecordOutcome(req.fingerprint, /*hit=*/true, Outcome::kOk, lock_free);
+  return out;
+}
+
+StatusOr<Prediction> PredictionService::Await(Continuation& c,
+                                              const Plan& plan) {
+  if (c.req.ctx.has_deadline &&
+      c.future.wait_until(c.req.ctx.deadline) == std::future_status::timeout &&
+      c.Claim()) {
+    Deliver(c, Status::DeadlineExceeded(
+                   "deadline expired waiting on the in-flight winner"),
+            /*hit=*/true, plan);
+  }
+  return c.future.get();
 }
 
 StatusOr<Prediction> PredictionService::Predict(const Plan& plan,
                                                 const RequestOptions& opts) {
-  return PredictImpl(plan, MakeContext(opts));
+  const Request req = MakeRequest(plan, MakeContext(opts));
+  const Ticket t = Route(req, nullptr, /*register_owned=*/true);
+  if (t.entry != nullptr) return ServeEntry(req, t.entry, t.lock_free);
+  if (t.waiter != nullptr) return Await(*t.waiter, plan);
+  return Serve(req, RunOwnedStages(plan, req, t), /*hit=*/false, plan);
 }
 
-PredictionService::GroupFetch PredictionService::FetchForBatch(
-    const Plan& plan, uint64_t fingerprint, const IdentityPtr& identity,
-    const RequestContext& ctx) {
-  GroupFetch out;
-  EntryPtr hit;
-  if (TryLockFreeHit(fingerprint, *identity, &hit)) {
-    out.entry = std::move(hit);
-    out.hit = true;
-    out.lock_free = true;
-    return out;
-  }
-
-  Lookup lk = LookupArtifacts(fingerprint, identity, /*park=*/nullptr,
-                              /*register_owned=*/true);
-  if (lk.entry != nullptr) {
-    out.entry = lk.entry;
-    out.hit = true;
-    return out;
-  }
-
-  if (lk.join != nullptr) {
-    // Another request's run is in flight. Don't block this pool worker in
-    // future::get(): hand the shared future back as a continuation — the
-    // batch's calling thread resolves it after the fan-out, so the worker
-    // moves on to the next group immediately.
-    out.pending = lk.join->future;
-    out.hit = true;
-    out.join = true;
-    return out;
-  }
-
-  StatusOr<Artifacts> result =
-      RunOwnedStages(plan, fingerprint, identity, lk, ctx);
-  if (result.ok()) {
-    out.artifacts = std::move(result).value();
-  } else {
-    out.failed = true;
-    out.status = result.status();
-  }
-  return out;
-}
-
-void PredictionService::RunAsyncRequest(
-    const std::shared_ptr<AsyncRequest>& req) {
-  // By the time a queued request reaches a worker the cache may have
-  // warmed up; the lock-free probe costs nothing if not.
-  EntryPtr hit;
-  if (TryLockFreeHit(req->fingerprint, *req->identity, &hit)) {
-    FulfillAsyncFromEntry(*req, hit, /*lock_free=*/true);
+void PredictionService::RunQueued(const ContinuationPtr& c) {
+  // A request that expired in the queue never registers as an owner: the
+  // pool stops spending time on it, and no joiner can inherit its
+  // DeadlineExceeded. A result that is already free (cached, or a run in
+  // flight to park on) is still delivered.
+  const Ticket t = Route(c->req, c, /*register_owned=*/!c->req.ctx.Expired());
+  if (t.waiter != nullptr) return;  // the owner will finish it; worker freed
+  if (t.entry != nullptr) {
+    c->promise.set_value(ServeEntry(c->req, t.entry, t.lock_free));
     return;
   }
-
-  if (req->ctx.Expired()) {
-    // Expired while queued: the pool stops spending time on this request
-    // right here — no lookup registration, no stage run. The future still
-    // resolves (DeadlineExceeded or degraded), the in-flight table and
-    // the cache are untouched.
-    FulfillAsync(*req,
-                 Status::DeadlineExceeded("deadline expired in the pool queue"),
-                 /*hit=*/false);
-    return;
-  }
-
-  Lookup lk = LookupArtifacts(req->fingerprint, req->identity, /*park=*/req,
-                              /*register_owned=*/true);
-  if (lk.parked) return;  // the winner will finish us; worker freed
-  if (lk.entry != nullptr) {
-    FulfillAsyncFromEntry(*req, lk.entry, /*lock_free=*/false);
-    return;
-  }
-
-  const StatusOr<Artifacts> result =
-      RunOwnedStages(*req->plan, req->fingerprint, req->identity, lk, req->ctx);
-  FulfillAsync(*req, result, /*hit=*/false);
-}
-
-std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
-    const Plan& plan) {
-  return PredictAsync(plan, RequestOptions());
+  Deliver(*c,
+          t.owner ? RunOwnedStages(*c->plan, c->req, t)
+                  : Status::DeadlineExceeded("deadline expired in the pool queue"),
+          /*hit=*/false, *c->plan);
 }
 
 std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
     const Plan& plan, const RequestOptions& opts) {
-  auto req = std::make_shared<AsyncRequest>();
-  req->ctx = MakeContext(opts);
-  req->identity = plan.Identity();
-  req->fingerprint = Fingerprint(plan, *req->identity);
-  std::future<StatusOr<Prediction>> future = req->promise.get_future();
-
-  // Submit-time fast paths on the caller's thread, before paying for a
-  // registry clone or a pool round-trip. A hot-cache hit resolves here
-  // through the lock-free probe — a few atomic loads and a key confirm,
-  // no service mutex at all; a warm hit displaced from its published
-  // slot resolves through the shard (not global) lock; and a plan already
-  // being sampled parks a plan-free continuation (stage 3 needs only the
-  // artifacts). None of these touch the caller's plan after this call
-  // returns.
-  EntryPtr hit;
-  if (TryLockFreeHit(req->fingerprint, *req->identity, &hit)) {
-    FulfillAsyncFromEntry(*req, hit, /*lock_free=*/true);
-    return future;
-  }
-  // A request that may degrade must not need the caller's plan at
-  // resolution time (a parked continuation holds no plan; the caller's
-  // may be destroyed the moment we return): precompute the optimizer
-  // scalar its fallback would be built from, before the park below.
-  if (req->ctx.allow_degraded) {
-    req->degraded_cost = OptimizerScalarCost(plan, *db_);
-  }
-  Lookup lk = LookupArtifacts(req->fingerprint, req->identity, /*park=*/req,
-                              /*register_owned=*/false);
-  if (lk.parked) return future;
-  if (lk.entry != nullptr) {
-    FulfillAsyncFromEntry(*req, lk.entry, /*lock_free=*/false);
-    return future;
+  // Resolved on the submitting thread, without a copy of the plan or a
+  // queue trip: a hit (on a hot cache through the lock-free probe, no
+  // service mutex at all) or a continuation parked on a run already in
+  // flight (stage 3 needs only the artifacts).
+  const Request req = MakeRequest(plan, MakeContext(opts));
+  Ticket t = Route(req, nullptr, /*register_owned=*/false);
+  if (t.waiter != nullptr) return std::move(t.waiter->future);
+  if (t.entry != nullptr) {
+    std::promise<StatusOr<Prediction>> ready;
+    ready.set_value(ServeEntry(req, t.entry, t.lock_free));
+    return ready.get_future();
   }
 
-  // Cold miss: own the plan before returning. From here on the caller's
-  // Plan is never touched again, so it may be destroyed as soon as this
-  // call returns.
-  req->plan = InternPlan(plan, req->identity->key, req->fingerprint);
-
+  // Cold miss: the queued request owns a deep copy, so the caller's plan
+  // is never touched after this call returns.
+  auto c = std::make_shared<Continuation>(req);
+  c->plan = std::make_shared<const Plan>(plan.Clone());
+  std::future<StatusOr<Prediction>> future = std::move(c->future);
   bool rejected = false;
   {
     MutexLock lock(&pool_mu_);
     if (shutdown_) {
       rejected = true;
     } else {
-      pool_queue_.push_back([this, req] { RunAsyncRequest(req); });
+      pool_queue_.push_back([this, c] { RunQueued(c); });
     }
   }
   if (rejected) {
-    if (options_.drain_on_shutdown) {
-      // Graceful drain: run the prediction inline on the calling thread.
-      // Degraded latency, identical result — and still fully raced
-      // correctly: an inline latecomer that finds another request's run
-      // in flight parks on it (atomically with the lookup), and that
-      // winner drains it like any other continuation.
-      StripeFor(req->fingerprint)
-          .drained_inline.fetch_add(1, std::memory_order_relaxed);
-      RunAsyncRequest(req);
-      return future;
-    }
     // The pool is gone; enqueueing would leave the future unsatisfied
     // forever. Fail fast instead.
-    StripeFor(req->fingerprint)
+    StripeFor(req.fingerprint)
         .async_rejects.fetch_add(1, std::memory_order_relaxed);
-    ReleasePlan(req->identity->key, req->fingerprint);
-    req->plan.reset();
-    req->promise.set_value(
-        Status::Unavailable("PredictionService is shut down"));
+    c->promise.set_value(Status::Unavailable("PredictionService is shut down"));
     return future;
   }
   pool_cv_.NotifyOne();
@@ -975,136 +741,64 @@ std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
 }
 
 std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
-    const Plan* const* plans, size_t count) {
-  return PredictBatch(plans, count, RequestOptions());
-}
-
-std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
-    const Plan* const* plans, size_t count, const RequestOptions& opts) {
-  const RequestContext ctx = MakeContext(opts);
-  stripes_[0].batch_calls.fetch_add(1, std::memory_order_relaxed);
-  std::vector<StatusOr<Prediction>> results;
-  results.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    // Unreachable sentinel: the stage-3 fan-out below writes EVERY slot a
-    // terminal status on every path (group failure, degraded conversion,
-    // pending timeout included) — service_test pins that no slot ever
-    // leaks this value.
-    results.emplace_back(Status::Internal("batch slot never resolved"));
-  }
-  if (count == 0) return results;
-
-  // Dedup: plans sharing a fingerprint AND the canonical structure share
-  // one sample run. Grouping on the structural key too keeps the cache's
-  // collision guarantee inside a batch: colliding plans form separate
-  // groups instead of silently sharing artifacts.
-  std::vector<uint64_t> fingerprints(count);
-  std::vector<IdentityPtr> identities(count);
-  std::vector<size_t> group_ids(count);
-  std::unordered_map<std::string, size_t> group_of;  // fp ‖ key -> group id
-  std::vector<size_t> representative;                // group id -> plan index
-  for (size_t i = 0; i < count; ++i) {
-    identities[i] = plans[i]->Identity();
-    fingerprints[i] = Fingerprint(*plans[i], *identities[i]);
-    std::string group_key;
-    AppendKeyU64(&group_key, fingerprints[i]);
-    group_key += identities[i]->key;
-    const auto [it, inserted] =
-        group_of.emplace(std::move(group_key), representative.size());
-    group_ids[i] = it->second;
-    if (inserted) representative.push_back(i);
-  }
-
-  // Stages 1-2 (through the cache) once per distinct plan, sharded.
-  // Shards that find another request's run in flight park its shared
-  // future instead of blocking the worker. Classification is deferred to
-  // the per-slot stage-3 fan-out below.
-  std::vector<GroupFetch> fetched(representative.size());
-  const std::function<void(size_t)> stages12 = [&](size_t g) {
-    const size_t rep = representative[g];
-    fetched[g] =
-        FetchForBatch(*plans[rep], fingerprints[rep], identities[rep], ctx);
-  };
-  ParallelFor(representative.size(), stages12);
-
-  // Resolve parked in-flight joins on the CALLING thread: the batch must
-  // still block until each winner finishes (its results are part of this
-  // batch's return value), but no pool worker spends that wait in
-  // future::get() — they went back to real work the moment they parked.
-  // With a deadline the wait is bounded: a timed-out group detaches from
-  // its winner (who completes and caches normally) and resolves
-  // DeadlineExceeded — convertible per slot to a degraded fallback below.
-  for (GroupFetch& f : fetched) {
-    if (!f.pending.valid()) continue;
-    if (ctx.has_deadline &&
-        f.pending.wait_until(ctx.deadline) == std::future_status::timeout) {
-      f.failed = true;
-      f.status = Status::DeadlineExceeded(
-          "deadline expired waiting on the in-flight winner");
-      f.pending = std::shared_future<StatusOr<Artifacts>>();
-      continue;
-    }
-    StatusOr<Artifacts> joined = f.pending.get();
-    if (joined.ok()) {
-      f.artifacts = std::move(joined).value();
-    } else {
-      f.failed = true;
-      f.status = joined.status();
-    }
-    f.pending = std::shared_future<StatusOr<Artifacts>>();
-  }
-
-  // Stage 3 per plan, sharded. In-batch duplicates are served from their
-  // group's shared artifacts without any stage-1/2 work: cache hits.
-  // Groups served from a resident entry go through the epoch memo
-  // (CombineCached), so a hot batch under an unchanged epoch runs zero
-  // combination work. EVERY slot resolves to its own terminal status
-  // here, and each slot's resolution-matrix cell is recorded exactly
-  // once: the representative inherits its group's hit/miss, duplicates
-  // are hits.
-  const std::function<void(size_t)> stage3 = [&](size_t i) {
-    const size_t g = group_ids[i];
-    const GroupFetch& f = fetched[g];
-    const bool is_rep = representative[g] == i;
-    const bool hit = is_rep ? (f.hit || f.join) : true;
-    const bool lock_free = is_rep && f.lock_free;
-    if (f.failed) {
-      if (ctx.allow_degraded) {
-        results[i] = MakeDegraded(fingerprints[i], *plans[i]);
-        RecordOutcome(fingerprints[i], hit, Outcome::kDegraded);
-      } else {
-        results[i] = f.status;
-        RecordOutcome(fingerprints[i], hit, OutcomeFor(f.status));
-      }
-      return;
-    }
-    if (f.entry != nullptr) {
-      results[i] = CombineCached(f.entry);
-    } else {
-      results[i] = pipeline_.PredictFromArtifacts(f.artifacts);
-    }
-    RecordOutcome(fingerprints[i], hit, Outcome::kOk, lock_free);
-  };
-  ParallelFor(count, stage3);
-  return results;
-}
-
-std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
-    const std::vector<const Plan*>& plans) {
-  return PredictBatch(plans.data(), plans.size());
-}
-
-std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
     const std::vector<const Plan*>& plans, const RequestOptions& opts) {
-  return PredictBatch(plans.data(), plans.size(), opts);
-}
+  // One request per distinct plan: plans sharing a fingerprint AND the
+  // canonical structure share it. Grouping on the structural key too
+  // keeps the cache's collision guarantee inside a batch: colliding plans
+  // form separate groups instead of silently sharing artifacts.
+  struct Group {
+    size_t slot;  ///< the first slot with this plan
+    Request req;
+    Ticket ticket;
+    StatusOr<Prediction> result = Status::Internal("batch group unresolved");
+  };
+  const RequestContext ctx = MakeContext(opts);
+  std::vector<Group> groups;
+  std::vector<size_t> group_of(plans.size());
+  std::unordered_map<std::string, size_t> index;  // fp ‖ key -> group
+  for (size_t i = 0; i < plans.size(); ++i) {
+    Request req = MakeRequest(*plans[i], ctx);
+    std::string key;
+    AppendKeyU64(&key, req.fingerprint);
+    key += req.identity->key;
+    const auto [it, inserted] = index.emplace(std::move(key), groups.size());
+    group_of[i] = it->second;
+    if (!inserted) continue;
+    Ticket ticket = Route(req, nullptr, /*register_owned=*/true);
+    groups.push_back(Group{i, std::move(req), std::move(ticket)});
+  }
 
-std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
-    const std::vector<Plan>& plans) {
-  std::vector<const Plan*> ptrs;
-  ptrs.reserve(plans.size());
-  for (const Plan& p : plans) ptrs.push_back(&p);
-  return PredictBatch(ptrs.data(), ptrs.size());
+  // The runs this batch owns, sharded across the pool, with the stage 3
+  // of cache hits alongside. Parked groups are left to their owners, so no
+  // pool worker waits on another request's run.
+  ParallelFor(groups.size(), [&](size_t g) {
+    Group& gr = groups[g];
+    const Plan& plan = *plans[gr.slot];
+    if (gr.ticket.entry != nullptr) {
+      gr.result = ServeEntry(gr.req, gr.ticket.entry, gr.ticket.lock_free);
+    } else if (gr.ticket.owner) {
+      gr.result = Serve(gr.req, RunOwnedStages(plan, gr.req, gr.ticket),
+                        /*hit=*/false, plan);
+    }
+  });
+  for (Group& gr : groups) {
+    if (gr.ticket.waiter != nullptr) {
+      gr.result = Await(*gr.ticket.waiter, *plans[gr.slot]);
+    }
+  }
+
+  // In-batch duplicates are served their group's result without any
+  // stage work: cache hits, each counted once.
+  std::vector<StatusOr<Prediction>> results;
+  results.reserve(plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    const Group& gr = groups[group_of[i]];
+    results.push_back(gr.result);
+    if (gr.slot != i) {
+      RecordOutcome(gr.req.fingerprint, /*hit=*/true, OutcomeOf(gr.result));
+    }
+  }
+  return results;
 }
 
 VarianceBreakdown PredictionService::Recompute(const Prediction& prediction,
@@ -1136,77 +830,71 @@ void PredictionService::ReportObserved(const Plan& plan, double observed_ms) {
 
 void PredictionService::ReportObserved(uint64_t fingerprint,
                                        double observed_ms) {
-  if (feedback_ == nullptr) return;
-  StatsStripe& stripe = StripeFor(fingerprint);
-  stripe.feedback_reports.fetch_add(1, std::memory_order_relaxed);
-  if (!(observed_ms > 0.0)) {
-    stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // The error is computed lazily — converged families skip it entirely —
-  // against the family's cached prediction under the CURRENT snapshot
-  // (through the epoch memo, so a hot family pays zero combination work).
-  // Every cache-backed computation refreshes the family's stash; when the
-  // plan was evicted (or flushed) the stashed mean is the fallback
-  // comparison point, so late reports still land instead of dropping.
-  const auto error_fn = [this, fingerprint, observed_ms](
-                            PredictionStash* stash, double* out) {
-    const EntryPtr entry = FindEntry(fingerprint);
-    if (entry != nullptr) {
-      const Prediction prediction = CombineCached(entry);
-      stash->mean_ms = prediction.mean();
-      stash->epoch = prediction.calibration->epoch;
-      stash->valid = true;
-      *out = (observed_ms - prediction.mean()) / observed_ms;
-      return true;
-    }
-    if (!stash->valid) return false;  // never predicted: nothing to compare to
-    // The stash may predate the current calibration epoch; that slack is
-    // bounded by one eviction-to-report gap and beats dropping the report.
-    StripeFor(fingerprint)
-        .feedback_stash_hits.fetch_add(1, std::memory_order_relaxed);
-    *out = (observed_ms - stash->mean_ms) / observed_ms;
-    return true;
-  };
-  const FeedbackRegistry::Action action =
-      feedback_->Observe(fingerprint, error_fn);
-  switch (action) {
-    case FeedbackRegistry::Action::kDropped:
-      stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case FeedbackRegistry::Action::kDrift:
-      HandleDrift(fingerprint);
-      break;
-    default:
-      break;
-  }
+  // Compared lazily — converged families skip it entirely — against the
+  // family's cached prediction under the CURRENT snapshot (through the
+  // epoch memo, so a hot family pays zero combination work). Every
+  // cache-backed comparison refreshes the family's stash; when the plan
+  // was evicted (or flushed) the stashed mean is the fallback comparison
+  // point, so late reports still land instead of dropping.
+  Report(fingerprint, observed_ms,
+         [this, fingerprint](PredictionStash* stash, double* mean_ms) {
+           const EntryPtr entry = FindEntry(fingerprint);
+           if (entry != nullptr) {
+             const Prediction prediction = CombineCached(entry);
+             stash->mean_ms = prediction.mean();
+             stash->epoch = prediction.calibration->epoch;
+             stash->valid = true;
+             *mean_ms = prediction.mean();
+             return true;
+           }
+           if (!stash->valid) return false;  // never predicted
+           // The stash may predate the current calibration epoch; that
+           // slack is bounded by one eviction-to-report gap and beats
+           // dropping the report.
+           StripeFor(fingerprint)
+               .feedback_stash_hits.fetch_add(1, std::memory_order_relaxed);
+           *mean_ms = stash->mean_ms;
+           return true;
+         });
 }
 
 void PredictionService::ReportObservedAgainst(uint64_t fingerprint,
                                               const Prediction& as_decided,
                                               double observed_ms) {
-  if (feedback_ == nullptr) return;
-  StatsStripe& stripe = StripeFor(fingerprint);
-  stripe.feedback_reports.fetch_add(1, std::memory_order_relaxed);
-  if (!(observed_ms > 0.0)) {
-    stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   // The comparison point is pinned by the caller (the prediction its
   // admission/ordering decision used), so no cache lookup: the report
   // lands even for plans that were never cached here, and a calibration
   // swap between decision and completion cannot silently shift the error.
-  const auto error_fn = [&as_decided, observed_ms](PredictionStash* stash,
-                                                   double* out) {
-    stash->mean_ms = as_decided.mean();
-    stash->epoch = as_decided.calibration_epoch();
-    stash->valid = true;
-    *out = (observed_ms - as_decided.mean()) / observed_ms;
+  Report(fingerprint, observed_ms,
+         [&as_decided](PredictionStash* stash, double* mean_ms) {
+           stash->mean_ms = as_decided.mean();
+           stash->epoch = as_decided.calibration_epoch();
+           stash->valid = true;
+           *mean_ms = as_decided.mean();
+           return true;
+         });
+}
+
+void PredictionService::Report(uint64_t fingerprint, double observed_ms,
+                               const FeedbackRegistry::ErrorFn& mean_fn) {
+  if (feedback_ == nullptr) return;
+  StatsStripe& stripe = StripeFor(fingerprint);
+  stripe.feedback_reports.fetch_add(1, std::memory_order_relaxed);
+  // Only a finite positive runtime has a relative error: +inf would put
+  // inf/inf = NaN into the window, and the family could then neither
+  // converge nor drift until it left the ring.
+  if (!(std::isfinite(observed_ms) && observed_ms > 0.0)) {
+    stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  const auto error_fn = [&mean_fn, observed_ms](PredictionStash* stash,
+                                                double* error) {
+    double mean_ms = 0.0;
+    if (!mean_fn(stash, &mean_ms)) return false;
+    *error = (observed_ms - mean_ms) / observed_ms;
     return true;
   };
-  const FeedbackRegistry::Action action =
-      feedback_->Observe(fingerprint, error_fn);
-  switch (action) {
+  switch (feedback_->Observe(fingerprint, error_fn)) {
     case FeedbackRegistry::Action::kDropped:
       stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
       break;
@@ -1289,15 +977,12 @@ ServiceStats PredictionService::stats() const {
         }
       }
     }
-    out.batch_calls += s.batch_calls.load(std::memory_order_relaxed);
     out.sample_runs += s.sample_runs.load(std::memory_order_relaxed);
     out.fit_runs += s.fit_runs.load(std::memory_order_relaxed);
     out.lockfree_hits += s.lockfree_hits.load(std::memory_order_relaxed);
     out.inflight_joins += s.inflight_joins.load(std::memory_order_relaxed);
     out.stale_drops += s.stale_drops.load(std::memory_order_relaxed);
-    out.plan_clones += s.plan_clones.load(std::memory_order_relaxed);
     out.async_rejects += s.async_rejects.load(std::memory_order_relaxed);
-    out.drained_inline += s.drained_inline.load(std::memory_order_relaxed);
     out.recombines += s.recombines.load(std::memory_order_relaxed);
     out.recalibrations += s.recalibrations.load(std::memory_order_relaxed);
     out.feedback_reports += s.feedback_reports.load(std::memory_order_relaxed);

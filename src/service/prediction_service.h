@@ -50,13 +50,16 @@ struct DegradedOptions {
 /// Per-request resilience knobs. The zero value (no deadline, no
 /// degradation) reproduces the historical behavior exactly.
 struct RequestOptions {
-  /// Wall-clock budget for this request, in milliseconds; <= 0 = none.
+  /// Wall-clock budget for this request, in milliseconds. <= 0, NaN, +inf
+  /// and any budget past the end of the steady_clock range mean none.
   /// A request past its deadline stops consuming pool time at the next
   /// operator/morsel boundary (cooperative cancellation through
   /// ExecOptions::cancelled) and resolves with Status::DeadlineExceeded —
   /// or a degraded prediction, see below. Deadlines bound WORK, not
   /// delivery: a result that is already free (cache hit, or a joined
-  /// winner that finished anyway) is still served.
+  /// winner that finished anyway) is still served. A sync or batch request
+  /// parked on another request's run stops waiting at its deadline; an
+  /// async one parked on such a run is resolved by that run.
   double deadline_ms = 0.0;
   /// When true, a stage failure / deadline expiry / breaker shed resolves
   /// with a cost-only degraded prediction (Prediction::degraded == true)
@@ -100,12 +103,6 @@ struct ServiceOptions {
   /// through the shard mutex (the pre-sharding behavior, kept as the
   /// bench baseline and a differential-testing seam).
   bool lock_free_hits = true;
-  /// When true, PredictAsync calls that arrive after Shutdown() run the
-  /// prediction inline on the calling thread (degraded latency, still
-  /// correct and bit-identical) instead of failing fast with
-  /// Status::Unavailable. Latecomers that find another request's run
-  /// still in flight park on it as usual and are drained by that winner.
-  bool drain_on_shutdown = false;
   /// Test seam: replaces PlanFingerprint as the cache/dedup hash when
   /// non-null. The structural-key confirmation still applies, so tests can
   /// force every plan onto one fingerprint to exercise collision handling.
@@ -151,7 +148,6 @@ struct ServiceOptions {
 /// from the cache or another request's in-flight execution is a hit.
 struct ServiceStats {
   uint64_t predictions = 0;     ///< predictions served (single + batched + async)
-  uint64_t batch_calls = 0;     ///< PredictBatch invocations
   uint64_t sample_runs = 0;     ///< SampleRunStage executions (stage 1)
   uint64_t fit_runs = 0;        ///< CostFitStage executions (stage 2)
   uint64_t cache_hits = 0;      ///< predictions that ran no stage-1/2 work
@@ -166,16 +162,11 @@ struct ServiceStats {
   uint64_t deadline_exceeded = 0;  ///< requests resolved DeadlineExceeded
   uint64_t lockfree_hits = 0;   ///< hits served by the mutex-free published
                                 ///< slot path (subset of cache_hits)
-  uint64_t inflight_joins = 0;  ///< requests that joined an in-flight miss
-                                ///< (parked async continuations + blocking
-                                ///< sync/batch joins), counted when they
+  uint64_t inflight_joins = 0;  ///< requests that parked a continuation on
+                                ///< an in-flight miss, counted when they
                                 ///< park — observable mid-run
   uint64_t stale_drops = 0;     ///< cache inserts dropped by InvalidateCache generation
-  uint64_t plan_clones = 0;     ///< deep copies made by the async plan registry
-                                ///< (interned duplicates don't re-clone)
   uint64_t async_rejects = 0;   ///< PredictAsync calls refused after Shutdown
-  uint64_t drained_inline = 0;  ///< post-Shutdown PredictAsync calls served
-                                ///< inline by drain_on_shutdown
   // --- calibration-epoch lifecycle + feedback loop ---
   uint64_t recombines = 0;        ///< cached entries lazily re-combined after a
                                   ///< calibration swap invalidated their
@@ -183,7 +174,8 @@ struct ServiceStats {
   uint64_t recalibrations = 0;    ///< drift-triggered snapshot publishes
   uint64_t feedback_reports = 0;  ///< ReportObserved calls accepted
   uint64_t feedback_dropped = 0;  ///< reports with no usable error (plan never
-                                  ///< predicted, non-positive observation)
+                                  ///< predicted, observation not finite and
+                                  ///< positive)
   uint64_t feedback_stash_hits = 0;  ///< reports for evicted/flushed plans
                                      ///< served from the family's
                                      ///< last-prediction stash instead of
@@ -204,15 +196,24 @@ struct ServiceStats {
 /// piece that lets the predictor sit on the admission path of a
 /// multi-user system instead of being re-instantiated per query.
 ///
-///   - Predict(plan): one prediction on the calling thread.
-///   - PredictAsync(plan): one prediction on the worker pool, returned as
-///     a future. Fire-and-forget safe: the service deep-copies (interns)
-///     the plan into its own registry, so the caller may destroy the plan
-///     the moment the call returns.
-///   - PredictBatch(plans): shards stage work across the worker pool.
+///   - Predict(plan): one prediction, awaited on the calling thread.
+///   - PredictAsync(plan): one prediction returned as a future; a cold
+///     plan runs on the worker pool. Fire-and-forget safe: the caller may
+///     destroy the plan the moment the call returns.
+///   - PredictBatch(plans): one request per distinct plan, owned runs
+///     sharded across the worker pool.
 ///
-/// All paths cache per-plan stage artifacts keyed by plan fingerprint.
-/// The cache and the in-flight dedup table are sharded by fingerprint: N
+/// All three share one request path. A request's lookup-and-route step
+/// ends in one of three ways: served from the artifact cache, parked as a
+/// continuation on the run already in flight for its plan, or registered
+/// as the owner of a new run. The owner runs stages 1-2 and then drains
+/// every parked continuation with the cheap stage-3 combination; a
+/// continuation is resolved exactly once, by that drain or by its own
+/// caller's deadline, whichever comes first. So a same-fingerprint storm
+/// occupies one thread, never the pool: no pool worker ever blocks on
+/// another request's run.
+///
+/// The cache and the in-flight table are sharded by fingerprint: N
 /// independent shards, each with its own mutex, entry map and recency
 /// ticks, so requests for different plans never serialize on a global
 /// lock. Within a shard, hot hits do not take the shard mutex either:
@@ -237,23 +238,11 @@ struct ServiceStats {
 /// windows converge (and stop paying tracking overhead) or drift (and
 /// trigger a recalibration through FeedbackOptions::recalibrate).
 ///
-/// Concurrent misses on the same fingerprint are deduplicated through the
-/// shard's in-flight table: the first request runs stages 1-2. A
-/// concurrent async duplicate parks a continuation {owned plan, promise}
-/// on the winner's in-flight record and returns its worker to the pool;
-/// when the winner finishes, it drains the continuation list by running
-/// the cheap stage-3 combination per waiter. Synchronous Predict calls
-/// block their own calling thread on the winner's shared future; a
-/// PredictBatch shard that finds another request's run in flight parks
-/// the shared future and moves on — the batch's calling thread resolves
-/// all parked futures after the fan-out, so no pool worker ever blocks in
-/// future::get(). So a same-fingerprint storm occupies exactly one
-/// worker, never the pool. Served predictions alias the immutable cached
-/// artifacts via shared_ptr (zero-copy), so a hot-cache prediction costs
-/// at most one variance combination — and exactly zero when the entry's
-/// memoized combination matches the current calibration epoch. Every
-/// stage is deterministic: cached, batched, async and sequential
-/// predictions are bit-identical.
+/// Served predictions alias the immutable cached artifacts via shared_ptr
+/// (zero-copy), so a hot-cache prediction costs at most one variance
+/// combination — and exactly zero when the entry's memoized combination
+/// matches the current calibration epoch. Every stage is deterministic:
+/// cached, batched, async and sequential predictions are bit-identical.
 class PredictionService {
  public:
   PredictionService(const Database* db, const SampleDb* samples,
@@ -268,65 +257,49 @@ class PredictionService {
   int num_workers() const { return static_cast<int>(workers_.size()); }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// Full prediction of one plan, on the calling thread. Safe to call
-  /// concurrently from any number of threads. The plan is only read for
-  /// the duration of the call. The RequestOptions overload adds a
-  /// deadline (cooperatively cancelled at the next operator/morsel
-  /// boundary; a sync join past its deadline detaches from the winner and
-  /// resolves immediately) and/or opts into cost-only degradation.
-  StatusOr<Prediction> Predict(const Plan& plan);
-  StatusOr<Prediction> Predict(const Plan& plan, const RequestOptions& opts);
+  /// Full prediction of one plan: submit, then wait on the calling thread.
+  /// A request that owns its plan's run executes the stages inline. Safe
+  /// to call concurrently from any number of threads; the plan is only
+  /// read for the duration of the call. `opts` adds a deadline
+  /// (cooperatively cancelled at the next operator/morsel boundary; a
+  /// request parked on another request's run stops waiting at its
+  /// deadline, and that run completes and caches normally) and/or opts
+  /// into cost-only degradation.
+  StatusOr<Prediction> Predict(const Plan& plan,
+                               const RequestOptions& opts = RequestOptions());
 
-  /// Full prediction of one plan on the worker pool; returns immediately.
+  /// Full prediction of one plan, returned as a future; returns at once.
   /// The caller can overlap queueing/scheduling work with the prediction
   /// and collect the result when the admission decision is due.
   ///
-  /// Ownership contract: the service owns everything it needs before
-  /// returning — for a cold plan it interns a deep copy in its registry —
-  /// so the caller may destroy (or move) the plan immediately after this
-  /// call; the future stays valid and will be satisfied. Concurrent async
-  /// misses on one fingerprint share a single stage-1/2 execution AND a
-  /// single registry clone.
+  /// Ownership contract: the caller may destroy (or move) the plan
+  /// immediately after this call; the future stays valid and will be
+  /// satisfied. A cache hit returns an already-ready future (on a hot
+  /// cache without touching any service mutex), and a plan already in
+  /// flight parks a continuation that holds no plan. Only a cold miss
+  /// deep-copies the plan and queues it for the pool; the worker that
+  /// dequeues it registers as its run's owner. A request whose deadline
+  /// expired in the queue never registers, so it cannot fail anyone else's
+  /// join: it resolves DeadlineExceeded (or degraded) unless a run or
+  /// cache entry for its plan already exists.
   ///
-  /// Fast paths on the submitting thread (no clone, no queue trip): a
-  /// cache hit returns an already-ready future after at most one cheap
-  /// stage-3 combination — on a hot cache without touching any service
-  /// mutex — and a plan already being sampled parks a plan-free
-  /// continuation on the in-flight run. Only a genuine cold miss pays the
-  /// clone and the pool round-trip.
-  ///
-  /// After Shutdown() the returned future is never left unsatisfied:
-  /// cache hits are still served inline; anything needing the pool is
-  /// either immediately ready with Status::Unavailable (default) or, with
-  /// drain_on_shutdown, predicted inline on the calling thread.
-  std::future<StatusOr<Prediction>> PredictAsync(const Plan& plan);
-  /// RequestOptions variant: an async request whose deadline has already
-  /// expired when a worker dequeues it never runs the stages (the pool
-  /// stops spending time on it); its future resolves DeadlineExceeded or
-  /// degraded. A parked dedup loser is resolved by its winner even past
-  /// the deadline — the work was paid by someone else, delivery is free.
-  std::future<StatusOr<Prediction>> PredictAsync(const Plan& plan,
-                                                 const RequestOptions& opts);
+  /// After Shutdown() the returned future is never left unsatisfied: cache
+  /// hits and parked continuations are served as usual; a cold miss is
+  /// immediately ready with Status::Unavailable.
+  std::future<StatusOr<Prediction>> PredictAsync(
+      const Plan& plan, const RequestOptions& opts = RequestOptions());
 
-  /// Predicts every plan in the span, sharding across the worker pool
-  /// (the calling thread participates). Results are positional; each plan
+  /// Predicts every plan in the vector. Results are positional; each plan
   /// gets its own Status. Bit-identical to calling Predict sequentially.
-  ///
-  /// Per-shard status contract: EVERY slot resolves to its own terminal
-  /// status — a group whose stage run failed propagates that same failure
-  /// (or a degraded fallback) to each of its slots; no placeholder status
-  /// ever escapes, including on mid-batch faults. The RequestOptions
-  /// apply to every plan in the batch.
-  std::vector<StatusOr<Prediction>> PredictBatch(const Plan* const* plans,
-                                                 size_t count);
-  std::vector<StatusOr<Prediction>> PredictBatch(const Plan* const* plans,
-                                                 size_t count,
-                                                 const RequestOptions& opts);
+  /// Plans that share a fingerprint and structure share one request; the
+  /// runs this batch owns are sharded across the worker pool (the calling
+  /// thread participates), and the calling thread then waits on the
+  /// requests parked on other requests' runs. `opts` applies to every
+  /// plan. Every slot resolves to its own terminal status: a failed run
+  /// propagates its failure (or a degraded fallback) to each of its slots.
   std::vector<StatusOr<Prediction>> PredictBatch(
-      const std::vector<const Plan*>& plans);
-  std::vector<StatusOr<Prediction>> PredictBatch(
-      const std::vector<const Plan*>& plans, const RequestOptions& opts);
-  std::vector<StatusOr<Prediction>> PredictBatch(const std::vector<Plan>& plans);
+      const std::vector<const Plan*>& plans,
+      const RequestOptions& opts = RequestOptions());
 
   /// Re-derives the distribution of an existing prediction under a
   /// different variant/bound without re-running any stage (the ablation /
@@ -369,7 +342,8 @@ class PredictionService {
   /// stash (counted in stats().feedback_stash_hits), so an
   /// evicted-but-reported family still tracks instead of dropping.
   /// Only a family that was never predicted at all drops its reports
-  /// (stats().feedback_dropped). No-op unless
+  /// (stats().feedback_dropped), as does an observation that is not a
+  /// finite positive number of milliseconds. No-op unless
   /// ServiceOptions::feedback.enabled.
   void ReportObserved(const Plan& plan, double observed_ms);
   void ReportObserved(uint64_t fingerprint, double observed_ms);
@@ -395,9 +369,9 @@ class PredictionService {
 
   /// Stops the worker pool: drains every task already enqueued (so every
   /// previously returned future is satisfied), joins the workers, and
-  /// makes later PredictAsync calls fail fast with Status::Unavailable
-  /// (or, with drain_on_shutdown, run inline on the caller) instead of
-  /// leaving their futures unsatisfied forever. Synchronous
+  /// makes later cold PredictAsync calls fail fast with
+  /// Status::Unavailable instead of leaving their futures unsatisfied
+  /// forever. Synchronous
   /// Predict/PredictBatch keep working (inline on the calling thread).
   /// Idempotent; called by the destructor.
   void Shutdown();
@@ -410,11 +384,6 @@ class PredictionService {
 
   /// Number of distinct fingerprints currently cached (summed over shards).
   size_t cache_size() const;
-
-  /// Number of plans currently interned for outstanding async requests.
-  /// Returns to 0 once every outstanding PredictAsync completed — the
-  /// registry holds clones only as long as some request needs them.
-  size_t plan_registry_size() const;
 
   /// Drops every cached sample run (e.g. after samples are rebuilt) and
   /// advances the cache generation: in-flight predictions that started
@@ -457,46 +426,53 @@ class PredictionService {
   enum class Outcome { kOk = 0, kFailed = 1, kDegraded = 2, kDeadline = 3 };
   static constexpr size_t kNumOutcomes = 4;
 
-  /// One PredictAsync invocation: the service-owned (registry-interned)
-  /// plan, its identity, and the caller's promise. Also the continuation
-  /// record a dedup loser parks on the winner's in-flight entry — holding
-  /// the owned plan keeps the registry entry alive until the request is
-  /// actually served.
-  struct AsyncRequest {
-    std::shared_ptr<const Plan> plan;  ///< owned by the registry, not the caller
+  /// The identity of one request and its resolved options.
+  struct Request {
     uint64_t fingerprint = 0;
     IdentityPtr identity;  ///< interned canonical structure (shared, not copied)
-    std::promise<StatusOr<Prediction>> promise;
     RequestContext ctx;
-    /// OptimizerScalarCost precomputed at submit time when
-    /// ctx.allow_degraded: a parked continuation holds no plan (parking
-    /// happens before interning), so its degraded fallback must not need
-    /// one. < 0 = not computed.
-    double degraded_cost = -1.0;
   };
+  Request MakeRequest(const Plan& plan, const RequestContext& ctx) const;
 
-  /// One in-flight stage-1/2 execution: the winner fulfills the promise,
-  /// concurrent sync requests for the same plan wait on the shared future,
-  /// concurrent async requests park on `waiters` and are finished by the
-  /// winner (continuation handoff) without pinning a worker.
+  /// A request parked on an in-flight run, or an async request queued for
+  /// the pool. Holds no plan except the queued one's deep copy: whoever
+  /// resolves a parked continuation supplies its own plan (structurally
+  /// identical, the key was confirmed when it parked) for a degraded
+  /// fallback.
+  struct Continuation {
+    explicit Continuation(Request r)
+        : req(std::move(r)), future(promise.get_future()) {}
+    /// True for exactly one caller: the owner draining the waiter list or
+    /// the parked caller's own deadline, whichever comes first. Only the
+    /// claimant sets the promise and records the request's outcome.
+    bool Claim() { return !claimed.exchange(true, std::memory_order_acq_rel); }
+
+    Request req;
+    std::shared_ptr<const Plan> plan;  ///< queued async owner only
+    std::promise<StatusOr<Prediction>> promise;
+    /// Used only by the submitting caller (moved out, or waited on); a
+    /// resolver touches only `promise` and `claimed`, so they never race.
+    std::future<StatusOr<Prediction>> future;
+    std::atomic<bool> claimed{false};
+  };
+  using ContinuationPtr = std::shared_ptr<Continuation>;
+
+  /// One in-flight stage-1/2 execution: its owner runs the stages and then
+  /// drains `waiters`, so no joiner pins a thread of the pool.
   struct Inflight {
     explicit Inflight(IdentityPtr identity_in)
-        : identity(std::move(identity_in)) {
-      future = promise.get_future().share();
-    }
+        : identity(std::move(identity_in)) {}
     IdentityPtr identity;  ///< structure of the plan being computed
-    std::promise<StatusOr<Artifacts>> promise;
-    std::shared_future<StatusOr<Artifacts>> future;
-    /// Parked async losers, guarded by the owning shard's mutex — a
+    /// Parked continuations, guarded by the owning shard's mutex — a
     /// capability that is not a member of this struct, so the invariant
     /// is not expressible as a GUARDED_BY annotation (thread-safety
     /// analysis can only name capabilities reachable from the declaration).
     /// The discipline is structural instead: `waiters` is only mutated
-    /// while this entry is reachable from the shard's in-flight map
-    /// (LookupArtifacts parks under shard.mu), and the completing thread
-    /// detaches the whole list under the same lock (CompleteRun), so no
-    /// continuation is ever lost.
-    std::vector<std::shared_ptr<AsyncRequest>> waiters;
+    /// while this entry is reachable from the shard's in-flight map (Route
+    /// parks under shard.mu), and the completing thread detaches the whole
+    /// list under the same lock (CompleteRun), so no continuation is ever
+    /// lost.
+    std::vector<ContinuationPtr> waiters;
   };
 
   /// Memoized stage-3 combination of one cache entry, stamped with the
@@ -542,15 +518,12 @@ class PredictionService {
     /// bumps exactly one cell, exactly once, at the moment its
     /// caller-visible result is decided.
     std::atomic<uint64_t> outcome[2][kNumOutcomes] = {};
-    std::atomic<uint64_t> batch_calls{0};
     std::atomic<uint64_t> sample_runs{0};
     std::atomic<uint64_t> fit_runs{0};
     std::atomic<uint64_t> lockfree_hits{0};
     std::atomic<uint64_t> inflight_joins{0};
     std::atomic<uint64_t> stale_drops{0};
-    std::atomic<uint64_t> plan_clones{0};
     std::atomic<uint64_t> async_rejects{0};
-    std::atomic<uint64_t> drained_inline{0};
     std::atomic<uint64_t> recombines{0};
     std::atomic<uint64_t> recalibrations{0};
     std::atomic<uint64_t> feedback_reports{0};
@@ -594,31 +567,17 @@ class PredictionService {
 
   uint64_t Fingerprint(const Plan& plan, const PlanIdentity& identity) const;
 
-  /// Result of one pass over the shard's cache and in-flight table.
-  struct Lookup {
-    EntryPtr entry;       ///< cache hit (request recorded as a hit)
-    bool parked = false;  ///< continuation parked; request recorded as a join
-    std::shared_ptr<Inflight> join;   ///< in-flight run to wait on
-    std::shared_ptr<Inflight> owned;  ///< in-flight entry this request owns
-    uint64_t generation = 0;
-  };
-
-  /// One non-blocking artifact fetch for a PredictBatch group: exactly one
-  /// of {entry, pending, artifacts-or-status} is the outcome. `pending`
-  /// (an in-flight join) is resolved later by the batch's CALLING thread,
-  /// so no pool worker blocks in future::get(). Classification is
-  /// deferred: the stage-3 fan-out records each SLOT's resolution from
-  /// the flags below (the representative inherits the group's hit/miss;
-  /// in-batch duplicates are always hits).
-  struct GroupFetch {
-    EntryPtr entry;  ///< cache hit: stage 3 serves through the epoch memo
-    std::shared_future<StatusOr<Artifacts>> pending;  ///< joined in-flight run
-    Artifacts artifacts;  ///< ran stages itself (or resolved from pending)
-    Status status;        ///< stage failure (from self-run or pending)
-    bool failed = false;
-    bool hit = false;        ///< representative was served without stage work
-    bool join = false;       ///< representative joined an in-flight run
-    bool lock_free = false;  ///< the hit came off the published-slot path
+  /// Where Route sent one request: at most one of {entry, waiter, owner};
+  /// none when a miss was not allowed to register.
+  struct Ticket {
+    EntryPtr entry;          ///< served from the cache
+    bool lock_free = false;  ///< ... off the published slots
+    ContinuationPtr waiter;  ///< parked on the run in flight for its plan
+    bool owner = false;      ///< runs the stages itself
+    /// The in-flight record it owns; null for a solo run beside another
+    /// plan's run on the same fingerprint (a hash collision).
+    std::shared_ptr<Inflight> owned;
+    uint64_t generation = 0;  ///< cache generation the run started under
   };
 
   /// The mutex-free fast path: probes the shard's published slot ways for
@@ -631,22 +590,18 @@ class PredictionService {
   bool TryLockFreeHit(uint64_t fingerprint, const PlanIdentity& identity,
                       EntryPtr* out);
 
-  /// The single shared locked lookup of every request path (sync, async
-  /// worker, async submit, batch shard), so the collision and generation
-  /// rules live in exactly one place: probes the shard's cache
-  /// (structural key confirmed, recency bumped, slot republished), then
-  /// the shard's in-flight table. A joinable run is parked on when `park`
-  /// is non-null (async — atomic with the lookup, so the winner cannot
-  /// complete in between and lose the continuation) or returned as `join`
-  /// for the caller to wait on (sync blocks; batch parks the future). On
-  /// a full miss, registers this request as the new in-flight owner when
-  /// `register_owned` (worker/sync/batch paths); the submit-time fast
-  /// path passes false and enqueues instead. Does NOT classify the
-  /// request — each path records its resolution-matrix cell when the
-  /// caller-visible result is decided.
-  Lookup LookupArtifacts(uint64_t fingerprint, const IdentityPtr& identity,
-                         const std::shared_ptr<AsyncRequest>& park,
-                         bool register_owned);
+  /// The lookup-and-route step of every request path, so the collision
+  /// and generation rules live in exactly one place: the lock-free slot
+  /// probe, then, under the shard mutex, the cache (structural key
+  /// confirmed, recency bumped, slot republished) and the in-flight
+  /// table. A run in flight for the same structure gets the request parked
+  /// on it as `waiter` (created here unless passed in) — atomic with the
+  /// lookup, so the owner cannot complete in between and lose it, and
+  /// counted as an in-flight join at once. On a full miss the request
+  /// becomes the owner when `register_owned`; otherwise the ticket is
+  /// empty. Does NOT classify the request: the path that resolves it
+  /// records its resolution-matrix cell.
+  Ticket Route(const Request& req, ContinuationPtr waiter, bool register_owned);
 
   /// Serves a prediction from a resident entry through its epoch memo:
   /// if the memoized stage-3 result matches the current calibration
@@ -671,51 +626,43 @@ class PredictionService {
   void UnpublishSlotLocked(Shard& shard, const EntryPtr& entry)
       UQP_REQUIRES(shard.mu);
 
-  /// Deep-copies (or reuses the already-interned copy of) `plan` into the
-  /// fingerprint's registry shard and takes a reference; every Intern must
-  /// be paired with one ReleasePlan(key, fingerprint).
-  std::shared_ptr<const Plan> InternPlan(const Plan& plan,
-                                         const std::string& key,
-                                         uint64_t fingerprint);
-  void ReleasePlan(const std::string& key, uint64_t fingerprint);
+  /// Runs the stages a ticket owns: breaker admission (a quarantined
+  /// family is shed without touching stage 1), the stage run, the breaker
+  /// verdict, then CompleteRun — so every parked continuation resolves,
+  /// shed or not.
+  StatusOr<Artifacts> RunOwnedStages(const Plan& plan, const Request& req,
+                                     const Ticket& ticket);
 
-  /// Single-plan prediction on the calling thread: lock-free hit → memoed
-  /// combine; locked hit → memoed combine; in-flight duplicate → wait on
-  /// the winner's future, bounded by the deadline (a timed-out joiner
-  /// detaches: the shared_future is simply abandoned, the winner
-  /// completes and caches normally); miss → breaker admission, then run
-  /// the stages. Records the request's resolution cell exactly once.
-  StatusOr<Prediction> PredictImpl(const Plan& plan, const RequestContext& ctx);
-
-  /// Non-blocking stage-1/2 fetch for one batch group (see GroupFetch).
-  /// Classification is deferred to the batch's stage-3 fan-out.
-  GroupFetch FetchForBatch(const Plan& plan, uint64_t fingerprint,
-                           const IdentityPtr& identity,
-                           const RequestContext& ctx);
-
-  /// Body of one pool-executed PredictAsync: cache hit → finish inline;
-  /// in-flight duplicate → park the continuation and return the worker;
-  /// miss → run the stages and drain every parked continuation.
-  void RunAsyncRequest(const std::shared_ptr<AsyncRequest>& req);
-
-  /// Finishes one async request from shared artifacts (stage 3), releasing
-  /// its registry reference before the promise fires so a caller that saw
-  /// the future complete also sees the registry drained. A failed result
-  /// converts to a degraded fallback when the request opted in; records
-  /// the request's resolution cell ([hit][outcome]) exactly once.
-  void FulfillAsync(AsyncRequest& req, const StatusOr<Artifacts>& artifacts,
-                    bool hit);
-  /// Same, but served from a resident entry (goes through the epoch memo).
-  void FulfillAsyncFromEntry(AsyncRequest& req, const EntryPtr& entry,
-                             bool lock_free);
-
-  /// Publishes a finished stage-1/2 run: removes the in-flight entry,
-  /// inserts into the cache (unless the generation moved), completes the
-  /// in-flight promise for blocking sync joiners, and drains the parked
-  /// async continuations. `owned` may be null (collision solo run).
-  void CompleteRun(const std::shared_ptr<Inflight>& owned, uint64_t fingerprint,
-                   const IdentityPtr& identity, uint64_t generation,
+  /// Publishes a finished run: removes the in-flight entry, inserts into
+  /// the cache (unless the generation moved) and resolves every parked
+  /// continuation it still can claim, with the same result — the owner's
+  /// error is the group's error, never a placeholder.
+  void CompleteRun(const Plan& plan, const Request& req, const Ticket& ticket,
                    const StatusOr<Artifacts>& result);
+
+  /// Waits on a parked sync or batch request. At its deadline the caller
+  /// claims it and resolves it DeadlineExceeded (or degraded) itself; the
+  /// run it left completes, caches and drains the others normally.
+  StatusOr<Prediction> Await(Continuation& c, const Plan& plan);
+
+  /// Body of one queued PredictAsync: routes again (the cache may have
+  /// warmed), registering as owner only while the deadline holds.
+  void RunQueued(const ContinuationPtr& c);
+
+  /// Stage 3 from shared artifacts; a failed result becomes a degraded
+  /// fallback built from `plan` when the request opted in. Records the
+  /// request's resolution cell exactly once.
+  StatusOr<Prediction> Serve(const Request& req,
+                             const StatusOr<Artifacts>& artifacts, bool hit,
+                             const Plan& plan);
+  /// Same, served from a resident entry through its epoch memo.
+  Prediction ServeEntry(const Request& req, const EntryPtr& entry,
+                        bool lock_free);
+  /// Resolves a continuation with Serve's result.
+  void Deliver(Continuation& c, const StatusOr<Artifacts>& artifacts, bool hit,
+               const Plan& plan) {
+    c.promise.set_value(Serve(c.req, artifacts, hit, plan));
+  }
 
   /// Runs stages 1-2 for the plan, outside any lock. Consults the fault
   /// injector first (injected latency is slept here; an injected failure
@@ -731,26 +678,21 @@ class PredictionService {
   void RecordOutcome(uint64_t fingerprint, bool hit, Outcome outcome,
                      bool lock_free = false);
 
-  /// The Outcome a non-OK terminal status maps to.
-  static Outcome OutcomeFor(const Status& status) {
-    return status.code() == StatusCode::kDeadlineExceeded ? Outcome::kDeadline
-                                                          : Outcome::kFailed;
+  /// The Outcome a terminal result maps to.
+  static Outcome OutcomeOf(const StatusOr<Prediction>& result) {
+    if (result.ok()) {
+      return result->degraded ? Outcome::kDegraded : Outcome::kOk;
+    }
+    return result.status().code() == StatusCode::kDeadlineExceeded
+               ? Outcome::kDeadline
+               : Outcome::kFailed;
   }
 
   /// Cost-only degraded fallback (Prediction::degraded == true): mean =
   /// OptimizerScalarCost * DegradedOptions::cost_scale_ms; sigma inflated
   /// from the family's windowed feedback error (or the configured default
   /// when the family has no history). Carries NO stage-1/2 artifacts.
-  Prediction MakeDegradedFromCost(uint64_t fingerprint, double scalar_cost);
   Prediction MakeDegraded(uint64_t fingerprint, const Plan& plan);
-
-  /// Shared tail of every owner (miss) path: breaker admission, stage
-  /// run, breaker verdict, CompleteRun. On a shed, the in-flight entry is
-  /// completed with the quarantine status so joiners/waiters resolve too.
-  StatusOr<Artifacts> RunOwnedStages(const Plan& plan, uint64_t fingerprint,
-                                     const IdentityPtr& identity,
-                                     const Lookup& lk,
-                                     const RequestContext& ctx);
 
   /// Injected spurious wakeup after a pool enqueue (test seam): an extra
   /// NotifyAll with nothing new to do, exercising the explicit predicate
@@ -769,6 +711,14 @@ class PredictionService {
   /// units (FeedbackOptions::recalibrate, run outside every lock) and
   /// publishes them as the next epoch. No-op in detect-only mode.
   void HandleDrift(uint64_t fingerprint);
+
+  /// The one feedback path behind both ReportObserved forms: drops an
+  /// observation that is not a finite positive number, else records the
+  /// relative error against the mean `mean_fn` yields (it may refresh or
+  /// fall back to the family's stash; false = nothing to compare to), and
+  /// handles a drift verdict.
+  void Report(uint64_t fingerprint, double observed_ms,
+              const FeedbackRegistry::ErrorFn& mean_fn);
 
   /// Runs `fn(i)` for i in [0, n) across the worker pool, the calling
   /// thread included; returns when all indexes are done.
@@ -839,24 +789,6 @@ class PredictionService {
   // that make hits + misses == predictions hold by construction) -----
   mutable std::unique_ptr<StatsStripe[]> stripes_storage_;
   StatsStripe* stripes_ = nullptr;
-
-  // ----- plan registry (owned clones for outstanding async requests),
-  // sharded by fingerprint exactly like the cache: a cold-plan async storm
-  // across distinct plans interns and releases without a global lock -----
-  struct RegisteredPlan {
-    std::shared_ptr<const Plan> plan;
-    size_t refs = 0;
-  };
-  struct alignas(64) RegistryShard {
-    mutable Mutex mu;
-    /// Keyed by canonical structural key: two plans colliding on a forced
-    /// fingerprint (test seam) still intern separately.
-    std::unordered_map<std::string, RegisteredPlan> plans UQP_GUARDED_BY(mu);
-  };
-  RegistryShard& RegistryShardFor(uint64_t fingerprint) const {
-    return registry_shards_[static_cast<size_t>(fingerprint) & shard_mask_];
-  }
-  mutable std::unique_ptr<RegistryShard[]> registry_shards_;
 
   // ----- worker pool -----
   Mutex pool_mu_;

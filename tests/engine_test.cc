@@ -608,7 +608,7 @@ TEST(Plan, CloneCarriesFinalizedStateAndSharesNothing) {
 
   // The clone executes standalone, WITHOUT re-running Finalize — and keeps
   // working after every plan it was cloned from is gone (the lifetime
-  // contract PredictAsync's registry relies on).
+  // contract a queued PredictAsync request relies on).
   const ExecResult a = MustExecute(db, &plan);
   Plan survivor;
   {

@@ -622,7 +622,9 @@ TEST_F(ParallelParityTest, FeedbackTrajectoryBitIdenticalAcrossThreadCounts) {
       return calibrator.Calibrate();
     };
     PredictionService service(db_, samples_, *units_, options);
-    const auto batch = service.PredictBatch(plans);
+    std::vector<const Plan*> batch_plans;
+    for (const Plan& plan : plans) batch_plans.push_back(&plan);
+    const auto batch = service.PredictBatch(batch_plans);
     for (const auto& r : batch) EXPECT_TRUE(r.ok());
     for (const auto& step : trace) {
       service.ReportObserved(plans[step.first], step.second);

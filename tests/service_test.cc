@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -65,6 +67,13 @@ class ServiceTest : public ::testing::Test {
     db_ = nullptr;
   }
 
+  /// The whole plan pool as one PredictBatch argument.
+  static std::vector<const Plan*> AllPlans() {
+    std::vector<const Plan*> out;
+    for (const Plan& p : *plans_) out.push_back(&p);
+    return out;
+  }
+
   static Database* db_;
   static SampleDb* samples_;
   static CostUnits* units_;
@@ -89,7 +98,7 @@ TEST_F(ServiceTest, BatchBitIdenticalToSequential) {
   ServiceOptions options;
   options.num_workers = 3;
   PredictionService service(db_, samples_, *units_, options);
-  const auto batched = service.PredictBatch(*plans_);
+  const auto batched = service.PredictBatch(AllPlans());
   ASSERT_EQ(batched.size(), plans_->size());
   for (size_t i = 0; i < batched.size(); ++i) {
     ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
@@ -260,12 +269,12 @@ TEST_F(ServiceTest, LruEvictionKeepsServing) {
 TEST_F(ServiceTest, AsyncStormSharesOneSampleRun) {
   // A storm of concurrent PredictAsync requests on ONE fingerprint must
   // run stage 1 exactly once: the first request wins the in-flight slot,
-  // every other request waits on its shared future or hits the cache.
+  // every other request parks a continuation on it or hits the cache.
   ServiceOptions options;
   options.num_workers = 4;
   // Gate the winner inside the stages so the storm genuinely overlaps:
   // the hook returns only after at least 3 requests joined the in-flight
-  // run (the other 3 workers each pull one and wait on the future).
+  // run.
   PredictionService* svc = nullptr;
   options.post_stages_hook = [&svc] {
     const auto deadline =
@@ -530,8 +539,8 @@ TEST_F(ServiceTest, StructuralKeyDistinguishesPlans) {
 
 TEST_F(ServiceTest, AsyncCallerDropsPlanImmediately) {
   // The ownership contract: the caller may destroy its Plan the moment
-  // PredictAsync returns — the service predicts from its own registry
-  // clone. Under AddressSanitizer this test is what proves the old
+  // PredictAsync returns — the queued request predicts from its own deep
+  // copy. Under AddressSanitizer this test is what proves the old
   // capture-by-raw-pointer use-after-free is gone.
   PredictionService service(db_, samples_, *units_);
   Predictor reference(db_, samples_, *units_);
@@ -548,14 +557,11 @@ TEST_F(ServiceTest, AsyncCallerDropsPlanImmediately) {
   ASSERT_TRUE(pred_or.ok()) << pred_or.status().ToString();
   EXPECT_EQ(pred_or->mean(), ref->mean());
   EXPECT_EQ(pred_or->breakdown.variance, ref->breakdown.variance);
-  // The registry holds clones only while requests are outstanding.
-  EXPECT_EQ(service.plan_registry_size(), 0u);
-  EXPECT_EQ(service.stats().plan_clones, 1u);
 }
 
 TEST_F(ServiceTest, AsyncStormWithDroppedPlansSharesOneCloneAndOneRun) {
   // A same-plan async storm where every caller plan dies right after
-  // submission: the registry must intern ONE clone for all of them, the
+  // submission: only the queued owner holds a copy of the plan, the
   // in-flight table must collapse them to one stage-1 run, and every
   // future must still be satisfied bit-identically.
   ServiceOptions options;
@@ -612,11 +618,7 @@ TEST_F(ServiceTest, AsyncStormWithDroppedPlansSharesOneCloneAndOneRun) {
     EXPECT_EQ(pred_or->mean(), ref->mean());
     EXPECT_EQ(pred_or->breakdown.variance, ref->breakdown.variance);
   }
-  const ServiceStats st = service.stats();
-  EXPECT_EQ(st.plan_clones, 1u) << "duplicate asyncs must reuse the interned clone";
-  EXPECT_EQ(st.sample_runs, 1u);
-  EXPECT_EQ(service.plan_registry_size(), 0u)
-      << "the registry must drain once every outstanding request completed";
+  EXPECT_EQ(service.stats().sample_runs, 1u);
 }
 
 TEST_F(ServiceTest, AsyncPlanDroppedWhileBatchOwnsTheInflightRun) {
@@ -673,7 +675,6 @@ TEST_F(ServiceTest, AsyncPlanDroppedWhileBatchOwnsTheInflightRun) {
     EXPECT_EQ(pred_or->mean(), batch_results[0]->mean());
   }
   EXPECT_EQ(service.stats().sample_runs, 2u);
-  EXPECT_EQ(service.plan_registry_size(), 0u);
 }
 
 // ---------- Continuation handoff: losers never pin a worker ----------
@@ -786,6 +787,19 @@ TEST_F(ServiceTest, PoolServesRequestsInFifoOrder) {
 TEST_F(ServiceTest, ShutdownRejectsNewAsyncInsteadOfLosingIt) {
   ServiceOptions options;
   options.num_workers = 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gate_next = false;
+  bool gated = false;
+  bool release = false;
+  options.post_stages_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!gate_next) return;
+    gate_next = false;
+    gated = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
   PredictionService service(db_, samples_, *units_, options);
   auto before = service.PredictAsync((*plans_)[0]);
   ASSERT_TRUE(before.get().ok());
@@ -800,7 +814,6 @@ TEST_F(ServiceTest, ShutdownRejectsNewAsyncInsteadOfLosingIt) {
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(service.stats().async_rejects, 1u);
-  EXPECT_EQ(service.plan_registry_size(), 0u);
 
   // A plan whose artifacts are already cached needs no pool: it is still
   // served inline, already ready, on the submitting thread.
@@ -810,9 +823,40 @@ TEST_F(ServiceTest, ShutdownRejectsNewAsyncInsteadOfLosingIt) {
   ASSERT_TRUE(cached_after.get().ok());
   EXPECT_EQ(service.stats().async_rejects, 1u);
 
+  // Nor does a plan whose run is in flight: the submit parks on that run,
+  // and the run's owner resolves it. The owner is a sync Predict, gated
+  // mid-stages on its own thread.
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    gate_next = true;
+  }
+  StatusOr<Prediction> winner_result = Status::Internal("not run");
+  std::thread winner([&] { winner_result = service.Predict((*plans_)[2]); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return gated; });
+  }
+  auto parked = service.PredictAsync((*plans_)[2]);
+  EXPECT_EQ(parked.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the latecomer should be parked on the gated run, not resolved";
+  EXPECT_EQ(service.stats().inflight_joins, 1u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  winner.join();
+  ASSERT_TRUE(winner_result.ok()) << winner_result.status().ToString();
+  auto parked_result = parked.get();
+  ASSERT_TRUE(parked_result.ok()) << parked_result.status().ToString();
+  EXPECT_EQ(parked_result->mean(), winner_result->mean());
+  EXPECT_EQ(parked_result->sample_run.get(), winner_result->sample_run.get());
+  EXPECT_EQ(service.stats().async_rejects, 1u);
+
   // The synchronous paths keep working inline after shutdown.
   ASSERT_TRUE(service.Predict((*plans_)[1]).ok());
-  const auto batch = service.PredictBatch(*plans_);
+  const auto batch = service.PredictBatch(AllPlans());
   for (const auto& r : batch) EXPECT_TRUE(r.ok());
 
   service.Shutdown();  // idempotent
@@ -849,17 +893,13 @@ TEST_F(ServiceTest, ShutdownRacingAsyncLeavesNoUnsatisfiedFuture) {
       auto r = f.get();
       if (!r.ok()) EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
     }
-    EXPECT_EQ(service->plan_registry_size(), 0u);
   }
 }
 
-// Regression pin for the one remaining blocking join path: a PredictBatch
-// shard whose plan is already being sampled by ANOTHER request joins that
-// run by blocking in future::get() (unlike async losers, which park
-// continuations and free their worker). Pinned here — batch completion
-// gated on the winner, counted as an in-flight join, results
-// bit-identical — so a future continuation rework of the batch path has
-// the current contract to preserve.
+// A PredictBatch group whose plan is already being sampled by ANOTHER
+// request parks a continuation on that run, and the batch's calling thread
+// waits for it after its own runs: batch completion gated on the winner,
+// counted as an in-flight join, results bit-identical.
 TEST_F(ServiceTest, BatchShardJoiningInflightRunBlocksUntilWinnerFinishes) {
   ServiceOptions options;
   options.num_workers = 2;
@@ -894,9 +934,8 @@ TEST_F(ServiceTest, BatchShardJoiningInflightRunBlocksUntilWinnerFinishes) {
     batch_done.store(true);
   });
 
-  // The shard for plans_[0] joined the gated winner's in-flight run, so
-  // the batch cannot complete while the gate is closed — this is the
-  // pinned blocking behavior.
+  // The group for plans_[0] parked on the gated winner's in-flight run,
+  // so the batch cannot complete while the gate is closed.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_FALSE(batch_done.load())
       << "batch finished while its in-flight dependency was still gated";
@@ -993,115 +1032,6 @@ TEST_F(ServiceTest, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(stats.cache_misses, plans_->size());
   EXPECT_EQ(stats.cache_hits, plans_->size());
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.predictions);
-}
-
-TEST_F(ServiceTest, DrainOnShutdownServesLatecomersInline) {
-  Predictor reference(db_, samples_, *units_);
-  auto ref = reference.Predict((*plans_)[1]);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-
-  ServiceOptions options;
-  options.num_workers = 2;
-  options.drain_on_shutdown = true;
-  PredictionService service(db_, samples_, *units_, options);
-  ASSERT_TRUE(service.PredictAsync((*plans_)[0]).get().ok());
-  service.Shutdown();
-
-  // A cold latecomer is predicted inline on this thread: already ready,
-  // correct and bit-identical — never Unavailable.
-  auto after = service.PredictAsync((*plans_)[1]);
-  ASSERT_EQ(after.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  auto result = after.get();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->mean(), ref->mean());
-  EXPECT_EQ(result->breakdown.variance, ref->breakdown.variance);
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.drained_inline, 1u);
-  EXPECT_EQ(stats.async_rejects, 0u);
-  EXPECT_EQ(service.plan_registry_size(), 0u);
-
-  // Its artifacts were cached by the inline run, so the repeat is a plain
-  // hot hit — served inline but NOT counted as drained.
-  auto hot = service.PredictAsync((*plans_)[1]);
-  ASSERT_EQ(hot.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  ASSERT_TRUE(hot.get().ok());
-  EXPECT_EQ(service.stats().drained_inline, 1u);
-}
-
-TEST_F(ServiceTest, DrainOnShutdownRacesInflightWinner) {
-  // The drain/winner race: Shutdown() is initiated while a winner is
-  // mid-stages. Latecomers for the winner's plan park on its in-flight
-  // run (and are drained by the winner); cold latecomers that observe the
-  // shutdown flag run inline. No future is ever lost or Unavailable.
-  ServiceOptions options;
-  options.num_workers = 1;
-  options.drain_on_shutdown = true;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool winner_gated = false;
-  bool release = false;
-  std::atomic<int> hook_calls{0};
-  options.post_stages_hook = [&] {
-    // Gate only the first run (the async winner); inline drained runs on
-    // the main thread must pass through unhindered.
-    if (hook_calls.fetch_add(1) == 0) {
-      std::unique_lock<std::mutex> lock(mu);
-      winner_gated = true;
-      cv.notify_all();
-      cv.wait(lock, [&] { return release; });
-    }
-  };
-  PredictionService service(db_, samples_, *units_, options);
-
-  auto winner = service.PredictAsync((*plans_)[0]);
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return winner_gated; });
-  }
-
-  // Shutdown sets the reject/drain flag immediately, then blocks joining
-  // the worker that is parked in the gate above.
-  std::thread closer([&] { service.Shutdown(); });
-
-  // Submit cold-plan latecomers until one observes the flag and drains
-  // inline. (A submission racing ahead of the flag is enqueued behind the
-  // gated winner and completes after release — also fine.)
-  std::vector<std::future<StatusOr<Prediction>>> latecomers;
-  while (service.stats().drained_inline == 0) {
-    latecomers.push_back(service.PredictAsync((*plans_)[1]));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // A latecomer for the WINNER'S plan parks on the still-gated in-flight
-  // run at submit time; the winner drains it on release.
-  auto parked = service.PredictAsync((*plans_)[0]);
-  EXPECT_EQ(parked.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout)
-      << "latecomer should be parked on the gated winner, not resolved";
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-    cv.notify_all();
-  }
-  closer.join();
-
-  auto winner_result = winner.get();
-  ASSERT_TRUE(winner_result.ok()) << winner_result.status().ToString();
-  auto parked_result = parked.get();
-  ASSERT_TRUE(parked_result.ok()) << parked_result.status().ToString();
-  EXPECT_EQ(parked_result->mean(), winner_result->mean());
-  EXPECT_EQ(parked_result->sample_run.get(), winner_result->sample_run.get());
-  for (auto& f : latecomers) {
-    auto r = f.get();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  const ServiceStats stats = service.stats();
-  EXPECT_GE(stats.drained_inline, 1u);
-  EXPECT_EQ(stats.async_rejects, 0u);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.predictions);
-  EXPECT_EQ(service.plan_registry_size(), 0u);
 }
 
 TEST_F(ServiceTest, StripedStatsInvariantNeverTearsUnderMixedStorm) {
@@ -1395,6 +1325,45 @@ TEST_F(ServiceTest, EvictedPlanReportsLandViaLastPredictionStash) {
   EXPECT_EQ(stats.feedback_dropped, 1u);
 }
 
+TEST_F(ServiceTest, NonFiniteObservationsAreDroppedOnBothReportPaths) {
+  // An observed runtime that is not a finite positive number has no
+  // relative error: it must be counted as dropped, never enter the window
+  // (+inf would put inf/inf = NaN there), on both report entry points.
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.feedback.enabled = true;
+  options.feedback.window_size = 4;
+  PredictionService service(db_, samples_, *units_, options);
+  const Plan& plan = (*plans_)[0];
+  auto pred = service.Predict(plan);
+  ASSERT_TRUE(pred.ok());
+  const uint64_t fp = PlanFingerprint(plan);
+
+  const double bad[] = {std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0};
+  for (const double observed : bad) {
+    service.ReportObserved(plan, observed);
+    service.ReportObservedAgainst(fp, *pred, observed);
+  }
+  ServiceStats st = service.stats();
+  EXPECT_EQ(st.feedback_reports, 10u);
+  EXPECT_EQ(st.feedback_dropped, 10u);
+  EXPECT_TRUE(service.FeedbackSnapshot().empty())
+      << "a dropped observation must not even open the family's window";
+
+  // Finite observations still land, with a finite error, on both paths.
+  service.ReportObserved(plan, 2.0 * pred->mean());
+  service.ReportObservedAgainst(fp, *pred, 2.0 * pred->mean());
+  st = service.stats();
+  EXPECT_EQ(st.feedback_dropped, 10u);
+  const auto families = service.FeedbackSnapshot();
+  ASSERT_EQ(families.size(), 1u);
+  ASSERT_EQ(families[0].window.size(), 2u);
+  for (const double e : families[0].window) EXPECT_TRUE(std::isfinite(e));
+  EXPECT_DOUBLE_EQ(families[0].windowed_mean_abs_error, 0.5);
+}
+
 TEST_F(ServiceTest, DriftTriggersRecalibrationAndErrorRecovery) {
   ServiceOptions options;
   options.num_workers = 1;
@@ -1651,6 +1620,124 @@ TEST_F(ServiceTest, DeadlineExpiresWithoutPoisoningCacheOrInflight) {
   st = service.stats();
   EXPECT_EQ(st.cache_hits, 1u);
   EXPECT_EQ(st.deadline_exceeded, 1u);
+  ExpectOutcomeConservation(st);
+}
+
+TEST_F(ServiceTest, UnboundedDeadlineMeansNoDeadline) {
+  // +inf, NaN and budgets past the end of the steady_clock range are "no
+  // deadline" on every entry point: the cold request samples and succeeds
+  // instead of expiring before stage 1.
+  ServiceOptions options;
+  options.num_workers = 1;
+  PredictionService service(db_, samples_, *units_, options);
+  uint64_t runs = 0;
+  for (const double budget_ms :
+       {std::numeric_limits<double>::infinity(), 1e300,
+        std::numeric_limits<double>::quiet_NaN()}) {
+    RequestOptions opts;
+    opts.deadline_ms = budget_ms;
+    auto sync = service.Predict((*plans_)[0], opts);
+    ASSERT_TRUE(sync.ok()) << budget_ms << ": " << sync.status().ToString();
+    service.InvalidateCache();
+    auto async = service.PredictAsync((*plans_)[0], opts).get();
+    ASSERT_TRUE(async.ok()) << budget_ms << ": " << async.status().ToString();
+    service.InvalidateCache();
+    const auto batch = service.PredictBatch({&(*plans_)[0]}, opts);
+    ASSERT_TRUE(batch[0].ok()) << budget_ms << ": "
+                               << batch[0].status().ToString();
+    service.InvalidateCache();
+    runs += 3;
+    EXPECT_EQ(service.stats().sample_runs, runs) << budget_ms;
+  }
+  const ServiceStats st = service.stats();
+  EXPECT_EQ(st.deadline_exceeded, 0u);
+  EXPECT_EQ(st.ok_served, st.predictions);
+}
+
+TEST_F(ServiceTest, DeadlineBoundedJoinersDetachFromAGatedWinner) {
+  // A sync Predict and a PredictBatch parked on a gated winner resolve at
+  // their own deadline — DeadlineExceeded, or degraded when they opted in
+  // — while the gate is still closed. The winner then completes, caches,
+  // and drains the detached continuations without resolving or counting
+  // them a second time.
+  ServiceOptions options;
+  options.num_workers = 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;
+  bool gated = false;
+  bool release = false;
+  options.post_stages_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!armed) return;
+    armed = false;
+    gated = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  PredictionService service(db_, samples_, *units_, options);
+  // plans_[1] is cached up front, so the batches below own no slow run.
+  ASSERT_TRUE(service.Predict((*plans_)[1]).ok());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    armed = true;
+  }
+  auto winner = service.PredictAsync((*plans_)[0]);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return gated; });
+  }
+
+  const std::vector<const Plan*> batch = {&(*plans_)[0], &(*plans_)[1],
+                                          &(*plans_)[0]};
+  RequestOptions tight;
+  tight.deadline_ms = 20.0;
+  auto sync = service.Predict((*plans_)[0], tight);
+  ASSERT_FALSE(sync.ok());
+  EXPECT_EQ(sync.status().code(), StatusCode::kDeadlineExceeded);
+  auto batched = service.PredictBatch(batch, tight);
+  ASSERT_EQ(batched.size(), 3u);
+  for (size_t i : {0u, 2u}) {
+    ASSERT_FALSE(batched[i].ok()) << "slot " << i;
+    EXPECT_EQ(batched[i].status().code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_TRUE(batched[1].ok()) << batched[1].status().ToString();
+
+  RequestOptions soft = tight;
+  soft.allow_degraded = true;
+  auto sync_soft = service.Predict((*plans_)[0], soft);
+  ASSERT_TRUE(sync_soft.ok()) << sync_soft.status().ToString();
+  EXPECT_TRUE(sync_soft->degraded);
+  auto batched_soft = service.PredictBatch(batch, soft);
+  for (size_t i : {0u, 2u}) {
+    ASSERT_TRUE(batched_soft[i].ok()) << batched_soft[i].status().ToString();
+    EXPECT_TRUE(batched_soft[i]->degraded) << "slot " << i;
+  }
+  EXPECT_FALSE(batched_soft[1]->degraded);
+
+  EXPECT_EQ(winner.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "every joiner above must have resolved while the gate was closed";
+  EXPECT_EQ(service.stats().inflight_joins, 4u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  auto winner_result = winner.get();
+  ASSERT_TRUE(winner_result.ok()) << winner_result.status().ToString();
+  auto hit = service.Predict((*plans_)[0]);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->sample_run.get(), winner_result->sample_run.get())
+      << "the winner must cache its result after the joiners detached";
+
+  const ServiceStats st = service.stats();
+  // warm-up + winner + sync + 3-slot batch, twice + the final hit.
+  EXPECT_EQ(st.predictions, 11u) << "each request is counted exactly once";
+  EXPECT_EQ(st.sample_runs, 2u);
+  EXPECT_EQ(st.deadline_exceeded, 3u);
+  EXPECT_EQ(st.degraded_served, 3u);
+  EXPECT_EQ(st.ok_served, 5u);
   ExpectOutcomeConservation(st);
 }
 

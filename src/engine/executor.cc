@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -122,21 +123,89 @@ bool KeysEqual(RowRef a, const std::vector<int>& acols, RowRef b,
   return true;
 }
 
-/// Total order used by Sort/MergeJoin: numeric order for numbers,
-/// lexicographic for strings.
-bool ValueLess(const Value& a, const Value& b) {
-  if (a.type == ValueType::kString && b.type == ValueType::kString) {
-    if (a.s == b.s) return false;
-    return a.AsString() < b.AsString();
-  }
-  return a.AsDouble() < b.AsDouble();
-}
-
+/// Three-way compare behind Sort/MergeJoin: numeric order for numbers,
+/// lexicographic for strings; unordered pairs (NaN) compare equal.
 int ValueCompare3(const Value& a, const Value& b) {
-  if (ValueLess(a, b)) return -1;
-  if (ValueLess(b, a)) return 1;
+  if (a.type == ValueType::kString && b.type == ValueType::kString) {
+    if (a.s == b.s) return 0;
+    const int cmp = a.AsString().compare(b.AsString());
+    return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+  }
+  const double x = a.AsDouble();
+  const double y = b.AsDouble();
+  if (x < y) return -1;
+  if (y < x) return 1;
   return 0;
 }
+
+/// Hash-join build table: build rows grouped by their exact 64-bit key
+/// hash. One open-addressing pass assigns each distinct hash a group and
+/// counts its rows; a scatter pass then lays every group's row ids out
+/// contiguously in build-row order (`offsets_` + one `rids_` array). A
+/// group holds the rows a hash -> row-list chain would hold, in the same
+/// order; the table allocates four arrays per join and nothing per key.
+class FlatJoinTable {
+ public:
+  explicit FlatJoinTable(const std::vector<uint64_t>& hashes) {
+    const size_t n = hashes.size();
+    int bits = 1;
+    while ((size_t{1} << bits) < 2 * n) ++bits;
+    shift_ = 64 - bits;
+    slots_.resize(size_t{1} << bits);
+    std::vector<uint32_t> group_of(n);
+    offsets_.reserve(n + 1);
+    for (size_t r = 0; r < n; ++r) {
+      Slot& slot = slots_[Probe(hashes[r])];
+      if (slot.group == kEmpty) {
+        slot.hash = hashes[r];
+        slot.group = static_cast<uint32_t>(offsets_.size());
+        offsets_.push_back(0);
+      }
+      group_of[r] = slot.group;
+      ++offsets_[slot.group];
+    }
+    // Counts -> each group's end offset; scattering rows in reverse then
+    // fills every group back to front (so its rids ascend) and leaves
+    // offsets_[g] at the group's start.
+    std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+    rids_.resize(n);
+    for (size_t r = n; r-- > 0;) {
+      rids_[--offsets_[group_of[r]]] = static_cast<uint32_t>(r);
+    }
+    offsets_.push_back(static_cast<uint32_t>(n));
+  }
+
+  /// Build rows whose key hash is exactly `h`, in build-row order; empty
+  /// when no build row has that hash.
+  std::pair<const uint32_t*, const uint32_t*> Find(uint64_t h) const {
+    const Slot& slot = slots_[Probe(h)];
+    if (slot.group == kEmpty) return {nullptr, nullptr};
+    return {rids_.data() + offsets_[slot.group],
+            rids_.data() + offsets_[slot.group + 1]};
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t group = kEmpty;
+  };
+
+  /// Linear probing from a Fibonacci-hashed home slot (the top bits of
+  /// h * 2^64/phi depend on every bit of h). Returns the slot holding `h`
+  /// or the empty slot where it would go; the table is at most half full.
+  size_t Probe(uint64_t h) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift_);
+    while (slots_[i].group != kEmpty && slots_[i].hash != h) i = (i + 1) & mask;
+    return i;
+  }
+
+  int shift_ = 63;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> offsets_;  ///< group g's rids: [offsets_[g], offsets_[g+1])
+  std::vector<uint32_t> rids_;
+};
 
 double PagesFor(double rows, double width_bytes) {
   if (rows <= 0.0) return 0.0;
@@ -289,13 +358,18 @@ class NodeRunner {
     if (ctx_->Cancelled()) {
       return Status::DeadlineExceeded("execution cancelled at operator boundary");
     }
-    if (retained_ != nullptr) {
-      (*retained_)[static_cast<size_t>(node.id)] = block;  // copy
-    }
     return block;
   }
 
  private:
+  /// Moves a child's block into the child's retained slot once its parent
+  /// has consumed it; a no-op unless intermediates are retained.
+  void Retain(const PlanNode& child, RowBlock&& block) {
+    if (retained_ != nullptr) {
+      (*retained_)[static_cast<size_t>(child.id)] = std::move(block);
+    }
+  }
+
   StatusOr<RowBlock> RunImpl(const PlanNode& node) {
     switch (node.type) {
       case OpType::kSeqScan:
@@ -339,9 +413,10 @@ class NodeRunner {
         if (rids != nullptr) {
           out->prov.insert(out->prov.end(), rids + i, rids + j);
         } else {
-          for (int64_t r = i; r < j; ++r) {
-            out->prov.push_back(static_cast<uint32_t>(base + r));
-          }
+          const size_t start = out->prov.size();
+          out->prov.resize(start + static_cast<size_t>(j - i));
+          std::iota(out->prov.begin() + static_cast<std::ptrdiff_t>(start),
+                    out->prov.end(), static_cast<uint32_t>(base + i));
         }
       }
       i = j;
@@ -750,43 +825,22 @@ class NodeRunner {
 
     const int64_t chunk = ctx_->batch();
 
-    // Build on the right input. Key hashing shards across the pool; the
-    // chain inserts stay in build-row order (one sequential pass), so
-    // every chain lists the same rids in the same order as the sequential
-    // build — which is what keeps the probe output order bit-identical.
-    std::unordered_map<uint64_t, std::vector<uint32_t>> table;
-    table.reserve(static_cast<size_t>(right.num_rows()) * 2 + 16);
-    if (ShouldShard(right.num_rows())) {
-      std::vector<uint64_t> all_hashes(
-          static_cast<size_t>(right.num_rows()));
-      ctx_->runner()->RunTasks(NumChunks(right.num_rows()), [&](int64_t c) {
-        const int64_t base = c * chunk;
-        const int64_t nb = std::min(chunk, right.num_rows() - base);
-        for (int64_t i = 0; i < nb; ++i) {
-          all_hashes[static_cast<size_t>(base + i)] =
-              HashKeys(right.row(base + i), rcols);
-        }
-      });
-      for (int64_t r = 0; r < right.num_rows(); ++r) {
-        table[all_hashes[static_cast<size_t>(r)]].push_back(
-            static_cast<uint32_t>(r));
+    // Build on the right input: hash every build row (chunks shard across
+    // the pool), then group the rows into the flat table in one sequential
+    // pass. Every group lists the same rids in the same build-row order at
+    // any thread count, which keeps the probe output order bit-identical.
+    const int64_t rn = right.num_rows();
+    std::vector<uint64_t> build_hashes(static_cast<size_t>(rn));
+    RunTaskRange(NumChunks(rn), [&](int64_t c) {
+      const int64_t base = c * chunk;
+      const int64_t nb = std::min(chunk, rn - base);
+      for (int64_t i = 0; i < nb; ++i) {
+        build_hashes[static_cast<size_t>(base + i)] =
+            HashKeys(right.row(base + i), rcols);
       }
-      st.actual.no += static_cast<double>(right.num_rows());  // build hash ops
-    } else {
-      std::vector<uint64_t> hashes(static_cast<size_t>(
-          std::min(chunk, std::max<int64_t>(1, right.num_rows()))));
-      for (int64_t base = 0; base < right.num_rows(); base += chunk) {
-        const int64_t nb = std::min(chunk, right.num_rows() - base);
-        for (int64_t i = 0; i < nb; ++i) {
-          hashes[static_cast<size_t>(i)] = HashKeys(right.row(base + i), rcols);
-        }
-        for (int64_t i = 0; i < nb; ++i) {
-          table[hashes[static_cast<size_t>(i)]].push_back(
-              static_cast<uint32_t>(base + i));
-        }
-        st.actual.no += static_cast<double>(nb);  // build-side hash ops
-      }
-    }
+    });
+    st.actual.no += static_cast<double>(rn);  // build-side hash ops
+    const FlatJoinTable table(build_hashes);
 
     RowBlock out;
     out.schema = node.output_schema;
@@ -807,11 +861,11 @@ class NodeRunner {
       }
       pst->actual.no += static_cast<double>(nb);  // probe-side hash ops
       for (int64_t i = 0; i < nb; ++i) {
-        auto it = table.find(hashes[static_cast<size_t>(i)]);
-        if (it == table.end()) continue;
+        const auto [begin, end] = table.Find(hashes[static_cast<size_t>(i)]);
         const int64_t l = base + i;
         const RowRef lrow = left.row(l);
-        for (uint32_t r : it->second) {
+        for (const uint32_t* it = begin; it != end; ++it) {
+          const uint32_t r = *it;
           pst->actual.no += 1.0;  // chain visit / key compare
           if (!KeysEqual(lrow, lcols, right.row(r), rcols)) continue;
           AppendJoinRow(dst, out_cols, left, l, right, r, node, quals, pst);
@@ -836,6 +890,8 @@ class NodeRunner {
           2.0 * (PagesFor(st.left_rows, node.left->output_schema.TupleWidthBytes()) +
                  PagesFor(st.right_rows, node.right->output_schema.TupleWidthBytes()));
     }
+    Retain(*node.left, std::move(left));
+    Retain(*node.right, std::move(right));
     return out;
   }
 
@@ -940,6 +996,8 @@ class NodeRunner {
     }
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
+    Retain(*node.left, std::move(left));
+    Retain(*node.right, std::move(right));
     return out;
   }
 
@@ -986,6 +1044,8 @@ class NodeRunner {
     }
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
+    Retain(*node.left, std::move(left));
+    Retain(*node.right, std::move(right));
     return out;
   }
 
@@ -1116,6 +1176,7 @@ class NodeRunner {
                                      in.schema.TupleWidthBytes());
     }
     st.out_rows = static_cast<double>(n);
+    Retain(*node.left, std::move(in));
     return out;
   }
 
@@ -1249,6 +1310,7 @@ class NodeRunner {
     }
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
+    Retain(*node.left, std::move(in));
     return out;
   }
 
@@ -1267,6 +1329,9 @@ class NodeRunner {
                                      in.schema.TupleWidthBytes());
     }
     st.out_rows = static_cast<double>(in.num_rows());
+    if (retained_ != nullptr) {
+      Retain(*node.left, RowBlock(in));  // copy: `in` is also our output
+    }
     return in;
   }
 
@@ -1303,9 +1368,10 @@ StatusOr<ExecResult> Executor::Execute(const Plan& plan,
     result.blocks.resize(static_cast<size_t>(plan.num_operators()));
   }
   NodeRunner runner(&ctx, options.retain_intermediates ? &result.blocks : nullptr);
-  UQP_ASSIGN_OR_RETURN(RowBlock output, runner.Run(*plan.root()));
-
-  result.output = std::move(output);
+  UQP_ASSIGN_OR_RETURN(result.output, runner.Run(*plan.root()));
+  if (options.retain_intermediates) {
+    result.blocks[static_cast<size_t>(plan.root()->id)] = result.output;  // copy
+  }
   result.ops = ctx.TakeStats();
   // Fill leaf-row products per node from the bound source tables.
   for (const PlanNode* node : plan.NodesPreorder()) {

@@ -119,8 +119,11 @@ struct ExecOptions {
   /// the base table — this is how the estimator runs the plan over sample
   /// tables, binding a distinct sample per leaf occurrence.
   const std::vector<const Table*>* leaf_overrides = nullptr;
-  /// Keep a copy of every operator's output block (sampling-estimation
-  /// runs post-process them into the Q_{k,j,n} counters).
+  /// Keep every operator's output block in ExecResult::blocks
+  /// (sampling-estimation runs post-process them into the Q_{k,j,n}
+  /// counters). A parent moves each child's block into the child's slot
+  /// once it has consumed it; only the root's block and a Materialize
+  /// child's block (Materialize's output is its input) are copied.
   bool retain_intermediates = false;
   /// Rows per inner-loop chunk: filters and join probes process their
   /// input in RowBlock chunks of at most this many rows (vectorized-style
@@ -175,7 +178,8 @@ struct ExecResult {
   std::vector<RowBlock> blocks;
 };
 
-/// Single-threaded materializing executor. Operators maintain the exact
+/// Materializing executor, sequential or morsel-parallel (see
+/// ExecOptions::num_threads). Operators maintain the exact
 /// PostgreSQL-style resource counters; these deliberately deviate from the
 /// optimizer's closed-form estimates (hash-chain visits, true distinct heap
 /// pages, true sort comparisons) so that the cost model carries a realistic

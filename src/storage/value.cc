@@ -81,9 +81,13 @@ uint64_t Value::Hash() const {
       return std::hash<int64_t>{}(i) * 0x9e3779b97f4a7c15ULL;
     case ValueType::kDouble:
       // Hash int-valued doubles identically to their int64 counterparts so
-      // cross-type equi-joins behave.
-      if (d == static_cast<double>(static_cast<int64_t>(d))) {
-        return std::hash<int64_t>{}(static_cast<int64_t>(d)) * 0x9e3779b97f4a7c15ULL;
+      // cross-type equi-joins behave. The range check comes first: casting
+      // NaN, +-inf or |d| >= 2^63 to int64 is undefined behaviour.
+      if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
+        const int64_t as_int = static_cast<int64_t>(d);
+        if (d == static_cast<double>(as_int)) {
+          return std::hash<int64_t>{}(as_int) * 0x9e3779b97f4a7c15ULL;
+        }
       }
       return std::hash<double>{}(d) * 0x9e3779b97f4a7c15ULL;
     case ValueType::kString:

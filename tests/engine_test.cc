@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "engine/cardinality.h"
 #include "engine/executor.h"
@@ -302,9 +303,32 @@ TEST(Executor, HashJoinCounters) {
   // Each t1 row with a < 40 matches exactly one t2 row: 4 * 40 = 160.
   EXPECT_DOUBLE_EQ(join.out_rows, 160.0);
   EXPECT_DOUBLE_EQ(join.actual.nt, 160.0);
-  // Build + probe hash ops at minimum.
-  EXPECT_GE(join.actual.no, 240.0);
+  // 40 build hashes + 200 probe hashes + 160 chain visits (one per
+  // matching probe row: every t2 key is distinct).
+  EXPECT_DOUBLE_EQ(join.actual.no, 400.0);
   EXPECT_DOUBLE_EQ(join.leaf_row_product, 200.0 * 40.0);
+}
+
+TEST(Executor, HashJoinDuplicateBuildKeysKeepBuildRowOrder) {
+  Database db = MakeTestDb();
+  // Probe t2, build t1: each t1 key (a = i % 50) appears 4 times.
+  Plan plan(MakeHashJoin(MakeSeqScan("t2", NoPred()), MakeSeqScan("t1", NoPred()),
+                         {{0, 0}}));
+  ExecOptions options;
+  options.collect_provenance = true;
+  const ExecResult result = MustExecute(db, &plan, options);
+  const OpStats& join = result.ops[0];
+  // Each t2 row (k < 40) matches the 4 t1 rows with a == k.
+  ASSERT_EQ(result.output.num_rows(), 160);
+  // 200 build hashes + 40 probe hashes + 160 chain visits.
+  EXPECT_DOUBLE_EQ(join.actual.no, 400.0);
+  // Output is probe-row order, and each probe row's matches come out in
+  // increasing t1 row id: t1 rows k, k + 50, k + 100, k + 150.
+  for (int64_t r = 0; r < result.output.num_rows(); ++r) {
+    const uint32_t* prov = result.output.prov_row(r);
+    EXPECT_EQ(prov[0], static_cast<uint32_t>(r / 4)) << "row " << r;
+    EXPECT_EQ(prov[1], static_cast<uint32_t>(r / 4 + 50 * (r % 4))) << "row " << r;
+  }
 }
 
 // ---------- Sort / Aggregate / Materialize ----------
@@ -480,6 +504,62 @@ TEST(Executor, JoinProvenanceConcatenatesLeafIds) {
   // Retained blocks exist for every operator.
   ASSERT_EQ(result.blocks.size(), 3u);
   EXPECT_EQ(result.blocks[0].num_rows(), result.output.num_rows());
+}
+
+/// Values, schema width and provenance of two blocks are identical.
+void ExpectSameBlock(const RowBlock& a, const RowBlock& b, const std::string& what) {
+  ASSERT_EQ(a.schema.num_columns(), b.schema.num_columns()) << what;
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
+  for (int64_t r = 0; r < a.num_rows(); ++r) {
+    for (int c = 0; c < a.schema.num_columns(); ++c) {
+      ASSERT_EQ(a.row(r)[c].type, b.row(r)[c].type) << what << " row " << r;
+      ASSERT_TRUE(a.row(r)[c].Equals(b.row(r)[c])) << what << " row " << r;
+    }
+  }
+  EXPECT_EQ(a.prov_width, b.prov_width) << what;
+  EXPECT_EQ(a.prov, b.prov) << what;
+}
+
+TEST(Executor, RetainedBlocksEqualSubtreeOutputs) {
+  Database db = MakeTestDb();
+  // NestLoop(Materialize(Sort(HashJoin(t1, t2))), Aggregate(t1 filtered)):
+  // every operator kind whose children hand their blocks to a retained slot.
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggSpec::Kind::kCount, -1, "cnt"});
+  Plan plan(MakeNestLoopJoin(
+      MakeMaterialize(MakeSort(
+          MakeHashJoin(MakeSeqScan("t1", NoPred()), MakeSeqScan("t2", NoPred()),
+                       {{0, 0}}),
+          {1})),
+      MakeAggregate(
+          MakeSeqScan("t1", Expr::Cmp(0, CmpOp::kLt, Value::Int64(10))), {0},
+          aggs),
+      {{0, 0}}));
+  ASSERT_TRUE(plan.Finalize(db).ok());
+  Executor executor(&db);
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    ExecOptions options;
+    options.collect_provenance = true;
+    options.retain_intermediates = true;
+    options.max_batch_size = 16;
+    options.num_threads = threads;
+    auto run = executor.Execute(plan, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(run->blocks.size(), static_cast<size_t>(plan.num_operators()));
+    ASSERT_GT(run->output.num_rows(), 0);
+    ExpectSameBlock(run->blocks[0], run->output, "root");
+    for (const PlanNode* node : plan.NodesPreorder()) {
+      Plan sub(ClonePlanTree(*node));
+      ASSERT_TRUE(sub.Finalize(db).ok());
+      ExecOptions sub_options = options;
+      sub_options.retain_intermediates = false;
+      auto alone = executor.Execute(sub, sub_options);
+      ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+      ExpectSameBlock(run->blocks[static_cast<size_t>(node->id)], alone->output,
+                      "node " + std::to_string(node->id));
+    }
+  }
 }
 
 TEST(Executor, AggregateDropsProvenance) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "storage/catalog.h"
 #include "storage/database.h"
@@ -44,6 +46,26 @@ TEST(Value, HashConsistentWithEquality) {
   // Int-valued doubles must hash like the equal int64 (equi-join support).
   EXPECT_EQ(Value::Int64(42).Hash(), Value::Double(42.0).Hash());
   EXPECT_EQ(Value::String("x").Hash(), Value::String("x").Hash());
+}
+
+TEST(Value, HashOfOutOfRangeDoublesIsDefined) {
+  // NaN, +-inf and |d| >= 2^63 have no int64 counterpart; hashing them must
+  // not cast them to int64 (undefined behaviour, trapped by the UBSan build).
+  const double kTwo63 = 9223372036854775808.0;
+  for (double d : {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e300, -1e300, kTwo63}) {
+    EXPECT_EQ(Value::Double(d).Hash(), Value::Double(d).Hash()) << d;
+    EXPECT_NE(Value::Double(d).Hash(),
+              Value::Int64(std::numeric_limits<int64_t>::min()).Hash())
+        << d;
+  }
+  // Integral doubles in range still hash like their int64 values, down to
+  // the bottom of the range.
+  EXPECT_EQ(Value::Double(-kTwo63).Hash(),
+            Value::Int64(std::numeric_limits<int64_t>::min()).Hash());
+  EXPECT_EQ(Value::Double(-0.0).Hash(), Value::Int64(0).Hash());
+  EXPECT_EQ(Value::Double(4611686018427387904.0).Hash(),
+            Value::Int64(int64_t{1} << 62).Hash());
+  EXPECT_EQ(Value::Double(-1e15).Hash(), Value::Int64(-1000000000000000).Hash());
 }
 
 TEST(Value, NumericCompare) {

@@ -6,7 +6,6 @@
 #include <limits>
 #include <numeric>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -274,8 +273,8 @@ struct GroupTable {
 class ExecContext {
  public:
   ExecContext(const Database* db, const ExecOptions& options, int num_operators,
-              int num_leaves, TaskRunner* runner)
-      : db_(db), options_(options), runner_(runner) {
+              int num_leaves)
+      : db_(db), options_(options) {
     stats_.resize(static_cast<size_t>(num_operators));
     leaf_source_rows_.resize(static_cast<size_t>(num_leaves), 1.0);
   }
@@ -314,8 +313,8 @@ class ExecContext {
 
   /// Intra-query fan-out is on: shard chunked loops and join children
   /// across the task runner.
-  bool parallel() const { return runner_ != nullptr; }
-  TaskRunner* runner() const { return runner_; }
+  bool parallel() const { return options_.task_runner != nullptr; }
+  TaskRunner* runner() const { return options_.task_runner; }
 
   OpStats& stats(const PlanNode& node) {
     return stats_[static_cast<size_t>(node.id)];
@@ -335,7 +334,6 @@ class ExecContext {
  private:
   const Database* db_;
   const ExecOptions& options_;
-  TaskRunner* runner_;
   std::atomic<bool> cancel_seen_{false};
   std::vector<OpStats> stats_;
   std::vector<double> leaf_source_rows_;
@@ -392,67 +390,25 @@ class NodeRunner {
     return Status::Internal("unknown operator type");
   }
 
-  /// Appends the rows of a contiguous chunk whose selection-mask lane is
-  /// set, bulk-copying consecutive runs of survivors. Provenance ids are
-  /// base + lane (row indexes of the source table) — or, when `rids` is
-  /// non-null, come from that parallel array instead (rows gathered from
-  /// non-contiguous sources, e.g. index scans).
-  void AppendSelected(RowBlock* out, const Value* rows, int ncols, int64_t n,
-                      const uint8_t* mask, int64_t base,
-                      const uint32_t* rids = nullptr) {
-    int64_t i = 0;
-    while (i < n) {
-      if (mask[i] == 0) {
-        ++i;
-        continue;
-      }
-      int64_t j = i + 1;
-      while (j < n && mask[j] != 0) ++j;
-      out->values.insert(out->values.end(), rows + i * ncols, rows + j * ncols);
-      if (out->prov_width > 0) {
-        if (rids != nullptr) {
-          out->prov.insert(out->prov.end(), rids + i, rids + j);
-        } else {
-          const size_t start = out->prov.size();
-          out->prov.resize(start + static_cast<size_t>(j - i));
-          std::iota(out->prov.begin() + static_cast<std::ptrdiff_t>(start),
-                    out->prov.end(), static_cast<uint32_t>(base + i));
-        }
-      }
-      i = j;
-    }
-  }
-
-  // ----- intra-query sharding helpers -------------------------------------
+  // ----- task dispatch ----------------------------------------------------
   //
-  // Sharded loops fan out one task per max_batch_size-row chunk (or per
-  // emission group batch); results merge in task order. That makes the
-  // parallel run bit-identical to the sequential one: the sequential loop
-  // processes the same work units in the same order, and every counter a
-  // task accumulates is an integer-valued count (hash ops, chain visits,
-  // qual evaluations, sort comparisons), so summing per-task partials
-  // regroups the same double additions exactly.
-  //
-  // Output assembly is two-pass: a compute pass materializes per-task
-  // results, a sizing step derives exact prefix offsets, and a placement
-  // pass writes every task's rows in place into the pre-sized output —
-  // disjoint spans, written concurrently, no sequential merge copy.
+  // Every chunked loop has one body over a fixed task decomposition: one
+  // task per max_batch_size-row chunk (or per emission-group batch), never
+  // shaped by thread count. The helpers below only choose the dispatch:
+  // inline in task order without a pool, across the pool with one. Either
+  // way results land in task order, and every counter a task accumulates
+  // is an integer-valued count (hash ops, chain visits, qual evaluations,
+  // sort comparisons), so summing per-task partials regroups the same
+  // double additions exactly: output is bit-identical at every thread
+  // count.
 
   int64_t NumChunks(int64_t total) const {
     const int64_t chunk = ctx_->batch();
     return (total + chunk - 1) / chunk;
   }
 
-  /// True when this loop of `total` rows should fan out (pool present and
-  /// more than one chunk to hand out).
-  bool ShouldShard(int64_t total) const {
-    return ctx_->parallel() && NumChunks(total) >= 2;
-  }
-
-  /// Runs task indexes [0, n) — on the pool when intra-query parallelism
-  /// is on and there is more than one task, inline otherwise. Either way
-  /// the task decomposition (and hence every per-task counter) is
-  /// identical; only the dispatch differs.
+  /// Runs task indexes [0, n): on the pool when there is one and more than
+  /// one task, inline in task order otherwise.
   void RunTaskRange(int64_t n, const std::function<void(int64_t)>& fn) {
     // Morsel-boundary cancellation: each shard re-probes the token before
     // its body, so a request past its deadline stops consuming pool time
@@ -469,14 +425,23 @@ class NodeRunner {
     }
   }
 
-  /// Runs `task_fn(t, local_block, local_stats)` for every task in
-  /// [0, ntasks) across the pool, then assembles the output two-pass:
-  /// exact per-task offsets are prefix-summed, `out` is resized once, and
-  /// every task's rows are placed in-place — concurrently, into disjoint
-  /// spans — instead of being merge-copied one task at a time.
+  /// Runs `task_fn(t, block, stats)` for every task in [0, ntasks) and
+  /// appends the task outputs to `out` in task order. Inline (no pool, or
+  /// fewer than two tasks) every task appends straight into `out` and
+  /// `st`. On the pool each task fills a private block and partial stats,
+  /// then the output is assembled two-pass: exact per-task offsets are
+  /// prefix-summed, `out` is resized once, and every task's rows are
+  /// placed in its span concurrently — no sequential merge copy.
   void RunShardedTasks(
       int64_t ntasks, RowBlock* out, OpStats* st,
       const std::function<void(int64_t, RowBlock*, OpStats*)>& task_fn) {
+    if (!ctx_->parallel() || ntasks < 2) {
+      for (int64_t t = 0; t < ntasks; ++t) {
+        if (ctx_->Cancelled()) return;  // see RunTaskRange
+        task_fn(t, out, st);
+      }
+      return;
+    }
     std::vector<RowBlock> blocks(static_cast<size_t>(ntasks));
     std::vector<OpStats> partials(static_cast<size_t>(ntasks));
     ctx_->runner()->RunTasks(ntasks, [&](int64_t t) {
@@ -515,27 +480,27 @@ class NodeRunner {
   }
 
   /// Row-chunk flavor of RunShardedTasks: one task per max_batch_size-row
-  /// chunk of [0, total), `chunk_fn(base, nb, local_block, local_stats)`.
-  void RunChunksParallel(
-      int64_t total, RowBlock* out, OpStats* st,
-      const std::function<void(int64_t, int64_t, RowBlock*, OpStats*)>&
-          chunk_fn) {
+  /// chunk of [0, total), `chunk_fn(base, nb, block, stats)`.
+  void RunChunks(int64_t total, RowBlock* out, OpStats* st,
+                 const std::function<void(int64_t, int64_t, RowBlock*, OpStats*)>&
+                     chunk_fn) {
     const int64_t chunk = ctx_->batch();
     RunShardedTasks(NumChunks(total), out, st,
-                    [&](int64_t c, RowBlock* local, OpStats* pst) {
+                    [&](int64_t c, RowBlock* dst, OpStats* pst) {
                       const int64_t base = c * chunk;
                       const int64_t nb = std::min(chunk, total - base);
-                      chunk_fn(base, nb, local, pst);
+                      chunk_fn(base, nb, dst, pst);
                     });
   }
 
-  /// In-place flavor of AppendSelected: writes the selected rows of a
-  /// contiguous chunk (and their provenance ids) at `vdst`/`pdst`, which
-  /// must have room for every survivor. Returns the rows written. Value is
-  /// a trivially copyable 16-byte cell, so the run copies lower to memmove.
-  static int64_t PlaceSelected(Value* vdst, uint32_t* pdst, const Value* rows,
-                               int ncols, int64_t n, const uint8_t* mask,
-                               int64_t base, const uint32_t* rids = nullptr) {
+  /// Writes the selected rows of a contiguous chunk (and their provenance
+  /// ids) at `vdst`/`pdst`, which must have room for every survivor.
+  /// Provenance ids are base + lane, or come from the parallel `rids`
+  /// array when it is non-null. Value is a trivially copyable 16-byte
+  /// cell, so the run copies lower to memmove.
+  static void PlaceSelected(Value* vdst, uint32_t* pdst, const Value* rows,
+                            int ncols, int64_t n, const uint8_t* mask,
+                            int64_t base, const uint32_t* rids) {
     int64_t written = 0;
     int64_t i = 0;
     while (i < n) {
@@ -558,7 +523,44 @@ class NodeRunner {
       written += j - i;
       i = j;
     }
-    return written;
+  }
+
+  /// The scans' filter: keeps the rows of `n` contiguous `rows` that
+  /// satisfy `pred`, in row order, filling the empty block `out`. One task
+  /// per chunk evaluates the predicate column-at-a-time into a shared
+  /// selection mask and counts its survivors; `out` is sized once from the
+  /// prefix-summed counts; a second pass copies each chunk's survivor runs
+  /// into its span. Row i's provenance id is rids[i], or i when `rids` is
+  /// null.
+  void FilterRows(const Expr& pred, const Value* rows, int64_t n,
+                  const uint32_t* rids, RowBlock* out) {
+    const int ncols = out->schema.num_columns();
+    const int64_t chunk = ctx_->batch();
+    const int64_t nchunks = NumChunks(n);
+    std::vector<uint8_t> mask(static_cast<size_t>(n));
+    std::vector<int64_t> offsets(static_cast<size_t>(nchunks) + 1, 0);
+    RunTaskRange(nchunks, [&](int64_t c) {
+      const int64_t base = c * chunk;
+      const int64_t nb = std::min(chunk, n - base);
+      uint8_t* chunk_mask = mask.data() + base;
+      EvalPredicateBatch(pred, rows + base * ncols, ncols, nb, chunk_mask);
+      int64_t count = 0;
+      for (int64_t i = 0; i < nb; ++i) count += chunk_mask[i] != 0;
+      offsets[static_cast<size_t>(c) + 1] = count;
+    });
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    const int64_t total = offsets.back();
+    out->values.resize(static_cast<size_t>(total * ncols));
+    if (out->prov_width > 0) out->prov.resize(static_cast<size_t>(total));
+    RunTaskRange(nchunks, [&](int64_t c) {
+      const int64_t base = c * chunk;
+      const int64_t off = offsets[static_cast<size_t>(c)];
+      PlaceSelected(out->values.data() + off * ncols,
+                    out->prov_width > 0 ? out->prov.data() + off : nullptr,
+                    rows + base * ncols, ncols, std::min(chunk, n - base),
+                    mask.data() + base, base,
+                    rids == nullptr ? nullptr : rids + base);
+    });
   }
 
   /// Runs both children of a binary operator, concurrently when the
@@ -642,54 +644,8 @@ class NodeRunner {
           out.prov[static_cast<size_t>(r)] = static_cast<uint32_t>(r);
         }
       }
-    } else if (ShouldShard(rows)) {
-      // Morsel-parallel filter, fully in place: a sizing pass evaluates
-      // the predicate into one shared mask and counts survivors per chunk,
-      // then the output is sized once and a placement pass copies each
-      // chunk's surviving source rows directly into its span — no
-      // intermediate chunk blocks, no merge copy. Survivors land in chunk
-      // order, bit-identical to the sequential loop below.
-      const int64_t chunk = ctx_->batch();
-      const int64_t nchunks = NumChunks(rows);
-      std::vector<uint8_t> mask(static_cast<size_t>(rows));
-      std::vector<int64_t> survivors(static_cast<size_t>(nchunks), 0);
-      ctx_->runner()->RunTasks(nchunks, [&](int64_t c) {
-        const int64_t base = c * chunk;
-        const int64_t nb = std::min(chunk, rows - base);
-        uint8_t* chunk_mask = mask.data() + base;
-        EvalPredicateBatch(*node.predicate, data + base * ncols, ncols, nb,
-                           chunk_mask);
-        int64_t count = 0;
-        for (int64_t i = 0; i < nb; ++i) count += chunk_mask[i] != 0;
-        survivors[static_cast<size_t>(c)] = count;
-      });
-      std::vector<int64_t> offsets(static_cast<size_t>(nchunks) + 1, 0);
-      for (int64_t c = 0; c < nchunks; ++c) {
-        offsets[static_cast<size_t>(c) + 1] =
-            offsets[static_cast<size_t>(c)] + survivors[static_cast<size_t>(c)];
-      }
-      const int64_t total = offsets[static_cast<size_t>(nchunks)];
-      out.values.resize(static_cast<size_t>(total * ncols));
-      if (out.prov_width > 0) out.prov.resize(static_cast<size_t>(total));
-      ctx_->runner()->RunTasks(nchunks, [&](int64_t c) {
-        const int64_t base = c * chunk;
-        const int64_t nb = std::min(chunk, rows - base);
-        const int64_t off = offsets[static_cast<size_t>(c)];
-        PlaceSelected(out.values.data() + off * ncols,
-                      out.prov_width > 0 ? out.prov.data() + off : nullptr,
-                      data + base * ncols, ncols, nb, mask.data() + base, base);
-      });
     } else {
-      // Filter in chunks: evaluate the predicate column-at-a-time into a
-      // selection mask, then copy survivors in runs.
-      const int64_t chunk = ctx_->batch();
-      std::vector<uint8_t> mask(static_cast<size_t>(std::min(chunk, rows)));
-      for (int64_t base = 0; base < rows; base += chunk) {
-        const int64_t nb = std::min(chunk, rows - base);
-        const Value* chunk_rows = data + base * ncols;
-        EvalPredicateBatch(*node.predicate, chunk_rows, ncols, nb, mask.data());
-        AppendSelected(&out, chunk_rows, ncols, nb, mask.data(), base);
-      }
+      FilterRows(*node.predicate, data, rows, /*rids=*/nullptr, &out);
     }
     st.out_rows = static_cast<double>(out.num_rows());
     return out;
@@ -729,79 +685,39 @@ class NodeRunner {
     out.schema = node.output_schema;
     out.prov_width = ctx_->prov() ? 1 : 0;
     const int quals = PredicateOpCount(node.predicate.get());
-    std::unordered_set<int64_t> pages_touched;
-    const int64_t rows_per_page = src.rows_per_page();
     const int64_t matches = end_it - begin_it;
     const int ncols = out.schema.num_columns();
-    const bool residual = !pure && node.predicate != nullptr;
 
-    // Gather matched rows a chunk at a time into a contiguous block, then
-    // run the residual filter column-at-a-time over the chunk and bulk-copy
-    // survivor runs (mirroring the seq-scan/hash-join batched inner loops).
-    if (ShouldShard(matches)) {
-      // Morsel-parallel gather: chunks index the ordered-index range
-      // directly; per-chunk page sets union into one set (same size in any
-      // order), and chunk outputs merge in chunk order.
-      std::vector<std::unordered_set<int64_t>> chunk_pages(
-          static_cast<size_t>(NumChunks(matches)));
-      const int64_t chunk = ctx_->batch();
-      RunChunksParallel(
-          matches, &out, &st,
-          [&](int64_t base, int64_t nb, RowBlock* dst, OpStats*) {
-            std::unordered_set<int64_t>& pages =
-                chunk_pages[static_cast<size_t>(base / chunk)];
-            std::vector<Value> gathered(static_cast<size_t>(nb * ncols));
-            std::vector<uint32_t> rids(static_cast<size_t>(nb));
-            std::vector<uint8_t> mask(static_cast<size_t>(nb), 1);
-            for (int64_t i = 0; i < nb; ++i) {
-              const uint32_t rid = *(begin_it + base + i);
-              pages.insert(static_cast<int64_t>(rid) / rows_per_page);
-              const RowRef row = src.row(rid);
-              std::copy(row.data, row.data + ncols,
-                        gathered.begin() + i * ncols);
-              rids[static_cast<size_t>(i)] = rid;
-            }
-            if (residual) {
-              EvalPredicateBatch(*node.predicate, gathered.data(), ncols, nb,
-                                 mask.data());
-            }
-            AppendSelected(dst, gathered.data(), ncols, nb, mask.data(),
-                           /*base=*/0, rids.data());
-          });
-      for (const auto& pages : chunk_pages) {
-        // Set union: the resulting set (and the page-count counter derived
-        // from its size) is the same whatever order the per-chunk sets
-        // merge in.
-        // det-lint: order-independent
-        pages_touched.insert(pages.begin(), pages.end());
+    // Gather every matched row, in index order, into one block; the count
+    // is known, so each chunk writes its own span.
+    std::vector<uint32_t> rids(begin_it, end_it);
+    std::vector<Value> gathered(static_cast<size_t>(matches * ncols));
+    const int64_t chunk = ctx_->batch();
+    RunTaskRange(NumChunks(matches), [&](int64_t c) {
+      const int64_t end = std::min(matches, (c + 1) * chunk);
+      for (int64_t i = c * chunk; i < end; ++i) {
+        const RowRef row = src.row(rids[static_cast<size_t>(i)]);
+        std::copy(row.data, row.data + ncols, gathered.begin() + i * ncols);
       }
+    });
+    // Distinct heap pages touched: one seen-flag per page of the table.
+    std::vector<uint8_t> page_seen(static_cast<size_t>(src.num_pages()), 0);
+    const int64_t rows_per_page = src.rows_per_page();
+    int64_t pages_touched = 0;
+    for (const uint32_t rid : rids) {
+      uint8_t& seen = page_seen[static_cast<size_t>(rid / rows_per_page)];
+      pages_touched += seen == 0;
+      seen = 1;
+    }
+    if (!pure && node.predicate != nullptr) {
+      // Residual filter: re-evaluate the full predicate on fetched rows.
+      FilterRows(*node.predicate, gathered.data(), matches, rids.data(), &out);
     } else {
-      const int64_t chunk =
-          std::min<int64_t>(ctx_->batch(), std::max<int64_t>(1, matches));
-      std::vector<Value> gathered(static_cast<size_t>(chunk * ncols));
-      std::vector<uint32_t> rids(static_cast<size_t>(chunk));
-      std::vector<uint8_t> mask(static_cast<size_t>(chunk), 1);
-      auto it = begin_it;
-      for (int64_t base = 0; base < matches; base += chunk) {
-        const int64_t nb = std::min(chunk, matches - base);
-        for (int64_t i = 0; i < nb; ++i, ++it) {
-          const uint32_t rid = *it;
-          pages_touched.insert(static_cast<int64_t>(rid) / rows_per_page);
-          const RowRef row = src.row(rid);
-          std::copy(row.data, row.data + ncols, gathered.begin() + i * ncols);
-          rids[static_cast<size_t>(i)] = rid;
-        }
-        if (residual) {
-          // Residual filter: re-evaluate the full predicate on fetched rows.
-          EvalPredicateBatch(*node.predicate, gathered.data(), ncols, nb,
-                             mask.data());
-        }
-        AppendSelected(&out, gathered.data(), ncols, nb, mask.data(),
-                       /*base=*/0, rids.data());
-      }
+      out.values = std::move(gathered);
+      if (out.prov_width > 0) out.prov = std::move(rids);
     }
     st.actual.ni += static_cast<double>(matches) + std::log2(std::max<double>(2.0, static_cast<double>(n)));
-    st.actual.nr += static_cast<double>(pages_touched.size());
+    st.actual.nr += static_cast<double>(pages_touched);
     st.actual.nt += static_cast<double>(matches);
     st.actual.no += static_cast<double>(matches) * quals;
     st.out_rows = static_cast<double>(out.num_rows());
@@ -848,11 +764,7 @@ class NodeRunner {
     const int quals = PredicateOpCount(node.predicate.get());
     const int out_cols = out.schema.num_columns();
     // Probe in chunks: hash a chunk of probe keys, then walk the chains,
-    // assembling join rows directly in the chunk's output block. The same
-    // body serves both modes; sequentially it appends straight into `out`
-    // chunk by chunk, in parallel each chunk fills a private block and the
-    // blocks merge in chunk order — the identical sequence of appends and
-    // (integer-valued) counter additions either way.
+    // assembling join rows directly in the chunk's output block.
     const auto probe_chunk = [&](int64_t base, int64_t nb, RowBlock* dst,
                                  OpStats* pst) {
       std::vector<uint64_t> hashes(static_cast<size_t>(nb));
@@ -872,14 +784,7 @@ class NodeRunner {
         }
       }
     };
-    if (ShouldShard(left.num_rows())) {
-      RunChunksParallel(left.num_rows(), &out, &st, probe_chunk);
-    } else {
-      for (int64_t base = 0; base < left.num_rows(); base += chunk) {
-        const int64_t nb = std::min(chunk, left.num_rows() - base);
-        probe_chunk(base, nb, &out, &st);
-      }
-    }
+    RunChunks(left.num_rows(), &out, &st, probe_chunk);
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
     // Grace-hash spill I/O if the build side exceeds work_mem.
@@ -953,23 +858,10 @@ class NodeRunner {
       ri = re;
     }
 
-    // Phase 2 — cross-product emission, sharded: consecutive groups batch
+    // Phase 2 — cross-product emission in tasks: consecutive groups batch
     // into tasks of roughly max_batch_size output pairs (an input-derived
     // decomposition — thread count never shapes it), each task emits its
-    // groups in order, and task outputs place in task order. Group order,
-    // residual-qual charges (integers) and row order match the sequential
-    // emission exactly.
-    const auto emit_groups = [&](size_t gbegin, size_t gend, RowBlock* dst,
-                                 OpStats* pst) {
-      for (size_t g = gbegin; g < gend; ++g) {
-        const EqualGroup& eq = eq_groups[g];
-        for (int64_t a = eq.li; a < eq.le; ++a) {
-          for (int64_t b = eq.ri; b < eq.re; ++b) {
-            AppendJoinRow(dst, out_cols, left, a, right, b, node, quals, pst);
-          }
-        }
-      }
-    };
+    // groups in order, and task outputs land in task order.
     std::vector<size_t> task_bounds{0};
     int64_t pending_pairs = 0;
     for (size_t g = 0; g < eq_groups.size(); ++g) {
@@ -983,17 +875,20 @@ class NodeRunner {
     if (task_bounds.back() < eq_groups.size()) {
       task_bounds.push_back(eq_groups.size());
     }
-    const int64_t ntasks = static_cast<int64_t>(task_bounds.size()) - 1;
-    if (ctx_->parallel() && ntasks >= 2) {
-      RunShardedTasks(ntasks, &out, &st,
-                      [&](int64_t t, RowBlock* dst, OpStats* pst) {
-                        emit_groups(task_bounds[static_cast<size_t>(t)],
-                                    task_bounds[static_cast<size_t>(t) + 1],
-                                    dst, pst);
-                      });
-    } else {
-      emit_groups(0, eq_groups.size(), &out, &st);
-    }
+    RunShardedTasks(
+        static_cast<int64_t>(task_bounds.size()) - 1, &out, &st,
+        [&](int64_t t, RowBlock* dst, OpStats* pst) {
+          const size_t gend = task_bounds[static_cast<size_t>(t) + 1];
+          for (size_t g = task_bounds[static_cast<size_t>(t)]; g < gend; ++g) {
+            const EqualGroup& eq = eq_groups[g];
+            for (int64_t a = eq.li; a < eq.le; ++a) {
+              for (int64_t b = eq.ri; b < eq.re; ++b) {
+                AppendJoinRow(dst, out_cols, left, a, right, b, node, quals,
+                              pst);
+              }
+            }
+          }
+        });
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
     Retain(*node.left, std::move(left));
@@ -1022,8 +917,7 @@ class NodeRunner {
     const int quals = PredicateOpCount(node.predicate.get());
     const int out_cols = out.schema.num_columns();
     const int64_t rn = right.num_rows();
-    // Outer loop sharded over left-row chunks (output order is left-row
-    // order, so chunk-order merge is bit-identical).
+    // Outer loop in left-row chunks (output order is left-row order).
     const auto outer_chunk = [&](int64_t base, int64_t nb, RowBlock* dst,
                                  OpStats* pst) {
       for (int64_t l = base; l < base + nb; ++l) {
@@ -1037,11 +931,7 @@ class NodeRunner {
         }
       }
     };
-    if (ShouldShard(left.num_rows())) {
-      RunChunksParallel(left.num_rows(), &out, &st, outer_chunk);
-    } else {
-      outer_chunk(0, left.num_rows(), &out, &st);
-    }
+    RunChunks(left.num_rows(), &out, &st, outer_chunk);
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
     Retain(*node.left, std::move(left));
@@ -1062,7 +952,7 @@ class NodeRunner {
     // count. Leaf sorts, same-level merges and the permuted output writes
     // all dispatch as independent tasks; the comparison count is the sum
     // of per-task integer counts accumulated in task order, so the counter
-    // and the output are bit-identical at every num_threads value.
+    // and the output are bit-identical at every thread count.
     const int64_t n = in.num_rows();
     const int64_t block = ctx_->batch();
     const int64_t nleaves = n > 0 ? NumChunks(n) : 0;
@@ -1351,18 +1241,7 @@ StatusOr<ExecResult> Executor::Execute(const Plan& plan,
       static_cast<int>(options.leaf_overrides->size()) != plan.num_leaves()) {
     return Status::InvalidArgument("leaf override count mismatch");
   }
-  // Intra-query parallelism: use the caller's pool when provided (the
-  // service layer shares one pool between plan-level and intra-plan
-  // tasks), otherwise spin up an ephemeral one for this Execute call.
-  const int threads = ResolveNumThreads(options.num_threads);
-  TaskRunner* task_runner = threads > 1 ? options.task_runner : nullptr;
-  std::unique_ptr<MorselPool> owned_pool;
-  if (threads > 1 && task_runner == nullptr) {
-    owned_pool = std::make_unique<MorselPool>(threads);
-    task_runner = owned_pool.get();
-  }
-  ExecContext ctx(db_, options, plan.num_operators(), plan.num_leaves(),
-                  task_runner);
+  ExecContext ctx(db_, options, plan.num_operators(), plan.num_leaves());
   ExecResult result;
   if (options.retain_intermediates) {
     result.blocks.resize(static_cast<size_t>(plan.num_operators()));

@@ -34,10 +34,9 @@ class TaskRunner {
 /// threads plus the calling thread pull task indexes from a shared atomic
 /// counter (morsel-driven dispatch: skewed tasks rebalance dynamically,
 /// while merge order stays the deterministic task-index order chosen by
-/// the caller). The executor spins one up per Execute call when
-/// ExecOptions asks for parallelism without supplying a pool; long-lived
-/// callers (the sampling estimator, benches) can share one instance
-/// across runs.
+/// the caller). Callers hand one to the executor through
+/// ExecOptions::task_runner; long-lived callers (the sampling estimator,
+/// the service, benches) share one instance across runs.
 class MorselPool : public TaskRunner {
  public:
   explicit MorselPool(int num_threads);
@@ -128,35 +127,31 @@ struct ExecOptions {
   /// Rows per inner-loop chunk: filters and join probes process their
   /// input in RowBlock chunks of at most this many rows (vectorized-style
   /// batched execution — predicates evaluate column-at-a-time into a
-  /// selection mask, survivors are copied in runs). 1 reproduces the
-  /// historical tuple-at-a-time loop; output and counters are identical
-  /// for every value.
+  /// selection mask, survivors are copied in runs). Output and counters
+  /// are identical for every value.
   int64_t max_batch_size = 1024;
-  /// Intra-query parallelism: with more than one thread, filter scans,
-  /// index-scan gathers, hash-join builds/probes, nest-loop outer loops,
-  /// sort leaf blocks + merge-tree levels, per-chunk aggregation tables
-  /// and merge-join group emission are sharded across a task pool, and
-  /// independent join children run concurrently. 1 is the historical
-  /// sequential path; <= 0 means hardware concurrency. The determinism
+  /// Intra-query parallelism, the executor's only parallelism input. Null
+  /// runs every task inline on the calling thread. With a pool, filter
+  /// scans, index-scan gathers, hash-join builds/probes, nest-loop outer
+  /// loops, sort leaf blocks + merge-tree levels, per-chunk aggregation
+  /// tables and merge-join group emission shard across it, and independent
+  /// join children run concurrently (PredictionService shares its worker
+  /// pool between plan-level and intra-plan tasks here). The determinism
   /// contract (enforced by tests/parallel_parity_test.cc): output rows,
   /// provenance, retained blocks and every resource counter are
-  /// bit-identical at every value. Three ingredients: task results merge
-  /// (or place in-place) in task order; task-accumulated counters are
+  /// bit-identical with and without a pool, at any pool size. Three
+  /// ingredients: every operator has one body over a task decomposition
+  /// fixed by row count and max_batch_size, never by thread count, and
+  /// task results land in task order; task-accumulated counters are
   /// integer-valued, so double addition regroups exactly; and operators
   /// whose algorithm shape matters — sort's merge tree, aggregation's
-  /// per-chunk tables — run the SAME fixed shape (determined by row count
-  /// and max_batch_size, never thread count) at num_threads == 1 too.
-  /// Sort comparison counts are therefore defined by the blocked merge
-  /// tree over std::sort-sorted leaf blocks (deterministic for a given
-  /// standard library, invariant to thread count — though not portable
-  /// across standard-library implementations, whose introsorts compare
+  /// per-chunk tables — therefore run the same shape inline too. Sort
+  /// comparison counts are defined by the blocked merge tree over
+  /// std::sort-sorted leaf blocks (deterministic for a given standard
+  /// library, invariant to thread count — though not portable across
+  /// standard-library implementations, whose introsorts compare
   /// differently), and aggregate output order by first appearance in the
   /// input.
-  int num_threads = 1;
-  /// Pool the shards run on. When null and num_threads > 1, the executor
-  /// spins up an ephemeral MorselPool for the duration of the Execute
-  /// call; callers owning a pool (PredictionService shares its worker
-  /// pool between plan-level and intra-plan tasks) pass it here.
   TaskRunner* task_runner = nullptr;
   /// Cooperative cancellation probe. When set, the executor polls it at
   /// operator boundaries and at morsel-shard boundaries inside
@@ -178,8 +173,8 @@ struct ExecResult {
   std::vector<RowBlock> blocks;
 };
 
-/// Materializing executor, sequential or morsel-parallel (see
-/// ExecOptions::num_threads). Operators maintain the exact
+/// Materializing executor, inline or morsel-parallel (see
+/// ExecOptions::task_runner). Operators maintain the exact
 /// PostgreSQL-style resource counters; these deliberately deviate from the
 /// optimizer's closed-form estimates (hash-chain visits, true distinct heap
 /// pages, true sort comparisons) so that the cost model carries a realistic

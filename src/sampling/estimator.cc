@@ -64,7 +64,6 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
   options.collect_provenance = true;
   options.retain_intermediates = true;
   options.leaf_overrides = &overrides;
-  options.num_threads = threads;
   options.task_runner = runner;
   int64_t batch = max_batch_size_;
   if (batch <= 0) {

@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "engine/cardinality.h"
 #include "engine/executor.h"
@@ -73,12 +76,46 @@ std::multiset<std::string> RowFingerprints(const RowBlock& block) {
 
 TEST(Executor, SeqScanFilterMatchesReference) {
   Database db = MakeTestDb();
-  Plan plan(MakeSeqScan("t1", Expr::Cmp(0, CmpOp::kLt, Value::Int64(10))));
-  const ExecResult result = MustExecute(db, &plan);
-  // Reference: a = i % 50 < 10 <-> i % 50 in [0, 10) -> 4 * 10 = 40 rows.
-  EXPECT_EQ(result.output.num_rows(), 40);
-  for (int64_t r = 0; r < result.output.num_rows(); ++r) {
-    EXPECT_LT(result.output.row(r)[0].AsInt64(), 10);
+  const Table& t1 = db.GetTable("t1");
+  // a = i % 50 < 10 <-> i % 50 in [0, 10) -> 4 * 10 = 40 rows in four
+  // contiguous runs; adding tag = "x" (i % 3 == 0) scatters 14 of them.
+  const ExprPtr range = Expr::Cmp(0, CmpOp::kLt, Value::Int64(10));
+  const std::vector<std::pair<ExprPtr, size_t>> cases = {
+      {range, 40}, {Expr::And(range, Expr::StrEq(2, "x")), 14}};
+  MorselPool pool(3);
+  for (const auto& [pred, expected_rows] : cases) {
+    // Reference: a row-at-a-time filter of t1, in table order.
+    std::vector<uint32_t> expected_rids;
+    for (int64_t i = 0; i < t1.num_rows(); ++i) {
+      if (EvalPredicate(*pred, t1.row(i))) {
+        expected_rids.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    ASSERT_EQ(expected_rids.size(), expected_rows);
+    for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
+                               static_cast<TaskRunner*>(&pool)}) {
+      for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{1024}}) {
+        SCOPED_TRACE(std::to_string(expected_rows) + " rows, batch " +
+                     std::to_string(batch) +
+                     (runner == nullptr ? ", no pool" : ", pool"));
+        ExecOptions options;
+        options.collect_provenance = true;
+        options.max_batch_size = batch;
+        options.task_runner = runner;
+        Plan plan(MakeSeqScan("t1", pred));
+        const ExecResult result = MustExecute(db, &plan, options);
+        ASSERT_EQ(result.output.num_rows(),
+                  static_cast<int64_t>(expected_rids.size()));
+        EXPECT_EQ(result.output.prov, expected_rids);
+        for (int64_t r = 0; r < result.output.num_rows(); ++r) {
+          const RowRef got = result.output.row(r);
+          const RowRef want = t1.row(expected_rids[static_cast<size_t>(r)]);
+          for (int c = 0; c < got.num_columns; ++c) {
+            EXPECT_TRUE(got[c].Equals(want[c])) << "row " << r << " col " << c;
+          }
+        }
+      }
+    }
   }
 }
 
@@ -126,8 +163,14 @@ TEST(Executor, IndexScanWithResidualFilter) {
   // Index counters scale with range matches (30), output is smaller.
   EXPECT_DOUBLE_EQ(ri.ops[0].actual.nt, 30.0);
   EXPECT_EQ(ri.output.num_rows(), 10);  // i % 3 == 0 among 0..29
-  EXPECT_GT(ri.ops[0].actual.nr, 0.0);
-  EXPECT_LE(ri.ops[0].actual.nr, static_cast<double>(db.GetTable("t1").num_pages()));
+  // nr counts the distinct heap pages of every range match (b <= 29),
+  // residual survivors or not.
+  const Table& t1 = db.GetTable("t1");
+  std::set<int64_t> pages;
+  for (int64_t i = 0; i < t1.num_rows(); ++i) {
+    if (t1.at(i, 1).AsDouble() <= 29.0) pages.insert(i / t1.rows_per_page());
+  }
+  EXPECT_DOUBLE_EQ(ri.ops[0].actual.nr, static_cast<double>(pages.size()));
 }
 
 TEST(Executor, IndexScanResidualBatchParity) {
@@ -163,11 +206,12 @@ TEST(Executor, IndexScanResidualBatchParity) {
   EXPECT_DOUBLE_EQ(sb.actual.no, st.actual.no);
 }
 
-TEST(Executor, AppendSelectedProvenanceModesBatchParity) {
-  // AppendSelected serves both provenance modes: contiguous chunks (seq
-  // scans, ids = base + lane) and gathered rows (index scans, ids from
-  // the rid array). Both modes must produce identical rows, provenance
-  // and counters at every batch size, with provenance on and off.
+TEST(Executor, ScanFilterProvenanceModesBatchParity) {
+  // The scans' shared filter serves both provenance modes: contiguous
+  // rows (seq scans, ids = row index) and gathered rows (index scans, ids
+  // from the rid array). Both modes must produce identical rows,
+  // provenance and counters at every batch size, with provenance on and
+  // off.
   Database db = MakeTestDb();
   ExprPtr pred = Expr::And(Expr::Cmp(1, CmpOp::kLe, Value::Double(97.0)),
                            Expr::StrEq(2, "x"));
@@ -201,7 +245,9 @@ TEST(Executor, AppendSelectedProvenanceModesBatchParity) {
       // Across modes: same rows in the same (b-ordered == row-ordered for
       // MakeTestDb's monotone b column) order, same provenance ids.
       EXPECT_EQ(RowFingerprints(ri.output), RowFingerprints(rs.output));
-      if (prov) EXPECT_EQ(ri.output.prov, rs.output.prov);
+      if (prov) {
+        EXPECT_EQ(ri.output.prov, rs.output.prov);
+      }
       EXPECT_DOUBLE_EQ(rs.ops[0].out_rows, ri.ops[0].out_rows);
     }
   }
@@ -537,13 +583,15 @@ TEST(Executor, RetainedBlocksEqualSubtreeOutputs) {
       {{0, 0}}));
   ASSERT_TRUE(plan.Finalize(db).ok());
   Executor executor(&db);
-  for (const int threads : {1, 3}) {
-    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+  MorselPool pool(3);
+  for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
+                             static_cast<TaskRunner*>(&pool)}) {
+    SCOPED_TRACE(runner == nullptr ? "no pool" : "pool of 3");
     ExecOptions options;
     options.collect_provenance = true;
     options.retain_intermediates = true;
     options.max_batch_size = 16;
-    options.num_threads = threads;
+    options.task_runner = runner;
     auto run = executor.Execute(plan, options);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     ASSERT_EQ(run->blocks.size(), static_cast<size_t>(plan.num_operators()));

@@ -327,8 +327,9 @@ TEST_F(ParallelParityTest, ExecutorResultsBitIdenticalAtSmallMorsels) {
         auto ref = executor.Execute(wp.plans[p], sequential);
         ASSERT_TRUE(ref.ok()) << ref.status().ToString();
         for (int t : ParityThreadCounts()) {
+          MorselPool pool(t);
           ExecOptions parallel = sequential;
-          parallel.num_threads = t;
+          parallel.task_runner = &pool;
           auto got = executor.Execute(wp.plans[p], parallel);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           ExpectExecResultsEqual(
@@ -492,8 +493,9 @@ TEST_F(ParallelParityTest, OperatorTailExecutorResultsBitIdentical) {
       auto ref = executor.Execute(plans[p], sequential);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString();
       for (int t : ParityThreadCounts()) {
+        MorselPool pool(t);
         ExecOptions parallel = sequential;
-        parallel.num_threads = t;
+        parallel.task_runner = &pool;
         auto got = executor.Execute(plans[p], parallel);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ExpectExecResultsEqual(
@@ -534,8 +536,9 @@ TEST_F(ParallelParityTest, AggregationTreeMergeParityAtNearUniqueKeys) {
     // the merge tree collapses nothing.
     ASSERT_EQ(ref->output.num_rows(), input_rows) << "batch " << batch;
     for (int t : ParityThreadCounts()) {
+      MorselPool pool(t);
       ExecOptions parallel = sequential;
-      parallel.num_threads = t;
+      parallel.task_runner = &pool;
       auto got = executor.Execute(plan, parallel);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ExpectExecResultsEqual(got.value(), ref.value(),

@@ -891,7 +891,9 @@ TEST_F(ServiceTest, ShutdownRacingAsyncLeavesNoUnsatisfiedFuture) {
                 std::future_status::ready)
           << "a future was left unsatisfied by the shutdown race";
       auto r = f.get();
-      if (!r.ok()) EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+      if (!r.ok()) {
+        EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+      }
     }
   }
 }

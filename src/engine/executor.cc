@@ -206,6 +206,36 @@ class FlatJoinTable {
   std::vector<uint32_t> rids_;
 };
 
+/// Row-by-row gather from a column-store table into row-major Values:
+/// each row's cells are written in one pass, with the column arrays and
+/// types decoded once per scan rather than once per cell.
+class RowGather {
+ public:
+  explicit RowGather(const Table& src) {
+    const int ncols = src.schema().num_columns();
+    for (int c = 0; c < ncols; ++c) {
+      cols_.push_back(src.column_data(c));
+      types_.push_back(src.schema().column(c).type);
+    }
+  }
+
+  /// Writes rows rids[0..n) — rows first..first+n-1 when `rids` is null —
+  /// at `dst`, which must have room for n rows.
+  void Rows(int64_t first, const uint32_t* rids, int64_t n, Value* dst) const {
+    const size_t ncols = cols_.size();
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t r = rids == nullptr ? first + i : rids[i];
+      for (size_t c = 0; c < ncols; ++c, ++dst) {
+        *dst = ValueOfPayload(types_[c], cols_[c][r]);
+      }
+    }
+  }
+
+ private:
+  std::vector<const uint64_t*> cols_;
+  std::vector<ValueType> types_;
+};
+
 double PagesFor(double rows, double width_bytes) {
   if (rows <= 0.0) return 0.0;
   return std::ceil(rows * std::max(8.0, width_bytes) / kPageSizeBytes);
@@ -493,73 +523,66 @@ class NodeRunner {
                     });
   }
 
-  /// Writes the selected rows of a contiguous chunk (and their provenance
-  /// ids) at `vdst`/`pdst`, which must have room for every survivor.
-  /// Provenance ids are base + lane, or come from the parallel `rids`
-  /// array when it is non-null. Value is a trivially copyable 16-byte
-  /// cell, so the run copies lower to memmove.
-  static void PlaceSelected(Value* vdst, uint32_t* pdst, const Value* rows,
-                            int ncols, int64_t n, const uint8_t* mask,
-                            int64_t base, const uint32_t* rids) {
-    int64_t written = 0;
-    int64_t i = 0;
-    while (i < n) {
-      if (mask[i] == 0) {
-        ++i;
-        continue;
-      }
-      int64_t j = i + 1;
-      while (j < n && mask[j] != 0) ++j;
-      std::copy(rows + i * ncols, rows + j * ncols, vdst + written * ncols);
-      if (pdst != nullptr) {
-        if (rids != nullptr) {
-          std::copy(rids + i, rids + j, pdst + written);
-        } else {
-          for (int64_t r = i; r < j; ++r) {
-            pdst[written + (r - i)] = static_cast<uint32_t>(base + r);
-          }
-        }
-      }
-      written += j - i;
-      i = j;
-    }
+  /// Gathers `n` rows of `src` — rows rids[0..n), or rows 0..n-1 when
+  /// `rids` is null — into the empty block `out`, one task per chunk, each
+  /// writing its own span of the pre-sized values. Provenance is the
+  /// caller's: it already holds the row ids.
+  void GatherRows(const Table& src, const uint32_t* rids, int64_t n, RowBlock* out) {
+    const int ncols = out->schema.num_columns();
+    const int64_t chunk = ctx_->batch();
+    const RowGather gather(src);
+    out->values.resize(static_cast<size_t>(n * ncols));
+    RunTaskRange(NumChunks(n), [&](int64_t c) {
+      const int64_t base = c * chunk;
+      gather.Rows(base, rids == nullptr ? nullptr : rids + base,
+                  std::min(chunk, n - base), out->values.data() + base * ncols);
+    });
   }
 
-  /// The scans' filter: keeps the rows of `n` contiguous `rows` that
-  /// satisfy `pred`, in row order, filling the empty block `out`. One task
-  /// per chunk evaluates the predicate column-at-a-time into a shared
-  /// selection mask and counts its survivors; `out` is sized once from the
-  /// prefix-summed counts; a second pass copies each chunk's survivor runs
-  /// into its span. Row i's provenance id is rids[i], or i when `rids` is
-  /// null.
-  void FilterRows(const Expr& pred, const Value* rows, int64_t n,
+  /// The scans' filter: keeps the rows of `src` that satisfy `pred`, in
+  /// order, filling the empty block `out`. The candidates are rows rids[0..n)
+  /// (an index scan's matches), or rows 0..n-1 when `rids` is null. One task
+  /// per chunk evaluates the predicate over the column arrays into the
+  /// chunk's mask and compacts its survivors' row ids — the selection
+  /// vector, which is also their provenance; `out` is sized once from the
+  /// prefix-summed counts; a second pass gathers each chunk's survivors row
+  /// by row into its span.
+  void FilterRows(const Expr& pred, const Table& src, int64_t n,
                   const uint32_t* rids, RowBlock* out) {
     const int ncols = out->schema.num_columns();
     const int64_t chunk = ctx_->batch();
     const int64_t nchunks = NumChunks(n);
     std::vector<uint8_t> mask(static_cast<size_t>(n));
+    std::vector<uint32_t> sel(static_cast<size_t>(n));
     std::vector<int64_t> offsets(static_cast<size_t>(nchunks) + 1, 0);
     RunTaskRange(nchunks, [&](int64_t c) {
       const int64_t base = c * chunk;
       const int64_t nb = std::min(chunk, n - base);
       uint8_t* chunk_mask = mask.data() + base;
-      EvalPredicateBatch(pred, rows + base * ncols, ncols, nb, chunk_mask);
+      const uint32_t* chunk_rids = rids == nullptr ? nullptr : rids + base;
+      EvalPredicateColumns(pred, src, base, chunk_rids, nb, chunk_mask);
+      uint32_t* chunk_sel = sel.data() + base;
       int64_t count = 0;
-      for (int64_t i = 0; i < nb; ++i) count += chunk_mask[i] != 0;
+      for (int64_t i = 0; i < nb; ++i) {
+        if (chunk_mask[i] == 0) continue;
+        chunk_sel[count++] = chunk_rids == nullptr ? static_cast<uint32_t>(base + i)
+                                                   : chunk_rids[i];
+      }
       offsets[static_cast<size_t>(c) + 1] = count;
     });
     std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
     const int64_t total = offsets.back();
     out->values.resize(static_cast<size_t>(total * ncols));
     if (out->prov_width > 0) out->prov.resize(static_cast<size_t>(total));
+    const RowGather gather(src);
     RunTaskRange(nchunks, [&](int64_t c) {
-      const int64_t base = c * chunk;
       const int64_t off = offsets[static_cast<size_t>(c)];
-      PlaceSelected(out->values.data() + off * ncols,
-                    out->prov_width > 0 ? out->prov.data() + off : nullptr,
-                    rows + base * ncols, ncols, std::min(chunk, n - base),
-                    mask.data() + base, base,
-                    rids == nullptr ? nullptr : rids + base);
+      const int64_t count = offsets[static_cast<size_t>(c) + 1] - off;
+      const uint32_t* chunk_sel = sel.data() + c * chunk;
+      gather.Rows(0, chunk_sel, count, out->values.data() + off * ncols);
+      if (out->prov_width > 0) {
+        std::copy(chunk_sel, chunk_sel + count, out->prov.begin() + off);
+      }
     });
   }
 
@@ -634,18 +657,14 @@ class NodeRunner {
     st.actual.nt += static_cast<double>(rows);
     st.actual.no += static_cast<double>(rows) * quals;
 
-    const int ncols = out.schema.num_columns();
-    const Value* data = src.raw_values().data();
     if (node.predicate == nullptr) {
-      out.values.assign(data, data + rows * ncols);
+      GatherRows(src, /*rids=*/nullptr, rows, &out);
       if (out.prov_width > 0) {
         out.prov.resize(static_cast<size_t>(rows));
-        for (int64_t r = 0; r < rows; ++r) {
-          out.prov[static_cast<size_t>(r)] = static_cast<uint32_t>(r);
-        }
+        std::iota(out.prov.begin(), out.prov.end(), uint32_t{0});
       }
     } else {
-      FilterRows(*node.predicate, data, rows, /*rids=*/nullptr, &out);
+      FilterRows(*node.predicate, src, rows, /*rids=*/nullptr, &out);
     }
     st.out_rows = static_cast<double>(out.num_rows());
     return out;
@@ -686,35 +705,23 @@ class NodeRunner {
     out.prov_width = ctx_->prov() ? 1 : 0;
     const int quals = PredicateOpCount(node.predicate.get());
     const int64_t matches = end_it - begin_it;
-    const int ncols = out.schema.num_columns();
-
-    // Gather every matched row, in index order, into one block; the count
-    // is known, so each chunk writes its own span.
-    std::vector<uint32_t> rids(begin_it, end_it);
-    std::vector<Value> gathered(static_cast<size_t>(matches * ncols));
-    const int64_t chunk = ctx_->batch();
-    RunTaskRange(NumChunks(matches), [&](int64_t c) {
-      const int64_t end = std::min(matches, (c + 1) * chunk);
-      for (int64_t i = c * chunk; i < end; ++i) {
-        const RowRef row = src.row(rids[static_cast<size_t>(i)]);
-        std::copy(row.data, row.data + ncols, gathered.begin() + i * ncols);
-      }
-    });
     // Distinct heap pages touched: one seen-flag per page of the table.
     std::vector<uint8_t> page_seen(static_cast<size_t>(src.num_pages()), 0);
     const int64_t rows_per_page = src.rows_per_page();
     int64_t pages_touched = 0;
-    for (const uint32_t rid : rids) {
-      uint8_t& seen = page_seen[static_cast<size_t>(rid / rows_per_page)];
+    for (auto it = begin_it; it != end_it; ++it) {
+      uint8_t& seen = page_seen[static_cast<size_t>(*it / rows_per_page)];
       pages_touched += seen == 0;
       seen = 1;
     }
+    const uint32_t* rids = index.data() + (begin_it - index.begin());
     if (!pure && node.predicate != nullptr) {
-      // Residual filter: re-evaluate the full predicate on fetched rows.
-      FilterRows(*node.predicate, gathered.data(), matches, rids.data(), &out);
+      // Residual filter: the full predicate runs on the matched rids, in
+      // index order, before anything is gathered.
+      FilterRows(*node.predicate, src, matches, rids, &out);
     } else {
-      out.values = std::move(gathered);
-      if (out.prov_width > 0) out.prov = std::move(rids);
+      GatherRows(src, rids, matches, &out);
+      if (out.prov_width > 0) out.prov.assign(rids, rids + matches);
     }
     st.actual.ni += static_cast<double>(matches) + std::log2(std::max<double>(2.0, static_cast<double>(n)));
     st.actual.nr += static_cast<double>(pages_touched);

@@ -68,8 +68,9 @@ class MorselPool : public TaskRunner {
 /// anything else is taken literally (floored at 1).
 int ResolveNumThreads(int num_threads);
 
-/// Materialized intermediate result: schema + flat row-major values, plus
-/// optional provenance. Provenance row i holds, for each leaf position in
+/// Materialized intermediate result: schema + flat row-major values (scans
+/// gather them row by row out of the column-store tables, so every
+/// operator above a scan reads whole rows), plus optional provenance. Provenance row i holds, for each leaf position in
 /// the subtree that produced the block, the row index of the source tuple
 /// in that leaf's (sample) table — the tuple annotations of paper §3.2.2
 /// used to maintain the Q_{k,j,n} counters.
@@ -125,10 +126,11 @@ struct ExecOptions {
   /// child's block (Materialize's output is its input) are copied.
   bool retain_intermediates = false;
   /// Rows per inner-loop chunk: filters and join probes process their
-  /// input in RowBlock chunks of at most this many rows (vectorized-style
-  /// batched execution — predicates evaluate column-at-a-time into a
-  /// selection mask, survivors are copied in runs). Output and counters
-  /// are identical for every value.
+  /// input in chunks of at most this many rows (vectorized-style batched
+  /// execution — scan predicates evaluate over the table's column arrays
+  /// into a selection mask, and the survivors' row ids are gathered row by
+  /// row into the output block). Output and counters are identical for
+  /// every value.
   int64_t max_batch_size = 1024;
   /// Intra-query parallelism, the executor's only parallelism input. Null
   /// runs every task inline on the calling thread. With a pool, filter

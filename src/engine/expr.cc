@@ -184,96 +184,176 @@ void ApplyMask(MaskMode mode, int64_t n, uint8_t* mask, RowPred pred) {
   }
 }
 
-void EvalBatchImpl(const Expr& e, const Value* rows, int stride, int64_t n,
-                   uint8_t* mask, MaskMode mode) {
+/// Lane i of a batch reads row first + i of every column.
+struct ContiguousRows {
+  int64_t first;
+  int64_t operator()(int64_t i) const { return first + i; }
+};
+
+/// Lane i of a batch reads row rids[i] of every column.
+struct GatheredRows {
+  const uint32_t* rids;
+  int64_t operator()(int64_t i) const { return rids[i]; }
+};
+
+/// Numeric cell decoders: a payload read as the number Value::AsDouble
+/// returns for it (int64 promotes to double).
+struct Int64Cells {
+  static double Load(uint64_t bits) {
+    int64_t v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return static_cast<double>(v);
+  }
+};
+struct DoubleCells {
+  static double Load(uint64_t bits) {
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  }
+};
+
+/// Calls fn(Int64Cells{}) or fn(DoubleCells{}) for a numeric column type.
+template <typename Fn>
+void WithNumericCells(ValueType type, Fn fn) {
+  UQP_CHECK(type != ValueType::kString) << "string value is not numeric";
+  if (type == ValueType::kInt64) {
+    fn(Int64Cells{});
+  } else {
+    fn(DoubleCells{});
+  }
+}
+
+/// column <op> constant over numbers, exactly as Value::Equals (==, so
+/// NaN never equals) and Value::Compare (unordered pairs compare equal,
+/// hence <= is !(>) and >= is !(<)).
+template <typename Cells, typename Rows>
+void CompareNumeric(CmpOp op, const uint64_t* col, Rows rows, double c,
+                    MaskMode mode, int64_t n, uint8_t* mask) {
+  const auto x = [col, rows](int64_t i) { return Cells::Load(col[rows(i)]); };
+  switch (op) {
+    case CmpOp::kEq:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return x(i) == c; });
+      break;
+    case CmpOp::kNe:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return !(x(i) == c); });
+      break;
+    case CmpOp::kLt:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return x(i) < c; });
+      break;
+    case CmpOp::kLe:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return !(x(i) > c); });
+      break;
+    case CmpOp::kGt:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return x(i) > c; });
+      break;
+    case CmpOp::kGe:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return !(x(i) < c); });
+      break;
+  }
+}
+
+/// column <op> column2 over numbers through the three-way result of
+/// Value::Compare, for every op (kEq included: unordered pairs are equal).
+template <typename CellsA, typename CellsB, typename Rows>
+void CompareColumns(CmpOp op, const uint64_t* a, const uint64_t* b, Rows rows,
+                    MaskMode mode, int64_t n, uint8_t* mask) {
+  const auto cmp3 = [a, b, rows](int64_t i) {
+    const int64_t r = rows(i);
+    const double x = CellsA::Load(a[r]);
+    const double y = CellsB::Load(b[r]);
+    return x < y ? -1 : (x > y ? 1 : 0);
+  };
+  switch (op) {
+    case CmpOp::kEq:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) == 0; });
+      break;
+    case CmpOp::kNe:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) != 0; });
+      break;
+    case CmpOp::kLt:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) < 0; });
+      break;
+    case CmpOp::kLe:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) <= 0; });
+      break;
+    case CmpOp::kGt:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) > 0; });
+      break;
+    case CmpOp::kGe:
+      ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) >= 0; });
+      break;
+  }
+}
+
+template <typename Rows>
+void EvalColumnsImpl(const Expr& e, const Table& table, Rows rows, int64_t n,
+                     uint8_t* mask, MaskMode mode) {
   switch (e.kind) {
     case Expr::Kind::kCmp: {
+      const ValueType type = table.schema().column(e.column).type;
+      const uint64_t* col = table.column_data(e.column);
       const Value& c = e.constant;
-      const Value* col = rows + e.column;
-      auto cell = [col, stride](int64_t i) -> const Value& {
-        return col[i * stride];
-      };
-      switch (e.op) {
-        case CmpOp::kEq:
-          ApplyMask(mode, n, mask, [&](int64_t i) { return cell(i).Equals(c); });
-          break;
-        case CmpOp::kNe:
-          ApplyMask(mode, n, mask, [&](int64_t i) { return !cell(i).Equals(c); });
-          break;
-        case CmpOp::kLt:
-          ApplyMask(mode, n, mask,
-                    [&](int64_t i) { return cell(i).Compare(c) < 0; });
-          break;
-        case CmpOp::kLe:
-          ApplyMask(mode, n, mask,
-                    [&](int64_t i) { return cell(i).Compare(c) <= 0; });
-          break;
-        case CmpOp::kGt:
-          ApplyMask(mode, n, mask,
-                    [&](int64_t i) { return cell(i).Compare(c) > 0; });
-          break;
-        case CmpOp::kGe:
-          ApplyMask(mode, n, mask,
-                    [&](int64_t i) { return cell(i).Compare(c) >= 0; });
-          break;
+      if (type != ValueType::kString && c.type != ValueType::kString) {
+        const double cd = c.AsDouble();
+        WithNumericCells(type, [&](auto cells) {
+          CompareNumeric<decltype(cells)>(e.op, col, rows, cd, mode, n, mask);
+        });
+        return;
       }
+      // Strings support equality only: interned ids against a string
+      // constant; a string never equals a number, either way round.
+      UQP_CHECK(e.op == CmpOp::kEq || e.op == CmpOp::kNe)
+          << "string value is not numeric";
+      const bool ne = e.op == CmpOp::kNe;
+      if (type != c.type) {
+        ApplyMask(mode, n, mask, [ne](int64_t) { return ne; });
+        return;
+      }
+      const int32_t id = c.s;
+      ApplyMask(mode, n, mask, [col, rows, id, ne](int64_t i) {
+        return (ValueOfPayload(ValueType::kString, col[rows(i)]).s == id) != ne;
+      });
       return;
     }
     case Expr::Kind::kCmpCol: {
-      const Value* a = rows + e.column;
-      const Value* b = rows + e.column2;
-      auto cmp3 = [a, b, stride](int64_t i) {
-        return a[i * stride].Compare(b[i * stride]);
-      };
-      switch (e.op) {
-        case CmpOp::kEq:
-          ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) == 0; });
-          break;
-        case CmpOp::kNe:
-          ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) != 0; });
-          break;
-        case CmpOp::kLt:
-          ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) < 0; });
-          break;
-        case CmpOp::kLe:
-          ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) <= 0; });
-          break;
-        case CmpOp::kGt:
-          ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) > 0; });
-          break;
-        case CmpOp::kGe:
-          ApplyMask(mode, n, mask, [&](int64_t i) { return cmp3(i) >= 0; });
-          break;
-      }
+      const uint64_t* a = table.column_data(e.column);
+      const uint64_t* b = table.column_data(e.column2);
+      WithNumericCells(table.schema().column(e.column).type, [&](auto ca) {
+        WithNumericCells(table.schema().column(e.column2).type, [&](auto cb) {
+          CompareColumns<decltype(ca), decltype(cb)>(e.op, a, b, rows, mode, n,
+                                                     mask);
+        });
+      });
       return;
     }
     case Expr::Kind::kAnd:
       if (mode == MaskMode::kWiden) {
         // mask |= (a AND b): materialize the conjunction in a scratch mask.
         std::vector<uint8_t> tmp(static_cast<size_t>(n));
-        EvalBatchImpl(*e.lhs, rows, stride, n, tmp.data(), MaskMode::kFill);
-        EvalBatchImpl(*e.rhs, rows, stride, n, tmp.data(), MaskMode::kNarrow);
+        EvalColumnsImpl(*e.lhs, table, rows, n, tmp.data(), MaskMode::kFill);
+        EvalColumnsImpl(*e.rhs, table, rows, n, tmp.data(), MaskMode::kNarrow);
         for (int64_t i = 0; i < n; ++i) mask[i] |= tmp[static_cast<size_t>(i)];
         return;
       }
-      EvalBatchImpl(*e.lhs, rows, stride, n, mask, mode);
-      EvalBatchImpl(*e.rhs, rows, stride, n, mask, MaskMode::kNarrow);
+      EvalColumnsImpl(*e.lhs, table, rows, n, mask, mode);
+      EvalColumnsImpl(*e.rhs, table, rows, n, mask, MaskMode::kNarrow);
       return;
     case Expr::Kind::kOr:
       if (mode == MaskMode::kNarrow) {
         // mask &= (a OR b): materialize the disjunction in a scratch mask.
         std::vector<uint8_t> tmp(static_cast<size_t>(n));
-        EvalBatchImpl(*e.lhs, rows, stride, n, tmp.data(), MaskMode::kFill);
-        EvalBatchImpl(*e.rhs, rows, stride, n, tmp.data(), MaskMode::kWiden);
+        EvalColumnsImpl(*e.lhs, table, rows, n, tmp.data(), MaskMode::kFill);
+        EvalColumnsImpl(*e.rhs, table, rows, n, tmp.data(), MaskMode::kWiden);
         for (int64_t i = 0; i < n; ++i) mask[i] &= tmp[static_cast<size_t>(i)];
         return;
       }
-      EvalBatchImpl(*e.lhs, rows, stride, n, mask, mode);
-      EvalBatchImpl(*e.rhs, rows, stride, n, mask, MaskMode::kWiden);
+      EvalColumnsImpl(*e.lhs, table, rows, n, mask, mode);
+      EvalColumnsImpl(*e.rhs, table, rows, n, mask, MaskMode::kWiden);
       return;
     case Expr::Kind::kNot: {
       std::vector<uint8_t> tmp(static_cast<size_t>(n));
-      EvalBatchImpl(*e.lhs, rows, stride, n, tmp.data(), MaskMode::kFill);
+      EvalColumnsImpl(*e.lhs, table, rows, n, tmp.data(), MaskMode::kFill);
       ApplyMask(mode, n, mask,
                 [&](int64_t i) { return tmp[static_cast<size_t>(i)] == 0; });
       return;
@@ -283,9 +363,13 @@ void EvalBatchImpl(const Expr& e, const Value* rows, int stride, int64_t n,
 
 }  // namespace
 
-void EvalPredicateBatch(const Expr& e, const Value* rows, int stride,
-                        int64_t n, uint8_t* mask) {
-  EvalBatchImpl(e, rows, stride, n, mask, MaskMode::kFill);
+void EvalPredicateColumns(const Expr& e, const Table& table, int64_t first,
+                          const uint32_t* rids, int64_t n, uint8_t* mask) {
+  if (rids == nullptr) {
+    EvalColumnsImpl(e, table, ContiguousRows{first}, n, mask, MaskMode::kFill);
+  } else {
+    EvalColumnsImpl(e, table, GatheredRows{rids}, n, mask, MaskMode::kFill);
+  }
 }
 
 int PredicateOpCount(const Expr* e) {
@@ -340,12 +424,9 @@ namespace {
 
 void AppendKeyValue(std::string* out, const Value& v) {
   out->push_back(static_cast<char>(v.type));
-  // The union is 8 bytes for every type (string constants are interned
-  // pool ids, stable within a process); serialize the widest member.
-  uint64_t bits = 0;
-  static_assert(sizeof(v.i) == sizeof(bits), "value payload must be 8 bytes");
-  std::memcpy(&bits, &v.i, sizeof(bits));
-  AppendKeyU64(out, bits);
+  // The payload is 8 bytes for every type (string constants are interned
+  // pool ids, stable within a process).
+  AppendKeyU64(out, PayloadOf(v));
 }
 
 }  // namespace
@@ -389,8 +470,19 @@ bool TryExtractRange(const Expr* e, int column, double* lo, double* hi) {
         return false;
       }
       const double v = e->constant.AsDouble();
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      // Matches no value (Value::Compare semantics): = NaN, < NaN, > NaN,
+      // < -inf and > +inf. <= NaN and >= NaN match every value.
+      const auto empty = [lo, hi] {
+        *lo = kInf;
+        *hi = -kInf;
+      };
       switch (e->op) {
         case CmpOp::kEq:
+          if (std::isnan(v)) {
+            empty();
+            return true;
+          }
           *lo = std::max(*lo, v);
           *hi = std::min(*hi, v);
           return true;
@@ -398,13 +490,21 @@ bool TryExtractRange(const Expr* e, int column, double* lo, double* hi) {
           *hi = std::min(*hi, v);
           return true;
         case CmpOp::kLt:
-          *hi = std::min(*hi, std::nextafter(v, -1e300));
+          if (std::isnan(v) || v == -kInf) {
+            empty();
+            return true;
+          }
+          *hi = std::min(*hi, std::nextafter(v, -kInf));
           return true;
         case CmpOp::kGe:
           *lo = std::max(*lo, v);
           return true;
         case CmpOp::kGt:
-          *lo = std::max(*lo, std::nextafter(v, 1e300));
+          if (std::isnan(v) || v == kInf) {
+            empty();
+            return true;
+          }
+          *lo = std::max(*lo, std::nextafter(v, kInf));
           return true;
         default:
           return false;

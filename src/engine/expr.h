@@ -55,17 +55,17 @@ struct Expr {
 /// Evaluates a predicate against a row.
 bool EvalPredicate(const Expr& e, RowRef row);
 
-/// Vectorized predicate evaluation over a contiguous chunk of `n` rows
-/// laid out row-major with `stride` values per row:
-///   mask[i] = e(rows + i * stride)   for i in [0, n).
-/// Column-at-a-time: each comparison node runs one tight loop over the
-/// chunk instead of the per-row tree walk of EvalPredicate. ANDs narrow
-/// the mask (right side only probes lanes still set), ORs widen it, so a
-/// chunk evaluates the same comparisons the scalar path would up to
-/// short-circuit granularity. Semantically identical to calling
-/// EvalPredicate per row (predicates are pure).
-void EvalPredicateBatch(const Expr& e, const Value* rows, int stride,
-                        int64_t n, uint8_t* mask);
+/// Vectorized predicate evaluation over `n` rows of a column-store table:
+///   mask[i] = e(row first + i)   when `rids` is null (a contiguous chunk),
+///   mask[i] = e(row rids[i])     otherwise (e.g. index-scan matches).
+/// Column-at-a-time: each comparison node runs one typed loop over its
+/// column's payload array instead of the per-row tree walk of
+/// EvalPredicate. ANDs narrow the mask (right side only probes lanes still
+/// set), ORs widen it. Semantically identical to calling EvalPredicate on
+/// each row (predicates are pure), NaN, int64 beyond 2^53 and cross-type
+/// string/number equality included.
+void EvalPredicateColumns(const Expr& e, const Table& table, int64_t first,
+                          const uint32_t* rids, int64_t n, uint8_t* mask);
 
 /// Number of comparison nodes (CPU operations charged per tuple).
 int PredicateOpCount(const Expr* e);

@@ -43,6 +43,51 @@ bool IsPassThrough(OpType t) {
 
 namespace {
 
+/// Checks a scan predicate or join residual against the schema it runs
+/// over: every column in range, and ordering or column-column comparisons
+/// only over numbers (strings support equality only, against any
+/// constant).
+Status CheckPredicate(const Expr* e, const Schema& schema) {
+  if (e == nullptr) return Status::OK();
+  const auto in_range = [&schema](int c) {
+    return c >= 0 && c < schema.num_columns();
+  };
+  const auto is_string = [&schema](int c) {
+    return schema.column(c).type == ValueType::kString;
+  };
+  switch (e->kind) {
+    case Expr::Kind::kCmp:
+      if (!in_range(e->column)) {
+        return Status::InvalidArgument("predicate column out of range");
+      }
+      if (e->op != CmpOp::kEq && e->op != CmpOp::kNe &&
+          (is_string(e->column) || e->constant.type == ValueType::kString)) {
+        return Status::InvalidArgument(
+            "ordering comparison on a string in predicate " + e->ToString(&schema));
+      }
+      return Status::OK();
+    case Expr::Kind::kCmpCol:
+      if (!in_range(e->column) || !in_range(e->column2)) {
+        return Status::InvalidArgument("predicate column out of range");
+      }
+      if (is_string(e->column) || is_string(e->column2)) {
+        return Status::InvalidArgument(
+            "column comparison on a string column in predicate " +
+            e->ToString(&schema));
+      }
+      return Status::OK();
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr:
+    case Expr::Kind::kNot:
+      if (e->lhs == nullptr || (e->kind != Expr::Kind::kNot && e->rhs == nullptr)) {
+        return Status::InvalidArgument("predicate connective missing an operand");
+      }
+      UQP_RETURN_IF_ERROR(CheckPredicate(e->lhs.get(), schema));
+      return CheckPredicate(e->rhs.get(), schema);
+  }
+  return Status::InvalidArgument("unknown predicate kind");
+}
+
 Status FinalizeNode(PlanNode* node, const Database& db, int* next_id,
                     int* next_leaf) {
   node->id = (*next_id)++;
@@ -61,7 +106,12 @@ Status FinalizeNode(PlanNode* node, const Database& db, int* next_id,
           node->index_column >= node->output_schema.num_columns()) {
         return Status::InvalidArgument("index scan column out of range");
       }
+      if (node->output_schema.column(node->index_column).type ==
+          ValueType::kString) {
+        return Status::InvalidArgument("index scan on a string column");
+      }
     }
+    UQP_RETURN_IF_ERROR(CheckPredicate(node->predicate.get(), node->output_schema));
     ++(*next_leaf);
     node->leaf_end = *next_leaf;
     return Status::OK();
@@ -99,6 +149,8 @@ Status FinalizeNode(PlanNode* node, const Database& db, int* next_id,
       }
       node->output_schema = Schema::Concat(node->left->output_schema,
                                            node->right->output_schema);
+      UQP_RETURN_IF_ERROR(
+          CheckPredicate(node->predicate.get(), node->output_schema));
       break;
     }
     case OpType::kSort: {
@@ -126,6 +178,12 @@ Status FinalizeNode(PlanNode* node, const Database& db, int* next_id,
             (agg.column < 0 ||
              agg.column >= node->left->output_schema.num_columns())) {
           return Status::InvalidArgument("aggregate column out of range");
+        }
+        if (agg.kind != AggSpec::Kind::kCount &&
+            node->left->output_schema.column(agg.column).type ==
+                ValueType::kString) {
+          return Status::InvalidArgument("aggregate " + agg.name +
+                                         " over a string column");
         }
         cols.emplace_back(agg.name, ValueType::kDouble);
       }

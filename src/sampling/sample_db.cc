@@ -59,14 +59,11 @@ SampleDb SampleDb::Build(const Database& db, const SampleOptions& options,
         sample_rows, std::min(rows, options.min_sample_rows), rows);
     auto sample = std::make_unique<Table>(
         *u.name + "#s" + std::to_string(u.copy), base.schema());
-    sample->Reserve(sample_rows);
-    // Simple random sample without replacement: take the first
-    // sample_rows entries of a random permutation.
+    // Simple random sample without replacement: the first sample_rows
+    // entries of a random permutation, each column gathered through them.
     Rng rng = base_rng.SubStream(u.substream);
-    std::vector<uint32_t> perm = rng.Permutation(static_cast<uint32_t>(rows));
-    for (int64_t i = 0; i < sample_rows; ++i) {
-      sample->AppendRow(base.row(perm[static_cast<size_t>(i)]).data);
-    }
+    const std::vector<uint32_t> perm = rng.Permutation(static_cast<uint32_t>(rows));
+    sample->AppendRows(base, perm.data(), sample_rows);
     u.entry->copies[static_cast<size_t>(u.copy)] = std::move(sample);
   };
 

@@ -16,15 +16,11 @@ namespace uqp {
 /// Size of one storage page in bytes (PostgreSQL default).
 inline constexpr int kPageSizeBytes = 8192;
 
-/// Lightweight non-owning view of one row inside a flat value array.
-struct RowRef {
-  const Value* data = nullptr;
-  int num_columns = 0;
-
-  const Value& operator[](int i) const { return data[i]; }
-};
-
-/// A row-major in-memory relation: schema + flat value array.
+/// An in-memory relation stored column by column: schema + one contiguous
+/// array per column holding each cell's raw 8-byte Value payload (see
+/// PayloadOf); the column's type is held once, by the schema. Scans filter
+/// these arrays with typed kernels (EvalPredicateColumns) and gather the
+/// survivors row by row into row-major RowBlocks.
 ///
 /// The page model (rows per page derived from tuple width) is what the cost
 /// model and the simulated machine use to translate scans into I/O counts,
@@ -33,7 +29,9 @@ class Table {
  public:
   Table() = default;
   Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+      : name_(std::move(name)),
+        schema_(std::move(schema)),
+        columns_(static_cast<size_t>(schema_.num_columns())) {}
 
   // Copy/move are explicit because of the index-build mutex: the data and
   // any already-built indexes transfer, the new table gets a fresh mutex.
@@ -46,8 +44,7 @@ class Table {
   const Schema& schema() const { return schema_; }
 
   int64_t num_rows() const {
-    const int n = schema_.num_columns();
-    return n == 0 ? 0 : static_cast<int64_t>(values_.size()) / n;
+    return columns_.empty() ? 0 : static_cast<int64_t>(columns_[0].size());
   }
 
   /// Number of pages the relation occupies under the page model.
@@ -56,23 +53,27 @@ class Table {
   /// Rows that fit on one page (>= 1).
   int64_t rows_per_page() const;
 
-  RowRef row(int64_t r) const {
-    const int n = schema_.num_columns();
-    return RowRef{values_.data() + r * n, n};
+  /// The cell at row `r`, column `c`.
+  Value at(int64_t r, int c) const {
+    return ValueOfPayload(schema_.column(c).type,
+                          columns_[static_cast<size_t>(c)][static_cast<size_t>(r)]);
   }
 
-  const Value& at(int64_t r, int c) const {
-    return values_[r * schema_.num_columns() + c];
+  /// Column `c`'s payload array: num_rows() cells in row order.
+  const uint64_t* column_data(int c) const {
+    return columns_[static_cast<size_t>(c)].data();
   }
 
-  /// Appends one row; `row` must match the schema arity.
+  /// Appends one row; `row` must match the schema's arity and each
+  /// column's type.
   void AppendRow(const std::vector<Value>& row);
 
-  /// Appends from a raw pointer of schema arity.
-  void AppendRow(const Value* row);
+  /// Appends rows rids[0..n) of `src`, gathering each column through the
+  /// rid list; `src` must have this table's column types.
+  void AppendRows(const Table& src, const uint32_t* rids, int64_t n);
 
   void Reserve(int64_t rows) {
-    values_.reserve(static_cast<size_t>(rows) * schema_.num_columns());
+    for (auto& col : columns_) col.reserve(static_cast<size_t>(rows));
   }
 
   /// Returns (building lazily) a B-tree-like ordered index on a numeric
@@ -89,12 +90,10 @@ class Table {
   bool HasIndex(int column) const { return declared_indexes_.count(column) > 0; }
   void DeclareIndex(int column) { declared_indexes_.emplace(column, true); }
 
-  const std::vector<Value>& raw_values() const { return values_; }
-
  private:
   std::string name_;
   Schema schema_;
-  std::vector<Value> values_;
+  std::vector<std::vector<uint64_t>> columns_;  ///< one payload array per column
   std::map<int, bool> declared_indexes_;
   /// Guards the lazy build of ordered_indexes_ (see OrderedIndex). The
   /// references OrderedIndex hands out outlive the lock by design: map

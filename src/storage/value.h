@@ -1,15 +1,17 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace uqp {
 
-/// Column data types. Strings are dictionary-interned (see StringPool) so a
-/// Value is a fixed-size 16-byte cell and tables can be stored as flat
-/// row-major arrays.
+/// Column data types. Strings are dictionary-interned (see StringPool) so
+/// every value has a fixed 8-byte payload: tables store one payload array
+/// per column (the type lives in the schema), and intermediate results
+/// store rows of 16-byte tagged Value cells.
 enum class ValueType : uint8_t { kInt64, kDouble, kString };
 
 const char* ValueTypeName(ValueType t);
@@ -88,6 +90,33 @@ struct Value {
 };
 
 static_assert(sizeof(Value) == 16, "Value must stay a compact 16-byte cell");
+
+/// A Value's raw 8-byte payload (int64, double or interned string id): the
+/// cell format of the column store. Copied in and out with memcpy, so a
+/// value round-trips bit for bit; its type is held by the column.
+inline uint64_t PayloadOf(const Value& v) {
+  uint64_t bits;
+  static_assert(sizeof(v.i) == sizeof(bits), "value payload must be 8 bytes");
+  std::memcpy(&bits, &v.i, sizeof(bits));
+  return bits;
+}
+
+/// The Value of type `type` whose payload is `bits` (inverse of PayloadOf).
+inline Value ValueOfPayload(ValueType type, uint64_t bits) {
+  Value v;
+  v.type = type;
+  std::memcpy(&v.i, &bits, sizeof(bits));
+  return v;
+}
+
+/// Lightweight non-owning view of one row inside a flat row-major Value
+/// array (an intermediate result's row).
+struct RowRef {
+  const Value* data = nullptr;
+  int num_columns = 0;
+
+  const Value& operator[](int i) const { return data[i]; }
+};
 
 /// Mixes one 64-bit value into a running hash (golden-ratio combine).
 /// The single mixing function behind multi-column row hashing (joins,

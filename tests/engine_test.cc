@@ -58,6 +58,13 @@ ExecResult MustExecute(const Database& db, Plan* plan,
   return std::move(result).value();
 }
 
+/// Row `r` of `t`, built cell by cell from Table::at.
+std::vector<Value> TableRow(const Table& t, int64_t r) {
+  std::vector<Value> row;
+  for (int c = 0; c < t.schema().num_columns(); ++c) row.push_back(t.at(r, c));
+  return row;
+}
+
 /// Order-insensitive multiset comparison of result rows.
 std::multiset<std::string> RowFingerprints(const RowBlock& block) {
   std::multiset<std::string> out;
@@ -84,10 +91,12 @@ TEST(Executor, SeqScanFilterMatchesReference) {
       {range, 40}, {Expr::And(range, Expr::StrEq(2, "x")), 14}};
   MorselPool pool(3);
   for (const auto& [pred, expected_rows] : cases) {
-    // Reference: a row-at-a-time filter of t1, in table order.
+    // Reference: a row-at-a-time filter of t1, in table order, over rows
+    // built cell by cell from Table::at.
     std::vector<uint32_t> expected_rids;
     for (int64_t i = 0; i < t1.num_rows(); ++i) {
-      if (EvalPredicate(*pred, t1.row(i))) {
+      const std::vector<Value> row = TableRow(t1, i);
+      if (EvalPredicate(*pred, RowRef{row.data(), 3})) {
         expected_rids.push_back(static_cast<uint32_t>(i));
       }
     }
@@ -109,9 +118,11 @@ TEST(Executor, SeqScanFilterMatchesReference) {
         EXPECT_EQ(result.output.prov, expected_rids);
         for (int64_t r = 0; r < result.output.num_rows(); ++r) {
           const RowRef got = result.output.row(r);
-          const RowRef want = t1.row(expected_rids[static_cast<size_t>(r)]);
+          const std::vector<Value> want =
+              TableRow(t1, expected_rids[static_cast<size_t>(r)]);
           for (int c = 0; c < got.num_columns; ++c) {
-            EXPECT_TRUE(got[c].Equals(want[c])) << "row " << r << " col " << c;
+            EXPECT_TRUE(got[c].Equals(want[static_cast<size_t>(c)]))
+                << "row " << r << " col " << c;
           }
         }
       }
@@ -174,8 +185,8 @@ TEST(Executor, IndexScanWithResidualFilter) {
 }
 
 TEST(Executor, IndexScanResidualBatchParity) {
-  // The batched residual-filter path (gather + EvalPredicateBatch +
-  // run-copy) must be indistinguishable from tuple-at-a-time execution:
+  // The batched residual-filter path (EvalPredicateColumns over the
+  // matched rids + row gather) must be indistinguishable from tuple-at-a-time execution:
   // same rows in the same order, same provenance, same counters.
   Database db = MakeTestDb();
   ExprPtr pred = Expr::And(Expr::Cmp(1, CmpOp::kLe, Value::Double(97.0)),
@@ -669,6 +680,75 @@ TEST(Plan, FinalizeRejectsBadJoinKey) {
   Plan plan(MakeHashJoin(MakeSeqScan("t1", NoPred()), MakeSeqScan("t2", NoPred()),
                          {{99, 0}}));
   EXPECT_FALSE(plan.Finalize(db).ok());
+}
+
+/// Finalizes `plan` against MakeTestDb and expects InvalidArgument.
+void ExpectFinalizeInvalid(Plan plan) {
+  Database db = MakeTestDb();
+  const Status status = plan.Finalize(db);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+}
+
+TEST(Plan, FinalizeRejectsPredicateColumnOutOfRange) {
+  // t1 has 3 columns, t2 has 2: column 3 is past t1's row, and a residual
+  // over the 5-column join output can reach past that too.
+  ExpectFinalizeInvalid(
+      Plan(MakeSeqScan("t1", Expr::Cmp(3, CmpOp::kEq, Value::Int64(1)))));
+  ExpectFinalizeInvalid(Plan(MakeSeqScan(
+      "t1", Expr::And(Expr::Cmp(0, CmpOp::kLt, Value::Int64(5)),
+                      Expr::Not(Expr::Cmp(-1, CmpOp::kEq, Value::Int64(1)))))));
+  ExpectFinalizeInvalid(
+      Plan(MakeSeqScan("t1", Expr::CmpColumns(0, CmpOp::kLt, 7))));
+  ExpectFinalizeInvalid(Plan(MakeIndexScan(
+      "t1", 1, Expr::And(Expr::Cmp(1, CmpOp::kLe, Value::Double(9.0)),
+                         Expr::Cmp(5, CmpOp::kEq, Value::Int64(1))))));
+  ExpectFinalizeInvalid(Plan(MakeHashJoin(
+      MakeSeqScan("t1", NoPred()), MakeSeqScan("t2", NoPred()), {{0, 0}},
+      Expr::Cmp(5, CmpOp::kLt, Value::Double(1.0)))));
+}
+
+TEST(Plan, FinalizeRejectsStringOrdering) {
+  // Column 2 of t1 is the string `tag`: ordering comparisons and
+  // column-column comparisons on it (or against a string constant) are
+  // rejected before any sample run could reach Value::AsDouble.
+  ExpectFinalizeInvalid(
+      Plan(MakeSeqScan("t1", Expr::Cmp(2, CmpOp::kLt, Value::String("x")))));
+  ExpectFinalizeInvalid(
+      Plan(MakeSeqScan("t1", Expr::Cmp(2, CmpOp::kGe, Value::Int64(0)))));
+  ExpectFinalizeInvalid(
+      Plan(MakeSeqScan("t1", Expr::Cmp(0, CmpOp::kLe, Value::String("x")))));
+  ExpectFinalizeInvalid(
+      Plan(MakeSeqScan("t1", Expr::CmpColumns(0, CmpOp::kEq, 2))));
+  ExpectFinalizeInvalid(Plan(MakeSeqScan(
+      "t1", Expr::Or(Expr::StrEq(2, "x"), Expr::CmpColumns(2, CmpOp::kNe, 2)))));
+  ExpectFinalizeInvalid(Plan(MakeNestLoopJoin(
+      MakeSeqScan("t1", NoPred()), MakeSeqScan("t2", NoPred()), {{0, 0}},
+      Expr::CmpColumns(2, CmpOp::kGt, 4))));
+}
+
+TEST(Plan, FinalizeRejectsStringIndexAndAggregate) {
+  ExpectFinalizeInvalid(
+      Plan(MakeIndexScan("t1", 2, Expr::StrEq(2, "x"))));
+  ExpectFinalizeInvalid(Plan(MakeAggregate(
+      MakeSeqScan("t1", NoPred()), {0}, {{AggSpec::Kind::kSum, 2, "sum_tag"}})));
+  ExpectFinalizeInvalid(Plan(MakeAggregate(
+      MakeSeqScan("t1", NoPred()), {}, {{AggSpec::Kind::kMax, 2, "max_tag"}})));
+}
+
+TEST(Plan, FinalizeAcceptsStringEqualityAndCounts) {
+  // Strings support equality against any constant (a number never equals
+  // a string), and COUNT and GROUP BY may use string columns.
+  Database db = MakeTestDb();
+  Plan eq(MakeSeqScan("t1", Expr::Or(Expr::StrEq(2, "x"),
+                                     Expr::Cmp(2, CmpOp::kNe, Value::Int64(3)))));
+  EXPECT_TRUE(eq.Finalize(db).ok());
+  Plan num_vs_string(
+      MakeSeqScan("t1", Expr::Cmp(0, CmpOp::kEq, Value::String("x"))));
+  EXPECT_TRUE(num_vs_string.Finalize(db).ok());
+  Plan agg(MakeAggregate(MakeSeqScan("t1", NoPred()), {2},
+                         {{AggSpec::Kind::kCount, 2, "cnt"},
+                          {AggSpec::Kind::kSum, 1, "sum_b"}}));
+  EXPECT_TRUE(agg.Finalize(db).ok());
 }
 
 TEST(Plan, PreorderIdsAndLeafSpans) {

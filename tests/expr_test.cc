@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 
 #include "engine/expr.h"
 
@@ -111,6 +112,38 @@ TEST(Expr, TryExtractRangeStrictBoundsUseNextafter) {
   EXPECT_TRUE(TryExtractRange(e.get(), 0, &lo, &hi));
   EXPECT_GT(lo, 1.0);
   EXPECT_LT(hi, 2.0);
+}
+
+TEST(Expr, TryExtractRangeMatchesCompareAtInfinityAndNaN) {
+  // A range matches exactly the values the comparison accepts under
+  // Value::Compare: strict bounds at an infinity, and =, <, > against NaN,
+  // match nothing (lo > hi); <= NaN and >= NaN match everything.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto range_of = [inf](CmpOp op, double v) {
+    double lo = -inf;
+    double hi = inf;
+    EXPECT_TRUE(TryExtractRange(Expr::Cmp(0, op, Value::Double(v)).get(), 0,
+                                &lo, &hi));
+    return std::make_pair(lo, hi);
+  };
+  for (const auto& [op, v] : {std::make_pair(CmpOp::kLt, -inf),
+                              std::make_pair(CmpOp::kGt, inf),
+                              std::make_pair(CmpOp::kEq, nan),
+                              std::make_pair(CmpOp::kLt, nan),
+                              std::make_pair(CmpOp::kGt, nan)}) {
+    const auto [lo, hi] = range_of(op, v);
+    EXPECT_GT(lo, hi) << CmpOpName(op) << " " << v;
+  }
+  for (const CmpOp op : {CmpOp::kLe, CmpOp::kGe}) {
+    const auto [lo, hi] = range_of(op, nan);
+    EXPECT_EQ(lo, -inf);
+    EXPECT_EQ(hi, inf);
+  }
+  // Below -1e300 a strict bound still steps down, not up.
+  EXPECT_LT(range_of(CmpOp::kLt, -1e305).second, -1e305);
+  EXPECT_GT(range_of(CmpOp::kGt, 1e305).first, 1e305);
+  EXPECT_EQ(range_of(CmpOp::kLt, inf).second, std::numeric_limits<double>::max());
 }
 
 TEST(Expr, TryExtractRangeRejectsOtherColumns) {

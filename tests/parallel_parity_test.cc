@@ -263,10 +263,8 @@ TEST_F(ParallelParityTest, SampleDbBuildThreadCountInvariant) {
       const Table& b = pooled.Get(name, c);
       ASSERT_EQ(a.num_rows(), b.num_rows()) << name << " copy " << c;
       for (int64_t r = 0; r < a.num_rows(); ++r) {
-        const RowRef ra = a.row(r);
-        const RowRef rb = b.row(r);
-        for (int col = 0; col < ra.num_columns; ++col) {
-          ASSERT_TRUE(ra[col].Equals(rb[col]))
+        for (int col = 0; col < a.schema().num_columns(); ++col) {
+          ASSERT_TRUE(a.at(r, col).Equals(b.at(r, col)))
               << name << " copy " << c << " row " << r << " col " << col;
         }
       }

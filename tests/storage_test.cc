@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "storage/catalog.h"
 #include "storage/database.h"
@@ -143,11 +145,105 @@ TEST(Table, DeclareIndex) {
   EXPECT_TRUE(t.HasIndex(1));
 }
 
-TEST(Table, RowAccess) {
+TEST(Table, ColumnAccess) {
   Table t = MakeNumbersTable(5);
-  const RowRef r = t.row(2);
-  EXPECT_EQ(r[0].AsInt64(), 2);
-  EXPECT_DOUBLE_EQ(r[1].AsDouble(), 3.0);
+  // Each column is one contiguous payload array in row order.
+  const uint64_t* ids = t.column_data(0);
+  const uint64_t* vals = t.column_data(1);
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    EXPECT_EQ(ValueOfPayload(ValueType::kInt64, ids[r]).AsInt64(), r);
+    EXPECT_DOUBLE_EQ(ValueOfPayload(ValueType::kDouble, vals[r]).AsDouble(),
+                     static_cast<double>(5 - r));
+  }
+  EXPECT_EQ(t.at(2, 0).AsInt64(), 2);
+  EXPECT_DOUBLE_EQ(t.at(2, 1).AsDouble(), 3.0);
+}
+
+TEST(Table, AtRoundTripsEveryType) {
+  Table t("types", Schema({{"i", ValueType::kInt64},
+                           {"d", ValueType::kDouble},
+                           {"s", ValueType::kString}}));
+  const int64_t big = (int64_t{1} << 53) + 1;
+  const std::vector<std::vector<Value>> rows = {
+      {Value::Int64(big), Value::Double(-0.0), Value::String("alpha")},
+      {Value::Int64(-big), Value::Double(std::numeric_limits<double>::quiet_NaN()),
+       Value::String("")},
+      {Value::Int64(std::numeric_limits<int64_t>::min()),
+       Value::Double(-std::numeric_limits<double>::infinity()),
+       Value::String("alpha")},
+  };
+  for (const auto& row : rows) t.AppendRow(row);
+  ASSERT_EQ(t.num_rows(), 3);
+  for (int64_t r = 0; r < 3; ++r) {
+    for (int c = 0; c < 3; ++c) {
+      const Value& want = rows[static_cast<size_t>(r)][static_cast<size_t>(c)];
+      const Value got = t.at(r, c);
+      EXPECT_EQ(got.type, want.type) << "row " << r << " col " << c;
+      EXPECT_EQ(PayloadOf(got), PayloadOf(want)) << "row " << r << " col " << c;
+    }
+  }
+  EXPECT_EQ(t.at(0, 0).AsInt64(), big);
+  EXPECT_TRUE(std::signbit(t.at(0, 1).AsDouble()));
+  EXPECT_TRUE(std::isnan(t.at(1, 1).AsDouble()));
+  EXPECT_EQ(t.at(0, 2).AsString(), "alpha");
+  EXPECT_EQ(t.at(1, 2).AsString(), "");
+}
+
+TEST(TableDeathTest, WrongTypedAppendRowDies) {
+  Table t = MakeNumbersTable(3);
+  EXPECT_DEATH(t.AppendRow({Value::Double(1.0), Value::Double(2.0)}),
+               "holds int64, got double");
+  EXPECT_DEATH(t.AppendRow({Value::Int64(1), Value::String("x")}),
+               "holds double, got string");
+  EXPECT_DEATH(t.AppendRow({Value::Int64(1)}), "row arity");
+}
+
+TEST(Table, AppendRowsGathersEveryColumn) {
+  const Table src = MakeNumbersTable(10);
+  Table dst("picked", src.schema());
+  const std::vector<uint32_t> rids = {7, 0, 7, 3};
+  dst.AppendRows(src, rids.data(), static_cast<int64_t>(rids.size()));
+  ASSERT_EQ(dst.num_rows(), 4);
+  for (size_t i = 0; i < rids.size(); ++i) {
+    for (int c = 0; c < 2; ++c) {
+      EXPECT_EQ(PayloadOf(dst.at(static_cast<int64_t>(i), c)),
+                PayloadOf(src.at(rids[i], c)));
+    }
+  }
+}
+
+TEST(Table, CopyAndMoveKeepColumnsAndIndexes) {
+  Table t = MakeNumbersTable(50);
+  t.DeclareIndex(1);
+  const std::vector<uint32_t> index = t.OrderedIndex(1);
+  const auto same_cells = [](const Table& a, const Table& b) {
+    if (a.num_rows() != b.num_rows()) return false;
+    for (int64_t r = 0; r < a.num_rows(); ++r) {
+      for (int c = 0; c < a.schema().num_columns(); ++c) {
+        if (PayloadOf(a.at(r, c)) != PayloadOf(b.at(r, c))) return false;
+      }
+    }
+    return true;
+  };
+
+  const Table copy(t);
+  EXPECT_TRUE(same_cells(copy, t));
+  EXPECT_TRUE(copy.HasIndex(1));
+  EXPECT_EQ(copy.OrderedIndex(1), index);
+
+  Table assigned;
+  assigned = copy;
+  EXPECT_TRUE(same_cells(assigned, t));
+  EXPECT_EQ(assigned.OrderedIndex(1), index);
+
+  const Table moved(std::move(assigned));
+  EXPECT_TRUE(same_cells(moved, t));
+  EXPECT_TRUE(moved.HasIndex(1));
+  EXPECT_EQ(moved.OrderedIndex(1), index);
+  // The copies own their columns: appending to the source leaves them be.
+  t.AppendRow({Value::Int64(50), Value::Double(0.0)});
+  EXPECT_EQ(copy.num_rows(), 50);
+  EXPECT_EQ(moved.num_rows(), 50);
 }
 
 // ---------- Histogram ----------

@@ -108,16 +108,16 @@ void MorselPool::RunTasks(int64_t n, const std::function<void(int64_t)>& fn) {
 
 namespace {
 
-uint64_t HashKeys(RowRef row, const std::vector<int>& cols) {
+uint64_t HashKeys(const RowBlock& block, int64_t r, const std::vector<int>& cols) {
   uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (int c : cols) h = HashMix64(h, row[c].Hash());
+  for (int c : cols) h = HashMix64(h, block.at(r, c).Hash());
   return h;
 }
 
-bool KeysEqual(RowRef a, const std::vector<int>& acols, RowRef b,
-               const std::vector<int>& bcols) {
+bool KeysEqual(const RowBlock& a, int64_t ar, const std::vector<int>& acols,
+               const RowBlock& b, int64_t br, const std::vector<int>& bcols) {
   for (size_t i = 0; i < acols.size(); ++i) {
-    if (!a[acols[i]].Equals(b[bcols[i]])) return false;
+    if (!a.at(ar, acols[i]).Equals(b.at(br, bcols[i]))) return false;
   }
   return true;
 }
@@ -206,34 +206,121 @@ class FlatJoinTable {
   std::vector<uint32_t> rids_;
 };
 
-/// Row-by-row gather from a column-store table into row-major Values:
-/// each row's cells are written in one pass, with the column arrays and
-/// types decoded once per scan rather than once per cell.
-class RowGather {
- public:
-  explicit RowGather(const Table& src) {
-    const int ncols = src.schema().num_columns();
-    for (int c = 0; c < ncols; ++c) {
-      cols_.push_back(src.column_data(c));
-      types_.push_back(src.schema().column(c).type);
-    }
+/// An empty block over one table: one slot, column c reading src's
+/// column c (a scan's output, or an aggregate's over its group table).
+RowBlock TableBlock(const Schema& schema, const Table& src, bool prov) {
+  RowBlock out;
+  out.schema = schema;
+  out.width = 1;
+  out.prov_width = prov ? 1 : 0;
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    out.columns.push_back({src.column_data(c), schema.column(c).type, 0});
   }
+  return out;
+}
 
-  /// Writes rows rids[0..n) — rows first..first+n-1 when `rids` is null —
-  /// at `dst`, which must have room for n rows.
-  void Rows(int64_t first, const uint32_t* rids, int64_t n, Value* dst) const {
-    const size_t ncols = cols_.size();
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t r = rids == nullptr ? first + i : rids[i];
-      for (size_t c = 0; c < ncols; ++c, ++dst) {
-        *dst = ValueOfPayload(types_[c], cols_[c][r]);
+/// Marks every column a predicate reads in `used`.
+void MarkColumns(const Expr& e, std::vector<uint8_t>* used) {
+  switch (e.kind) {
+    case Expr::Kind::kCmpCol:
+      (*used)[static_cast<size_t>(e.column2)] = 1;
+      [[fallthrough]];
+    case Expr::Kind::kCmp:
+      (*used)[static_cast<size_t>(e.column)] = 1;
+      return;
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr:
+      MarkColumns(*e.lhs, used);
+      MarkColumns(*e.rhs, used);
+      return;
+    case Expr::Kind::kNot:
+      MarkColumns(*e.lhs, used);
+      return;
+  }
+}
+
+/// Builds a join's output: which (left row, right row) pairs survive the
+/// residual predicate, and their row-id tuples. A tuple is left's
+/// provenance slots, right's provenance slots, then left's remaining
+/// slots, then right's, so the join's provenance (left's leaf ids, then
+/// right's) leads every tuple as RowBlock requires. Shared read-only by
+/// the join's tasks; each task passes its own residual scratch row.
+class JoinEmitter {
+ public:
+  JoinEmitter(const PlanNode& node, const RowBlock& left, const RowBlock& right)
+      : node_(node),
+        left_(left),
+        right_(right),
+        quals_(PredicateOpCount(node.predicate.get())) {
+    if (node.predicate != nullptr) {
+      std::vector<uint8_t> used(static_cast<size_t>(node.output_schema.num_columns()));
+      MarkColumns(*node.predicate, &used);
+      for (size_t c = 0; c < used.size(); ++c) {
+        if (used[c] != 0) residual_cols_.push_back(static_cast<int>(c));
       }
     }
   }
 
+  /// The join's empty output block: left's columns, then right's, over
+  /// the tuple layout above.
+  RowBlock OutputBlock() const {
+    RowBlock out;
+    out.schema = node_.output_schema;
+    out.width = left_.width + right_.width;
+    out.prov_width = left_.prov_width + right_.prov_width;
+    for (RowBlock::ColumnSource col : left_.columns) {
+      if (col.slot >= left_.prov_width) col.slot += right_.prov_width;
+      out.columns.push_back(col);
+    }
+    for (RowBlock::ColumnSource col : right_.columns) {
+      col.slot += col.slot < right_.prov_width ? left_.prov_width : left_.width;
+      out.columns.push_back(col);
+    }
+    out.owned = left_.owned;
+    out.owned.insert(out.owned.end(), right_.owned.begin(), right_.owned.end());
+    return out;
+  }
+
+  /// Cells of residual scratch row one task needs (0 without a residual).
+  size_t scratch_size() const {
+    return node_.predicate == nullptr
+               ? 0
+               : static_cast<size_t>(node_.output_schema.num_columns());
+  }
+
+  /// Appends pair (l, r)'s tuple to `dst` unless the residual rejects it,
+  /// charging the residual's comparisons to `st`. The residual reads only
+  /// the columns it references, decoded into `scratch`.
+  void Emit(int64_t l, int64_t r, Value* scratch, std::vector<uint32_t>* dst,
+            OpStats* st) const {
+    if (node_.predicate != nullptr) {
+      st->actual.no += quals_;
+      const int lcols = left_.schema.num_columns();
+      for (int c : residual_cols_) {
+        scratch[c] = c < lcols ? left_.at(l, c) : right_.at(r, c - lcols);
+      }
+      const RowRef row{scratch, node_.output_schema.num_columns()};
+      if (!EvalPredicate(*node_.predicate, row)) return;
+    }
+    const int lw = left_.width, lp = left_.prov_width;
+    const int rw = right_.width, rp = right_.prov_width;
+    const uint32_t* lt = left_.row_ids(l);
+    const uint32_t* rt = right_.row_ids(r);
+    const size_t start = dst->size();
+    dst->resize(start + static_cast<size_t>(lw + rw));
+    uint32_t* o = dst->data() + start;
+    o = std::copy(lt, lt + lp, o);
+    o = std::copy(rt, rt + rp, o);
+    o = std::copy(lt + lp, lt + lw, o);
+    std::copy(rt + rp, rt + rw, o);
+  }
+
  private:
-  std::vector<const uint64_t*> cols_;
-  std::vector<ValueType> types_;
+  const PlanNode& node_;
+  const RowBlock& left_;
+  const RowBlock& right_;
+  const int quals_;
+  std::vector<int> residual_cols_;  ///< output columns the residual reads
 };
 
 double PagesFor(double rows, double width_bytes) {
@@ -258,7 +345,7 @@ struct GroupTable {
   std::vector<GroupAccumulator> groups;
   std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;  ///< hash -> idx
 
-  GroupAccumulator* FindByRow(uint64_t h, RowRef row,
+  GroupAccumulator* FindByRow(uint64_t h, const RowBlock& in, int64_t r,
                               const std::vector<int>& group_cols) {
     auto it = buckets.find(h);
     if (it == buckets.end()) return nullptr;
@@ -266,7 +353,7 @@ struct GroupTable {
       GroupAccumulator& cand = groups[idx];
       bool same = true;
       for (size_t g = 0; g < group_cols.size(); ++g) {
-        if (!cand.group_values[g].Equals(row[group_cols[g]])) {
+        if (!cand.group_values[g].Equals(in.at(r, group_cols[g]))) {
           same = false;
           break;
         }
@@ -455,16 +542,17 @@ class NodeRunner {
     }
   }
 
-  /// Runs `task_fn(t, block, stats)` for every task in [0, ntasks) and
-  /// appends the task outputs to `out` in task order. Inline (no pool, or
-  /// fewer than two tasks) every task appends straight into `out` and
-  /// `st`. On the pool each task fills a private block and partial stats,
-  /// then the output is assembled two-pass: exact per-task offsets are
-  /// prefix-summed, `out` is resized once, and every task's rows are
-  /// placed in its span concurrently — no sequential merge copy.
+  /// Runs `task_fn(t, rids, stats)` for every task in [0, ntasks) and
+  /// appends the row-id tuples the tasks emit to `out` in task order.
+  /// Inline (no pool, or fewer than two tasks) every task appends straight
+  /// into `out` and `st`. On the pool each task fills a private vector and
+  /// partial stats, then the output is assembled two-pass: exact per-task
+  /// offsets are prefix-summed, `out` is resized once, and every task's
+  /// row ids are placed in its span concurrently — no sequential merge
+  /// copy.
   void RunShardedTasks(
-      int64_t ntasks, RowBlock* out, OpStats* st,
-      const std::function<void(int64_t, RowBlock*, OpStats*)>& task_fn) {
+      int64_t ntasks, std::vector<uint32_t>* out, OpStats* st,
+      const std::function<void(int64_t, std::vector<uint32_t>*, OpStats*)>& task_fn) {
     if (!ctx_->parallel() || ntasks < 2) {
       for (int64_t t = 0; t < ntasks; ++t) {
         if (ctx_->Cancelled()) return;  // see RunTaskRange
@@ -472,37 +560,28 @@ class NodeRunner {
       }
       return;
     }
-    std::vector<RowBlock> blocks(static_cast<size_t>(ntasks));
+    std::vector<std::vector<uint32_t>> parts(static_cast<size_t>(ntasks));
     std::vector<OpStats> partials(static_cast<size_t>(ntasks));
     ctx_->runner()->RunTasks(ntasks, [&](int64_t t) {
       // Morsel-boundary cancellation (see RunTaskRange): a cancelled
-      // compute pass leaves empty locals; the run's output is discarded
+      // compute pass leaves empty parts; the run's output is discarded
       // at the next operator boundary, so no partial block escapes.
       if (ctx_->Cancelled()) return;
-      RowBlock& local = blocks[static_cast<size_t>(t)];
-      local.prov_width = out->prov_width;
-      task_fn(t, &local, &partials[static_cast<size_t>(t)]);
+      task_fn(t, &parts[static_cast<size_t>(t)], &partials[static_cast<size_t>(t)]);
     });
     // Sizing: exact prefix offsets per task, one resize of the output.
-    const size_t vbase = out->values.size();
-    const size_t pbase = out->prov.size();
-    std::vector<size_t> voff(static_cast<size_t>(ntasks) + 1, 0);
-    std::vector<size_t> poff(static_cast<size_t>(ntasks) + 1, 0);
+    const size_t base = out->size();
+    std::vector<size_t> off(static_cast<size_t>(ntasks) + 1, 0);
     for (int64_t t = 0; t < ntasks; ++t) {
-      voff[static_cast<size_t>(t) + 1] =
-          voff[static_cast<size_t>(t)] + blocks[static_cast<size_t>(t)].values.size();
-      poff[static_cast<size_t>(t) + 1] =
-          poff[static_cast<size_t>(t)] + blocks[static_cast<size_t>(t)].prov.size();
+      off[static_cast<size_t>(t) + 1] =
+          off[static_cast<size_t>(t)] + parts[static_cast<size_t>(t)].size();
     }
-    out->values.resize(vbase + voff[static_cast<size_t>(ntasks)]);
-    out->prov.resize(pbase + poff[static_cast<size_t>(ntasks)]);
+    out->resize(base + off[static_cast<size_t>(ntasks)]);
     // Placement: every task writes its span of the pre-sized output.
     ctx_->runner()->RunTasks(ntasks, [&](int64_t t) {
-      const RowBlock& b = blocks[static_cast<size_t>(t)];
-      std::copy(b.values.begin(), b.values.end(),
-                out->values.begin() + vbase + voff[static_cast<size_t>(t)]);
-      std::copy(b.prov.begin(), b.prov.end(),
-                out->prov.begin() + pbase + poff[static_cast<size_t>(t)]);
+      const std::vector<uint32_t>& part = parts[static_cast<size_t>(t)];
+      std::copy(part.begin(), part.end(),
+                out->begin() + static_cast<std::ptrdiff_t>(base + off[static_cast<size_t>(t)]));
     });
     for (int64_t t = 0; t < ntasks; ++t) {
       st->actual += partials[static_cast<size_t>(t)].actual;
@@ -510,80 +589,68 @@ class NodeRunner {
   }
 
   /// Row-chunk flavor of RunShardedTasks: one task per max_batch_size-row
-  /// chunk of [0, total), `chunk_fn(base, nb, block, stats)`.
-  void RunChunks(int64_t total, RowBlock* out, OpStats* st,
-                 const std::function<void(int64_t, int64_t, RowBlock*, OpStats*)>&
-                     chunk_fn) {
+  /// chunk of [0, total), `chunk_fn(base, nb, rids, stats)`.
+  void RunChunks(
+      int64_t total, std::vector<uint32_t>* out, OpStats* st,
+      const std::function<void(int64_t, int64_t, std::vector<uint32_t>*, OpStats*)>&
+          chunk_fn) {
     const int64_t chunk = ctx_->batch();
     RunShardedTasks(NumChunks(total), out, st,
-                    [&](int64_t c, RowBlock* dst, OpStats* pst) {
+                    [&](int64_t c, std::vector<uint32_t>* dst, OpStats* pst) {
                       const int64_t base = c * chunk;
                       const int64_t nb = std::min(chunk, total - base);
                       chunk_fn(base, nb, dst, pst);
                     });
   }
 
-  /// Gathers `n` rows of `src` — rows rids[0..n), or rows 0..n-1 when
-  /// `rids` is null — into the empty block `out`, one task per chunk, each
-  /// writing its own span of the pre-sized values. Provenance is the
-  /// caller's: it already holds the row ids.
-  void GatherRows(const Table& src, const uint32_t* rids, int64_t n, RowBlock* out) {
-    const int ncols = out->schema.num_columns();
-    const int64_t chunk = ctx_->batch();
-    const RowGather gather(src);
-    out->values.resize(static_cast<size_t>(n * ncols));
-    RunTaskRange(NumChunks(n), [&](int64_t c) {
-      const int64_t base = c * chunk;
-      gather.Rows(base, rids == nullptr ? nullptr : rids + base,
-                  std::min(chunk, n - base), out->values.data() + base * ncols);
-    });
-  }
-
-  /// The scans' filter: keeps the rows of `src` that satisfy `pred`, in
-  /// order, filling the empty block `out`. The candidates are rows rids[0..n)
-  /// (an index scan's matches), or rows 0..n-1 when `rids` is null. One task
-  /// per chunk evaluates the predicate over the column arrays into the
-  /// chunk's mask and compacts its survivors' row ids — the selection
-  /// vector, which is also their provenance; `out` is sized once from the
-  /// prefix-summed counts; a second pass gathers each chunk's survivors row
-  /// by row into its span.
-  void FilterRows(const Expr& pred, const Table& src, int64_t n,
-                  const uint32_t* rids, RowBlock* out) {
-    const int ncols = out->schema.num_columns();
+  /// The scans' filter: the row ids of `src` that satisfy `pred`, in
+  /// order. The candidates are rows rids[0..n) (an index scan's matches),
+  /// or rows 0..n-1 when `rids` is null. One task per chunk evaluates the
+  /// predicate over the column arrays into the chunk's mask and compacts
+  /// its survivors' row ids into the chunk's span of the selection vector;
+  /// the spans are then slid together in chunk order, and the compacted
+  /// selection vector is the scan's output.
+  std::vector<uint32_t> FilterRows(const Expr& pred, const Table& src, int64_t n,
+                                   const uint32_t* rids) {
     const int64_t chunk = ctx_->batch();
     const int64_t nchunks = NumChunks(n);
     std::vector<uint8_t> mask(static_cast<size_t>(n));
     std::vector<uint32_t> sel(static_cast<size_t>(n));
-    std::vector<int64_t> offsets(static_cast<size_t>(nchunks) + 1, 0);
+    std::vector<int64_t> counts(static_cast<size_t>(nchunks), 0);
     RunTaskRange(nchunks, [&](int64_t c) {
       const int64_t base = c * chunk;
       const int64_t nb = std::min(chunk, n - base);
       uint8_t* chunk_mask = mask.data() + base;
       const uint32_t* chunk_rids = rids == nullptr ? nullptr : rids + base;
       EvalPredicateColumns(pred, src, base, chunk_rids, nb, chunk_mask);
+      // Branch-free compaction: every candidate is written at the next
+      // free position, which only a survivor advances (count <= i < nb).
       uint32_t* chunk_sel = sel.data() + base;
       int64_t count = 0;
-      for (int64_t i = 0; i < nb; ++i) {
-        if (chunk_mask[i] == 0) continue;
-        chunk_sel[count++] = chunk_rids == nullptr ? static_cast<uint32_t>(base + i)
-                                                   : chunk_rids[i];
+      if (chunk_rids == nullptr) {
+        for (int64_t i = 0; i < nb; ++i) {
+          chunk_sel[count] = static_cast<uint32_t>(base + i);
+          count += chunk_mask[i] != 0;
+        }
+      } else {
+        for (int64_t i = 0; i < nb; ++i) {
+          chunk_sel[count] = chunk_rids[i];
+          count += chunk_mask[i] != 0;
+        }
       }
-      offsets[static_cast<size_t>(c) + 1] = count;
+      counts[static_cast<size_t>(c)] = count;
     });
-    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-    const int64_t total = offsets.back();
-    out->values.resize(static_cast<size_t>(total * ncols));
-    if (out->prov_width > 0) out->prov.resize(static_cast<size_t>(total));
-    const RowGather gather(src);
-    RunTaskRange(nchunks, [&](int64_t c) {
-      const int64_t off = offsets[static_cast<size_t>(c)];
-      const int64_t count = offsets[static_cast<size_t>(c) + 1] - off;
+    // A chunk's survivors never move past its own start, so one forward
+    // pass compacts without overwriting any survivor not yet moved.
+    int64_t total = 0;
+    for (int64_t c = 0; c < nchunks; ++c) {
       const uint32_t* chunk_sel = sel.data() + c * chunk;
-      gather.Rows(0, chunk_sel, count, out->values.data() + off * ncols);
-      if (out->prov_width > 0) {
-        std::copy(chunk_sel, chunk_sel + count, out->prov.begin() + off);
-      }
-    });
+      const int64_t count = counts[static_cast<size_t>(c)];
+      if (total != c * chunk) std::copy(chunk_sel, chunk_sel + count, sel.data() + total);
+      total += count;
+    }
+    sel.resize(static_cast<size_t>(total));
+    return sel;
   }
 
   /// Runs both children of a binary operator, concurrently when the
@@ -612,35 +679,6 @@ class NodeRunner {
     return Status::OK();
   }
 
-  /// Assembles one join output row directly in the output block: appends
-  /// lrow then rrow, evaluates the residual predicate in place (rolling
-  /// back on reject, charging `quals` ops), then appends provenance.
-  void AppendJoinRow(RowBlock* out, int out_cols, const RowBlock& left,
-                     int64_t l, const RowBlock& right, int64_t r,
-                     const PlanNode& node, int quals, OpStats* st) {
-    const RowRef lrow = left.row(l);
-    const RowRef rrow = right.row(r);
-    const size_t row_start = out->values.size();
-    out->values.insert(out->values.end(), lrow.data,
-                       lrow.data + lrow.num_columns);
-    out->values.insert(out->values.end(), rrow.data,
-                       rrow.data + rrow.num_columns);
-    if (node.predicate != nullptr) {
-      st->actual.no += quals;
-      const RowRef jrow{out->values.data() + row_start, out_cols};
-      if (!EvalPredicate(*node.predicate, jrow)) {
-        out->values.resize(row_start);
-        return;
-      }
-    }
-    if (ctx_->prov()) {
-      const uint32_t* lp = left.prov_row(l);
-      const uint32_t* rp = right.prov_row(r);
-      out->prov.insert(out->prov.end(), lp, lp + left.prov_width);
-      out->prov.insert(out->prov.end(), rp, rp + right.prov_width);
-    }
-  }
-
   StatusOr<RowBlock> RunSeqScan(const PlanNode& node) {
     const Table& src = ctx_->SourceTable(node);
     OpStats& st = ctx_->stats(node);
@@ -648,9 +686,7 @@ class NodeRunner {
     st.type = node.type;
     ctx_->RecordLeafRows(node.leaf_begin, static_cast<double>(src.num_rows()));
 
-    RowBlock out;
-    out.schema = node.output_schema;
-    out.prov_width = ctx_->prov() ? 1 : 0;
+    RowBlock out = TableBlock(node.output_schema, src, ctx_->prov());
     const int quals = PredicateOpCount(node.predicate.get());
     const int64_t rows = src.num_rows();
     st.actual.ns += static_cast<double>(src.num_pages());
@@ -658,13 +694,10 @@ class NodeRunner {
     st.actual.no += static_cast<double>(rows) * quals;
 
     if (node.predicate == nullptr) {
-      GatherRows(src, /*rids=*/nullptr, rows, &out);
-      if (out.prov_width > 0) {
-        out.prov.resize(static_cast<size_t>(rows));
-        std::iota(out.prov.begin(), out.prov.end(), uint32_t{0});
-      }
+      out.rids.resize(static_cast<size_t>(rows));
+      std::iota(out.rids.begin(), out.rids.end(), uint32_t{0});
     } else {
-      FilterRows(*node.predicate, src, rows, /*rids=*/nullptr, &out);
+      out.rids = FilterRows(*node.predicate, src, rows, /*rids=*/nullptr);
     }
     st.out_rows = static_cast<double>(out.num_rows());
     return out;
@@ -700,9 +733,7 @@ class NodeRunner {
         std::upper_bound(begin_it, index.end(), hi,
                          [&](double v, uint32_t rid) { return v < value_at(rid); });
 
-    RowBlock out;
-    out.schema = node.output_schema;
-    out.prov_width = ctx_->prov() ? 1 : 0;
+    RowBlock out = TableBlock(node.output_schema, src, ctx_->prov());
     const int quals = PredicateOpCount(node.predicate.get());
     const int64_t matches = end_it - begin_it;
     // Distinct heap pages touched: one seen-flag per page of the table.
@@ -717,11 +748,10 @@ class NodeRunner {
     const uint32_t* rids = index.data() + (begin_it - index.begin());
     if (!pure && node.predicate != nullptr) {
       // Residual filter: the full predicate runs on the matched rids, in
-      // index order, before anything is gathered.
-      FilterRows(*node.predicate, src, matches, rids, &out);
+      // index order.
+      out.rids = FilterRows(*node.predicate, src, matches, rids);
     } else {
-      GatherRows(src, rids, matches, &out);
-      if (out.prov_width > 0) out.prov.assign(rids, rids + matches);
+      out.rids.assign(rids, rids + matches);
     }
     st.actual.ni += static_cast<double>(matches) + std::log2(std::max<double>(2.0, static_cast<double>(n)));
     st.actual.nr += static_cast<double>(pages_touched);
@@ -758,40 +788,36 @@ class NodeRunner {
       const int64_t base = c * chunk;
       const int64_t nb = std::min(chunk, rn - base);
       for (int64_t i = 0; i < nb; ++i) {
-        build_hashes[static_cast<size_t>(base + i)] =
-            HashKeys(right.row(base + i), rcols);
+        build_hashes[static_cast<size_t>(base + i)] = HashKeys(right, base + i, rcols);
       }
     });
     st.actual.no += static_cast<double>(rn);  // build-side hash ops
     const FlatJoinTable table(build_hashes);
 
-    RowBlock out;
-    out.schema = node.output_schema;
-    out.prov_width = ctx_->prov() ? left.prov_width + right.prov_width : 0;
-    const int quals = PredicateOpCount(node.predicate.get());
-    const int out_cols = out.schema.num_columns();
+    const JoinEmitter emitter(node, left, right);
+    RowBlock out = emitter.OutputBlock();
     // Probe in chunks: hash a chunk of probe keys, then walk the chains,
-    // assembling join rows directly in the chunk's output block.
-    const auto probe_chunk = [&](int64_t base, int64_t nb, RowBlock* dst,
-                                 OpStats* pst) {
+    // appending matches' row-id tuples to the chunk's output.
+    const auto probe_chunk = [&](int64_t base, int64_t nb,
+                                 std::vector<uint32_t>* dst, OpStats* pst) {
+      std::vector<Value> scratch(emitter.scratch_size());
       std::vector<uint64_t> hashes(static_cast<size_t>(nb));
       for (int64_t i = 0; i < nb; ++i) {
-        hashes[static_cast<size_t>(i)] = HashKeys(left.row(base + i), lcols);
+        hashes[static_cast<size_t>(i)] = HashKeys(left, base + i, lcols);
       }
       pst->actual.no += static_cast<double>(nb);  // probe-side hash ops
       for (int64_t i = 0; i < nb; ++i) {
         const auto [begin, end] = table.Find(hashes[static_cast<size_t>(i)]);
         const int64_t l = base + i;
-        const RowRef lrow = left.row(l);
         for (const uint32_t* it = begin; it != end; ++it) {
           const uint32_t r = *it;
           pst->actual.no += 1.0;  // chain visit / key compare
-          if (!KeysEqual(lrow, lcols, right.row(r), rcols)) continue;
-          AppendJoinRow(dst, out_cols, left, l, right, r, node, quals, pst);
+          if (!KeysEqual(left, l, lcols, right, r, rcols)) continue;
+          emitter.Emit(l, r, scratch.data(), dst, pst);
         }
       }
     };
-    RunChunks(left.num_rows(), &out, &st, probe_chunk);
+    RunChunks(left.num_rows(), &out.rids, &st, probe_chunk);
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
     // Grace-hash spill I/O if the build side exceeds work_mem.
@@ -808,6 +834,9 @@ class NodeRunner {
   }
 
   StatusOr<RowBlock> RunMergeJoin(const PlanNode& node) {
+    if (node.join_keys.size() != 1) {
+      return Status::InvalidArgument("merge join supports exactly one key");
+    }
     RowBlock left, right;
     UQP_RETURN_IF_ERROR(RunChildren(node, &left, &right));
     OpStats& st = ctx_->stats(node);
@@ -816,16 +845,11 @@ class NodeRunner {
     st.left_rows = static_cast<double>(left.num_rows());
     st.right_rows = static_cast<double>(right.num_rows());
 
-    UQP_CHECK(node.join_keys.size() == 1)
-        << "merge join supports exactly one key";
     const int lc = node.join_keys[0].first;
     const int rc = node.join_keys[0].second;
 
-    RowBlock out;
-    out.schema = node.output_schema;
-    out.prov_width = ctx_->prov() ? left.prov_width + right.prov_width : 0;
-    const int quals = PredicateOpCount(node.predicate.get());
-    const int out_cols = out.schema.num_columns();
+    const JoinEmitter emitter(node, left, right);
+    RowBlock out = emitter.OutputBlock();
 
     // Phase 1 — the two-pointer walk stays sequential and defines the
     // comparison counter exactly as before; it now only records the
@@ -838,7 +862,7 @@ class NodeRunner {
     const int64_t ln = left.num_rows(), rn = right.num_rows();
     while (li < ln && ri < rn) {
       st.actual.no += 1.0;
-      const int cmp = ValueCompare3(left.row(li)[lc], right.row(ri)[rc]);
+      const int cmp = ValueCompare3(left.at(li, lc), right.at(ri, rc));
       if (cmp < 0) {
         ++li;
         continue;
@@ -851,13 +875,13 @@ class NodeRunner {
       int64_t le = li + 1;
       while (le < ln) {
         st.actual.no += 1.0;
-        if (ValueCompare3(left.row(le)[lc], left.row(li)[lc]) != 0) break;
+        if (ValueCompare3(left.at(le, lc), left.at(li, lc)) != 0) break;
         ++le;
       }
       int64_t re = ri + 1;
       while (re < rn) {
         st.actual.no += 1.0;
-        if (ValueCompare3(right.row(re)[rc], right.row(ri)[rc]) != 0) break;
+        if (ValueCompare3(right.at(re, rc), right.at(ri, rc)) != 0) break;
         ++re;
       }
       eq_groups.push_back({li, le, ri, re});
@@ -883,15 +907,15 @@ class NodeRunner {
       task_bounds.push_back(eq_groups.size());
     }
     RunShardedTasks(
-        static_cast<int64_t>(task_bounds.size()) - 1, &out, &st,
-        [&](int64_t t, RowBlock* dst, OpStats* pst) {
+        static_cast<int64_t>(task_bounds.size()) - 1, &out.rids, &st,
+        [&](int64_t t, std::vector<uint32_t>* dst, OpStats* pst) {
+          std::vector<Value> scratch(emitter.scratch_size());
           const size_t gend = task_bounds[static_cast<size_t>(t) + 1];
           for (size_t g = task_bounds[static_cast<size_t>(t)]; g < gend; ++g) {
             const EqualGroup& eq = eq_groups[g];
             for (int64_t a = eq.li; a < eq.le; ++a) {
               for (int64_t b = eq.ri; b < eq.re; ++b) {
-                AppendJoinRow(dst, out_cols, left, a, right, b, node, quals,
-                              pst);
+                emitter.Emit(a, b, scratch.data(), dst, pst);
               }
             }
           }
@@ -918,27 +942,24 @@ class NodeRunner {
       rcols.push_back(r);
     }
 
-    RowBlock out;
-    out.schema = node.output_schema;
-    out.prov_width = ctx_->prov() ? left.prov_width + right.prov_width : 0;
-    const int quals = PredicateOpCount(node.predicate.get());
-    const int out_cols = out.schema.num_columns();
+    const JoinEmitter emitter(node, left, right);
+    RowBlock out = emitter.OutputBlock();
     const int64_t rn = right.num_rows();
     // Outer loop in left-row chunks (output order is left-row order).
-    const auto outer_chunk = [&](int64_t base, int64_t nb, RowBlock* dst,
-                                 OpStats* pst) {
+    const auto outer_chunk = [&](int64_t base, int64_t nb,
+                                 std::vector<uint32_t>* dst, OpStats* pst) {
+      std::vector<Value> scratch(emitter.scratch_size());
       for (int64_t l = base; l < base + nb; ++l) {
-        const RowRef lrow = left.row(l);
         pst->actual.no += static_cast<double>(rn);  // per-pair key comparisons
         for (int64_t r = 0; r < rn; ++r) {
-          if (!lcols.empty() && !KeysEqual(lrow, lcols, right.row(r), rcols)) {
+          if (!lcols.empty() && !KeysEqual(left, l, lcols, right, r, rcols)) {
             continue;
           }
-          AppendJoinRow(dst, out_cols, left, l, right, r, node, quals, pst);
+          emitter.Emit(l, r, scratch.data(), dst, pst);
         }
       }
     };
-    RunChunks(left.num_rows(), &out, &st, outer_chunk);
+    RunChunks(left.num_rows(), &out.rids, &st, outer_chunk);
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
     Retain(*node.left, std::move(left));
@@ -963,13 +984,24 @@ class NodeRunner {
     const int64_t n = in.num_rows();
     const int64_t block = ctx_->batch();
     const int64_t nleaves = n > 0 ? NumChunks(n) : 0;
+    // Sort keys are decoded once per row, chunk by chunk.
+    const size_t nkeys = node.sort_columns.size();
+    std::vector<Value> keys(static_cast<size_t>(n) * nkeys);
+    RunTaskRange(nleaves, [&](int64_t c) {
+      const int64_t hi = std::min(n, (c + 1) * block);
+      for (int64_t r = c * block; r < hi; ++r) {
+        for (size_t k = 0; k < nkeys; ++k) {
+          keys[static_cast<size_t>(r) * nkeys + k] = in.at(r, node.sort_columns[k]);
+        }
+      }
+    });
     // Total order: sort columns first, original row index as tiebreak —
     // no two indexes compare equal, so the sorted permutation is unique.
     const auto row_less = [&](uint32_t a, uint32_t b) {
-      const RowRef ra = in.row(a);
-      const RowRef rb = in.row(b);
-      for (int c : node.sort_columns) {
-        const int cmp = ValueCompare3(ra[c], rb[c]);
+      const Value* ka = keys.data() + static_cast<size_t>(a) * nkeys;
+      const Value* kb = keys.data() + static_cast<size_t>(b) * nkeys;
+      for (size_t k = 0; k < nkeys; ++k) {
+        const int cmp = ValueCompare3(ka[k], kb[k]);
         if (cmp != 0) return cmp < 0;
       }
       return a < b;
@@ -1041,28 +1073,23 @@ class NodeRunner {
     const uint32_t* sorted = src;
 
     // Permuted output, written in place: size the output once, then each
-    // chunk of the permutation bulk-copies its rows' contiguous Value (and
-    // provenance) spans into its span of the output.
+    // chunk of the permutation copies its rows' row-id tuples into its
+    // span of the output.
     RowBlock out;
     out.schema = in.schema;
+    out.columns = in.columns;
+    out.width = in.width;
     out.prov_width = in.prov_width;
-    const int ncols = in.schema.num_columns();
-    out.values.resize(static_cast<size_t>(n * ncols));
-    out.prov.resize(static_cast<size_t>(n) * out.prov_width);
+    out.owned = in.owned;
+    const int w = in.width;
+    out.rids.resize(static_cast<size_t>(n * w));
     RunTaskRange(nleaves, [&](int64_t c) {
       const int64_t base = c * block;
       const int64_t nb = std::min(block, n - base);
-      Value* vdst = out.values.data() + base * ncols;
+      uint32_t* dst = out.rids.data() + base * w;
       for (int64_t i = 0; i < nb; ++i) {
-        const RowRef row = in.row(sorted[base + i]);
-        std::copy(row.data, row.data + ncols, vdst + i * ncols);
-      }
-      if (out.prov_width > 0) {
-        uint32_t* pdst = out.prov.data() + base * out.prov_width;
-        for (int64_t i = 0; i < nb; ++i) {
-          const uint32_t* p = in.prov_row(sorted[base + i]);
-          std::copy(p, p + out.prov_width, pdst + i * out.prov_width);
-        }
+        const uint32_t* t = in.row_ids(sorted[base + i]);
+        std::copy(t, t + w, dst + i * w);
       }
     });
     st.actual.no += static_cast<double>(comparisons);
@@ -1110,13 +1137,13 @@ class NodeRunner {
       const int64_t nb = std::min(chunk, rows - base);
       GroupTable& table = locals[static_cast<size_t>(c)];
       for (int64_t i = 0; i < nb; ++i) {
-        const RowRef row = in.row(base + i);
-        const uint64_t h = HashKeys(row, node.group_columns);
-        GroupAccumulator* acc = table.FindByRow(h, row, node.group_columns);
+        const int64_t r = base + i;
+        const uint64_t h = HashKeys(in, r, node.group_columns);
+        GroupAccumulator* acc = table.FindByRow(h, in, r, node.group_columns);
         if (acc == nullptr) {
           GroupAccumulator fresh;
           fresh.hash = h;
-          for (int g : node.group_columns) fresh.group_values.push_back(row[g]);
+          for (int g : node.group_columns) fresh.group_values.push_back(in.at(r, g));
           fresh.sums.assign(nagg, 0.0);
           fresh.mins.assign(nagg, std::numeric_limits<double>::infinity());
           fresh.maxs.assign(nagg, -std::numeric_limits<double>::infinity());
@@ -1126,7 +1153,7 @@ class NodeRunner {
         for (size_t a = 0; a < nagg; ++a) {
           const AggSpec& spec = node.aggregates[a];
           if (spec.kind == AggSpec::Kind::kCount) continue;
-          const double v = row[spec.column].AsDouble();
+          const double v = in.at(r, spec.column).AsDouble();
           acc->sums[a] += v;
           acc->mins[a] = std::min(acc->mins[a], v);
           acc->maxs[a] = std::max(acc->maxs[a], v);
@@ -1173,13 +1200,13 @@ class NodeRunner {
     GroupTable merged;
     if (nchunks > 0) merged = std::move(locals[0]);
 
-    RowBlock out;
-    out.schema = node.output_schema;
-    out.prov_width = 0;  // provenance does not flow through aggregates
-    out.values.reserve(merged.groups.size() *
-                       (node.group_columns.size() + nagg));
+    // The groups become a small columnar table the output block (and every
+    // block derived from it) co-owns; provenance does not flow through.
+    auto groups = std::make_shared<Table>("aggregate", node.output_schema);
+    groups->Reserve(static_cast<int64_t>(merged.groups.size()));
+    std::vector<Value> row;
     for (const GroupAccumulator& acc : merged.groups) {
-      for (const Value& v : acc.group_values) out.values.push_back(v);
+      row = acc.group_values;
       for (size_t a = 0; a < nagg; ++a) {
         const AggSpec& spec = node.aggregates[a];
         double v = 0.0;
@@ -1201,10 +1228,15 @@ class NodeRunner {
                               : 0.0;
             break;
         }
-        out.values.push_back(Value::Double(v));
+        row.push_back(Value::Double(v));
       }
+      groups->AppendRow(row);
       st.actual.no += 1.0;  // finalize op
     }
+    RowBlock out = TableBlock(node.output_schema, *groups, /*prov=*/false);
+    out.rids.resize(static_cast<size_t>(groups->num_rows()));
+    std::iota(out.rids.begin(), out.rids.end(), uint32_t{0});
+    out.owned.push_back(std::move(groups));
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
     Retain(*node.left, std::move(in));

@@ -68,28 +68,54 @@ class MorselPool : public TaskRunner {
 /// anything else is taken literally (floored at 1).
 int ResolveNumThreads(int num_threads);
 
-/// Materialized intermediate result: schema + flat row-major values (scans
-/// gather them row by row out of the column-store tables, so every
-/// operator above a scan reads whole rows), plus optional provenance. Provenance row i holds, for each leaf position in
-/// the subtree that produced the block, the row index of the source tuple
-/// in that leaf's (sample) table — the tuple annotations of paper §3.2.2
-/// used to maintain the Q_{k,j,n} counters.
+/// Late-materialised intermediate result. A row is a tuple of `width`
+/// uint32 row ids, one per source slot; a slot is either a bound leaf
+/// table (base table or sample) or an aggregate's output, a small columnar
+/// Table the block co-owns through `owned`. Every schema column reads its
+/// cells from one source column through one slot (`columns`), so a cell is
+/// decoded from the source's payload array only where an operator reads it
+/// (at). Operators move row-id tuples, never Values.
+///
+/// Provenance is the leading `prov_width` slots of every row: for each
+/// leaf position in the subtree that produced the block (aggregates drop
+/// their input's), the row index of the source tuple in that leaf's
+/// (sample) table — the tuple annotations of paper §3.2.2 used to maintain
+/// the Q_{k,j,n} counters. prov_width is 0 unless
+/// ExecOptions::collect_provenance is set.
+///
+/// A block reads leaf cells straight out of the Database and leaf-override
+/// tables it was executed against: those must outlive it. Aggregate slots
+/// are co-owned, so a copy stays readable after its ExecResult is gone.
 struct RowBlock {
+  /// Where one schema column's cells live: row `rid` of a source column's
+  /// payload array, with rid taken from the row's `slot`.
+  struct ColumnSource {
+    const uint64_t* data = nullptr;
+    ValueType type = ValueType::kInt64;
+    int slot = 0;
+  };
+
+  /// The operator's full output schema: spill counters size tuples by it.
   Schema schema;
-  std::vector<Value> values;
-  int prov_width = 0;
-  std::vector<uint32_t> prov;
+  std::vector<ColumnSource> columns;  ///< one per schema column
+  int width = 0;                      ///< row-id slots per row
+  std::vector<uint32_t> rids;         ///< num_rows() * width, row-major
+  int prov_width = 0;                 ///< leading slots that are provenance
+  /// Aggregate outputs some slot reads from.
+  std::vector<std::shared_ptr<const Table>> owned;
 
   int64_t num_rows() const {
-    const int n = schema.num_columns();
-    return n == 0 ? 0 : static_cast<int64_t>(values.size()) / n;
+    return width == 0 ? 0 : static_cast<int64_t>(rids.size()) / width;
   }
-  RowRef row(int64_t r) const {
-    return RowRef{values.data() + r * schema.num_columns(), schema.num_columns()};
+  /// The cell at row `r`, column `c`.
+  Value at(int64_t r, int c) const {
+    const ColumnSource& col = columns[static_cast<size_t>(c)];
+    return ValueOfPayload(col.type, col.data[rids[static_cast<size_t>(r * width + col.slot)]]);
   }
-  const uint32_t* prov_row(int64_t r) const {
-    return prov.data() + r * prov_width;
-  }
+  /// Row `r`'s row-id tuple (`width` ids).
+  const uint32_t* row_ids(int64_t r) const { return rids.data() + r * width; }
+  /// Row `r`'s provenance: its first `prov_width` row ids.
+  const uint32_t* prov_row(int64_t r) const { return row_ids(r); }
 };
 
 /// Per-operator execution statistics: the observed resource counters (the
@@ -117,7 +143,8 @@ struct ExecOptions {
   bool collect_provenance = false;
   /// If non-null, leaf scan i reads from (*leaf_overrides)[i] instead of
   /// the base table — this is how the estimator runs the plan over sample
-  /// tables, binding a distinct sample per leaf occurrence.
+  /// tables, binding a distinct sample per leaf occurrence. The tables
+  /// must outlive the ExecResult: its blocks read cells out of them.
   const std::vector<const Table*>* leaf_overrides = nullptr;
   /// Keep every operator's output block in ExecResult::blocks
   /// (sampling-estimation runs post-process them into the Q_{k,j,n}
@@ -128,14 +155,13 @@ struct ExecOptions {
   /// Rows per inner-loop chunk: filters and join probes process their
   /// input in chunks of at most this many rows (vectorized-style batched
   /// execution — scan predicates evaluate over the table's column arrays
-  /// into a selection mask, and the survivors' row ids are gathered row by
-  /// row into the output block). Output and counters are identical for
-  /// every value.
+  /// into a selection mask, whose compacted survivor row ids are the scan's
+  /// output block). Output and counters are identical for every value.
   int64_t max_batch_size = 1024;
   /// Intra-query parallelism, the executor's only parallelism input. Null
   /// runs every task inline on the calling thread. With a pool, filter
-  /// scans, index-scan gathers, hash-join builds/probes, nest-loop outer
-  /// loops, sort leaf blocks + merge-tree levels, per-chunk aggregation
+  /// scans, hash-join builds/probes, nest-loop outer loops, sort key
+  /// decoding, leaf blocks + merge-tree levels, per-chunk aggregation
   /// tables and merge-join group emission shard across it, and independent
   /// join children run concurrently (PredictionService shares its worker
   /// pool between plan-level and intra-plan tasks here). The determinism
@@ -167,7 +193,9 @@ struct ExecOptions {
   EngineConfig engine;
 };
 
-/// Result of executing a plan.
+/// Result of executing a plan. Its blocks read cells from the Database and
+/// the leaf-override tables the plan ran against (see RowBlock), so those
+/// must outlive it.
 struct ExecResult {
   RowBlock output;
   std::vector<OpStats> ops;  ///< indexed by operator id

@@ -147,6 +147,19 @@ Status FinalizeNode(PlanNode* node, const Database& db, int* next_id,
           return Status::InvalidArgument("join key column out of range");
         }
       }
+      if (node->type == OpType::kMergeJoin) {
+        // The executor's merge walk orders one key pair, and it can only
+        // order strings against strings and numbers against numbers.
+        if (node->join_keys.size() != 1) {
+          return Status::InvalidArgument("merge join needs exactly one key");
+        }
+        const auto [l, r] = node->join_keys[0];
+        if ((node->left->output_schema.column(l).type == ValueType::kString) !=
+            (node->right->output_schema.column(r).type == ValueType::kString)) {
+          return Status::InvalidArgument(
+              "merge join key pairs a string column with a numeric one");
+        }
+      }
       node->output_schema = Schema::Concat(node->left->output_schema,
                                            node->right->output_schema);
       UQP_RETURN_IF_ERROR(

@@ -89,9 +89,10 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
   }
   out.sample_ops = run.ops;
 
-  // Optimizer cardinalities for aggregate fallbacks.
+  // Optimizer cardinalities, estimated on the first optimizer fallback
+  // (an aggregate, or an operator above one): most plans take none.
   CardinalityEstimator cards(db_);
-  const std::vector<double> opt_rows = cards.EstimatePlan(plan);
+  std::vector<double> opt_rows;
 
   // Process children before parents: in preorder ids, every child id is
   // greater than its parent's, so reverse id order works.
@@ -136,7 +137,7 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
           for (int64_t r = 0; r < input.num_rows(); ++r) {
             uint64_t h = 0x9e3779b97f4a7c15ULL;
             for (int c : node->group_columns) {
-              h = HashMix64(h, input.row(r)[c].Hash());
+              h = HashMix64(h, input.at(r, c).Hash());
             }
             counter.Add(h);
           }
@@ -158,6 +159,7 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
         continue;
       }
       // Algorithm 1 lines 2-5: optimizer estimate, zero variance.
+      if (opt_rows.empty()) opt_rows = cards.EstimatePlan(plan);
       est.from_optimizer = true;
       est.rho = SafeSel(opt_rows[static_cast<size_t>(id)] /
                         std::max(1.0, node->leaf_row_product));

@@ -19,8 +19,8 @@ inline constexpr int kPageSizeBytes = 8192;
 /// An in-memory relation stored column by column: schema + one contiguous
 /// array per column holding each cell's raw 8-byte Value payload (see
 /// PayloadOf); the column's type is held once, by the schema. Scans filter
-/// these arrays with typed kernels (EvalPredicateColumns) and gather the
-/// survivors row by row into row-major RowBlocks.
+/// these arrays with typed kernels (EvalPredicateColumns); every
+/// intermediate RowBlock reads its cells out of them through row ids.
 ///
 /// The page model (rows per page derived from tuple width) is what the cost
 /// model and the simulated machine use to translate scans into I/O counts,

@@ -10,8 +10,9 @@ namespace uqp {
 
 /// Column data types. Strings are dictionary-interned (see StringPool) so
 /// every value has a fixed 8-byte payload: tables store one payload array
-/// per column (the type lives in the schema), and intermediate results
-/// store rows of 16-byte tagged Value cells.
+/// per column (the type lives in the schema). Intermediate results store
+/// row ids into those arrays and decode a 16-byte tagged Value only where
+/// an operator reads a cell.
 enum class ValueType : uint8_t { kInt64, kDouble, kString };
 
 const char* ValueTypeName(ValueType t);
@@ -109,8 +110,8 @@ inline Value ValueOfPayload(ValueType type, uint64_t bits) {
   return v;
 }
 
-/// Lightweight non-owning view of one row inside a flat row-major Value
-/// array (an intermediate result's row).
+/// Lightweight non-owning view of a row of Values (the scratch row a join
+/// residual decodes the cells it references into).
 struct RowRef {
   const Value* data = nullptr;
   int num_columns = 0;

@@ -65,13 +65,22 @@ std::vector<Value> TableRow(const Table& t, int64_t r) {
   return row;
 }
 
+/// A block's provenance, row after row: prov_width ids per row.
+std::vector<uint32_t> Provenance(const RowBlock& block) {
+  std::vector<uint32_t> out;
+  for (int64_t r = 0; r < block.num_rows(); ++r) {
+    out.insert(out.end(), block.prov_row(r), block.prov_row(r) + block.prov_width);
+  }
+  return out;
+}
+
 /// Order-insensitive multiset comparison of result rows.
 std::multiset<std::string> RowFingerprints(const RowBlock& block) {
   std::multiset<std::string> out;
   for (int64_t r = 0; r < block.num_rows(); ++r) {
     std::string key;
     for (int c = 0; c < block.schema.num_columns(); ++c) {
-      key += block.row(r)[c].ToString();
+      key += block.at(r, c).ToString();
       key += "|";
     }
     out.insert(key);
@@ -115,13 +124,12 @@ TEST(Executor, SeqScanFilterMatchesReference) {
         const ExecResult result = MustExecute(db, &plan, options);
         ASSERT_EQ(result.output.num_rows(),
                   static_cast<int64_t>(expected_rids.size()));
-        EXPECT_EQ(result.output.prov, expected_rids);
+        EXPECT_EQ(Provenance(result.output), expected_rids);
         for (int64_t r = 0; r < result.output.num_rows(); ++r) {
-          const RowRef got = result.output.row(r);
           const std::vector<Value> want =
               TableRow(t1, expected_rids[static_cast<size_t>(r)]);
-          for (int c = 0; c < got.num_columns; ++c) {
-            EXPECT_TRUE(got[c].Equals(want[static_cast<size_t>(c)]))
+          for (int c = 0; c < result.output.schema.num_columns(); ++c) {
+            EXPECT_TRUE(result.output.at(r, c).Equals(want[static_cast<size_t>(c)]))
                 << "row " << r << " col " << c;
           }
         }
@@ -204,9 +212,9 @@ TEST(Executor, IndexScanResidualBatchParity) {
   const ExecResult rt = MustExecute(db, &tuple_plan, tuple_opts);
   const ExecResult rb = MustExecute(db, &batch_plan, batch_opts);
 
-  EXPECT_EQ(rb.output.values.size(), rt.output.values.size());
+  EXPECT_EQ(rb.output.num_rows(), rt.output.num_rows());
   EXPECT_EQ(RowFingerprints(rb.output), RowFingerprints(rt.output));
-  EXPECT_EQ(rb.output.prov, rt.output.prov);
+  EXPECT_EQ(Provenance(rb.output), Provenance(rt.output));
   ASSERT_EQ(rb.ops.size(), rt.ops.size());
   const OpStats& st = rt.ops[0];
   const OpStats& sb = rb.ops[0];
@@ -247,17 +255,17 @@ TEST(Executor, ScanFilterProvenanceModesBatchParity) {
       // Contiguous mode vs its tuple-at-a-time baseline.
       EXPECT_EQ(RowFingerprints(rs.output), RowFingerprints(seq_baseline.output))
           << "seq batch " << batch << " prov " << prov;
-      EXPECT_EQ(rs.output.prov, seq_baseline.output.prov);
+      EXPECT_EQ(Provenance(rs.output), Provenance(seq_baseline.output));
       EXPECT_EQ(rs.output.prov_width, prov ? 1 : 0);
       // Rid mode vs its baseline.
       EXPECT_EQ(RowFingerprints(ri.output), RowFingerprints(idx_baseline.output))
           << "idx batch " << batch << " prov " << prov;
-      EXPECT_EQ(ri.output.prov, idx_baseline.output.prov);
+      EXPECT_EQ(Provenance(ri.output), Provenance(idx_baseline.output));
       // Across modes: same rows in the same (b-ordered == row-ordered for
       // MakeTestDb's monotone b column) order, same provenance ids.
       EXPECT_EQ(RowFingerprints(ri.output), RowFingerprints(rs.output));
       if (prov) {
-        EXPECT_EQ(ri.output.prov, rs.output.prov);
+        EXPECT_EQ(Provenance(ri.output), Provenance(rs.output));
       }
       EXPECT_DOUBLE_EQ(rs.ops[0].out_rows, ri.ops[0].out_rows);
     }
@@ -331,7 +339,7 @@ TEST(Executor, JoinResidualPredicate) {
                          {{0, 0}}, residual));
   const ExecResult result = MustExecute(db, &plan);
   for (int64_t r = 0; r < result.output.num_rows(); ++r) {
-    EXPECT_GT(result.output.row(r)[4].AsDouble(), result.output.row(r)[1].AsDouble());
+    EXPECT_GT(result.output.at(r, 4).AsDouble(), result.output.at(r, 1).AsDouble());
   }
   // Same with nested loop.
   Plan nlj(MakeNestLoopJoin(MakeSeqScan("t1", NoPred()), MakeSeqScan("t2", NoPred()),
@@ -396,12 +404,11 @@ TEST(Executor, SortOrdersRows) {
   const ExecResult result = MustExecute(db, &plan);
   ASSERT_EQ(result.output.num_rows(), 200);
   for (int64_t r = 1; r < result.output.num_rows(); ++r) {
-    const auto prev = result.output.row(r - 1);
-    const auto cur = result.output.row(r);
+    const RowBlock& out = result.output;
     const bool ordered =
-        prev[0].AsInt64() < cur[0].AsInt64() ||
-        (prev[0].AsInt64() == cur[0].AsInt64() &&
-         prev[1].AsDouble() <= cur[1].AsDouble());
+        out.at(r - 1, 0).AsInt64() < out.at(r, 0).AsInt64() ||
+        (out.at(r - 1, 0).AsInt64() == out.at(r, 0).AsInt64() &&
+         out.at(r - 1, 1).AsDouble() <= out.at(r, 1).AsDouble());
     EXPECT_TRUE(ordered) << "row " << r;
   }
   // Comparison counter: at least n log2 n / 2, at most n log2 n * 2 + n.
@@ -415,8 +422,8 @@ TEST(Executor, SortOnStringColumn) {
   Plan plan(MakeSort(MakeSeqScan("t1", NoPred()), {2}));
   const ExecResult result = MustExecute(db, &plan);
   for (int64_t r = 1; r < result.output.num_rows(); ++r) {
-    EXPECT_LE(result.output.row(r - 1)[2].AsString(),
-              result.output.row(r)[2].AsString());
+    EXPECT_LE(result.output.at(r - 1, 2).AsString(),
+              result.output.at(r, 2).AsString());
   }
 }
 
@@ -435,10 +442,10 @@ TEST(Executor, AggregateGroupsAndFunctions) {
   ASSERT_EQ(result.output.num_rows(), 2);  // tags "x" and "y"
   std::map<std::string, std::vector<double>> by_tag;
   for (int64_t r = 0; r < 2; ++r) {
-    const auto row = result.output.row(r);
-    by_tag[row[0].AsString()] = {row[1].AsDouble(), row[2].AsDouble(),
-                                 row[3].AsDouble(), row[4].AsDouble(),
-                                 row[5].AsDouble()};
+    const RowBlock& out = result.output;
+    by_tag[out.at(r, 0).AsString()] = {out.at(r, 1).AsDouble(), out.at(r, 2).AsDouble(),
+                                       out.at(r, 3).AsDouble(), out.at(r, 4).AsDouble(),
+                                       out.at(r, 5).AsDouble()};
   }
   // Reference for tag "x": i in {0,3,...,198}, 67 rows, sum = 3*(0+..+66).
   const double cnt_x = 67.0;
@@ -468,16 +475,16 @@ TEST(Executor, AggregateOutputsGroupsInFirstAppearanceOrder) {
     const ExecResult result = MustExecute(db, &plan, options);
     ASSERT_EQ(result.output.num_rows(), 50) << "batch " << batch;
     for (int64_t r = 0; r < 50; ++r) {
-      EXPECT_EQ(result.output.row(r)[0].AsInt64(), r) << "batch " << batch;
-      EXPECT_DOUBLE_EQ(result.output.row(r)[1].AsDouble(), 4.0);
+      EXPECT_EQ(result.output.at(r, 0).AsInt64(), r) << "batch " << batch;
+      EXPECT_DOUBLE_EQ(result.output.at(r, 1).AsDouble(), 4.0);
     }
   }
   // String keys too: tag "x" appears at row 0, "y" at row 1.
   Plan by_tag(MakeAggregate(MakeSeqScan("t1", NoPred()), {2}, aggs));
   const ExecResult result = MustExecute(db, &by_tag);
   ASSERT_EQ(result.output.num_rows(), 2);
-  EXPECT_EQ(result.output.row(0)[0].AsString(), "x");
-  EXPECT_EQ(result.output.row(1)[0].AsString(), "y");
+  EXPECT_EQ(result.output.at(0, 0).AsString(), "x");
+  EXPECT_EQ(result.output.at(1, 0).AsString(), "y");
 }
 
 TEST(Executor, SortOutputIdenticalAcrossBatchSizes) {
@@ -495,12 +502,15 @@ TEST(Executor, SortOutputIdenticalAcrossBatchSizes) {
     ExecOptions options = reference_options;
     options.max_batch_size = batch;
     const ExecResult result = MustExecute(db, &plan, options);
-    ASSERT_EQ(result.output.values.size(), reference.output.values.size());
-    for (size_t i = 0; i < reference.output.values.size(); ++i) {
-      ASSERT_TRUE(result.output.values[i].Equals(reference.output.values[i]))
-          << "batch " << batch << " value " << i;
+    ASSERT_EQ(result.output.num_rows(), reference.output.num_rows());
+    for (int64_t r = 0; r < reference.output.num_rows(); ++r) {
+      for (int c = 0; c < reference.output.schema.num_columns(); ++c) {
+        ASSERT_TRUE(result.output.at(r, c).Equals(reference.output.at(r, c)))
+            << "batch " << batch << " row " << r << " col " << c;
+      }
     }
-    EXPECT_EQ(result.output.prov, reference.output.prov) << "batch " << batch;
+    EXPECT_EQ(Provenance(result.output), Provenance(reference.output))
+        << "batch " << batch;
   }
 }
 
@@ -511,7 +521,7 @@ TEST(Executor, GlobalAggregateWithoutGroups) {
   Plan plan(MakeAggregate(MakeSeqScan("t1", NoPred()), {}, aggs));
   const ExecResult result = MustExecute(db, &plan);
   ASSERT_EQ(result.output.num_rows(), 1);
-  EXPECT_DOUBLE_EQ(result.output.row(0)[0].AsDouble(), 200.0);
+  EXPECT_DOUBLE_EQ(result.output.at(0, 0).AsDouble(), 200.0);
 }
 
 TEST(Executor, MaterializePassesThrough) {
@@ -537,7 +547,7 @@ TEST(Executor, ScanProvenancePointsAtSourceRows) {
   for (int64_t r = 0; r < result.output.num_rows(); ++r) {
     const uint32_t src = result.output.prov_row(r)[0];
     for (int c = 0; c < 3; ++c) {
-      EXPECT_TRUE(result.output.row(r)[c].Equals(t1.at(src, c)));
+      EXPECT_TRUE(result.output.at(r, c).Equals(t1.at(src, c)));
     }
   }
 }
@@ -555,8 +565,8 @@ TEST(Executor, JoinProvenanceConcatenatesLeafIds) {
   ASSERT_EQ(result.output.prov_width, 2);
   for (int64_t r = 0; r < result.output.num_rows(); ++r) {
     const uint32_t* prov = result.output.prov_row(r);
-    EXPECT_TRUE(result.output.row(r)[0].Equals(t1.at(prov[0], 0)));
-    EXPECT_TRUE(result.output.row(r)[3].Equals(t2.at(prov[1], 0)));
+    EXPECT_TRUE(result.output.at(r, 0).Equals(t1.at(prov[0], 0)));
+    EXPECT_TRUE(result.output.at(r, 3).Equals(t2.at(prov[1], 0)));
   }
   // Retained blocks exist for every operator.
   ASSERT_EQ(result.blocks.size(), 3u);
@@ -569,12 +579,12 @@ void ExpectSameBlock(const RowBlock& a, const RowBlock& b, const std::string& wh
   ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
   for (int64_t r = 0; r < a.num_rows(); ++r) {
     for (int c = 0; c < a.schema.num_columns(); ++c) {
-      ASSERT_EQ(a.row(r)[c].type, b.row(r)[c].type) << what << " row " << r;
-      ASSERT_TRUE(a.row(r)[c].Equals(b.row(r)[c])) << what << " row " << r;
+      ASSERT_EQ(a.at(r, c).type, b.at(r, c).type) << what << " row " << r;
+      ASSERT_TRUE(a.at(r, c).Equals(b.at(r, c))) << what << " row " << r;
     }
   }
   EXPECT_EQ(a.prov_width, b.prov_width) << what;
-  EXPECT_EQ(a.prov, b.prov) << what;
+  EXPECT_EQ(Provenance(a), Provenance(b)) << what;
 }
 
 TEST(Executor, RetainedBlocksEqualSubtreeOutputs) {
@@ -630,6 +640,163 @@ TEST(Executor, AggregateDropsProvenance) {
   options.collect_provenance = true;
   const ExecResult result = MustExecute(db, &plan, options);
   EXPECT_EQ(result.output.prov_width, 0);
+}
+
+// ---------- Late materialisation ----------
+//
+// Operator blocks hold row ids into their sources, not copied cells: every
+// cell RowBlock::at decodes must be the source table's cell at the row the
+// block's provenance names.
+
+/// Expects every cell of a t1 x t2 join block (t1's three columns, then
+/// t2's two) to equal the source cell at the block's provenance row ids.
+void ExpectJoinCellsMatchSources(const Database& db, const RowBlock& block,
+                                 const std::string& what) {
+  const Table& t1 = db.GetTable("t1");
+  const Table& t2 = db.GetTable("t2");
+  ASSERT_EQ(block.prov_width, 2) << what;
+  for (int64_t r = 0; r < block.num_rows(); ++r) {
+    const uint32_t* prov = block.prov_row(r);
+    for (int c = 0; c < 5; ++c) {
+      const Value want = c < 3 ? t1.at(prov[0], c) : t2.at(prov[1], c - 3);
+      const Value got = block.at(r, c);
+      ASSERT_EQ(got.type, want.type) << what << " row " << r << " col " << c;
+      ASSERT_TRUE(got.Equals(want)) << what << " row " << r << " col " << c;
+    }
+  }
+}
+
+TEST(Executor, LateMaterialisedJoinCellsMatchSources) {
+  Database db = MakeTestDb();
+  const Table& t1 = db.GetTable("t1");
+  const Table& t2 = db.GetTable("t2");
+  // t1 (b <= 120) join t2 on a = k, residual tag = "x" AND w > b: the
+  // residual reads a string column from the left and a number from each
+  // side.
+  const ExprPtr residual = Expr::And(Expr::StrEq(2, "x"), Expr::CmpColumns(4, CmpOp::kGt, 1));
+  int64_t want_rows = 0;
+  for (int64_t i = 0; i < t1.num_rows(); ++i) {
+    for (int64_t j = 0; j < t2.num_rows(); ++j) {
+      want_rows += t1.at(i, 1).AsDouble() <= 120.0 &&
+                   t1.at(i, 0).Equals(t2.at(j, 0)) && t1.at(i, 2).AsString() == "x" &&
+                   t2.at(j, 1).AsDouble() > t1.at(i, 1).AsDouble();
+    }
+  }
+  ASSERT_GT(want_rows, 0);
+  MorselPool pool(3);
+  for (const OpType type :
+       {OpType::kHashJoin, OpType::kMergeJoin, OpType::kNestLoopJoin}) {
+    auto left = MakeSeqScan("t1", Expr::Cmp(1, CmpOp::kLe, Value::Double(120.0)));
+    auto right = MakeSeqScan("t2", NoPred());
+    std::unique_ptr<PlanNode> join;
+    if (type == OpType::kHashJoin) {
+      join = MakeHashJoin(std::move(left), std::move(right), {{0, 0}}, residual);
+    } else if (type == OpType::kMergeJoin) {
+      join = MakeMergeJoin(MakeSort(std::move(left), {0}),
+                           MakeSort(std::move(right), {0}), {{0, 0}}, residual);
+    } else {
+      join = MakeNestLoopJoin(std::move(left), std::move(right), {{0, 0}}, residual);
+    }
+    // Sort and Materialize on top permute and pass the row-id tuples on.
+    Plan plan(MakeMaterialize(MakeSort(std::move(join), {4, 2})));
+    ASSERT_TRUE(plan.Finalize(db).ok());
+    for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
+                               static_cast<TaskRunner*>(&pool)}) {
+      const std::string what = std::string(OpTypeName(type)) +
+                               (runner == nullptr ? ", no pool" : ", pool");
+      ExecOptions options;
+      options.collect_provenance = true;
+      options.retain_intermediates = true;
+      options.max_batch_size = 7;
+      options.task_runner = runner;
+      const ExecResult result = MustExecute(db, &plan, options);
+      ASSERT_EQ(result.output.num_rows(), want_rows) << what;
+      ExpectJoinCellsMatchSources(db, result.output, what + " output");
+      // The join's block, and the sort's (Materialize's retained copy).
+      ExpectJoinCellsMatchSources(db, result.blocks[2], what + " join block");
+      ExpectJoinCellsMatchSources(db, result.blocks[1], what + " sort block");
+      for (int64_t r = 1; r < result.output.num_rows(); ++r) {
+        EXPECT_LE(result.output.at(r - 1, 4).AsDouble(),
+                  result.output.at(r, 4).AsDouble()) << what << " row " << r;
+      }
+    }
+  }
+}
+
+/// Join(Aggregate(t1 grouped by a: count, sum b), t2) on a = k, sorted by
+/// w and materialized: its tuples mix an aggregate slot with a leaf slot.
+/// The aggregate reads t1 sorted by tag, so a group's row in the
+/// aggregate output is not its key (nor the matching t2 row id).
+Plan JoinAboveAggregatePlan() {
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggSpec::Kind::kCount, -1, "cnt"});
+  aggs.push_back({AggSpec::Kind::kSum, 1, "sum_b"});
+  return Plan(MakeMaterialize(MakeSort(
+      MakeHashJoin(MakeAggregate(MakeSort(MakeSeqScan("t1", NoPred()), {2, 1}), {0}, aggs),
+                   MakeSeqScan("t2", Expr::Cmp(0, CmpOp::kLt, Value::Int64(30))),
+                   {{0, 0}}, Expr::CmpColumns(4, CmpOp::kGe, 1)),
+      {4})));
+}
+
+/// Expects every cell of a JoinAboveAggregatePlan block to match its
+/// source: t2's columns at the provenance row id, the aggregate's from
+/// t1 = {a = i % 50, b = i}: group a has count 4 and sum b = 4a + 300.
+void ExpectAggregateJoinCells(const Database& db, const RowBlock& block,
+                              const std::string& what) {
+  const Table& t2 = db.GetTable("t2");
+  ASSERT_EQ(block.prov_width, 1) << what;  // the aggregate drops t1's
+  for (int64_t r = 0; r < block.num_rows(); ++r) {
+    const uint32_t k = block.prov_row(r)[0];
+    EXPECT_TRUE(block.at(r, 3).Equals(t2.at(k, 0))) << what << " row " << r;
+    EXPECT_TRUE(block.at(r, 4).Equals(t2.at(k, 1))) << what << " row " << r;
+    const int64_t a = block.at(r, 0).AsInt64();
+    EXPECT_EQ(a, t2.at(k, 0).AsInt64()) << what << " row " << r;
+    EXPECT_DOUBLE_EQ(block.at(r, 1).AsDouble(), 4.0) << what << " row " << r;
+    EXPECT_DOUBLE_EQ(block.at(r, 2).AsDouble(), 4.0 * a + 300.0) << what << " row " << r;
+  }
+}
+
+TEST(Executor, JoinAboveAggregateKeepsLeafProvenance) {
+  Database db = MakeTestDb();
+  Plan plan = JoinAboveAggregatePlan();
+  ExecOptions options;
+  options.collect_provenance = true;
+  options.retain_intermediates = true;
+  options.max_batch_size = 4;
+  const ExecResult result = MustExecute(db, &plan, options);
+  // Each t2 row k < 30 matches group a = k; the residual w = 2k >= cnt = 4
+  // keeps k >= 2.
+  ASSERT_EQ(result.output.num_rows(), 28);
+  ExpectAggregateJoinCells(db, result.output, "output");
+  ExpectAggregateJoinCells(db, result.blocks[2], "join block");
+  EXPECT_EQ(result.blocks[3].prov_width, 0);  // the aggregate's own block
+  // Without collect_provenance no block reports provenance.
+  Plan plain = JoinAboveAggregatePlan();
+  const ExecResult unprov = MustExecute(db, &plain);
+  EXPECT_EQ(unprov.output.prov_width, 0);
+  ASSERT_EQ(unprov.output.num_rows(), 28);
+  for (int64_t r = 0; r < 28; ++r) {
+    for (int c = 0; c < 5; ++c) {
+      EXPECT_TRUE(unprov.output.at(r, c).Equals(result.output.at(r, c)))
+          << "row " << r << " col " << c;
+    }
+  }
+}
+
+TEST(Executor, CopiedBlockOutlivesItsResult) {
+  // A block copied out of an ExecResult co-owns the aggregate output its
+  // aggregate slot reads, so it stays readable once the result is gone.
+  Database db = MakeTestDb();
+  RowBlock copy;
+  {
+    Plan plan = JoinAboveAggregatePlan();
+    ExecOptions options;
+    options.collect_provenance = true;
+    const ExecResult result = MustExecute(db, &plan, options);
+    copy = result.output;
+  }
+  ASSERT_EQ(copy.num_rows(), 28);
+  ExpectAggregateJoinCells(db, copy, "copy");
 }
 
 // ---------- Leaf overrides ----------
@@ -733,6 +900,35 @@ TEST(Plan, FinalizeRejectsStringIndexAndAggregate) {
       MakeSeqScan("t1", NoPred()), {0}, {{AggSpec::Kind::kSum, 2, "sum_tag"}})));
   ExpectFinalizeInvalid(Plan(MakeAggregate(
       MakeSeqScan("t1", NoPred()), {}, {{AggSpec::Kind::kMax, 2, "max_tag"}})));
+}
+
+TEST(Plan, FinalizeRejectsMergeJoinKeyArity) {
+  // The merge walk orders exactly one key pair; any other count used to
+  // abort the executor instead of failing the plan.
+  ExpectFinalizeInvalid(Plan(MakeMergeJoin(MakeSort(MakeSeqScan("t1", NoPred()), {0}),
+                                           MakeSort(MakeSeqScan("t2", NoPred()), {0}),
+                                           {})));
+  ExpectFinalizeInvalid(Plan(MakeMergeJoin(MakeSort(MakeSeqScan("t1", NoPred()), {0}),
+                                           MakeSort(MakeSeqScan("t2", NoPred()), {0}),
+                                           {{0, 0}, {1, 1}})));
+}
+
+TEST(Plan, FinalizeRejectsMixedTypeMergeJoinKeys) {
+  // t1.tag is a string, t2.k an int: the merge walk would order a string
+  // against a number. Same-kind pairs pass, int vs double included.
+  ExpectFinalizeInvalid(Plan(MakeMergeJoin(MakeSort(MakeSeqScan("t1", NoPred()), {2}),
+                                           MakeSort(MakeSeqScan("t2", NoPred()), {0}),
+                                           {{2, 0}})));
+  ExpectFinalizeInvalid(Plan(MakeMergeJoin(MakeSort(MakeSeqScan("t2", NoPred()), {0}),
+                                           MakeSort(MakeSeqScan("t1", NoPred()), {2}),
+                                           {{0, 2}})));
+  Database db = MakeTestDb();
+  Plan strings(MakeMergeJoin(MakeSort(MakeSeqScan("t1", NoPred()), {2}),
+                             MakeSort(MakeSeqScan("t1", NoPred()), {2}), {{2, 2}}));
+  EXPECT_TRUE(strings.Finalize(db).ok());
+  Plan numbers(MakeMergeJoin(MakeSort(MakeSeqScan("t1", NoPred()), {1}),
+                             MakeSort(MakeSeqScan("t2", NoPred()), {0}), {{1, 0}}));
+  EXPECT_TRUE(numbers.Finalize(db).ok());
 }
 
 TEST(Plan, FinalizeAcceptsStringEqualityAndCounts) {

@@ -279,12 +279,21 @@ TEST_F(ParallelParityTest, SampleDbBuildThreadCountInvariant) {
 void ExpectBlocksEqual(const RowBlock& a, const RowBlock& b,
                        const std::string& what) {
   ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
-  ASSERT_EQ(a.values.size(), b.values.size()) << what;
-  for (size_t i = 0; i < a.values.size(); ++i) {
-    ASSERT_TRUE(a.values[i].Equals(b.values[i])) << what << " value " << i;
+  ASSERT_EQ(a.schema.num_columns(), b.schema.num_columns()) << what;
+  for (int64_t r = 0; r < a.num_rows(); ++r) {
+    for (int c = 0; c < a.schema.num_columns(); ++c) {
+      const Value x = a.at(r, c);
+      const Value y = b.at(r, c);
+      ASSERT_EQ(x.type, y.type) << what << " row " << r << " col " << c;
+      ASSERT_TRUE(x.Equals(y)) << what << " row " << r << " col " << c;
+    }
   }
   ASSERT_EQ(a.prov_width, b.prov_width) << what;
-  ASSERT_EQ(a.prov, b.prov) << what;
+  for (int64_t r = 0; r < a.num_rows(); ++r) {
+    for (int k = 0; k < a.prov_width; ++k) {
+      ASSERT_EQ(a.prov_row(r)[k], b.prov_row(r)[k]) << what << " row " << r;
+    }
+  }
 }
 
 void ExpectExecResultsEqual(const ExecResult& a, const ExecResult& b,

@@ -272,11 +272,12 @@ void ExpectScanMatches(const Database& db, const Table& table,
       auto result = executor.Execute(plan, options);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       const RowBlock& out = result->output;
-      ASSERT_EQ(out.prov, want_rids);
+      ASSERT_EQ(out.prov_width, 1);
       ASSERT_EQ(out.num_rows(), static_cast<int64_t>(want_rids.size()));
       for (int64_t r = 0; r < out.num_rows(); ++r) {
+        ASSERT_EQ(out.prov_row(r)[0], want_rids[static_cast<size_t>(r)]) << "row " << r;
         for (int c = 0; c < ncols; ++c) {
-          const Value got = out.row(r)[c];
+          const Value got = out.at(r, c);
           const Value want = table.at(want_rids[static_cast<size_t>(r)], c);
           ASSERT_EQ(got.type, want.type) << "row " << r << " col " << c;
           ASSERT_EQ(PayloadOf(got), PayloadOf(want)) << "row " << r << " col " << c;

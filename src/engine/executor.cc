@@ -108,22 +108,58 @@ void MorselPool::RunTasks(int64_t n, const std::function<void(int64_t)>& fn) {
 
 namespace {
 
-uint64_t HashKeys(const RowBlock& block, int64_t r, const std::vector<int>& cols) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (int c : cols) h = HashMix64(h, block.at(r, c).Hash());
-  return h;
+/// Folds one key column's PayloadHash into out[0, n), the rows' column
+/// cells read through their row ids (`ids[i * width]`).
+template <ValueType kType>
+void FoldKeyColumn(const uint64_t* data, const uint32_t* ids, int width, int64_t n,
+                   uint64_t* out) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = HashMix64(out[i], PayloadHash(kType, data[ids[i * width]]));
+  }
 }
+
+}  // namespace
+
+void HashRowKeys(const RowBlock& block, const std::vector<int>& cols, int64_t begin,
+                 int64_t n, uint64_t* out) {
+  if (n <= 0) return;
+  std::fill(out, out + n, uint64_t{0x9e3779b97f4a7c15ULL});
+  const uint32_t* rids = block.row_ids(begin);
+  for (const int c : cols) {
+    const RowBlock::ColumnSource& col = block.columns[static_cast<size_t>(c)];
+    const uint32_t* ids = rids + col.slot;
+    switch (col.type) {
+      case ValueType::kInt64:
+        FoldKeyColumn<ValueType::kInt64>(col.data, ids, block.width, n, out);
+        break;
+      case ValueType::kDouble:
+        FoldKeyColumn<ValueType::kDouble>(col.data, ids, block.width, n, out);
+        break;
+      case ValueType::kString:
+        FoldKeyColumn<ValueType::kString>(col.data, ids, block.width, n, out);
+        break;
+    }
+  }
+}
+
+namespace {
 
 bool KeysEqual(const RowBlock& a, int64_t ar, const std::vector<int>& acols,
                const RowBlock& b, int64_t br, const std::vector<int>& bcols) {
   for (size_t i = 0; i < acols.size(); ++i) {
-    if (!a.at(ar, acols[i]).Equals(b.at(br, bcols[i]))) return false;
+    const int ac = acols[i], bc = bcols[i];
+    if (!PayloadEquals(a.columns[static_cast<size_t>(ac)].type, a.payload(ar, ac),
+                       b.columns[static_cast<size_t>(bc)].type, b.payload(br, bc))) {
+      return false;
+    }
   }
   return true;
 }
 
 /// Three-way compare behind Sort/MergeJoin: numeric order for numbers,
-/// lexicographic for strings; unordered pairs (NaN) compare equal.
+/// lexicographic for strings. NaN sorts after every number and equal to
+/// NaN (PostgreSQL's float8 order), so the order is a strict weak order
+/// over every value.
 int ValueCompare3(const Value& a, const Value& b) {
   if (a.type == ValueType::kString && b.type == ValueType::kString) {
     if (a.s == b.s) return 0;
@@ -134,8 +170,11 @@ int ValueCompare3(const Value& a, const Value& b) {
   const double y = b.AsDouble();
   if (x < y) return -1;
   if (y < x) return 1;
-  return 0;
+  return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
 }
+
+/// True for a NaN double: the one key that equals nothing, itself included.
+bool IsNan(const Value& v) { return v.type == ValueType::kDouble && std::isnan(v.d); }
 
 /// Hash-join build table: build rows grouped by their exact 64-bit key
 /// hash. One open-addressing pass assigns each distinct hash a group and
@@ -786,10 +825,8 @@ class NodeRunner {
     std::vector<uint64_t> build_hashes(static_cast<size_t>(rn));
     RunTaskRange(NumChunks(rn), [&](int64_t c) {
       const int64_t base = c * chunk;
-      const int64_t nb = std::min(chunk, rn - base);
-      for (int64_t i = 0; i < nb; ++i) {
-        build_hashes[static_cast<size_t>(base + i)] = HashKeys(right, base + i, rcols);
-      }
+      HashRowKeys(right, rcols, base, std::min(chunk, rn - base),
+                  build_hashes.data() + base);
     });
     st.actual.no += static_cast<double>(rn);  // build-side hash ops
     const FlatJoinTable table(build_hashes);
@@ -802,9 +839,7 @@ class NodeRunner {
                                  std::vector<uint32_t>* dst, OpStats* pst) {
       std::vector<Value> scratch(emitter.scratch_size());
       std::vector<uint64_t> hashes(static_cast<size_t>(nb));
-      for (int64_t i = 0; i < nb; ++i) {
-        hashes[static_cast<size_t>(i)] = HashKeys(left, base + i, lcols);
-      }
+      HashRowKeys(left, lcols, base, nb, hashes.data());
       pst->actual.no += static_cast<double>(nb);  // probe-side hash ops
       for (int64_t i = 0; i < nb; ++i) {
         const auto [begin, end] = table.Find(hashes[static_cast<size_t>(i)]);
@@ -871,7 +906,9 @@ class NodeRunner {
         ++ri;
         continue;
       }
-      // Equal group: [li, le) x [ri, re).
+      // Equal group: [li, le) x [ri, re). A NaN group is walked past like
+      // any other but emits nothing: NaN equals no key (Value::Equals), so
+      // hash and nest-loop joins never match it either.
       int64_t le = li + 1;
       while (le < ln) {
         st.actual.no += 1.0;
@@ -884,7 +921,7 @@ class NodeRunner {
         if (ValueCompare3(right.at(re, rc), right.at(ri, rc)) != 0) break;
         ++re;
       }
-      eq_groups.push_back({li, le, ri, re});
+      if (!IsNan(left.at(li, lc))) eq_groups.push_back({li, le, ri, re});
       li = le;
       ri = re;
     }
@@ -1136,9 +1173,11 @@ class NodeRunner {
       const int64_t base = c * chunk;
       const int64_t nb = std::min(chunk, rows - base);
       GroupTable& table = locals[static_cast<size_t>(c)];
+      std::vector<uint64_t> hashes(static_cast<size_t>(nb));
+      HashRowKeys(in, node.group_columns, base, nb, hashes.data());
       for (int64_t i = 0; i < nb; ++i) {
         const int64_t r = base + i;
-        const uint64_t h = HashKeys(in, r, node.group_columns);
+        const uint64_t h = hashes[static_cast<size_t>(i)];
         GroupAccumulator* acc = table.FindByRow(h, in, r, node.group_columns);
         if (acc == nullptr) {
           GroupAccumulator fresh;

@@ -107,16 +107,31 @@ struct RowBlock {
   int64_t num_rows() const {
     return width == 0 ? 0 : static_cast<int64_t>(rids.size()) / width;
   }
+  /// The raw payload of the cell at row `r`, column `c` (its type is
+  /// columns[c].type).
+  uint64_t payload(int64_t r, int c) const {
+    const ColumnSource& col = columns[static_cast<size_t>(c)];
+    return col.data[rids[static_cast<size_t>(r * width + col.slot)]];
+  }
   /// The cell at row `r`, column `c`.
   Value at(int64_t r, int c) const {
-    const ColumnSource& col = columns[static_cast<size_t>(c)];
-    return ValueOfPayload(col.type, col.data[rids[static_cast<size_t>(r * width + col.slot)]]);
+    return ValueOfPayload(columns[static_cast<size_t>(c)].type, payload(r, c));
   }
   /// Row `r`'s row-id tuple (`width` ids).
   const uint32_t* row_ids(int64_t r) const { return rids.data() + r * width; }
   /// Row `r`'s provenance: its first `prov_width` row ids.
   const uint32_t* prov_row(int64_t r) const { return row_ids(r); }
 };
+
+/// Hashes the key columns `cols` of rows [begin, begin + n) of `block`
+/// into out[0, n): each row's hash folds PayloadHash of its key cells, in
+/// `cols` order, into a fixed seed with HashMix64, so it equals folding
+/// Value::Hash over the decoded cells. Column at a time, straight from the
+/// source payload arrays, with the type switch outside the row loop. The
+/// key kernel of hash-join builds and probes, aggregate grouping and the
+/// estimator's GEE group counts.
+void HashRowKeys(const RowBlock& block, const std::vector<int>& cols, int64_t begin,
+                 int64_t n, uint64_t* out);
 
 /// Per-operator execution statistics: the observed resource counters (the
 /// ground-truth n's of paper Eq. 1) and cardinalities.
@@ -156,7 +171,10 @@ struct ExecOptions {
   /// input in chunks of at most this many rows (vectorized-style batched
   /// execution — scan predicates evaluate over the table's column arrays
   /// into a selection mask, whose compacted survivor row ids are the scan's
-  /// output block). Output and counters are identical for every value.
+  /// output block). Output rows and provenance are identical for every
+  /// value, and so is every counter except sort comparisons: the blocked
+  /// merge sort's leaf blocks are max_batch_size rows, so its comparison
+  /// count depends on the batch size by design.
   int64_t max_batch_size = 1024;
   /// Intra-query parallelism, the executor's only parallelism input. Null
   /// runs every task inline on the calling thread. With a pool, filter

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -199,18 +198,10 @@ struct GatheredRows {
 /// Numeric cell decoders: a payload read as the number Value::AsDouble
 /// returns for it (int64 promotes to double).
 struct Int64Cells {
-  static double Load(uint64_t bits) {
-    int64_t v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return static_cast<double>(v);
-  }
+  static double Load(uint64_t bits) { return PayloadAsDouble(ValueType::kInt64, bits); }
 };
 struct DoubleCells {
-  static double Load(uint64_t bits) {
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
+  static double Load(uint64_t bits) { return PayloadAsDouble(ValueType::kDouble, bits); }
 };
 
 /// Calls fn(Int64Cells{}) or fn(DoubleCells{}) for a numeric column type.
@@ -312,7 +303,7 @@ void EvalColumnsImpl(const Expr& e, const Table& table, Rows rows, int64_t n,
       }
       const int32_t id = c.s;
       ApplyMask(mode, n, mask, [col, rows, id, ne](int64_t i) {
-        return (ValueOfPayload(ValueType::kString, col[rows(i)]).s == id) != ne;
+        return (PayloadStringId(col[rows(i)]) == id) != ne;
       });
       return;
     }

@@ -14,9 +14,44 @@ namespace {
 
 double SafeSel(double rho) { return std::clamp(rho, 0.0, 1.0); }
 
-/// Rows per Q-counting shard: the provenance scan of one join output is
-/// sharded into ranges of this many rows.
-constexpr int64_t kCountMorselRows = 8192;
+/// Scratch for the Q_{k,j,n} counters of one leaf at a time: a count per
+/// sample tuple id and a bitmap of the ids the join output touched. Both
+/// are all-zero between uses — the variance pass resets exactly the
+/// entries the counting pass set — so one allocation, sized to the
+/// largest leaf sample, serves every join node and leaf of an estimate,
+/// and a leaf costs its join output's size, not its sample's.
+class SparseCounts {
+ public:
+  explicit SparseCounts(int64_t max_ids)
+      : counts_(static_cast<size_t>(max_ids), 0),
+        seen_(static_cast<size_t>((max_ids + 63) / 64), 0) {}
+
+  void Add(uint32_t id) {
+    ++counts_[id];
+    seen_[id >> 6] |= uint64_t{1} << (id & 63);
+  }
+
+  /// Calls fn(count) for every touched id below `n_ids`, in ascending id
+  /// order, and clears it.
+  template <typename Fn>
+  void Drain(int64_t n_ids, Fn&& fn) {
+    const size_t words = static_cast<size_t>((n_ids + 63) / 64);
+    for (size_t w = 0; w < words; ++w) {
+      uint64_t bits = seen_[w];
+      if (bits == 0) continue;
+      seen_[w] = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        const size_t id = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+        fn(counts_[id]);
+        counts_[id] = 0;
+      }
+    }
+  }
+
+ private:
+  std::vector<uint32_t> counts_;
+  std::vector<uint64_t> seen_;
+};
 
 }  // namespace
 
@@ -48,10 +83,9 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
     overrides[i] = &samples_->Get(leaves[i]->table_name, occ);
   }
 
-  // One pool covers the whole estimate: the executor's intra-query shards
-  // and the Q-counting shards below. When the caller supplied a runner
-  // (the service layer sharing its worker pool), use it; otherwise an
-  // ephemeral pool lives for this call.
+  // One pool covers the sample run's intra-query shards. When the caller
+  // supplied a runner (the service layer sharing its worker pool), use it;
+  // otherwise an ephemeral pool lives for this call.
   const int threads = ResolveNumThreads(num_threads_);
   TaskRunner* runner = threads > 1 ? task_runner_ : nullptr;
   std::unique_ptr<MorselPool> owned_pool;
@@ -88,6 +122,10 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
     out.leaf_sample_rows[i] = static_cast<double>(overrides[i]->num_rows());
   }
   out.sample_ops = run.ops;
+
+  // Q-counter scratch, allocated at the first join: scan-only plans take
+  // none.
+  std::unique_ptr<SparseCounts> q;
 
   // Optimizer cardinalities, estimated on the first optimizer fallback
   // (an aggregate, or an operator above one): most plans take none.
@@ -133,14 +171,10 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
             std::max(1.0, child.rho * node->left->leaf_row_product);
         double distinct = 1.0, distinct_var = 0.0;
         if (!node->group_columns.empty() && input.num_rows() > 0) {
+          std::vector<uint64_t> hashes(static_cast<size_t>(input.num_rows()));
+          HashRowKeys(input, node->group_columns, 0, input.num_rows(), hashes.data());
           GeeDistinctCounter counter;
-          for (int64_t r = 0; r < input.num_rows(); ++r) {
-            uint64_t h = 0x9e3779b97f4a7c15ULL;
-            for (int c : node->group_columns) {
-              h = HashMix64(h, input.at(r, c).Hash());
-            }
-            counter.Add(h);
-          }
+          for (const uint64_t h : hashes) counter.Add(h);
           const GeeResult gee = counter.Estimate(full_input_rows);
           distinct = std::max(1.0, gee.distinct);
           distinct_var = gee.variance;
@@ -207,60 +241,10 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
     UQP_CHECK(block.prov_width == span)
         << "provenance width mismatch: " << block.prov_width << " vs " << span;
 
-    // Q counters: for each relative leaf k, a dense count vector indexed
-    // by sample tuple id (provenance ids index the leaf's sample table
-    // directly, so tuple ids are < n_k). Dense counts make the
-    // accumulation shard-mergeable — per-shard counts add exactly (they
-    // are integers) — and give the variance pass below a fixed, thread-
-    // count-independent tuple order.
-    std::vector<std::vector<double>> q(static_cast<size_t>(span));
-    for (int k = 0; k < span; ++k) {
-      const double nk =
-          out.leaf_sample_rows[static_cast<size_t>(node->leaf_begin + k)];
-      q[static_cast<size_t>(k)].assign(static_cast<size_t>(nk), 0.0);
-    }
-    const int64_t block_rows = block.num_rows();
-    const int64_t count_shards =
-        runner != nullptr
-            ? std::min<int64_t>(threads, (block_rows + kCountMorselRows - 1) /
-                                             kCountMorselRows)
-            : 1;
-    if (count_shards > 1) {
-      // Shard the provenance scan into contiguous row ranges, each with
-      // its own count vectors, merged in shard order.
-      std::vector<std::vector<std::vector<double>>> parts(
-          static_cast<size_t>(count_shards));
-      const int64_t per_shard = (block_rows + count_shards - 1) / count_shards;
-      runner->RunTasks(count_shards, [&](int64_t s) {
-        auto& part = parts[static_cast<size_t>(s)];
-        part.resize(static_cast<size_t>(span));
-        for (int k = 0; k < span; ++k) {
-          part[static_cast<size_t>(k)].assign(
-              q[static_cast<size_t>(k)].size(), 0.0);
-        }
-        const int64_t begin = s * per_shard;
-        const int64_t end = std::min(block_rows, begin + per_shard);
-        for (int64_t r = begin; r < end; ++r) {
-          const uint32_t* prov = block.prov_row(r);
-          for (int k = 0; k < span; ++k) {
-            part[static_cast<size_t>(k)][prov[k]] += 1.0;
-          }
-        }
-      });
-      for (const auto& part : parts) {
-        for (int k = 0; k < span; ++k) {
-          auto& qk = q[static_cast<size_t>(k)];
-          const auto& pk = part[static_cast<size_t>(k)];
-          for (size_t j = 0; j < qk.size(); ++j) qk[j] += pk[j];
-        }
-      }
-    } else {
-      for (int64_t r = 0; r < block_rows; ++r) {
-        const uint32_t* prov = block.prov_row(r);
-        for (int k = 0; k < span; ++k) {
-          q[static_cast<size_t>(k)][prov[k]] += 1.0;
-        }
-      }
+    if (q == nullptr) {
+      double max_rows = 0.0;
+      for (const double n : out.leaf_sample_rows) max_rows = std::max(max_rows, n);
+      q = std::make_unique<SparseCounts>(static_cast<int64_t>(max_rows));
     }
 
     // Product of sample sizes over the span.
@@ -270,22 +254,25 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
           out.leaf_sample_rows[static_cast<size_t>(node->leaf_begin + k)];
     }
 
+    // Per relative leaf k: count Q_{k,j,n} for every sample tuple id j the
+    // join output touched (provenance ids index the leaf's sample table
+    // directly, so j < n_k), then fold (Q / D_k - ρ)² over the touched ids
+    // in ascending id order; every untouched tuple contributes (0 - ρ)².
+    const int64_t block_rows = block.num_rows();
     double total_var = 0.0;
     for (int k = 0; k < span; ++k) {
       const double nk =
           out.leaf_sample_rows[static_cast<size_t>(node->leaf_begin + k)];
       if (nk < 2.0) continue;  // S²_1 = 0 by convention
+      for (int64_t r = 0; r < block_rows; ++r) q->Add(block.prov_row(r)[k]);
       const double dk = sample_product / nk;  // Π_{k' != k} n_k'
       double acc = 0.0;
       int64_t present = 0;
-      const auto& qk = q[static_cast<size_t>(k)];
-      for (const double count : qk) {
-        if (count == 0.0) continue;
+      q->Drain(static_cast<int64_t>(nk), [&](uint32_t count) {
         ++present;
-        const double diff = count / dk - est.rho;
+        const double diff = static_cast<double>(count) / dk - est.rho;
         acc += diff * diff;
-      }
-      // Sample tuples never seen in the join output contribute (0 - ρ)².
+      });
       const double absent = nk - static_cast<double>(present);
       acc += absent * est.rho * est.rho;
       const double vk = acc / (nk - 1.0);  // per-relation S² component

@@ -107,11 +107,14 @@ int64_t AutoSampleBatchSize(int64_t max_leaf_sample_rows);
 /// refinement of Algorithm 2).
 ///
 /// With num_threads > 1 the sample run fans out: the executor shards its
-/// chunked loops and join subtrees across a task pool, and the Q_{k,j,n}
-/// provenance counting below shards the output scan into per-shard count
-/// vectors merged in shard order. Counts are integers, so the merged
-/// counters — and hence every ρ_n and S²_n — are bit-identical to the
-/// sequential (num_threads == 1) run at any thread count.
+/// chunked loops and join subtrees across a task pool, and its output is
+/// bit-identical at any thread count. The Q_{k,j,n} counters are then read
+/// on the calling thread, one pass over each join's output per leaf: a
+/// count array and a seen-bitmap, sized once to the largest leaf sample
+/// and reused by every join and leaf, so a join costs its output's size,
+/// not its samples'. The variance pass visits the touched tuple ids in
+/// ascending order (untouched ones all contribute ρ²), so every ρ_n and
+/// S²_n is bit-identical to the sequential (num_threads == 1) run.
 class SamplingEstimator {
  public:
   SamplingEstimator(const Database* db, const SampleDb* samples,

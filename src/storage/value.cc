@@ -1,7 +1,5 @@
 #include "storage/value.h"
 
-#include <functional>
-
 #include "common/logging.h"
 
 namespace uqp {
@@ -61,10 +59,7 @@ const std::string& Value::AsString() const {
 }
 
 bool Value::Equals(const Value& o) const {
-  if (type == ValueType::kString || o.type == ValueType::kString) {
-    return type == o.type && s == o.s;
-  }
-  return AsDouble() == o.AsDouble();
+  return PayloadEquals(type, PayloadOf(*this), o.type, PayloadOf(o));
 }
 
 int Value::Compare(const Value& o) const {
@@ -75,26 +70,7 @@ int Value::Compare(const Value& o) const {
   return 0;
 }
 
-uint64_t Value::Hash() const {
-  switch (type) {
-    case ValueType::kInt64:
-      return std::hash<int64_t>{}(i) * 0x9e3779b97f4a7c15ULL;
-    case ValueType::kDouble:
-      // Hash int-valued doubles identically to their int64 counterparts so
-      // cross-type equi-joins behave. The range check comes first: casting
-      // NaN, +-inf or |d| >= 2^63 to int64 is undefined behaviour.
-      if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
-        const int64_t as_int = static_cast<int64_t>(d);
-        if (d == static_cast<double>(as_int)) {
-          return std::hash<int64_t>{}(as_int) * 0x9e3779b97f4a7c15ULL;
-        }
-      }
-      return std::hash<double>{}(d) * 0x9e3779b97f4a7c15ULL;
-    case ValueType::kString:
-      return std::hash<int32_t>{}(s) * 0xbf58476d1ce4e5b9ULL;
-  }
-  return 0;
-}
+uint64_t Value::Hash() const { return PayloadHash(type, PayloadOf(*this)); }
 
 std::string Value::ToString() const {
   switch (type) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -108,6 +109,61 @@ inline Value ValueOfPayload(ValueType type, uint64_t bits) {
   v.type = type;
   std::memcpy(&v.i, &bits, sizeof(bits));
   return v;
+}
+
+/// The interned string id held in a string payload (its low-address four
+/// bytes, where Value keeps `s`).
+inline int32_t PayloadStringId(uint64_t bits) {
+  int32_t id;
+  std::memcpy(&id, &bits, sizeof(id));
+  return id;
+}
+
+/// The number in a numeric payload; int64 promotes to double.
+inline double PayloadAsDouble(ValueType type, uint64_t bits) {
+  if (type == ValueType::kDouble) {
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d;
+  }
+  return static_cast<double>(static_cast<int64_t>(bits));
+}
+
+/// Hash of the value of type `type` with payload `bits`: the one
+/// definition behind Value::Hash and the executor's column-at-a-time key
+/// kernels. Int-valued doubles hash like their int64 counterparts so
+/// cross-type equi-joins behave. Inline, so a caller that passes a
+/// constant type gets the switch folded away.
+inline uint64_t PayloadHash(ValueType type, uint64_t bits) {
+  switch (type) {
+    case ValueType::kInt64:
+      return std::hash<int64_t>{}(static_cast<int64_t>(bits)) * 0x9e3779b97f4a7c15ULL;
+    case ValueType::kDouble: {
+      const double d = PayloadAsDouble(type, bits);
+      // The range check comes first: casting NaN, +-inf or |d| >= 2^63 to
+      // int64 is undefined behaviour.
+      if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
+        const int64_t as_int = static_cast<int64_t>(d);
+        if (d == static_cast<double>(as_int)) {
+          return std::hash<int64_t>{}(as_int) * 0x9e3779b97f4a7c15ULL;
+        }
+      }
+      return std::hash<double>{}(d) * 0x9e3779b97f4a7c15ULL;
+    }
+    case ValueType::kString:
+      return std::hash<int32_t>{}(PayloadStringId(bits)) * 0xbf58476d1ce4e5b9ULL;
+  }
+  return 0;
+}
+
+/// Equality of two typed payloads, the one definition behind Value::Equals:
+/// strings equal only strings with the same pool id; numbers compare as
+/// doubles (so NaN equals nothing, and -0.0 equals 0.0).
+inline bool PayloadEquals(ValueType ta, uint64_t a, ValueType tb, uint64_t b) {
+  if (ta == ValueType::kString || tb == ValueType::kString) {
+    return ta == tb && PayloadStringId(a) == PayloadStringId(b);
+  }
+  return PayloadAsDouble(ta, a) == PayloadAsDouble(tb, b);
 }
 
 /// Lightweight non-owning view of a row of Values (the scratch row a join

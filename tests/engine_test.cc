@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -510,6 +511,110 @@ TEST(Executor, SortOutputIdenticalAcrossBatchSizes) {
       }
     }
     EXPECT_EQ(Provenance(result.output), Provenance(reference.output))
+        << "batch " << batch;
+  }
+}
+
+/// nan_table(x double, id int): `rows` rows, about 31% of x NaN, the rest
+/// drawn from a few dozen values so equal keys repeat.
+Database MakeNanDb(int rows, uint64_t seed) {
+  Rng rng(seed);
+  Database db("nan-test");
+  Table t("nan_table", Schema({{"x", ValueType::kDouble}, {"id", ValueType::kInt64}}));
+  for (int i = 0; i < rows; ++i) {
+    const double x = rng.NextBool(0.31) ? std::numeric_limits<double>::quiet_NaN()
+                                        : static_cast<double>(rng.NextInt(-20, 20)) / 4.0;
+    t.AppendRow({Value::Double(x), Value::Int64(i)});
+  }
+  db.AddTable(std::move(t));
+  db.AnalyzeAll(8);
+  return db;
+}
+
+TEST(Executor, SortWithNanKeysIsOrderedAndBatchInvariant) {
+  // NaN sorts after every number and equal to NaN, so the sort comparator
+  // is a strict weak order (std::sort's precondition) and the sorted rows
+  // are the same at every batch size, with and without a pool.
+  const Database db = MakeNanDb(5000, 11);
+  Plan plan(MakeSort(MakeSeqScan("nan_table", NoPred()), {0}));
+  ASSERT_TRUE(plan.Finalize(db).ok());
+  Executor executor(&db);
+  MorselPool pool(3);
+  std::vector<uint32_t> reference;
+  for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
+                             static_cast<TaskRunner*>(&pool)}) {
+    for (const int64_t batch : {int64_t{16}, int64_t{64}, int64_t{1024}, int64_t{8192}}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) +
+                   (runner == nullptr ? ", no pool" : ", pool of 3"));
+      ExecOptions options;
+      options.collect_provenance = true;
+      options.max_batch_size = batch;
+      options.task_runner = runner;
+      auto run = executor.Execute(plan, options);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const RowBlock& out = run->output;
+      ASSERT_EQ(out.num_rows(), 5000);
+      int64_t nans = 0;
+      for (int64_t r = 0; r < out.num_rows(); ++r) {
+        const double x = out.at(r, 0).AsDouble();
+        if (std::isnan(x)) {
+          ++nans;
+          continue;
+        }
+        ASSERT_EQ(nans, 0) << "number after a NaN at row " << r;
+        if (r > 0) {
+          const double prev = out.at(r - 1, 0).AsDouble();
+          ASSERT_TRUE(prev < x || (prev == x && out.at(r - 1, 1).AsInt64() <
+                                                    out.at(r, 1).AsInt64()))
+              << "row " << r;
+        }
+      }
+      EXPECT_GT(nans, 1000);
+      if (reference.empty()) {
+        reference = Provenance(out);
+      } else {
+        EXPECT_EQ(Provenance(out), reference);
+      }
+    }
+  }
+}
+
+/// A join's output as a sorted list of (left leaf id, right leaf id).
+std::vector<std::pair<uint32_t, uint32_t>> SortedPairs(const RowBlock& block) {
+  std::vector<std::pair<uint32_t, uint32_t>> out;
+  for (int64_t r = 0; r < block.num_rows(); ++r) {
+    out.emplace_back(block.prov_row(r)[0], block.prov_row(r)[1]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Executor, MergeJoinNeverMatchesNan) {
+  // NaN equals nothing (Value::Equals), so hash and nest-loop joins never
+  // match it; the merge join walks past a NaN equal group without
+  // emitting, and all three agree pair for pair.
+  Database db = MakeNanDb(300, 12);
+  ExecOptions options;
+  options.collect_provenance = true;
+  Plan hash(MakeHashJoin(MakeSeqScan("nan_table", NoPred()),
+                         MakeSeqScan("nan_table", NoPred()), {{0, 0}}));
+  Plan nest(MakeNestLoopJoin(MakeSeqScan("nan_table", NoPred()),
+                             MakeSeqScan("nan_table", NoPred()), {{0, 0}}));
+  const ExecResult by_hash = MustExecute(db, &hash, options);
+  const ExecResult by_nest = MustExecute(db, &nest, options);
+  ASSERT_GT(by_hash.output.num_rows(), 0);
+  for (int64_t r = 0; r < by_hash.output.num_rows(); ++r) {
+    ASSERT_FALSE(std::isnan(by_hash.output.at(r, 0).AsDouble())) << "row " << r;
+  }
+  EXPECT_EQ(SortedPairs(by_nest.output), SortedPairs(by_hash.output));
+  for (const int64_t batch : {int64_t{7}, int64_t{1024}}) {
+    Plan merge(MakeMergeJoin(MakeSort(MakeSeqScan("nan_table", NoPred()), {0}),
+                             MakeSort(MakeSeqScan("nan_table", NoPred()), {0}),
+                             {{0, 0}}));
+    ExecOptions merge_options = options;
+    merge_options.max_batch_size = batch;
+    const ExecResult by_merge = MustExecute(db, &merge, merge_options);
+    EXPECT_EQ(SortedPairs(by_merge.output), SortedPairs(by_hash.output))
         << "batch " << batch;
   }
 }

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "engine/executor.h"
 #include "math/stats.h"
@@ -262,6 +267,155 @@ TEST(JoinEstimate, EmptyJoinResultGivesZeroRhoAndVariance) {
   ASSERT_TRUE(estimates.ok());
   EXPECT_DOUBLE_EQ(estimates->ops[0].rho, 0.0);
   EXPECT_DOUBLE_EQ(estimates->ops[0].variance, 0.0);
+}
+
+/// Tables of 1, 63, 64, 65 and 129 rows, so sample tuple ids land on the
+/// edges of 64-bit words; column k is a join key, i % modulus + offset with
+/// each table's own modulus and offset, so every table holds keys that
+/// find no partner in the multi-way joins below.
+Database MakeEdgeSizeDb() {
+  Database db("q-counts");
+  struct Shape {
+    int rows, modulus, offset;
+  };
+  const Shape shapes[] = {{1, 1, 0}, {63, 10, 0}, {64, 10, 1}, {65, 13, 0}, {129, 11, 0}};
+  for (const auto& [rows, modulus, offset] : shapes) {
+    Table t("t" + std::to_string(rows),
+            Schema({{"k", ValueType::kInt64}, {"i", ValueType::kInt64}}));
+    for (int i = 0; i < rows; ++i) {
+      t.AppendRow({Value::Int64(i % modulus + offset), Value::Int64(i)});
+    }
+    db.AddTable(std::move(t));
+  }
+  {
+    Table t("far", Schema({{"k", ValueType::kInt64}, {"i", ValueType::kInt64}}));
+    for (int i = 0; i < 70; ++i) t.AppendRow({Value::Int64(1000 + i), Value::Int64(i)});
+    db.AddTable(std::move(t));
+  }
+  db.AnalyzeAll(8);
+  return db;
+}
+
+/// Hash-joins `tables` left-deep on column 0 of the first table.
+Plan LeftDeepJoin(const Database& db, const std::vector<std::string>& tables) {
+  std::unique_ptr<PlanNode> root = MakeSeqScan(tables[0], nullptr);
+  for (size_t t = 1; t < tables.size(); ++t) {
+    root = MakeHashJoin(std::move(root), MakeSeqScan(tables[t], nullptr), {{0, 0}});
+  }
+  Plan plan(std::move(root));
+  EXPECT_TRUE(plan.Finalize(db).ok());
+  return plan;
+}
+
+/// The estimator's former Q-counting, kept as the reference: one dense
+/// count per sample tuple per leaf, summed over every tuple id in order.
+/// With `check_edges`, also checks that every leaf's ids 0 and n_k - 1
+/// are in the root join's output and some id is not.
+void ExpectDenseReference(const Database& db, const SampleDb& samples, const Plan& plan,
+                          const PlanEstimates& est, bool check_edges) {
+  const std::vector<const PlanNode*> leaves = plan.Leaves();
+  std::vector<const Table*> overrides;
+  std::unordered_map<std::string, int> occurrence;
+  for (const PlanNode* leaf : leaves) {
+    overrides.push_back(&samples.Get(leaf->table_name, occurrence[leaf->table_name]++));
+  }
+  ExecOptions options;
+  options.collect_provenance = true;
+  options.retain_intermediates = true;
+  options.leaf_overrides = &overrides;
+  Executor executor(&db);
+  auto run = executor.Execute(plan, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  for (const PlanNode* node : plan.NodesPreorder()) {
+    if (!IsJoin(node->type)) continue;
+    SCOPED_TRACE("join node " + std::to_string(node->id));
+    const SelectivityEstimate& e = est.ops[static_cast<size_t>(node->id)];
+    const double rho =
+        std::clamp(run->ops[static_cast<size_t>(node->id)].selectivity(), 0.0, 1.0);
+    ASSERT_EQ(e.rho, rho);
+    const RowBlock& block = run->blocks[static_cast<size_t>(node->id)];
+    const int span = node->leaf_end - node->leaf_begin;
+    double product = 1.0;
+    for (int k = 0; k < span; ++k) {
+      product *= est.leaf_sample_rows[static_cast<size_t>(node->leaf_begin + k)];
+    }
+    double total = 0.0;
+    for (int k = 0; k < span; ++k) {
+      const double nk = est.leaf_sample_rows[static_cast<size_t>(node->leaf_begin + k)];
+      double vk = 0.0;
+      if (nk >= 2.0) {
+        std::vector<double> q(static_cast<size_t>(nk), 0.0);
+        for (int64_t r = 0; r < block.num_rows(); ++r) q[block.prov_row(r)[k]] += 1.0;
+        if (check_edges && node->id == 0) {
+          EXPECT_GT(q.front(), 0.0) << "leaf " << k << ": id 0 not in the output";
+          EXPECT_GT(q.back(), 0.0) << "leaf " << k << ": id n_k - 1 not in the output";
+          EXPECT_NE(std::count(q.begin(), q.end(), 0.0), 0) << "leaf " << k;
+        }
+        const double dk = product / nk;
+        double acc = 0.0;
+        int64_t present = 0;
+        for (const double count : q) {
+          if (count == 0.0) continue;
+          ++present;
+          const double diff = count / dk - rho;
+          acc += diff * diff;
+        }
+        acc += (nk - static_cast<double>(present)) * rho * rho;
+        vk = acc / (nk - 1.0) / nk;
+      }
+      EXPECT_EQ(e.var_components[static_cast<size_t>(k)], vk) << "leaf " << k;
+      total += vk;
+    }
+    EXPECT_EQ(e.variance, total);
+  }
+}
+
+/// Every field the Q counters feed, compared for bit equality.
+void ExpectSameEstimates(const PlanEstimates& a, const PlanEstimates& b) {
+  ASSERT_EQ(a.ops.size(), b.ops.size());
+  for (size_t i = 0; i < a.ops.size(); ++i) {
+    EXPECT_EQ(a.ops[i].rho, b.ops[i].rho) << "node " << i;
+    EXPECT_EQ(a.ops[i].variance, b.ops[i].variance) << "node " << i;
+    EXPECT_EQ(a.ops[i].var_components, b.ops[i].var_components) << "node " << i;
+  }
+}
+
+TEST(JoinEstimate, SparseQCountsMatchDenseReference) {
+  const Database db = MakeEdgeSizeDb();
+  SampleOptions options;
+  options.sampling_ratio = 1.0;  // n_k = table rows: 1, 63, 64, 65, 129
+  options.min_sample_rows = 1;
+  // A seed whose samples put ids 0 and n_k - 1 of every leaf in the
+  // 3- and 4-way joins' outputs.
+  options.seed = 8;
+  const SampleDb samples = SampleDb::Build(db, options);
+  MorselPool pool(3);
+  struct Case {
+    std::vector<std::string> tables;
+    bool check_edges;  // ids 0 and n_k - 1 present, some id absent
+  };
+  const Case cases[] = {
+      {{"t63", "t64", "t65"}, true},           // 3-way
+      {{"t63", "t64", "t65", "t129"}, true},   // 4-way
+      {{"t64", "t64", "t63"}, false},          // a repeated relation
+      {{"t1", "t65"}, false},                  // a leaf with n_k = 1
+      {{"t63", "far"}, false},                 // empty join output
+  };
+  for (const Case& c : cases) {
+    std::string what;
+    for (const std::string& t : c.tables) what += t + " ";
+    SCOPED_TRACE(what);
+    const Plan plan = LeftDeepJoin(db, c.tables);
+    SamplingEstimator inline_estimator(&db, &samples);
+    auto inline_est = inline_estimator.Estimate(plan);
+    ASSERT_TRUE(inline_est.ok()) << inline_est.status().ToString();
+    ExpectDenseReference(db, samples, plan, *inline_est, c.check_edges);
+    SamplingEstimator pooled_estimator(&db, &samples, AggregateEstimateMode::kOptimizer,
+                                       ScanEstimateMode::kSampling, 3, &pool);
+    auto pooled_est = pooled_estimator.Estimate(plan);
+    ASSERT_TRUE(pooled_est.ok()) << pooled_est.status().ToString();
+    ExpectSameEstimates(*pooled_est, *inline_est);
+  }
 }
 
 // ---------- Pass-through and aggregates ----------

@@ -18,8 +18,10 @@ int ResolveNumThreads(int num_threads) {
   return static_cast<int>(std::max(1u, hw));
 }
 
-/// Shared pull-state of one RunTasks call: threads claim indexes from
-/// `next` until exhausted; the last finisher wakes the waiting caller.
+/// Shared pull-state of one RunTasks call: the caller and its queued helper
+/// closures claim indexes from `next` until exhausted; the last finisher
+/// wakes the waiting caller. Helpers hold it by shared_ptr, so one that
+/// reaches the queue front after the call returned finds nothing to claim.
 struct MorselPool::Batch {
   std::atomic<int64_t> next{0};
   std::atomic<int64_t> done{0};
@@ -43,8 +45,6 @@ struct MorselPool::Batch {
       }
     }
   }
-
-  bool exhausted() const { return next.load() >= total; }
 };
 
 MorselPool::MorselPool(int num_threads) {
@@ -55,36 +55,49 @@ MorselPool::MorselPool(int num_threads) {
   }
 }
 
-MorselPool::~MorselPool() {
+MorselPool::~MorselPool() { Shutdown(); }
+
+void MorselPool::Shutdown() {
   {
     MutexLock lock(&mu_);
+    if (stop_) return;
     stop_ = true;
   }
   cv_.NotifyAll();
   for (std::thread& t : threads_) t.join();
 }
 
+void MorselPool::WakeAll() { cv_.NotifyAll(); }
+
 void MorselPool::WorkerLoop() {
   for (;;) {
-    std::shared_ptr<Batch> batch;
+    std::function<void()> task;
     {
       MutexLock lock(&mu_);
       // Explicit predicate loop (not the wait-with-lambda overload): the
       // thread-safety analysis checks guarded accesses here, in the
-      // function that provably holds mu_. Prune batches every thread has
-      // already claimed out: they only sit in the list to attract helpers.
-      for (;;) {
-        while (!active_.empty() && active_.front()->exhausted()) {
-          active_.pop_front();
-        }
-        if (stop_ || !active_.empty()) break;
-        cv_.Wait(mu_);
-      }
-      if (active_.empty()) return;  // stop_ set and nothing left to help
-      batch = active_.front();
+      // function that provably holds mu_.
+      while (!stop_ && queue_.empty()) cv_.Wait(mu_);
+      if (queue_.empty()) return;  // stop_ set and queue drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    batch->Pull();
+    task();
   }
+}
+
+bool MorselPool::Submit(std::function<void()> task) {
+  {
+    MutexLock lock(&mu_);
+    if (stop_) return false;
+    if (!threads_.empty()) queue_.push_back(std::move(task));
+  }
+  if (threads_.empty()) {
+    task();
+  } else {
+    cv_.NotifyOne();
+  }
+  return true;
 }
 
 void MorselPool::RunTasks(int64_t n, const std::function<void(int64_t)>& fn) {
@@ -96,9 +109,15 @@ void MorselPool::RunTasks(int64_t n, const std::function<void(int64_t)>& fn) {
   auto batch = std::make_shared<Batch>();
   batch->total = n;
   batch->fn = &fn;  // outlives the call: we wait for completion below
+  const int64_t helpers = std::min(static_cast<int64_t>(threads_.size()), n - 1);
   {
     MutexLock lock(&mu_);
-    if (!stop_) active_.push_back(batch);
+    // After Shutdown nobody pops the queue: the caller runs every index.
+    if (!stop_) {
+      for (int64_t i = 0; i < helpers; ++i) {
+        queue_.push_back([batch] { batch->Pull(); });
+      }
+    }
   }
   cv_.NotifyAll();
   batch->Pull();  // the calling thread shards too (incl. nested calls)

@@ -23,23 +23,31 @@ namespace uqp {
 /// implementation backed by a saturated pool degrades to the caller doing
 /// all the work itself — never to a deadlock. Implementations must support
 /// nested RunTasks calls from inside a task (the executor fans out both
-/// join children and, within each, table chunks).
+/// join children and, within each, table chunks). MorselPool is the one
+/// implementation; PredictionService hands the executor its own
+/// MorselPool through an adapter that only adds a fault-injection probe.
 class TaskRunner {
  public:
   virtual ~TaskRunner() = default;
   virtual void RunTasks(int64_t n, const std::function<void(int64_t)>& fn) = 0;
 };
 
-/// Work-sharing pool implementing TaskRunner: `num_threads - 1` helper
-/// threads plus the calling thread pull task indexes from a shared atomic
-/// counter (morsel-driven dispatch: skewed tasks rebalance dynamically,
-/// while merge order stays the deterministic task-index order chosen by
-/// the caller). Callers hand one to the executor through
+/// The worker pool, the only one in the tree: `num_threads - 1` helper
+/// threads popping one FIFO queue of closures. Two kinds of work share it. Submit queues a
+/// whole job (PredictionService's PredictAsync requests). RunTasks
+/// implements TaskRunner: it queues min(num_threads - 1, n - 1) helper
+/// closures behind whatever is already queued, then the calling thread
+/// pulls task indexes from a shared atomic counter alongside any helper
+/// that reaches the front (morsel-driven dispatch: skewed tasks rebalance
+/// dynamically, while merge order stays the deterministic task-index order
+/// chosen by the caller). A saturated pool thus degrades to each caller
+/// running its own tasks. Callers hand one to the executor through
 /// ExecOptions::task_runner; long-lived callers (the sampling estimator,
 /// the service, benches) share one instance across runs.
 class MorselPool : public TaskRunner {
  public:
   explicit MorselPool(int num_threads);
+  /// Calls Shutdown().
   ~MorselPool() override;
 
   MorselPool(const MorselPool&) = delete;
@@ -47,7 +55,22 @@ class MorselPool : public TaskRunner {
 
   int num_threads() const { return static_cast<int>(threads_.size()) + 1; }
 
+  /// After Shutdown, runs every index on the calling thread.
   void RunTasks(int64_t n, const std::function<void(int64_t)>& fn) override;
+
+  /// Queues `task` behind everything already queued (FIFO, so the oldest
+  /// job is served first). A pool without helper threads runs it on the
+  /// calling thread. Returns false, without running it, after Shutdown.
+  bool Submit(std::function<void()> task);
+
+  /// Stops accepting work, lets the helpers drain every closure queued
+  /// before it, then joins them. Idempotent.
+  void Shutdown();
+
+  /// Wakes every idle helper with nothing new to run (the fault
+  /// injector's spurious-wakeup seam): each must fall back asleep through
+  /// its predicate loop.
+  void WakeAll();
 
  private:
   struct Batch;
@@ -55,12 +78,11 @@ class MorselPool : public TaskRunner {
 
   Mutex mu_;
   CondVar cv_;
-  /// Helper threads; written only by the constructor and joined by the
-  /// destructor, so concurrent readers (num_threads) race with nothing.
+  /// Helper threads; written only by the constructor and joined by
+  /// Shutdown (never erased), so concurrent readers (num_threads,
+  /// RunTasks) race with nothing.
   std::vector<std::thread> threads_;
-  /// Batches still attracting helpers. Workers prune exhausted fronts
-  /// under the lock; RunTasks appends under the lock.
-  std::deque<std::shared_ptr<Batch>> active_ UQP_GUARDED_BY(mu_);
+  std::deque<std::function<void()>> queue_ UQP_GUARDED_BY(mu_);
   bool stop_ UQP_GUARDED_BY(mu_) = false;
 };
 
@@ -171,21 +193,26 @@ struct ExecOptions {
   /// input in chunks of at most this many rows (vectorized-style batched
   /// execution — scan predicates evaluate over the table's column arrays
   /// into a selection mask, whose compacted survivor row ids are the scan's
-  /// output block). Output rows and provenance are identical for every
-  /// value, and so is every counter except sort comparisons: the blocked
-  /// merge sort's leaf blocks are max_batch_size rows, so its comparison
-  /// count depends on the batch size by design.
+  /// output block). Row order, provenance and every cell except aggregate
+  /// SUM and AVG are identical for every value, and so is every counter
+  /// except sort comparisons. The blocked merge sort's leaf blocks and
+  /// aggregation's per-chunk tables are max_batch_size rows, and both
+  /// merge up a pairwise tree shaped by the chunk count, so the sort's
+  /// comparison count and the rounding of a group's floating-point sum
+  /// (hence its average) follow the batch size by design; group keys,
+  /// COUNT, MIN and MAX do not.
   int64_t max_batch_size = 1024;
   /// Intra-query parallelism, the executor's only parallelism input. Null
   /// runs every task inline on the calling thread. With a pool, filter
   /// scans, hash-join builds/probes, nest-loop outer loops, sort key
   /// decoding, leaf blocks + merge-tree levels, per-chunk aggregation
   /// tables and merge-join group emission shard across it, and independent
-  /// join children run concurrently (PredictionService shares its worker
-  /// pool between plan-level and intra-plan tasks here). The determinism
-  /// contract (enforced by tests/parallel_parity_test.cc): output rows,
-  /// provenance, retained blocks and every resource counter are
-  /// bit-identical with and without a pool, at any pool size. Three
+  /// join children run concurrently (PredictionService's one MorselPool
+  /// serves both its plan-level requests and these intra-plan tasks). The
+  /// determinism contract (enforced by tests/parallel_parity_test.cc): at
+  /// a given max_batch_size, output rows and cells (aggregate sums
+  /// included), provenance, retained blocks and every resource counter
+  /// are bit-identical with and without a pool, at any pool size. Three
   /// ingredients: every operator has one body over a task decomposition
   /// fixed by row count and max_batch_size, never by thread count, and
   /// task results land in task order; task-accumulated counters are
@@ -196,8 +223,8 @@ struct ExecOptions {
   /// std::sort-sorted leaf blocks (deterministic for a given standard
   /// library, invariant to thread count — though not portable across
   /// standard-library implementations, whose introsorts compare
-  /// differently), and aggregate output order by first appearance in the
-  /// input.
+  /// differently), aggregate sums by the chunk-table merge tree, and
+  /// aggregate output order by first appearance in the input.
   TaskRunner* task_runner = nullptr;
   /// Cooperative cancellation probe. When set, the executor polls it at
   /// operator boundaries and at morsel-shard boundaries inside

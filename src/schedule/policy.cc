@@ -1,7 +1,6 @@
 #include "schedule/policy.h"
 
 #include "common/logging.h"
-#include "engine/cost_model.h"
 
 namespace uqp {
 
@@ -86,13 +85,6 @@ double NaiveBothMeetProb(const Gaussian& a_ms, double deadline_a_ms,
   const Gaussian sum = a_ms + b_ms;
   const double p_b = NormalCdf(deadline_b_ms, sum.mean, sum.variance);
   return p_a * p_b;
-}
-
-double OptimizerCostEstimate(const Plan& plan, const Database& db) {
-  // Shared with the service's degraded-mode fallback predictor: both must
-  // price a plan identically so "cost-only scheduling" and "cost-only
-  // degradation" agree on the same scalar.
-  return OptimizerScalarCost(plan, db);
 }
 
 }  // namespace uqp

@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/plan.h"
 #include "math/gaussian.h"
-#include "storage/database.h"
 
 namespace uqp {
 
@@ -106,13 +104,5 @@ double PairBothMeetProb(const Gaussian& a_ms, double deadline_a_ms,
 /// new code should call PairBothMeetProb.
 double NaiveBothMeetProb(const Gaussian& a_ms, double deadline_a_ms,
                          const Gaussian& b_ms, double deadline_b_ms);
-
-/// Scalar optimizer cost of a finalized plan: per-node resource vectors
-/// from the engine cost model dotted with PostgreSQL-ish default weights
-/// (seq_page_cost 1, random_page_cost 4, cpu_tuple_cost 0.01,
-/// cpu_index_tuple_cost 0.005, cpu_operator_cost 0.0025). This is the
-/// "what if we never sampled" baseline signal: cardinalities come from
-/// catalog statistics only.
-double OptimizerCostEstimate(const Plan& plan, const Database& db);
 
 }  // namespace uqp

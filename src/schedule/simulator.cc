@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "engine/cost_model.h"
 #include "engine/executor.h"
 #include "engine/planner.h"
 #include "math/rng.h"
@@ -120,7 +121,7 @@ ScheduleScenario BuildScenario(const Database& db, const SampleDb& samples,
     UQP_CHECK(pred_or.ok()) << "reference prediction failed";
     s.pool_ref_mean_ms.push_back(pred_or->mean());
     s.pool_fingerprint.push_back(PlanFingerprint(plan));
-    s.pool_cost.push_back(OptimizerCostEstimate(plan, db));
+    s.pool_cost.push_back(OptimizerScalarCost(plan, db));
   }
 
   // 3. Cost-only baseline calibration: least squares through the origin,

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <utility>
 
 #include "engine/cost_model.h"
@@ -13,31 +14,13 @@ namespace uqp {
 
 namespace {
 
-/// Shared state of one ParallelFor: workers and the calling thread pull
-/// indexes from `next` until exhausted; the last finisher wakes the caller.
-struct ParallelState {
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> done{0};
-  size_t total = 0;
-  const std::function<void(size_t)>* fn = nullptr;
-  /// Guards nothing directly (the counters are atomics): taken only so the
-  /// completion notify and the caller's wait agree on one lock and the
-  /// final wakeup cannot be lost.
-  Mutex mu;
-  CondVar cv;
-
-  void Pull() {
-    for (;;) {
-      const size_t i = next.fetch_add(1);
-      if (i >= total) return;
-      (*fn)(i);
-      if (done.fetch_add(1) + 1 == total) {
-        MutexLock lock(&mu);
-        cv.NotifyAll();
-      }
-    }
-  }
-};
+/// ServiceOptions::num_workers resolved: <= 0 means the hardware
+/// concurrency, capped at 4.
+int ResolveNumWorkers(int num_workers) {
+  if (num_workers > 0) return num_workers;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return static_cast<int>(std::min(4u, std::max(1u, hw)));
+}
 
 size_t RoundUpPow2(size_t v) {
   size_t p = 1;
@@ -49,18 +32,13 @@ size_t RoundUpPow2(size_t v) {
 
 PredictionService::PredictionService(const Database* db, const SampleDb* samples,
                                      CostUnits units, ServiceOptions options)
-    : pipeline_(db, samples, units, options.predictor, &pool_runner_),
+    : pool_(ResolveNumWorkers(options.num_workers) + 1),
+      pipeline_(db, samples, units, options.predictor, &pool_runner_),
       options_(std::move(options)),
       db_(db) {
   if (options_.breaker.failure_threshold > 0) {
     breaker_.reset(new CircuitBreakerRegistry(options_.breaker));
   }
-  int n = options_.num_workers;
-  if (n <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n = static_cast<int>(std::min(4u, std::max(1u, hw)));
-  }
-
   int s = options_.cache_shards;
   if (s <= 0) {
     // One shard per hardware thread is enough to make same-shard mutex
@@ -98,81 +76,16 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
   if (options_.feedback.enabled && options_.feedback.window_size > 0) {
     feedback_.reset(new FeedbackRegistry(options_.feedback, shard_count));
   }
-
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back(&PredictionService::WorkerLoop, this);
-  }
 }
 
 PredictionService::~PredictionService() { Shutdown(); }
 
 void PredictionService::Shutdown() {
-  {
-    MutexLock lock(&pool_mu_);
-    if (shutdown_) return;
-    shutdown_ = true;
-  }
-  pool_cv_.NotifyAll();
-  // Workers drain the queue before exiting, so every future handed out by
-  // PredictAsync before the shutdown flag was set is satisfied. Requests
-  // that lose the race (PredictAsync observing shutdown_ == true) are
-  // rejected with Status::Unavailable instead of being enqueued into a
-  // pool nobody drains. The joined threads stay in workers_ — the vector
-  // is never mutated after construction, so concurrent readers
-  // (ParallelFor, num_workers) race with nothing.
-  for (std::thread& t : workers_) t.join();
-}
-
-void PredictionService::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(&pool_mu_);
-      // Explicit predicate loop (not the wait-with-lambda overload): the
-      // guarded reads of shutdown_/pool_queue_ stay in this function,
-      // where the thread-safety analysis can prove pool_mu_ is held.
-      while (!shutdown_ && pool_queue_.empty()) pool_cv_.Wait(pool_mu_);
-      if (pool_queue_.empty()) return;  // shutdown_ set and queue drained
-      // FIFO: the oldest request is served next. (A LIFO pop would starve
-      // the oldest PredictAsync under sustained load.)
-      task = std::move(pool_queue_.front());
-      pool_queue_.pop_front();
-    }
-    task();
-  }
-}
-
-void PredictionService::ParallelFor(size_t n,
-                                    const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1 || workers_.empty()) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  auto state = std::make_shared<ParallelState>();
-  state->total = n;
-  state->fn = &fn;  // outlives the call: we wait for completion below
-  const size_t helpers = std::min(workers_.size(), n - 1);
-  bool enqueued = false;
-  {
-    MutexLock lock(&pool_mu_);
-    // After Shutdown nobody pops the queue: don't park helper closures
-    // there forever — the calling thread just runs every index itself.
-    if (!shutdown_) {
-      for (size_t i = 0; i < helpers; ++i) {
-        pool_queue_.push_back([state] { state->Pull(); });
-      }
-      enqueued = true;
-    }
-  }
-  if (enqueued) {
-    pool_cv_.NotifyAll();
-    MaybeSpuriousWakeup();
-  }
-  state->Pull();  // the calling thread shards too
-  MutexLock lock(&state->mu);
-  while (state->done.load() != n) state->cv.Wait(state->mu);
+  // The pool drains its queue before its workers exit, so every future
+  // handed out by PredictAsync before the shutdown is satisfied; a later
+  // cold PredictAsync is refused by Submit and fails fast with
+  // Status::Unavailable instead of waiting on a pool nobody drains.
+  pool_.Shutdown();
 }
 
 uint64_t PredictionService::Fingerprint(const Plan& plan,
@@ -253,9 +166,9 @@ void PredictionService::MaybeSpuriousWakeup() {
   if (options_.fault_injector == nullptr) return;
   if (!options_.fault_injector->InjectSpuriousWakeup()) return;
   // Nothing new to run: every worker that wakes must fall back asleep
-  // through its predicate loop. Fires outside pool_mu_ deliberately — a
-  // naked notify is exactly the hostile shape the loops must absorb.
-  pool_cv_.NotifyAll();
+  // through its predicate loop. A naked notify, outside the pool's mutex,
+  // is exactly the hostile shape the loops must absorb.
+  pool_.WakeAll();
   stripes_[0].spurious_wakeups.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -718,16 +631,7 @@ std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
   auto c = std::make_shared<Continuation>(req);
   c->plan = std::make_shared<const Plan>(plan.Clone());
   std::future<StatusOr<Prediction>> future = std::move(c->future);
-  bool rejected = false;
-  {
-    MutexLock lock(&pool_mu_);
-    if (shutdown_) {
-      rejected = true;
-    } else {
-      pool_queue_.push_back([this, c] { RunQueued(c); });
-    }
-  }
-  if (rejected) {
+  if (!pool_.Submit([this, c] { RunQueued(c); })) {
     // The pool is gone; enqueueing would leave the future unsatisfied
     // forever. Fail fast instead.
     StripeFor(req.fingerprint)
@@ -735,7 +639,6 @@ std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
     c->promise.set_value(Status::Unavailable("PredictionService is shut down"));
     return future;
   }
-  pool_cv_.NotifyOne();
   MaybeSpuriousWakeup();
   return future;
 }
@@ -771,8 +674,8 @@ std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
   // The runs this batch owns, sharded across the pool, with the stage 3
   // of cache hits alongside. Parked groups are left to their owners, so no
   // pool worker waits on another request's run.
-  ParallelFor(groups.size(), [&](size_t g) {
-    Group& gr = groups[g];
+  pool_runner_.RunTasks(static_cast<int64_t>(groups.size()), [&](int64_t g) {
+    Group& gr = groups[static_cast<size_t>(g)];
     const Plan& plan = *plans[gr.slot];
     if (gr.ticket.entry != nullptr) {
       gr.result = ServeEntry(gr.req, gr.ticket.entry, gr.ticket.lock_free);

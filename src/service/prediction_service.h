@@ -4,12 +4,10 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -18,6 +16,7 @@
 #include "common/thread_annotations.h"
 #include "core/pipeline.h"
 #include "cost/snapshot.h"
+#include "engine/executor.h"
 #include "engine/plan.h"
 #include "service/fault.h"
 #include "service/feedback.h"
@@ -72,16 +71,18 @@ struct ServiceOptions {
   /// Worker threads for PredictAsync and PredictBatch sharding. 0 sizes
   /// the pool to the hardware concurrency, capped at 4 — prediction sits
   /// on the admission path and must not monopolize the machine it gates.
+  /// The service owns one MorselPool of num_workers + 1 threads (the
+  /// workers plus the caller, who also pulls).
   ///
   /// The same pool also backs intra-plan parallelism when
   /// predictor.num_threads != 1: a lone cold request fans its sample run
   /// out across idle workers — every operator shards, including sort
   /// (fixed-shape blocked merge tree), aggregation (per-chunk tables
-  /// merged in chunk order) and merge-join group emission — while a
-  /// saturated service degrades gracefully: shard tasks queue behind
-  /// plan-level work and the thread running the prediction executes its
-  /// own shards, i.e. one-thread-per-plan behavior. Results are
-  /// bit-identical either way.
+  /// merged up a fixed-shape tree) and merge-join group emission — while a
+  /// saturated service degrades gracefully: shard helpers queue FIFO
+  /// behind plan-level work and the thread running the prediction
+  /// executes its own shards, i.e. one-thread-per-plan behavior. Results
+  /// are bit-identical either way.
   int num_workers = 0;
   /// Capacity of the sample-run cache (distinct plan fingerprints held);
   /// 0 disables caching entirely. The capacity is enforced per shard
@@ -118,9 +119,9 @@ struct ServiceOptions {
   FeedbackOptions feedback;
   /// Test/bench seam: deterministic fault injection (see service/fault.h).
   /// Consulted once per stage-1 attempt (injected latency, injected
-  /// failure) and once per pool enqueue (spurious wakeups). Null — the
-  /// production default — costs exactly one pointer test per site. Not
-  /// owned; must outlive the service.
+  /// failure) and once per PredictAsync enqueue or pool fan-out (spurious
+  /// wakeups). Null — the production default — costs exactly one pointer
+  /// test per site. Not owned; must outlive the service.
   FaultInjector* fault_injector = nullptr;
   /// Per-family circuit breaker: failure_threshold consecutive stage-1
   /// failures quarantine the family (requests shed without touching
@@ -254,7 +255,7 @@ class PredictionService {
 
   const PredictionPipeline& pipeline() const { return pipeline_; }
   const ServiceOptions& options() const { return options_; }
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  int num_workers() const { return pool_.num_threads() - 1; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
   /// Full prediction of one plan: submit, then wait on the calling thread.
@@ -694,9 +695,9 @@ class PredictionService {
   /// when the family has no history). Carries NO stage-1/2 artifacts.
   Prediction MakeDegraded(uint64_t fingerprint, const Plan& plan);
 
-  /// Injected spurious wakeup after a pool enqueue (test seam): an extra
-  /// NotifyAll with nothing new to do, exercising the explicit predicate
-  /// loops around every CondVar wait.
+  /// Injected spurious wakeup on a pool enqueue or fan-out (test seam): a
+  /// MorselPool::WakeAll with nothing new to do, exercising the explicit
+  /// predicate loops around every CondVar wait.
   void MaybeSpuriousWakeup();
 
   /// Inserts into the shard (shard mutex held) and publishes the slot. On
@@ -720,28 +721,25 @@ class PredictionService {
   void Report(uint64_t fingerprint, double observed_ms,
               const FeedbackRegistry::ErrorFn& mean_fn);
 
-  /// Runs `fn(i)` for i in [0, n) across the worker pool, the calling
-  /// thread included; returns when all indexes are done.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  void WorkerLoop();
-
-  /// Adapter handing the worker pool to the executor as a TaskRunner, so
-  /// intra-plan shard tasks and plan-level prediction tasks share one set
-  /// of threads (see ServiceOptions::num_workers).
+  /// Hands the worker pool to the executor as a TaskRunner, so intra-plan
+  /// shard tasks and plan-level prediction tasks share one set of threads
+  /// (see ServiceOptions::num_workers). Its one job besides forwarding is
+  /// the fault injector's spurious-wakeup probe on each fan-out.
   class PoolRunner : public TaskRunner {
    public:
     explicit PoolRunner(PredictionService* service) : service_(service) {}
     void RunTasks(int64_t n, const std::function<void(int64_t)>& fn) override {
-      service_->ParallelFor(static_cast<size_t>(n), [&fn](size_t i) {
-        fn(static_cast<int64_t>(i));
-      });
+      if (n > 1) service_->MaybeSpuriousWakeup();
+      service_->pool_.RunTasks(n, fn);
     }
 
    private:
     PredictionService* service_;
   };
 
+  /// The worker pool: PredictAsync requests and PredictBatch / intra-plan
+  /// shard helpers queue FIFO on it. Shutdown drains it.
+  MorselPool pool_;
   PoolRunner pool_runner_{this};  ///< must outlive (so precede) pipeline_
   PredictionPipeline pipeline_;
   ServiceOptions options_;
@@ -789,19 +787,6 @@ class PredictionService {
   // that make hits + misses == predictions hold by construction) -----
   mutable std::unique_ptr<StatsStripe[]> stripes_storage_;
   StatsStripe* stripes_ = nullptr;
-
-  // ----- worker pool -----
-  Mutex pool_mu_;
-  CondVar pool_cv_;
-  /// Written only by the constructor, joined by Shutdown; never otherwise
-  /// mutated, so concurrent readers (ParallelFor, num_workers) race with
-  /// nothing and no capability is needed.
-  std::vector<std::thread> workers_;
-  /// FIFO: workers pop the front, enqueuers push the back, so the oldest
-  /// PredictAsync request is always served next (no starvation under
-  /// sustained load).
-  std::deque<std::function<void()>> pool_queue_ UQP_GUARDED_BY(pool_mu_);
-  bool shutdown_ UQP_GUARDED_BY(pool_mu_) = false;
 };
 
 }  // namespace uqp

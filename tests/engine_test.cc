@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <map>
+#include <mutex>
+#include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -488,6 +493,85 @@ TEST(Executor, AggregateOutputsGroupsInFirstAppearanceOrder) {
   EXPECT_EQ(result.output.at(1, 0).AsString(), "y");
 }
 
+/// agg_table(k int, v double): `rows` rows, k drawn from 37 keys, v a
+/// non-integer double, so the order of a group's additions shows in its
+/// SUM and AVG cells.
+Database MakeAggDb(int rows, uint64_t seed) {
+  Rng rng(seed);
+  Database db("agg-test");
+  Table t("agg_table", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kDouble}}));
+  for (int i = 0; i < rows; ++i) {
+    t.AppendRow({Value::Int64(rng.NextInt(0, 36)), Value::Double(rng.NextDouble() * 1000.0)});
+  }
+  db.AddTable(std::move(t));
+  db.AnalyzeAll(8);
+  return db;
+}
+
+TEST(Executor, AggregateBatchSizeInvariants) {
+  // Chunk partials merge up a tree whose shape follows max_batch_size, so
+  // a group's floating-point SUM (and AVG) may differ in the last bits
+  // between batch sizes. Everything else is batch-size invariant: group
+  // order, keys, COUNT, MIN, MAX and every resource counter. At one batch
+  // size the pool changes nothing, SUM and AVG included.
+  Database db = MakeAggDb(3000, 17);
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggSpec::Kind::kCount, -1, "cnt"});
+  aggs.push_back({AggSpec::Kind::kSum, 1, "sum_v"});
+  aggs.push_back({AggSpec::Kind::kMin, 1, "min_v"});
+  aggs.push_back({AggSpec::Kind::kMax, 1, "max_v"});
+  aggs.push_back({AggSpec::Kind::kAvg, 1, "avg_v"});
+  const int kInvariantCols[] = {0, 1, 3, 4};  // key, COUNT, MIN, MAX
+  const int kSumCols[] = {2, 5};              // SUM, AVG
+  MorselPool pool(3);
+  auto run = [&](int64_t batch, TaskRunner* runner) {
+    Plan plan(MakeAggregate(MakeSeqScan("agg_table", NoPred()), {0}, aggs));
+    ExecOptions options;
+    options.max_batch_size = batch;
+    options.task_runner = runner;
+    return MustExecute(db, &plan, options);
+  };
+  auto expect_same_counters = [](const ExecResult& x, const ExecResult& y,
+                                 const std::string& what) {
+    ASSERT_EQ(x.ops.size(), y.ops.size()) << what;
+    for (size_t i = 0; i < x.ops.size(); ++i) {
+      EXPECT_EQ(x.ops[i].actual.ns, y.ops[i].actual.ns) << what << " op " << i;
+      EXPECT_EQ(x.ops[i].actual.nr, y.ops[i].actual.nr) << what << " op " << i;
+      EXPECT_EQ(x.ops[i].actual.nt, y.ops[i].actual.nt) << what << " op " << i;
+      EXPECT_EQ(x.ops[i].actual.ni, y.ops[i].actual.ni) << what << " op " << i;
+      EXPECT_EQ(x.ops[i].actual.no, y.ops[i].actual.no) << what << " op " << i;
+      EXPECT_EQ(x.ops[i].out_rows, y.ops[i].out_rows) << what << " op " << i;
+    }
+  };
+  const ExecResult reference = run(1024, nullptr);
+  ASSERT_EQ(reference.output.num_rows(), 37);
+  for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{64}, int64_t{1} << 20}) {
+    const std::string what = "batch " + std::to_string(batch);
+    const ExecResult inline_run = run(batch, nullptr);
+    const ExecResult pooled = run(batch, &pool);
+    ASSERT_EQ(inline_run.output.num_rows(), reference.output.num_rows()) << what;
+    ASSERT_EQ(pooled.output.num_rows(), reference.output.num_rows()) << what;
+    for (int64_t r = 0; r < reference.output.num_rows(); ++r) {
+      for (const int c : kInvariantCols) {
+        EXPECT_TRUE(inline_run.output.at(r, c).Equals(reference.output.at(r, c)))
+            << what << " row " << r << " col " << c;
+      }
+      for (const int c : {0, 1, 2, 3, 4, 5}) {
+        EXPECT_EQ(pooled.output.payload(r, c), inline_run.output.payload(r, c))
+            << what << " row " << r << " col " << c << " (pool vs no pool)";
+      }
+      for (const int c : kSumCols) {
+        EXPECT_NEAR(inline_run.output.at(r, c).AsDouble(),
+                    reference.output.at(r, c).AsDouble(),
+                    1e-9 * std::abs(reference.output.at(r, c).AsDouble()))
+            << what << " row " << r << " col " << c;
+      }
+    }
+    expect_same_counters(inline_run, reference, what);
+    expect_same_counters(pooled, inline_run, what + " (pool vs no pool)");
+  }
+}
+
 TEST(Executor, SortOutputIdenticalAcrossBatchSizes) {
   // The blocked merge sort's leaf/merge shape follows max_batch_size, but
   // its comparator is a total order (sort keys, then row index), so the
@@ -637,6 +721,112 @@ TEST(Executor, MaterializePassesThrough) {
   const ExecResult a = MustExecute(db, &plain);
   const ExecResult b = MustExecute(db, &mat);
   EXPECT_EQ(RowFingerprints(a.output), RowFingerprints(b.output));
+}
+
+// ---------- MorselPool ----------
+//
+// The pool contract, on a one-worker pool (one helper thread; RunTasks
+// callers pull too).
+
+TEST(MorselPool, SubmitRunsClosuresInFifoOrder) {
+  MorselPool pool(2);
+  std::atomic<bool> release{false};
+  std::mutex mu;
+  std::vector<int> order;
+  // The blocker holds the only worker until every closure is queued.
+  ASSERT_TRUE(pool.Submit([&] {
+    while (!release.load()) std::this_thread::yield();
+  }));
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(pool.Submit([&, i] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+    }));
+  }
+  release.store(true);
+  pool.Shutdown();
+  std::vector<int> expected(32);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(MorselPool, ShutdownDrainsQueuedClosuresAndRefusesLaterOnes) {
+  MorselPool pool(2);
+  std::atomic<bool> release{false};
+  std::atomic<int> queued_ran{0};
+  ASSERT_TRUE(pool.Submit([&] {
+    while (!release.load()) std::this_thread::yield();
+  }));
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(pool.Submit([&] { queued_ran.fetch_add(1); }));
+  }
+  // Shut down while the worker is blocked and 16 closures wait behind it.
+  std::thread stopper([&] { pool.Shutdown(); });
+  // Submit until the shutdown takes effect: every accepted closure runs,
+  // the refused one never does.
+  std::atomic<int> accepted_ran{0};
+  int accepted = 0;
+  while (accepted < 100000 && pool.Submit([&] { accepted_ran.fetch_add(1); })) {
+    ++accepted;
+    std::this_thread::yield();
+  }
+  release.store(true);
+  stopper.join();
+  ASSERT_LT(accepted, 100000) << "Submit kept accepting after Shutdown";
+  EXPECT_EQ(queued_ran.load(), 16);
+  EXPECT_EQ(accepted_ran.load(), accepted);
+  EXPECT_FALSE(pool.Submit([&] { accepted_ran.fetch_add(1); }));
+  pool.Shutdown();  // idempotent
+  EXPECT_EQ(accepted_ran.load(), accepted);
+}
+
+TEST(MorselPool, RunTasksAfterShutdownRunsOnTheCaller) {
+  MorselPool pool(2);
+  pool.Shutdown();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(100, 0);
+  std::vector<std::thread::id> ran_on(100);
+  pool.RunTasks(100, [&](int64_t i) {
+    ++hits[static_cast<size_t>(i)];
+    ran_on[static_cast<size_t>(i)] = std::this_thread::get_id();
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], 1) << "index " << i;
+    EXPECT_EQ(ran_on[i], caller) << "index " << i;
+  }
+}
+
+TEST(MorselPool, NestedRunTasksRunEachIndexOnce) {
+  MorselPool pool(2);
+  constexpr int kOuter = 8;
+  constexpr int kInner = 16;
+  // Outer task i fans out kInner inner tasks on the same pool.
+  auto fan_out = [&pool](std::vector<std::atomic<int>>* hits) {
+    pool.RunTasks(kOuter, [&pool, hits](int64_t i) {
+      pool.RunTasks(kInner, [hits, i](int64_t j) {
+        (*hits)[static_cast<size_t>(i * kInner + j)].fetch_add(1);
+      });
+    });
+  };
+  auto expect_once = [](const std::vector<std::atomic<int>>& hits,
+                        const std::string& what) {
+    for (size_t k = 0; k < hits.size(); ++k) {
+      EXPECT_EQ(hits[k].load(), 1) << what << " index " << k;
+    }
+  };
+  // Inside another RunTasks, from the caller.
+  std::vector<std::atomic<int>> direct(kOuter * kInner);
+  fan_out(&direct);
+  expect_once(direct, "nested in RunTasks");
+  // Inside a submitted closure, on the worker.
+  std::vector<std::atomic<int>> submitted(kOuter * kInner);
+  std::promise<void> done;
+  ASSERT_TRUE(pool.Submit([&] {
+    fan_out(&submitted);
+    done.set_value();
+  }));
+  done.get_future().wait();
+  expect_once(submitted, "nested in Submit");
 }
 
 // ---------- Provenance ----------

@@ -110,10 +110,11 @@ struct Prediction {
   const std::vector<OperatorCostFunctions>& cost_functions() const;
 
   /// True for a degraded (cost-only fallback) prediction: stage 1 failed
-  /// or timed out and the service served `optimizer scalar cost ×
-  /// cost_scale_ms` with inflated variance instead. Degraded predictions
-  /// carry NO stage 1-2 artifacts — sample_run and cost_fit are null, so
-  /// estimates() / cost_functions() must not be called when this is set.
+  /// or timed out and the service served the optimizer's resource
+  /// estimate priced in ms by the unit means of `calibration`, with
+  /// inflated variance, instead. Degraded predictions carry NO stage 1-2
+  /// artifacts — sample_run and cost_fit are null, so estimates() /
+  /// cost_functions() must not be called when this is set.
   bool degraded = false;
 };
 

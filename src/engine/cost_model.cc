@@ -186,6 +186,17 @@ ResourceVector EstimateNodeResources(const PlanNode& node, const Database& db,
   return EstimateResources(ctx, config);
 }
 
+ResourceVector OptimizerResources(const Plan& plan, const Database& db) {
+  CardinalityEstimator estimator(&db);
+  const std::vector<double> rows = estimator.EstimatePlan(plan);
+  const EngineConfig config;
+  ResourceVector total;
+  for (const PlanNode* node : plan.NodesPreorder()) {
+    total += EstimateNodeResources(*node, db, rows, config);
+  }
+  return total;
+}
+
 double OptimizerScalarCost(const Plan& plan, const Database& db) {
   // PostgreSQL's default cost weights (paper Table 1's charge units).
   constexpr double kSeqPage = 1.0;
@@ -193,15 +204,8 @@ double OptimizerScalarCost(const Plan& plan, const Database& db) {
   constexpr double kTuple = 0.01;
   constexpr double kIndexTuple = 0.005;
   constexpr double kOperator = 0.0025;
-  CardinalityEstimator estimator(&db);
-  const std::vector<double> rows = estimator.EstimatePlan(plan);
-  const EngineConfig config;
-  double cost = 0.0;
-  for (const PlanNode* node : plan.NodesPreorder()) {
-    const ResourceVector r = EstimateNodeResources(*node, db, rows, config);
-    cost += r.Dot(kSeqPage, kRandPage, kTuple, kIndexTuple, kOperator);
-  }
-  return cost;
+  return OptimizerResources(plan, db)
+      .Dot(kSeqPage, kRandPage, kTuple, kIndexTuple, kOperator);
 }
 
 }  // namespace uqp

@@ -91,11 +91,17 @@ double ExpectedPageFetches(double rows, double pages);
 /// nodes or when statistics are unavailable).
 double IndexRangeRatio(const PlanNode& node, const Database& db);
 
-/// The optimizer's scalar plan cost: estimated resource counters of every
-/// node dotted with PostgreSQL's default charge weights (seq_page=1.0,
-/// rand_page=4.0, tuple=0.01, index_tuple=0.005, operator=0.0025). This is
-/// the coarse single-number signal the cost-only scheduling baseline ranks
-/// by, and the degraded-mode predictor falls back on when sampling fails.
+/// The optimizer's resource estimate for a whole plan: every node's
+/// estimated counters (from the optimizer's cardinality estimates),
+/// summed. Dotted with calibrated unit means it is a time in ms — the
+/// degraded-mode predictor's mean when sampling fails.
+ResourceVector OptimizerResources(const Plan& plan, const Database& db);
+
+/// The optimizer's scalar plan cost: OptimizerResources dotted with
+/// PostgreSQL's default charge weights (seq_page=1.0, rand_page=4.0,
+/// tuple=0.01, index_tuple=0.005, operator=0.0025). A number in cost
+/// units, not time: the coarse single-number signal the cost-only
+/// scheduling baseline ranks by, after its own fitted scale to ms.
 double OptimizerScalarCost(const Plan& plan, const Database& db);
 
 }  // namespace uqp

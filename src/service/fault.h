@@ -146,7 +146,9 @@ class ScheduledFaultInjector : public FaultInjector {
 // after `failure_threshold` consecutive stage failures the family opens;
 // while open, requests shed (resolve degraded/unavailable without touching
 // stage 1); after `cooldown_requests` sheds one probe runs half-open; a
-// probe success closes the breaker, a probe failure re-opens it.
+// probe success closes the breaker, a probe failure re-opens it. The
+// state lives in each family's record of the service's FamilyRegistry
+// (service/feedback.h), next to its feedback window.
 // ---------------------------------------------------------------------------
 
 struct BreakerOptions {
@@ -168,78 +170,6 @@ struct BreakerDecision {
   /// This request is the half-open probe: run stage 1; its result closes
   /// or re-opens the family.
   bool probe = false;
-};
-
-struct BreakerSnapshot {
-  uint64_t fingerprint = 0;
-  BreakerState state = BreakerState::kClosed;
-  int consecutive_failures = 0;
-  uint64_t opens = 0;  ///< times this family transitioned to open
-  uint64_t shed = 0;   ///< requests this family shed while open
-};
-
-class CircuitBreakerRegistry {
- public:
-  explicit CircuitBreakerRegistry(BreakerOptions options)
-      : options_(options) {}
-
-  bool enabled() const { return options_.failure_threshold > 0; }
-  const BreakerOptions& options() const { return options_; }
-
-  /// Routes one incoming request for `fingerprint`. Never blocks; at most
-  /// one probe is in flight per family.
-  BreakerDecision Admit(uint64_t fingerprint);
-
-  /// Reports a stage-1 outcome (including injected faults and deadline
-  /// cancellations — a run that could not complete is a failure). Returns
-  /// true iff this result OPENED the breaker (closed/half-open -> open).
-  bool OnStageResult(uint64_t fingerprint, bool ok);
-
-  /// All families ever touched, sorted by fingerprint.
-  std::vector<BreakerSnapshot> Snapshot() const;
-
-  /// The snapshot row for one family (zero-value row if never touched).
-  BreakerSnapshot Family(uint64_t fingerprint) const;
-
-  uint64_t total_opens() const {
-    return total_opens_.load(std::memory_order_relaxed);
-  }
-  uint64_t total_shed() const {
-    return total_shed_.load(std::memory_order_relaxed);
-  }
-  uint64_t total_probes() const {
-    return total_probes_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct FamilyState {
-    BreakerState state = BreakerState::kClosed;
-    int consecutive_failures = 0;
-    int sheds_since_open = 0;
-    bool probe_inflight = false;
-    uint64_t opens = 0;
-    uint64_t shed = 0;
-  };
-  struct alignas(64) Shard {
-    mutable Mutex mu;
-    std::unordered_map<uint64_t, FamilyState> families UQP_GUARDED_BY(mu);
-  };
-  static constexpr size_t kNumShards = 8;
-
-  Shard& ShardFor(uint64_t fingerprint) {
-    return shards_[fingerprint % kNumShards];
-  }
-  const Shard& ShardFor(uint64_t fingerprint) const {
-    return shards_[fingerprint % kNumShards];
-  }
-
-  const BreakerOptions options_;
-  Shard shards_[kNumShards];
-  /// Registry-wide telemetry; relaxed atomics outside the capability
-  /// model (monotonic counters, no data dependency).
-  std::atomic<uint64_t> total_opens_{0};
-  std::atomic<uint64_t> total_shed_{0};
-  std::atomic<uint64_t> total_probes_{0};
 };
 
 }  // namespace uqp

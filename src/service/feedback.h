@@ -11,6 +11,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "cost/units.h"
+#include "service/fault.h"
 
 namespace uqp {
 
@@ -19,8 +20,8 @@ namespace uqp {
 /// stop tracking families whose predictions converged, recalibrate the
 /// cost units when a family's windowed error diverges).
 struct FeedbackOptions {
-  /// Master switch. When false, ReportObserved is a no-op and the service
-  /// keeps zero per-family state.
+  /// Master switch. When false, ReportObserved is a no-op, and the
+  /// service keeps no per-family state unless the breaker is on.
   bool enabled = false;
   /// Relative-error window per plan family (ring buffer). The convergence
   /// and drift tests both require a full window, so decisions are made on
@@ -62,8 +63,8 @@ struct PredictionStash {
   bool valid = false;
 };
 
-/// Introspection snapshot of one plan family's feedback state (tests, the
-/// drift_storm bench, monitoring).
+/// Introspection snapshot of one plan family's record (tests, the
+/// drift_storm and chaos_storm benches, monitoring).
 struct FamilyFeedback {
   uint64_t fingerprint = 0;
   uint64_t reports = 0;         ///< observations reported for this family
@@ -76,26 +77,34 @@ struct FamilyFeedback {
   double windowed_mean_abs_error = 0.0;
   /// Last-prediction stash (see PredictionStash).
   PredictionStash stash;
-  /// Circuit-breaker state for this family, merged in by the service's
-  /// FeedbackSnapshot() when a breaker registry is configured (the
-  /// FeedbackRegistry itself never touches breakers). "closed" with zero
-  /// counters when no breaker exists or the family never failed.
+  /// Circuit-breaker state for this family: "closed" with zero counters
+  /// when the breaker is off or the family never failed.
   const char* breaker_state = "closed";
   int breaker_consecutive_failures = 0;
   uint64_t breaker_opens = 0;
   uint64_t breaker_shed = 0;
 };
 
-/// Sharded, thread-safe per-plan-family error tracking with deterministic
-/// convergence/drift decisions. Pure bookkeeping: the registry never
-/// computes predictions or publishes snapshots itself — the service wires
-/// those through Observe's lazy error callback and the Action it returns.
+/// The service's one per-plan-family table: a sharded, thread-safe map
+/// from fingerprint to one record holding the family's feedback state
+/// (relative-error window, convergence flag, last-prediction stash) and
+/// its circuit-breaker state (see BreakerOptions). Pure bookkeeping: the
+/// registry never computes predictions or publishes snapshots itself —
+/// the service wires those through Observe's lazy error callback and the
+/// Action it returns, and counts the breaker's opens, sheds and probes
+/// from Admit's and OnStageResult's results.
+///
+/// A record exists once the family was reported (feedback on) or had a
+/// stage result (breaker on); each half stays at its zero value while its
+/// feature is off.
 ///
 /// Determinism contract: for a fixed sequence of (fingerprint, error)
-/// observations, the full state trajectory — window contents, convergence
-/// flips, drift decisions — is bit-identical regardless of how many
-/// threads the *predictions* used (extended parallel_parity_test).
-class FeedbackRegistry {
+/// observations, the full feedback trajectory — window contents,
+/// convergence flips, drift decisions — is bit-identical regardless of
+/// how many threads the *predictions* used (extended
+/// parallel_parity_test); the breaker is count-based, so its states are
+/// a pure function of the admit/result sequence per family.
+class FamilyRegistry {
  public:
   enum class Action {
     kDisabled,         ///< feedback off; nothing recorded
@@ -109,7 +118,15 @@ class FeedbackRegistry {
     kDrift,            ///< windowed error diverged; caller should recalibrate
   };
 
-  FeedbackRegistry(FeedbackOptions options, size_t shard_count);
+  FamilyRegistry(FeedbackOptions feedback, BreakerOptions breaker,
+                 size_t shard_count);
+
+  bool feedback_enabled() const {
+    return feedback_.enabled && feedback_.window_size > 0;
+  }
+  bool breaker_enabled() const { return breaker_.failure_threshold > 0; }
+
+  // ----- feedback -----
 
   /// Computes the signed relative error of one observation, lazily. The
   /// callback receives the family's last-prediction stash: on a cache hit
@@ -137,29 +154,44 @@ class FeedbackRegistry {
   /// follow the new units automatically through lazy re-combination.
   void OnPublish();
 
-  const FeedbackOptions& options() const { return options_; }
-  bool enabled() const {
-    return options_.enabled && options_.window_size > 0;
-  }
-
   uint64_t total_reports() const {
     return total_reports_.load(std::memory_order_relaxed);
   }
-  size_t family_count() const;
-  size_t converged_count() const;
-
-  /// Full per-family state, sorted by fingerprint (deterministic order).
-  std::vector<FamilyFeedback> Snapshot() const;
 
   /// The family's current windowed mean |relative error|, if it has one.
-  /// Returns false (leaving *error untouched) when the registry is
-  /// disabled or the family has an empty window. The degraded-mode
-  /// predictor uses this to inflate its variance from the family's
-  /// observed error history.
+  /// Returns false (leaving *error untouched) when feedback is off or the
+  /// family has an empty window. The degraded-mode predictor uses this to
+  /// inflate its variance from the family's observed error history.
   bool WindowedError(uint64_t fingerprint, double* error) const;
+
+  // ----- circuit breaker -----
+
+  /// Routes one incoming request for `fingerprint`. Never blocks beyond
+  /// the family's shard mutex; at most one probe is in flight per family.
+  /// Admits everything while the breaker is off.
+  BreakerDecision Admit(uint64_t fingerprint);
+
+  /// Reports a stage-1 outcome (including injected faults and deadline
+  /// cancellations — a run that could not complete is a failure). Returns
+  /// true iff this result OPENED the breaker (closed/half-open -> open).
+  /// No-op returning false while the breaker is off.
+  bool OnStageResult(uint64_t fingerprint, bool ok);
+
+  // ----- introspection -----
+
+  /// Both family gauges from one sweep over the shards.
+  struct Counts {
+    size_t reported = 0;   ///< families with at least one report
+    size_t converged = 0;  ///< families currently converged
+  };
+  Counts CountFamilies() const;
+
+  /// Every family record, sorted by fingerprint (deterministic order).
+  std::vector<FamilyFeedback> Snapshot() const;
 
  private:
   struct Family {
+    // --- feedback ---
     std::vector<double> window;  ///< ring buffer of signed relative errors
     size_t next = 0;
     size_t filled = 0;
@@ -169,6 +201,13 @@ class FeedbackRegistry {
     /// Last successfully computed prediction (see PredictionStash): the
     /// fallback comparison point for evicted-but-reported plans.
     PredictionStash stash;
+    // --- circuit breaker ---
+    BreakerState state = BreakerState::kClosed;
+    int consecutive_failures = 0;
+    int sheds_since_open = 0;
+    bool probe_inflight = false;
+    uint64_t opens = 0;  ///< times this family transitioned to open
+    uint64_t shed = 0;   ///< requests this family shed while open
   };
   struct alignas(64) Shard {
     mutable Mutex mu;
@@ -181,7 +220,8 @@ class FeedbackRegistry {
   void Push(Family* family, double error) const;
   double WindowMeanAbs(const Family& family) const;
 
-  FeedbackOptions options_;
+  const FeedbackOptions feedback_;
+  const BreakerOptions breaker_;
   std::unique_ptr<Shard[]> shards_;
   size_t shard_count_ = 0;
   size_t mask_ = 0;

@@ -36,9 +36,6 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
       pipeline_(db, samples, units, options.predictor, &pool_runner_),
       options_(std::move(options)),
       db_(db) {
-  if (options_.breaker.failure_threshold > 0) {
-    breaker_.reset(new CircuitBreakerRegistry(options_.breaker));
-  }
   int s = options_.cache_shards;
   if (s <= 0) {
     // One shard per hardware thread is enough to make same-shard mutex
@@ -73,8 +70,10 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
   stripes_storage_.reset(new StatsStripe[shard_count]);
   stripes_ = stripes_storage_.get();
 
-  if (options_.feedback.enabled && options_.feedback.window_size > 0) {
-    feedback_.reset(new FeedbackRegistry(options_.feedback, shard_count));
+  if ((options_.feedback.enabled && options_.feedback.window_size > 0) ||
+      options_.breaker.failure_threshold > 0) {
+    families_.reset(
+        new FamilyRegistry(options_.feedback, options_.breaker, shard_count));
   }
 }
 
@@ -140,16 +139,21 @@ PredictionService::RequestContext PredictionService::MakeContext(
 Prediction PredictionService::MakeDegraded(uint64_t fingerprint,
                                            const Plan& plan) {
   const DegradedOptions& dg = options_.degraded;
+  // The optimizer's resource estimate priced by the calibrated unit means
+  // is in milliseconds, like the pipeline's own mean; the raw PostgreSQL
+  // scalar cost would be cost units.
+  const CalibrationPtr snapshot = pipeline_.calibration();
+  const ResourceVector r = OptimizerResources(plan, *db_);
   const double mean =
-      std::max(0.0, OptimizerScalarCost(plan, *db_)) * dg.cost_scale_ms;
+      std::max(0.0, snapshot->units.MeanDot(r.ns, r.nr, r.nt, r.ni, r.no));
   // The degraded interval is widest where we already know we mispredict:
   // the family's windowed feedback error replaces the configured default
   // when larger, then the whole sigma is inflated — a cost-only guess is
   // strictly less informed than the sampling pipeline it stands in for.
   double rel = dg.default_rel_error;
-  if (feedback_ != nullptr) {
+  if (families_ != nullptr) {
     double windowed = 0.0;
-    if (feedback_->WindowedError(fingerprint, &windowed)) {
+    if (families_->WindowedError(fingerprint, &windowed)) {
       rel = std::max(rel, windowed);
     }
   }
@@ -158,7 +162,7 @@ Prediction PredictionService::MakeDegraded(uint64_t fingerprint,
   out.breakdown.mean = mean;
   out.breakdown.variance = sigma * sigma;
   out.degraded = true;
-  out.calibration = pipeline_.calibration();
+  out.calibration = snapshot;
   return out;
 }
 
@@ -389,24 +393,34 @@ StatusOr<PredictionService::Artifacts> PredictionService::RunStages(
 
 StatusOr<PredictionService::Artifacts> PredictionService::RunOwnedStages(
     const Plan& plan, const Request& req, const Ticket& ticket) {
-  if (breaker_ != nullptr && breaker_->Admit(req.fingerprint).shed) {
-    // Quarantined: stage 1 is not consulted at all (the fault injector
-    // included — a shed is invisible to the schedule's attempt count).
-    // The run still completes, so every parked continuation resolves with
-    // the same quarantine status. (A half-open probe is admitted and runs
-    // the stages normally; its verdict below closes or re-opens the
-    // family.)
-    const StatusOr<Artifacts> shed(
-        Status::Unavailable("plan family quarantined by circuit breaker"));
-    CompleteRun(plan, req, ticket, shed);
-    return shed;
+  // With the breaker off, the miss path makes no registry call.
+  const bool breaker = families_ != nullptr && families_->breaker_enabled();
+  StatsStripe& stripe = StripeFor(req.fingerprint);
+  if (breaker) {
+    const BreakerDecision decision = families_->Admit(req.fingerprint);
+    if (decision.probe) {
+      stripe.breaker_probes.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (decision.shed) {
+      // Quarantined: stage 1 is not consulted at all (the fault injector
+      // included — a shed is invisible to the schedule's attempt count).
+      // The run still completes, so every parked continuation resolves
+      // with the same quarantine status. (A half-open probe is admitted
+      // and runs the stages normally; its verdict below closes or re-opens
+      // the family.)
+      stripe.breaker_shed.fetch_add(1, std::memory_order_relaxed);
+      const StatusOr<Artifacts> shed(
+          Status::Unavailable("plan family quarantined by circuit breaker"));
+      CompleteRun(plan, req, ticket, shed);
+      return shed;
+    }
   }
   StatusOr<Artifacts> result = RunStages(plan, req.fingerprint, req.ctx);
   if (options_.post_stages_hook) options_.post_stages_hook();
-  if (breaker_ != nullptr) {
-    // Injected faults and deadline cancellations count as failures: a run
-    // that could not complete is a failure from the family's viewpoint.
-    breaker_->OnStageResult(req.fingerprint, result.ok());
+  // Injected faults and deadline cancellations count as failures: a run
+  // that could not complete is a failure from the family's viewpoint.
+  if (breaker && families_->OnStageResult(req.fingerprint, result.ok())) {
+    stripe.breaker_opens.fetch_add(1, std::memory_order_relaxed);
   }
   CompleteRun(plan, req, ticket, result);
   return result;
@@ -715,14 +729,14 @@ uint64_t PredictionService::PublishCalibration(CostUnits units,
   MutexLock lock(&calibration_mu_);
   const uint64_t epoch = pipeline_.calibration()->epoch + 1;
   const uint64_t reports =
-      feedback_ != nullptr ? feedback_->total_reports() : 0;
+      families_ != nullptr ? families_->total_reports() : 0;
   pipeline_.SetCalibration(MakeCalibrationSnapshot(std::move(units), epoch,
                                                    std::move(source), reports));
   // Deliberately NOT InvalidateCache: stage-1/2 artifacts are
   // unit-independent, so every cached entry survives the swap and only
   // its stage-3 memo went stale — the next hit re-combines lazily
   // (stats().recombines) instead of re-running the expensive stages.
-  if (feedback_ != nullptr) feedback_->OnPublish();
+  if (families_ != nullptr) families_->OnPublish();
   return epoch;
 }
 
@@ -739,7 +753,7 @@ void PredictionService::ReportObserved(uint64_t fingerprint,
   // cache-backed comparison refreshes the family's stash; when the plan
   // was evicted (or flushed) the stashed mean is the fallback comparison
   // point, so late reports still land instead of dropping.
-  Report(fingerprint, observed_ms,
+  Report(fingerprint, observed_ms, /*comparable=*/true,
          [this, fingerprint](PredictionStash* stash, double* mean_ms) {
            const EntryPtr entry = FindEntry(fingerprint);
            if (entry != nullptr) {
@@ -768,7 +782,9 @@ void PredictionService::ReportObservedAgainst(uint64_t fingerprint,
   // admission/ordering decision used), so no cache lookup: the report
   // lands even for plans that were never cached here, and a calibration
   // swap between decision and completion cannot silently shift the error.
-  Report(fingerprint, observed_ms,
+  // A degraded decision never feeds the loop: its error would measure the
+  // optimizer's cost-only guess, not the calibrated pipeline.
+  Report(fingerprint, observed_ms, /*comparable=*/!as_decided.degraded,
          [&as_decided](PredictionStash* stash, double* mean_ms) {
            stash->mean_ms = as_decided.mean();
            stash->epoch = as_decided.calibration_epoch();
@@ -779,14 +795,15 @@ void PredictionService::ReportObservedAgainst(uint64_t fingerprint,
 }
 
 void PredictionService::Report(uint64_t fingerprint, double observed_ms,
-                               const FeedbackRegistry::ErrorFn& mean_fn) {
-  if (feedback_ == nullptr) return;
+                               bool comparable,
+                               const FamilyRegistry::ErrorFn& mean_fn) {
+  if (families_ == nullptr || !families_->feedback_enabled()) return;
   StatsStripe& stripe = StripeFor(fingerprint);
   stripe.feedback_reports.fetch_add(1, std::memory_order_relaxed);
   // Only a finite positive runtime has a relative error: +inf would put
   // inf/inf = NaN into the window, and the family could then neither
   // converge nor drift until it left the ring.
-  if (!(std::isfinite(observed_ms) && observed_ms > 0.0)) {
+  if (!comparable || !(std::isfinite(observed_ms) && observed_ms > 0.0)) {
     stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -797,11 +814,11 @@ void PredictionService::Report(uint64_t fingerprint, double observed_ms,
     *error = (observed_ms - mean_ms) / observed_ms;
     return true;
   };
-  switch (feedback_->Observe(fingerprint, error_fn)) {
-    case FeedbackRegistry::Action::kDropped:
+  switch (families_->Observe(fingerprint, error_fn)) {
+    case FamilyRegistry::Action::kDropped:
       stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
       break;
-    case FeedbackRegistry::Action::kDrift:
+    case FamilyRegistry::Action::kDrift:
       HandleDrift(fingerprint);
       break;
     default:
@@ -813,7 +830,7 @@ void PredictionService::HandleDrift(uint64_t fingerprint) {
   if (!options_.feedback.recalibrate) return;  // detect-only mode
   // At most one recalibration per cooldown window across all families:
   // one machine-wide drift makes many families scream at once.
-  if (!feedback_->ClaimDrift()) return;
+  if (!families_->ClaimDrift()) return;
   // Re-derive the units outside every service lock — calibration runs
   // real (harness) queries and must not stall the prediction hot path.
   CostUnits units = options_.feedback.recalibrate();
@@ -822,38 +839,8 @@ void PredictionService::HandleDrift(uint64_t fingerprint) {
 }
 
 std::vector<FamilyFeedback> PredictionService::FeedbackSnapshot() const {
-  std::vector<FamilyFeedback> rows =
-      feedback_ != nullptr ? feedback_->Snapshot() : std::vector<FamilyFeedback>();
-  if (breaker_ == nullptr) return rows;
-  // Merge breaker state into the feedback rows (both sorted by
-  // fingerprint); families the breaker touched but feedback never saw
-  // become rows of their own with empty windows.
-  const std::vector<BreakerSnapshot> breakers = breaker_->Snapshot();
-  size_t r = 0;
-  std::vector<FamilyFeedback> extra;
-  for (const BreakerSnapshot& b : breakers) {
-    while (r < rows.size() && rows[r].fingerprint < b.fingerprint) ++r;
-    FamilyFeedback* row;
-    if (r < rows.size() && rows[r].fingerprint == b.fingerprint) {
-      row = &rows[r];
-    } else {
-      extra.emplace_back();
-      extra.back().fingerprint = b.fingerprint;
-      row = &extra.back();
-    }
-    row->breaker_state = ToString(b.state);
-    row->breaker_consecutive_failures = b.consecutive_failures;
-    row->breaker_opens = b.opens;
-    row->breaker_shed = b.shed;
-  }
-  if (!extra.empty()) {
-    rows.insert(rows.end(), extra.begin(), extra.end());
-    std::sort(rows.begin(), rows.end(),
-              [](const FamilyFeedback& a, const FamilyFeedback& b) {
-                return a.fingerprint < b.fingerprint;
-              });
-  }
-  return rows;
+  return families_ != nullptr ? families_->Snapshot()
+                              : std::vector<FamilyFeedback>();
 }
 
 ServiceStats PredictionService::stats() const {
@@ -895,16 +882,15 @@ ServiceStats PredictionService::stats() const {
     out.faults_injected += s.faults_injected.load(std::memory_order_relaxed);
     out.spurious_wakeups +=
         s.spurious_wakeups.load(std::memory_order_relaxed);
+    out.breaker_opens += s.breaker_opens.load(std::memory_order_relaxed);
+    out.breaker_shed += s.breaker_shed.load(std::memory_order_relaxed);
+    out.breaker_probes += s.breaker_probes.load(std::memory_order_relaxed);
   }
   out.predictions = out.cache_hits + out.cache_misses;
-  if (feedback_ != nullptr) {
-    out.converged_families = feedback_->converged_count();
-    out.feedback_families = feedback_->family_count();
-  }
-  if (breaker_ != nullptr) {
-    out.breaker_opens = breaker_->total_opens();
-    out.breaker_shed = breaker_->total_shed();
-    out.breaker_probes = breaker_->total_probes();
+  if (families_ != nullptr && families_->feedback_enabled()) {
+    const FamilyRegistry::Counts counts = families_->CountFamilies();
+    out.converged_families = counts.converged;
+    out.feedback_families = counts.reported;
   }
   return out;
 }

@@ -26,17 +26,12 @@ namespace uqp {
 /// Cost-only degradation knobs: when stage 1 fails (or is quarantined by
 /// the circuit breaker) and the request opted in with
 /// RequestOptions::allow_degraded, the service serves a fallback built
-/// from the optimizer's scalar cost alone — no sampling, no fitted cost
-/// functions — flagged Prediction::degraded.
+/// from the optimizer's estimated resource counters alone — no sampling,
+/// no fitted cost functions — priced in milliseconds by the current
+/// calibration's unit means and flagged Prediction::degraded.
 struct DegradedOptions {
-  /// Milliseconds per optimizer cost unit (OptimizerScalarCost — the same
-  /// PostgreSQL-weight scalar the cost-only scheduling baseline ranks by).
-  /// Fit it like the simulator does (least squares through the origin
-  /// against observed runtimes); the default 1.0 keeps the fallback
-  /// monotone in cost even uncalibrated.
-  double cost_scale_ms = 1.0;
   /// Relative error assumed for a family with no feedback history. The
-  /// family's windowed mean |relative error| (FeedbackRegistry) replaces
+  /// family's windowed mean |relative error| (FamilyRegistry) replaces
   /// it when larger — a family we already know we mispredict gets a wider
   /// degraded interval.
   double default_rel_error = 0.5;
@@ -357,15 +352,17 @@ class PredictionService {
   /// against P even if the service has since recalibrated — the feedback
   /// series then measures the error of the predictions the *decisions*
   /// were actually made with. Refreshes the family's last-prediction
-  /// stash like the cache-backed path.
+  /// stash like the cache-backed path. A degraded P is the optimizer's
+  /// cost-only guess, not the pipeline's, so its report is counted in
+  /// stats().feedback_dropped and leaves the window and stash alone.
   void ReportObservedAgainst(uint64_t fingerprint, const Prediction& as_decided,
                              double observed_ms);
 
-  /// Per-family feedback state (tests, benches, monitoring): window
-  /// contents, update counters, convergence flags — with the family's
-  /// circuit-breaker state merged in when a breaker is configured
-  /// (breaker-only families appear as rows with empty windows). Sorted by
-  /// fingerprint. Empty when both feedback and the breaker are disabled.
+  /// Per-family state (tests, benches, monitoring): one row per family
+  /// record — window contents, update counters, convergence flags and
+  /// circuit-breaker state (breaker-only families appear as rows with
+  /// empty windows). Sorted by fingerprint. Empty when both feedback and
+  /// the breaker are disabled.
   std::vector<FamilyFeedback> FeedbackSnapshot() const;
 
   /// Stops the worker pool: drains every task already enqueued (so every
@@ -532,6 +529,9 @@ class PredictionService {
     std::atomic<uint64_t> feedback_stash_hits{0};
     std::atomic<uint64_t> faults_injected{0};
     std::atomic<uint64_t> spurious_wakeups{0};
+    std::atomic<uint64_t> breaker_opens{0};
+    std::atomic<uint64_t> breaker_shed{0};
+    std::atomic<uint64_t> breaker_probes{0};
   };
 
   /// One cache + in-flight shard. `slots` is the lock-free publication
@@ -690,9 +690,10 @@ class PredictionService {
   }
 
   /// Cost-only degraded fallback (Prediction::degraded == true): mean =
-  /// OptimizerScalarCost * DegradedOptions::cost_scale_ms; sigma inflated
-  /// from the family's windowed feedback error (or the configured default
-  /// when the family has no history). Carries NO stage-1/2 artifacts.
+  /// OptimizerResources dotted with the current calibration's unit means
+  /// (ms), stamped with that snapshot; sigma inflated from the family's
+  /// windowed feedback error (or the configured default when the family
+  /// has no history). Carries NO stage-1/2 artifacts.
   Prediction MakeDegraded(uint64_t fingerprint, const Plan& plan);
 
   /// Injected spurious wakeup on a pool enqueue or fan-out (test seam): a
@@ -714,12 +715,13 @@ class PredictionService {
   void HandleDrift(uint64_t fingerprint);
 
   /// The one feedback path behind both ReportObserved forms: drops an
-  /// observation that is not a finite positive number, else records the
-  /// relative error against the mean `mean_fn` yields (it may refresh or
-  /// fall back to the family's stash; false = nothing to compare to), and
-  /// handles a drift verdict.
-  void Report(uint64_t fingerprint, double observed_ms,
-              const FeedbackRegistry::ErrorFn& mean_fn);
+  /// observation that is not a finite positive number, or that is not
+  /// `comparable` (measured against a degraded prediction), else records
+  /// the relative error against the mean `mean_fn` yields (it may refresh
+  /// or fall back to the family's stash; false = nothing to compare to),
+  /// and handles a drift verdict.
+  void Report(uint64_t fingerprint, double observed_ms, bool comparable,
+              const FamilyRegistry::ErrorFn& mean_fn);
 
   /// Hands the worker pool to the executor as a TaskRunner, so intra-plan
   /// shard tasks and plan-level prediction tasks share one set of threads
@@ -747,9 +749,6 @@ class PredictionService {
   /// fallback's optimizer scalar cost (the pipeline owns its own copy of
   /// this pointer but does not expose it).
   const Database* db_ = nullptr;
-  /// Per-family quarantine; null when BreakerOptions::failure_threshold
-  /// is 0 (zero overhead).
-  std::unique_ptr<CircuitBreakerRegistry> breaker_;
 
   // ----- sharded stage-artifact cache + in-flight dedup tables -----
   mutable std::unique_ptr<Shard[]> shard_storage_;
@@ -779,9 +778,10 @@ class PredictionService {
   /// are unique and monotone, so it guards no fields, just the
   /// read-increment-publish sequence.
   Mutex calibration_mu_;
-  /// Per-plan-family windowed error tracking; null when feedback is
-  /// disabled (zero overhead).
-  std::unique_ptr<FeedbackRegistry> feedback_;
+  /// The per-plan-family table (feedback windows, stashes, breaker
+  /// state); null when both feedback and the breaker are disabled (zero
+  /// overhead).
+  std::unique_ptr<FamilyRegistry> families_;
 
   // ----- striped counters (one stripe per shard + classification rules
   // that make hits + misses == predictions hold by construction) -----

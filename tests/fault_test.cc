@@ -1,5 +1,6 @@
-// Unit tests for the deterministic fault-injection harness and the
-// per-family circuit breaker (src/service/fault.{h,cc}): the schedule is
+// Unit tests for the deterministic fault-injection harness
+// (src/service/fault.{h,cc}) and the per-family circuit breaker kept in
+// FamilyRegistry's records (src/service/feedback.{h,cc}): the schedule is
 // a pure function of the seed (replayable bit-identically at any thread
 // count), attempt numbering is exact under concurrency, and the breaker
 // walks closed -> open -> half-open -> closed/open deterministically,
@@ -14,6 +15,7 @@
 
 #include "common/status.h"
 #include "service/fault.h"
+#include "service/feedback.h"
 
 namespace uqp {
 namespace {
@@ -135,35 +137,57 @@ TEST(ScheduledFaultInjectorTest, SpuriousWakeupFiresEveryNth) {
 }
 
 // ---------------------------------------------------------------------------
-// Circuit breaker
+// Circuit breaker (state kept in the FamilyRegistry's family records)
 // ---------------------------------------------------------------------------
 
+/// A registry with feedback off, so its records hold breaker state only.
+FamilyRegistry BreakerOnly(int failure_threshold, int cooldown_requests) {
+  BreakerOptions opts;
+  opts.failure_threshold = failure_threshold;
+  opts.cooldown_requests = cooldown_requests;
+  return FamilyRegistry(FeedbackOptions{}, opts, /*shard_count=*/8);
+}
+
+/// The family's snapshot row (a zero-value closed row if never touched).
+FamilyFeedback Row(const FamilyRegistry& registry, uint64_t fingerprint) {
+  for (const FamilyFeedback& row : registry.Snapshot()) {
+    if (row.fingerprint == fingerprint) return row;
+  }
+  FamilyFeedback ghost;
+  ghost.fingerprint = fingerprint;
+  return ghost;
+}
+
 TEST(CircuitBreakerTest, DisabledRegistryAdmitsEverything) {
-  CircuitBreakerRegistry breaker(BreakerOptions{});  // threshold 0: disabled
-  EXPECT_FALSE(breaker.enabled());
+  FamilyRegistry breaker = BreakerOnly(0, 8);  // threshold 0: disabled
+  EXPECT_FALSE(breaker.breaker_enabled());
+  uint64_t opens = 0;
   for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(breaker.OnStageResult(1, /*ok=*/false));
+    const bool opened = breaker.OnStageResult(1, /*ok=*/false);
+    EXPECT_FALSE(opened);
+    opens += opened;
     const BreakerDecision d = breaker.Admit(1);
     EXPECT_FALSE(d.shed);
     EXPECT_FALSE(d.probe);
   }
-  EXPECT_EQ(breaker.total_opens(), 0u);
+  EXPECT_EQ(opens, 0u);
+  EXPECT_TRUE(breaker.Snapshot().empty()) << "a disabled breaker keeps no state";
 }
 
 TEST(CircuitBreakerTest, ConsecutiveFailuresOpenAtThreshold) {
-  BreakerOptions opts;
-  opts.failure_threshold = 3;
-  opts.cooldown_requests = 4;
-  CircuitBreakerRegistry breaker(opts);
+  FamilyRegistry breaker = BreakerOnly(3, 4);
   const uint64_t kFp = 21;
 
+  uint64_t opens = 0;
   EXPECT_FALSE(breaker.OnStageResult(kFp, false));
   EXPECT_FALSE(breaker.OnStageResult(kFp, false));
   EXPECT_FALSE(breaker.Admit(kFp).shed) << "still closed below threshold";
-  EXPECT_TRUE(breaker.OnStageResult(kFp, false))
+  const bool opened = breaker.OnStageResult(kFp, false);
+  EXPECT_TRUE(opened)
       << "the threshold-th consecutive failure must report the open";
-  EXPECT_EQ(breaker.Family(kFp).state, BreakerState::kOpen);
-  EXPECT_EQ(breaker.total_opens(), 1u);
+  opens += opened;
+  EXPECT_STREQ(Row(breaker, kFp).breaker_state, ToString(BreakerState::kOpen));
+  EXPECT_EQ(opens, 1u);
 
   // A success anywhere before the threshold resets the streak.
   const uint64_t kOther = 22;
@@ -172,86 +196,88 @@ TEST(CircuitBreakerTest, ConsecutiveFailuresOpenAtThreshold) {
   breaker.OnStageResult(kOther, false);
   EXPECT_FALSE(breaker.OnStageResult(kOther, false))
       << "a success must reset the consecutive-failure streak";
-  EXPECT_EQ(breaker.Family(kOther).state, BreakerState::kClosed);
+  EXPECT_STREQ(Row(breaker, kOther).breaker_state,
+               ToString(BreakerState::kClosed));
 }
 
 TEST(CircuitBreakerTest, CooldownShedsThenProbesHalfOpen) {
-  BreakerOptions opts;
-  opts.failure_threshold = 2;
-  opts.cooldown_requests = 3;
-  CircuitBreakerRegistry breaker(opts);
+  const int kCooldown = 3;
+  FamilyRegistry breaker = BreakerOnly(2, kCooldown);
   const uint64_t kFp = 33;
   breaker.OnStageResult(kFp, false);
   breaker.OnStageResult(kFp, false);  // open
 
   // cooldown_requests - 1 pure sheds, then the next request is the probe.
-  for (int i = 0; i < opts.cooldown_requests - 1; ++i) {
+  uint64_t probes = 0;
+  for (int i = 0; i < kCooldown - 1; ++i) {
     const BreakerDecision d = breaker.Admit(kFp);
     EXPECT_TRUE(d.shed) << "request " << i << " during cooldown";
     EXPECT_FALSE(d.probe);
+    probes += d.probe;
   }
   const BreakerDecision probe = breaker.Admit(kFp);
   EXPECT_TRUE(probe.probe);
   EXPECT_FALSE(probe.shed);
-  EXPECT_EQ(breaker.Family(kFp).state, BreakerState::kHalfOpen);
-  EXPECT_EQ(breaker.total_probes(), 1u);
+  probes += probe.probe;
+  EXPECT_STREQ(Row(breaker, kFp).breaker_state,
+               ToString(BreakerState::kHalfOpen));
+  EXPECT_EQ(probes, 1u);
 
   // While the probe is in flight, everyone else keeps shedding.
   EXPECT_TRUE(breaker.Admit(kFp).shed);
 
   // Probe success closes; the family admits freely again.
   EXPECT_FALSE(breaker.OnStageResult(kFp, true));
-  EXPECT_EQ(breaker.Family(kFp).state, BreakerState::kClosed);
+  EXPECT_STREQ(Row(breaker, kFp).breaker_state,
+               ToString(BreakerState::kClosed));
   const BreakerDecision after = breaker.Admit(kFp);
   EXPECT_FALSE(after.shed);
   EXPECT_FALSE(after.probe);
 }
 
 TEST(CircuitBreakerTest, FailedProbeReopensImmediately) {
-  BreakerOptions opts;
-  opts.failure_threshold = 2;
-  opts.cooldown_requests = 2;
-  CircuitBreakerRegistry breaker(opts);
+  FamilyRegistry breaker = BreakerOnly(2, 2);
   const uint64_t kFp = 44;
-  breaker.OnStageResult(kFp, false);
-  breaker.OnStageResult(kFp, false);  // open (1st)
-  breaker.Admit(kFp);                 // shed 1
+  uint64_t opens = 0;
+  opens += breaker.OnStageResult(kFp, false);
+  opens += breaker.OnStageResult(kFp, false);  // open (1st)
+  breaker.Admit(kFp);                          // shed 1
   const BreakerDecision probe = breaker.Admit(kFp);  // shed 2 -> probe
   ASSERT_TRUE(probe.probe);
-  EXPECT_TRUE(breaker.OnStageResult(kFp, false))
+  const bool reopened = breaker.OnStageResult(kFp, false);
+  EXPECT_TRUE(reopened)
       << "a failed half-open probe must re-open (and report it)";
-  EXPECT_EQ(breaker.Family(kFp).state, BreakerState::kOpen);
-  EXPECT_EQ(breaker.Family(kFp).opens, 2u);
-  EXPECT_EQ(breaker.total_opens(), 2u);
+  opens += reopened;
+  const FamilyFeedback row = Row(breaker, kFp);
+  EXPECT_STREQ(row.breaker_state, ToString(BreakerState::kOpen));
+  EXPECT_EQ(row.breaker_opens, 2u);
+  EXPECT_EQ(opens, 2u);
   // The cooldown restarts from zero after the re-open.
   EXPECT_TRUE(breaker.Admit(kFp).shed);
   EXPECT_TRUE(breaker.Admit(kFp).probe);
 }
 
 TEST(CircuitBreakerTest, SnapshotIsSortedAndComplete) {
-  BreakerOptions opts;
-  opts.failure_threshold = 1;
-  opts.cooldown_requests = 8;
-  CircuitBreakerRegistry breaker(opts);
+  FamilyRegistry breaker = BreakerOnly(1, 8);
   // Touch families across several shards, out of order.
   for (uint64_t fp : {19u, 3u, 8u, 200u}) breaker.OnStageResult(fp, false);
   breaker.Admit(19);  // one shed for family 19
-  const std::vector<BreakerSnapshot> rows = breaker.Snapshot();
+  const std::vector<FamilyFeedback> rows = breaker.Snapshot();
   ASSERT_EQ(rows.size(), 4u);
   for (size_t i = 1; i < rows.size(); ++i) {
     EXPECT_LT(rows[i - 1].fingerprint, rows[i].fingerprint)
         << "snapshot must be sorted by fingerprint";
   }
-  for (const BreakerSnapshot& row : rows) {
-    EXPECT_EQ(row.state, BreakerState::kOpen);
-    EXPECT_EQ(row.opens, 1u);
-    EXPECT_EQ(row.shed, row.fingerprint == 19 ? 1u : 0u);
+  for (const FamilyFeedback& row : rows) {
+    EXPECT_STREQ(row.breaker_state, ToString(BreakerState::kOpen));
+    EXPECT_EQ(row.breaker_opens, 1u);
+    EXPECT_EQ(row.breaker_shed, row.fingerprint == 19 ? 1u : 0u);
   }
   // An untouched family reads as a zero-value closed row.
-  const BreakerSnapshot ghost = breaker.Family(777);
-  EXPECT_EQ(ghost.state, BreakerState::kClosed);
-  EXPECT_EQ(ghost.opens, 0u);
-  EXPECT_STREQ(ToString(ghost.state), "closed");
+  const FamilyFeedback ghost = Row(breaker, 777);
+  EXPECT_STREQ(ghost.breaker_state, ToString(BreakerState::kClosed));
+  EXPECT_EQ(ghost.breaker_opens, 0u);
+  EXPECT_STREQ(ghost.breaker_state, "closed");
   EXPECT_STREQ(ToString(BreakerState::kHalfOpen), "half_open");
 }
 

@@ -1745,8 +1745,9 @@ TEST_F(ServiceTest, DeadlineBoundedJoinersDetachFromAGatedWinner) {
 
 TEST_F(ServiceTest, DegradedFallbackFollowsTheCostOnlyFormula) {
   // allow_degraded converts a hard failure into a usable cost-only
-  // prediction: mean = optimizer scalar cost x cost_scale_ms, sigma =
-  // mean x max(default_rel_error, windowed error) x inflation.
+  // prediction: mean = the optimizer's resource estimate dotted with the
+  // calibrated unit means (ms), sigma = mean x max(default_rel_error,
+  // windowed error) x inflation.
   const uint64_t fp = PlanFingerprint((*plans_)[0]);
   ScheduledFaultOptions fopts;
   FaultRule rule;
@@ -1756,7 +1757,6 @@ TEST_F(ServiceTest, DegradedFallbackFollowsTheCostOnlyFormula) {
   ServiceOptions options;
   options.num_workers = 1;
   options.fault_injector = &injector;
-  options.degraded.cost_scale_ms = 2.0;
   options.degraded.default_rel_error = 0.5;
   options.degraded.inflation = 2.0;
   PredictionService service(db_, samples_, *units_, options);
@@ -1771,9 +1771,12 @@ TEST_F(ServiceTest, DegradedFallbackFollowsTheCostOnlyFormula) {
   auto soft = service.Predict((*plans_)[0], opts);
   ASSERT_TRUE(soft.ok()) << soft.status().ToString();
   EXPECT_TRUE(soft->degraded);
-  const double scalar = OptimizerScalarCost((*plans_)[0], *db_);
-  ASSERT_GT(scalar, 0.0);
-  EXPECT_DOUBLE_EQ(soft->mean(), scalar * 2.0);
+  const ResourceVector r = OptimizerResources((*plans_)[0], *db_);
+  const double expected_ms = units_->MeanDot(r.ns, r.nr, r.nt, r.ni, r.no);
+  ASSERT_GT(expected_ms, 0.0);
+  EXPECT_DOUBLE_EQ(soft->mean(), expected_ms);
+  EXPECT_EQ(soft->calibration_epoch(), 1u)
+      << "stamped with the snapshot its mean was priced under";
   const double sigma = soft->mean() * 0.5 * 2.0;
   EXPECT_DOUBLE_EQ(soft->breakdown.variance, sigma * sigma);
 
@@ -1795,6 +1798,85 @@ TEST_F(ServiceTest, DegradedFallbackFollowsTheCostOnlyFormula) {
   EXPECT_EQ(st.failed, 1u);
   EXPECT_EQ(st.sample_runs, 0u);
   ExpectOutcomeConservation(st);
+}
+
+TEST_F(ServiceTest, DegradedMeanFollowsThePublishedCalibration) {
+  // The degraded mean is priced by the current calibration snapshot, so
+  // doubling every unit mean doubles it — and the prediction carries the
+  // snapshot it was priced under.
+  const uint64_t fp = PlanFingerprint((*plans_)[0]);
+  ScheduledFaultOptions fopts;
+  FaultRule rule;
+  rule.fail_attempts = 1000;
+  fopts.rules[fp] = rule;
+  ScheduledFaultInjector injector(fopts);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.fault_injector = &injector;
+  PredictionService service(db_, samples_, *units_, options);
+  RequestOptions opts;
+  opts.allow_degraded = true;
+
+  auto before = service.Predict((*plans_)[0], opts);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(before->degraded);
+  ASSERT_GT(before->mean(), 0.0);
+
+  CostUnits doubled = *units_;
+  for (Gaussian& unit : doubled.units) unit.mean *= 2.0;
+  const uint64_t epoch = service.PublishCalibration(doubled);
+  auto after = service.Predict((*plans_)[0], opts);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_TRUE(after->degraded);
+  EXPECT_DOUBLE_EQ(after->mean(), 2.0 * before->mean());
+  EXPECT_EQ(after->calibration_epoch(), epoch);
+  EXPECT_EQ(before->calibration_epoch(), epoch - 1);
+}
+
+TEST_F(ServiceTest, ReportAgainstDegradedPredictionIsDropped) {
+  // A degraded prediction is the optimizer's cost-only guess: reporting
+  // an observation against it must not touch the family's error window
+  // or stash — it counts as a dropped report instead.
+  const uint64_t fp = PlanFingerprint((*plans_)[0]);
+  ScheduledFaultOptions fopts;
+  FaultRule rule;
+  rule.fail_attempts = 1000;
+  fopts.rules[fp] = rule;
+  ScheduledFaultInjector injector(fopts);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.fault_injector = &injector;
+  options.feedback.enabled = true;
+  PredictionService service(db_, samples_, *units_, options);
+  RequestOptions opts;
+  opts.allow_degraded = true;
+
+  auto degraded = service.Predict((*plans_)[0], opts);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  ASSERT_TRUE(degraded->degraded);
+  service.ReportObservedAgainst(fp, *degraded, 100.0);
+  ServiceStats st = service.stats();
+  EXPECT_EQ(st.feedback_reports, 1u);
+  EXPECT_EQ(st.feedback_dropped, 1u);
+  EXPECT_EQ(st.feedback_families, 0u);
+  EXPECT_TRUE(service.FeedbackSnapshot().empty())
+      << "no window entry and no stash for a degraded comparison point";
+
+  // A full-pipeline prediction of another family still lands.
+  auto healthy = service.Predict((*plans_)[1]);
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  const uint64_t fp1 = PlanFingerprint((*plans_)[1]);
+  service.ReportObservedAgainst(fp1, *healthy, healthy->mean() * 1.25);
+  st = service.stats();
+  EXPECT_EQ(st.feedback_reports, 2u);
+  EXPECT_EQ(st.feedback_dropped, 1u);
+  EXPECT_EQ(st.feedback_families, 1u);
+  const auto rows = service.FeedbackSnapshot();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].fingerprint, fp1);
+  ASSERT_EQ(rows[0].window.size(), 1u);
+  EXPECT_DOUBLE_EQ(rows[0].window[0], 0.2);
+  EXPECT_TRUE(rows[0].stash.valid);
 }
 
 TEST_F(ServiceTest, BreakerQuarantinesPoisonedFamilyThenProbes) {
@@ -1892,6 +1974,84 @@ TEST_F(ServiceTest, BreakerClosesAfterSuccessfulProbe) {
   ASSERT_TRUE(service.Predict((*plans_)[1]).ok());
   EXPECT_EQ(service.stats().cache_hits, 1u);
   ExpectOutcomeConservation(service.stats());
+}
+
+TEST_F(ServiceTest, FeedbackAndBreakerShareOneFamilyRow) {
+  // With both on, each family is one record: a reported family that then
+  // trips the breaker shows its window AND its breaker state in one row; a
+  // family that only failed shows a breaker row with an empty window, and
+  // is not counted as a feedback family.
+  const uint64_t fp_a = PlanFingerprint((*plans_)[0]);
+  const uint64_t fp_b = PlanFingerprint((*plans_)[1]);
+  ASSERT_NE(fp_a, fp_b);
+  ScheduledFaultOptions fopts;
+  FaultRule slow;  // every attempt sleeps past the 1 ms deadlines below
+  slow.latency_prob = 1.0;
+  slow.latency_ms = 20.0;
+  fopts.rules[fp_a] = slow;
+  FaultRule broken;
+  broken.fail_attempts = 1000;
+  fopts.rules[fp_b] = broken;
+  ScheduledFaultInjector injector(fopts);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.fault_injector = &injector;
+  options.feedback.enabled = true;
+  options.feedback.window_size = 4;
+  options.breaker.failure_threshold = 2;
+  options.breaker.cooldown_requests = 8;
+  PredictionService service(db_, samples_, *units_, options);
+
+  // Family A: one real prediction and three reports (window not full).
+  auto a = service.Predict((*plans_)[0]);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  for (int i = 0; i < 3; ++i) {
+    service.ReportObserved((*plans_)[0], a->mean() * 1.25);
+  }
+  // Then two deadline failures (the flush forces stage 1 to run again):
+  // the breaker opens.
+  service.InvalidateCache();
+  RequestOptions late;
+  late.deadline_ms = 1.0;
+  late.allow_degraded = true;
+  for (int i = 0; i < 2; ++i) {
+    auto r = service.Predict((*plans_)[0], late);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->degraded);
+  }
+  // Family B: two injected failures, no reports.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(service.Predict((*plans_)[1]).ok());
+  }
+
+  const auto rows = service.FeedbackSnapshot();
+  ASSERT_EQ(rows.size(), 2u) << "one row per family, never two";
+  const FamilyFeedback& row_a = rows[0].fingerprint == fp_a ? rows[0] : rows[1];
+  const FamilyFeedback& row_b = rows[0].fingerprint == fp_a ? rows[1] : rows[0];
+  ASSERT_EQ(row_a.fingerprint, fp_a);
+  ASSERT_EQ(row_b.fingerprint, fp_b);
+  EXPECT_EQ(row_a.reports, 3u);
+  ASSERT_EQ(row_a.window.size(), 3u);
+  for (double e : row_a.window) EXPECT_DOUBLE_EQ(e, 0.2);
+  EXPECT_TRUE(row_a.stash.valid);
+  EXPECT_STREQ(row_a.breaker_state, "open");
+  EXPECT_EQ(row_a.breaker_consecutive_failures, 2);
+  EXPECT_EQ(row_a.breaker_opens, 1u);
+  EXPECT_EQ(row_b.reports, 0u);
+  EXPECT_TRUE(row_b.window.empty());
+  EXPECT_FALSE(row_b.stash.valid);
+  EXPECT_STREQ(row_b.breaker_state, "open");
+  EXPECT_EQ(row_b.breaker_consecutive_failures, 2);
+  EXPECT_EQ(row_b.breaker_opens, 1u);
+
+  const ServiceStats st = service.stats();
+  EXPECT_EQ(st.feedback_families, 1u) << "breaker-only rows are not counted";
+  EXPECT_EQ(st.feedback_reports, 3u);
+  EXPECT_EQ(st.breaker_opens, 2u);
+  EXPECT_EQ(st.faults_injected, 2u);
+  EXPECT_EQ(st.degraded_served, 2u);
+  EXPECT_EQ(st.failed, 2u);
+  ExpectOutcomeConservation(st);
 }
 
 }  // namespace

@@ -1040,37 +1040,37 @@ Report ChaosStorm(const Env& env) {
   uint64_t poison_requests = 0;
   RequestOptions degraded_ok;
   degraded_ok.allow_degraded = true;
+  const auto count_a = [&](const StatusOr<Prediction>& got) {
+    ++requests;
+    if (!got.ok()) {
+      ++a_failed;
+    } else if (got->degraded) {
+      ++a_degraded;
+    } else {
+      ++a_ok;
+    }
+  };
+  const auto count_b = [&](const StatusOr<Prediction>& got) {
+    ++(got.ok() ? b_ok : b_failed);
+  };
   for (int wave = 0; wave < kChaosWaves; ++wave) {
     std::vector<std::future<StatusOr<Prediction>>> fa, fb;
     for (const Plan& p : distinct) {
       fa.push_back(a.PredictAsync(p, degraded_ok));
       fb.push_back(b.PredictAsync(p));
     }
+    for (auto& f : fa) count_a(f.get());
+    for (auto& f : fb) count_b(f.get());
     // Extra pressure on the poisoned family: the breaker's cooldown counts
-    // requests, so the storm must keep asking to reach probes.
+    // requests, so the storm must keep asking to reach probes. Only a run's
+    // owner passes the breaker, so these go one at a time after the wave:
+    // overlapping requests would park on one run or each own one depending
+    // on timing, and the breaker totals would not replay.
     for (int extra = 0; extra < 2; ++extra) {
-      fa.push_back(a.PredictAsync(distinct[0], degraded_ok));
-      fb.push_back(b.PredictAsync(distinct[0]));
+      count_a(a.Predict(distinct[0], degraded_ok));
+      count_b(b.Predict(distinct[0]));
     }
     poison_requests += 3;
-    for (auto& f : fa) {
-      auto got = f.get();
-      ++requests;
-      if (!got.ok()) {
-        ++a_failed;
-      } else if (got->degraded) {
-        ++a_degraded;
-      } else {
-        ++a_ok;
-      }
-    }
-    for (auto& f : fb) {
-      if (f.get().ok()) {
-        ++b_ok;
-      } else {
-        ++b_failed;
-      }
-    }
   }
 
   // The poisoned family must never be served from the cache without the

@@ -1976,6 +1976,129 @@ TEST_F(ServiceTest, BreakerClosesAfterSuccessfulProbe) {
   ExpectOutcomeConservation(service.stats());
 }
 
+TEST_F(ServiceTest,
+       JoinersOnAQuarantinedRunNeitherConsumeAttemptsNorAdvanceCooldown) {
+  // Only a run's owner passes the breaker (Admit before stage 1,
+  // OnStageResult after it). Requests that park on the poisoned family's
+  // in-flight run share the owner's degraded result without consuming a
+  // fault-schedule attempt, counting a failure, shedding, probing or
+  // stepping the cooldown: the breaker's totals follow the runs, not the
+  // requests.
+  const uint64_t fp = PlanFingerprint((*plans_)[0]);
+  ScheduledFaultOptions fopts;
+  FaultRule rule;
+  rule.fail_attempts = 1000;  // never heals
+  fopts.rules[fp] = rule;
+  ScheduledFaultInjector injector(fopts);
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.fault_injector = &injector;
+  options.breaker.failure_threshold = 2;
+  options.breaker.cooldown_requests = 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gate_next = false;
+  bool gated = false;
+  bool release = false;
+  options.post_stages_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!gate_next) return;
+    gate_next = false;
+    gated = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  PredictionService service(db_, samples_, *units_, options);
+  RequestOptions opts;
+  opts.allow_degraded = true;
+
+  // One async owner of plan 0, gated after its stages while three async
+  // joiners park on its run, then released. Results come owner first.
+  const auto gated_run = [&] {
+    const uint64_t joins_before = service.stats().inflight_joins;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      gate_next = true;
+      gated = false;
+      release = false;
+    }
+    std::vector<std::future<StatusOr<Prediction>>> futures;
+    futures.push_back(service.PredictAsync((*plans_)[0], opts));
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return gated; });
+    }
+    for (int i = 0; i < 3; ++i) {
+      futures.push_back(service.PredictAsync((*plans_)[0], opts));
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (service.stats().inflight_joins < joins_before + 3 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(service.stats().inflight_joins, joins_before + 3);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+      cv.notify_all();
+    }
+    std::vector<StatusOr<Prediction>> out;
+    for (auto& f : futures) out.push_back(f.get());
+    for (const auto& r : out) {
+      EXPECT_TRUE(r.ok() && r->degraded) << "every joiner gets the owner's "
+                                            "degraded result";
+      if (r.ok() && out[0].ok()) {
+        EXPECT_EQ(r->mean(), out[0]->mean());
+        EXPECT_EQ(r->breakdown.variance, out[0]->breakdown.variance);
+      }
+    }
+  };
+
+  // Closed: the owner's failure is the family's only failure.
+  gated_run();
+  EXPECT_EQ(injector.AttemptCount(fp), 1u) << "joiners consume no attempt";
+  ServiceStats st = service.stats();
+  EXPECT_EQ(st.breaker_opens, 0u) << "joiners are not failures";
+  auto rows = service.FeedbackSnapshot();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_STREQ(rows[0].breaker_state, "closed");
+  EXPECT_EQ(rows[0].breaker_consecutive_failures, 1);
+
+  // A second owned failure opens the family; the first cooldown request
+  // sheds.
+  ASSERT_TRUE(service.Predict((*plans_)[0], opts)->degraded);
+  ASSERT_TRUE(service.Predict((*plans_)[0], opts)->degraded);
+  EXPECT_EQ(injector.AttemptCount(fp), 2u);
+  st = service.stats();
+  EXPECT_EQ(st.breaker_opens, 1u);
+  EXPECT_EQ(st.breaker_shed, 1u);
+
+  // The second cooldown request owns the half-open probe. Its joiners
+  // would each shed had they passed the breaker; they only share the
+  // probe's verdict.
+  gated_run();
+  EXPECT_EQ(injector.AttemptCount(fp), 3u) << "the probe's owner only";
+  st = service.stats();
+  EXPECT_EQ(st.breaker_probes, 1u);
+  EXPECT_EQ(st.breaker_shed, 1u) << "joiners on the probe did not shed";
+  EXPECT_EQ(st.breaker_opens, 2u) << "the failed probe re-opens the family";
+
+  // The re-opened family's cooldown counts owners from zero: one shed,
+  // then the next probe.
+  ASSERT_TRUE(service.Predict((*plans_)[0], opts)->degraded);
+  EXPECT_EQ(injector.AttemptCount(fp), 3u);
+  ASSERT_TRUE(service.Predict((*plans_)[0], opts)->degraded);
+  EXPECT_EQ(injector.AttemptCount(fp), 4u);
+  st = service.stats();
+  EXPECT_EQ(st.breaker_shed, 2u);
+  EXPECT_EQ(st.breaker_probes, 2u);
+  EXPECT_EQ(st.breaker_opens, 3u);
+  EXPECT_EQ(st.inflight_joins, 6u);
+  EXPECT_EQ(st.degraded_served, 12u);
+  ExpectOutcomeConservation(st);
+}
+
 TEST_F(ServiceTest, FeedbackAndBreakerShareOneFamilyRow) {
   // With both on, each family is one record: a reported family that then
   // trips the breaker shows its window AND its breaker state in one row; a

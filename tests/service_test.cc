@@ -2083,6 +2083,11 @@ TEST_F(ServiceTest,
   EXPECT_EQ(st.breaker_probes, 1u);
   EXPECT_EQ(st.breaker_shed, 1u) << "joiners on the probe did not shed";
   EXPECT_EQ(st.breaker_opens, 2u) << "the failed probe re-opens the family";
+  rows = service.FeedbackSnapshot();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_STREQ(rows[0].breaker_state, "open");
+  EXPECT_EQ(rows[0].breaker_shed, 1u) << "the family record agrees";
+  EXPECT_EQ(rows[0].breaker_opens, 2u);
 
   // The re-opened family's cooldown counts owners from zero: one shed,
   // then the next probe.

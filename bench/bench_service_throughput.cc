@@ -426,8 +426,8 @@ Report PoolProgress(const Env& env) {
 }
 
 struct ColdLatency {
-  double t1_ms = 0.0;  ///< sequential Predictor
-  double t4_ms = 0.0;  ///< PredictionPipeline at num_threads = 4
+  double t1_ms = 0.0;  ///< median, sequential Predictor
+  double t4_ms = 0.0;  ///< median, PredictionPipeline at num_threads = 4
   bool parity = true;  ///< every parallel prediction bit-identical
   double speedup() const { return perfbench::Ratio(t1_ms, t4_ms); }
 };
@@ -435,40 +435,46 @@ struct ColdLatency {
 /// Cold Predict latency of `plan` over the full-ratio 1gb samples: a
 /// sequential Predictor against a 4-thread pipeline on a long-lived pool,
 /// as the service would hold one (per-prediction cost is shard dispatch,
-/// not thread spawning). `warmup` runs one untimed prediction per side
-/// first.
-ColdLatency MeasureColdLatency(const Env& env, const Plan& plan, bool warmup) {
+/// not thread spawning). One untimed warmup per side absorbs first-touch
+/// and allocator costs; the timed pairs alternate which side runs first,
+/// so neither side always inherits the other's cache and load state; the
+/// medians of the two sides compare.
+ColdLatency MeasureColdLatency(const Env& env, const Plan& plan) {
   Predictor sequential(&env.heavy_db, &env.heavy_samples, env.units);
   MorselPool pool(4);
   PredictorOptions par_opts;
   par_opts.num_threads = 4;
   PredictionPipeline parallel(&env.heavy_db, &env.heavy_samples, env.units,
                               par_opts, &pool);
-  if (warmup) {
-    (void)sequential.Predict(plan);
-    (void)parallel.Predict(plan);
-  }
-  const int kLatReps = 5;
+  (void)sequential.Predict(plan);
+  (void)parallel.Predict(plan);
+  const auto timed = [&plan](auto& predictor, std::vector<double>* ms) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto pred = predictor.Predict(plan);
+    ms->push_back(MsSince(t0));
+    return pred;
+  };
+  const int kLatReps = 21;
+  std::vector<double> t1, t4;
   ColdLatency out;
   for (int rep = 0; rep < kLatReps; ++rep) {
-    const auto t1 = std::chrono::steady_clock::now();
-    auto seq_pred = sequential.Predict(plan);
-    out.t1_ms += MsSince(t1);
-    const auto t4 = std::chrono::steady_clock::now();
-    auto par_pred = parallel.Predict(plan);
-    out.t4_ms += MsSince(t4);
-    out.parity = out.parity && seq_pred.ok() && SameBits(par_pred, *seq_pred);
+    const bool seq_first = rep % 2 == 0;
+    auto first = seq_first ? timed(sequential, &t1) : timed(parallel, &t4);
+    auto second = seq_first ? timed(parallel, &t4) : timed(sequential, &t1);
+    out.parity = out.parity && first.ok() && SameBits(second, *first);
   }
-  out.t1_ms /= kLatReps;
-  out.t4_ms /= kLatReps;
+  out.t1_ms = perfbench::Median(t1);
+  out.t4_ms = perfbench::Median(t4);
   return out;
 }
 
 /// Admission control is gated by per-query COLD latency: the service's
 /// plan-level sharding cannot help the first prediction of one plan, but
-/// intra-query parallelism can. Takes the slowest 1gb seljoin plan.
-/// Bit-identity gates everywhere; the speedup gates where the runner has
-/// cores (hardware_concurrency >= 2).
+/// intra-query parallelism can. Takes the slowest 1gb seljoin plan, which
+/// predicts cold in under a millisecond at one thread, so shard dispatch
+/// is a real share of what the 4-thread side pays. Bit-identity gates
+/// everywhere; the speedup gates where the runner has cores
+/// (hardware_concurrency >= 2).
 Report SinglePlanCold(const Env& env) {
   const std::vector<Plan> plans = SelJoinPlans(env.heavy_db, 1);
   Predictor sequential(&env.heavy_db, &env.heavy_samples, env.units);
@@ -483,8 +489,7 @@ Report SinglePlanCold(const Env& env) {
       heaviest = i;
     }
   }
-  const ColdLatency lat =
-      MeasureColdLatency(env, plans[heaviest], /*warmup=*/false);
+  const ColdLatency lat = MeasureColdLatency(env, plans[heaviest]);
   Report r;
   r.Num("single_plan_cold_ms_t1", lat.t1_ms, 3);
   r.Num("single_plan_cold_ms_t4", lat.t4_ms, 3);
@@ -501,7 +506,8 @@ Report SinglePlanCold(const Env& env) {
 /// The parallel operator tail: TPC-H-style reporting queries hang an
 /// ORDER BY + GROUP BY over their joins, which stays pinned near
 /// single-core latency unless the sort and aggregation shard. Scan ->
-/// sort -> aggregate over the full-ratio 1gb lineitem sample (~60k rows).
+/// sort -> aggregate over the full-ratio 1gb lineitem sample (~60k rows):
+/// tens of milliseconds of operator work per cold prediction.
 /// Bit-identity gates everywhere; the speedup bar scales with the runner:
 /// >= 1.5x where 4 threads have 4 cores, merely faster on 2-3.
 Report SortAggCold(const Env& env) {
@@ -524,9 +530,7 @@ Report SortAggCold(const Env& env) {
     std::fprintf(stderr, "sort/agg plan failed to finalize\n");
     std::exit(1);
   }
-  // The warmup keeps rep 0's sequential measurement from absorbing
-  // first-touch/allocator costs the parallel one right after never pays.
-  const ColdLatency lat = MeasureColdLatency(env, plan, /*warmup=*/true);
+  const ColdLatency lat = MeasureColdLatency(env, plan);
   const double speedup = lat.speedup();
   Report r;
   r.Num("sort_agg_cold_ms_t1", lat.t1_ms, 3);

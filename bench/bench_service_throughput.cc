@@ -98,16 +98,13 @@ struct Report {
   std::vector<Field> fields;
 
   void Num(const char* key, double v, int decimals) {
-    fields.push_back({key, Format("%.*f", decimals, v)});
+    Add(key, Format("%.*f", decimals, v));
   }
-  void Count(const char* key, uint64_t v) {
-    fields.push_back({key, std::to_string(v)});
-  }
-  void Flag(const char* key, bool v) {
-    fields.push_back({key, v ? "true" : "false"});
-  }
-  void Text(const char* key, std::string v) {
-    fields.push_back({key, std::move(v), true});
+  void Count(const char* key, uint64_t v) { Add(key, std::to_string(v)); }
+  void Flag(const char* key, bool v) { Add(key, v ? "true" : "false"); }
+  void Text(const char* key, std::string v) { Add(key, std::move(v), true); }
+  void Add(const char* key, std::string text, bool quoted = false) {
+    fields.push_back({key, std::move(text), quoted, {}});
   }
   /// Records a gate; its verdict is also a JSON flag under `key` if given.
   void Check(std::string label, bool pass, const char* key = nullptr) {
@@ -674,7 +671,7 @@ Report OpenLoopStorm(const Env& env) {
       MeasureClosedLoopQps(mixed_sharded, env, mixed_req, clients);
 
   bool parity = true;
-  Field grid{"open_loop_storm"};
+  Field grid{"open_loop_storm", "", false, {}};
   const auto add_row = [&](const char* workload, const char* trace,
                            double frac, const OpenLoopResult& res) {
     parity = parity && res.parity;
@@ -1225,7 +1222,6 @@ bool Write(const std::vector<Report>& reports) {
     PrintFields(r.fields);
     std::printf("\n");
     pass = pass && r.AllPass();
-    if (r.fields.empty()) continue;
     json += ',';
     json += s.nested ? '"' + std::string(s.name) + "\":{" +
                            JsonMembers(r.fields) + ',' +

@@ -402,6 +402,103 @@ TEST(Executor, HashJoinDuplicateBuildKeysKeepBuildRowOrder) {
   }
 }
 
+// ---------- Join children: error precedence and cancellation ----------
+//
+// RunChildren runs a join's two children one after the other inline and
+// concurrently on a pool. Both dispatches must resolve the same way: the
+// left child's error wins when both fail, and a cancelled run ends in the
+// full result or DeadlineExceeded, never a partial OK.
+
+/// A left child that fails at run time: an index scan whose predicate has
+/// no range over the indexed column.
+std::unique_ptr<PlanNode> FailingIndexScan() {
+  return MakeIndexScan("t1", 1, Expr::Cmp(0, CmpOp::kLe, Value::Int64(10)));
+}
+
+TEST(Executor, JoinChildErrorsKeepLeftPrecedence) {
+  Database db = MakeTestDb();
+  // The right child is a merge join given a second key after Finalize,
+  // which it rejects when it runs.
+  const auto make_right = [] {
+    return MakeMergeJoin(MakeSort(MakeSeqScan("t2", NoPred()), {0}),
+                         MakeSort(MakeSeqScan("t2", NoPred()), {0}), {{0, 0}});
+  };
+  Plan right_fails(MakeHashJoin(MakeSeqScan("t1", NoPred()), make_right(), {{0, 0}}));
+  Plan both_fail(MakeHashJoin(FailingIndexScan(), make_right(), {{0, 0}}));
+  for (Plan* plan : {&right_fails, &both_fail}) {
+    ASSERT_TRUE(plan->Finalize(db).ok());
+    plan->mutable_root()->right->join_keys.push_back({1, 1});
+  }
+  MorselPool pool(3);
+  Executor executor(&db);
+  for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
+                             static_cast<TaskRunner*>(&pool)}) {
+    SCOPED_TRACE(runner == nullptr ? "inline" : "pool");
+    ExecOptions options;
+    options.task_runner = runner;
+    const auto right = executor.Execute(right_fails, options);
+    ASSERT_FALSE(right.ok());
+    EXPECT_EQ(right.status().message(), "merge join supports exactly one key");
+    const auto both = executor.Execute(both_fail, options);
+    ASSERT_FALSE(both.ok());
+    EXPECT_EQ(both.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(both.status().message(),
+              "index scan predicate has no range over the indexed column");
+  }
+}
+
+TEST(Executor, CancelledJoinEndsInFullResultOrDeadline) {
+  Database db = MakeTestDb();
+  // Two hash joins, every input several morsels long at batch 16.
+  Plan plan(MakeHashJoin(
+      MakeSeqScan("t1", Expr::Cmp(1, CmpOp::kLe, Value::Double(150))),
+      MakeHashJoin(MakeSeqScan("t2", NoPred()), MakeSeqScan("t1", NoPred()), {{0, 0}}),
+      {{0, 0}}));
+  ASSERT_TRUE(plan.Finalize(db).ok());
+  ExecOptions options;
+  options.collect_provenance = true;
+  options.max_batch_size = 16;
+  const ExecResult full = MustExecute(db, &plan, options);
+  ASSERT_GT(full.output.num_rows(), 0);
+  MorselPool pool(3);
+  Executor executor(&db);
+  for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
+                             static_cast<TaskRunner*>(&pool)}) {
+    SCOPED_TRACE(runner == nullptr ? "inline" : "pool");
+    options.task_runner = runner;
+    // The probe's call count over an uncancelled run bounds the sweep.
+    std::atomic<int64_t> calls{0};
+    options.cancelled = [&calls] {
+      calls.fetch_add(1);
+      return false;
+    };
+    ASSERT_TRUE(executor.Execute(plan, options).ok());
+    const int64_t total = calls.load();
+    ASSERT_GT(total, 4);
+    for (int64_t k = 0; k <= total + 2; ++k) {
+      SCOPED_TRACE("fires on call " + std::to_string(k));
+      calls = 0;
+      // Fires on its k-th call (counting from 0) and on every later one.
+      options.cancelled = [&calls, k] { return calls.fetch_add(1) >= k; };
+      const auto result = executor.Execute(plan, options);
+      if (!result.ok()) {
+        EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+            << result.status().ToString();
+        EXPECT_LT(k, total) << "a probe that never fired cancelled the run";
+        continue;
+      }
+      EXPECT_GE(k, total) << "a fired probe let the run finish";
+      EXPECT_EQ(result->output.rids, full.output.rids);
+      ASSERT_EQ(result->ops.size(), full.ops.size());
+      for (size_t op = 0; op < full.ops.size(); ++op) {
+        EXPECT_EQ(result->ops[op].actual.no, full.ops[op].actual.no);
+        EXPECT_EQ(result->ops[op].actual.nt, full.ops[op].actual.nt);
+        EXPECT_EQ(result->ops[op].out_rows, full.ops[op].out_rows);
+      }
+    }
+  }
+}
+
 // ---------- Sort / Aggregate / Materialize ----------
 
 TEST(Executor, SortOrdersRows) {

@@ -484,16 +484,21 @@ bool ReferenceKeysEqual(const Table& lt, uint32_t l, const Table& rt, uint32_t r
 /// hash equals the probe row's, and joins when its keys are equal.
 JoinReference ReferenceHashJoin(const Table& lt, const Table& rt,
                                 const std::vector<std::pair<int, int>>& keys) {
-  const auto hash = [&keys](const Table& t, uint32_t row, bool left) {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (const auto& [lc, rc] : keys) h = HashMix64(h, t.at(row, left ? lc : rc).Hash());
-    return h;
+  const auto hashes = [&keys](const Table& t, bool left) {
+    std::vector<uint64_t> out;
+    for (uint32_t row = 0; row < t.num_rows(); ++row) {
+      uint64_t h = 0x9e3779b97f4a7c15ULL;
+      for (const auto& [lc, rc] : keys) h = HashMix64(h, t.at(row, left ? lc : rc).Hash());
+      out.push_back(h);
+    }
+    return out;
   };
+  const std::vector<uint64_t> lh = hashes(lt, true), rh = hashes(rt, false);
   JoinReference ref;
   ref.no = static_cast<double>(lt.num_rows() + rt.num_rows());
   for (uint32_t l = 0; l < lt.num_rows(); ++l) {
     for (uint32_t r = 0; r < rt.num_rows(); ++r) {
-      if (hash(lt, l, true) != hash(rt, r, false)) continue;
+      if (lh[l] != rh[r]) continue;
       ref.no += 1.0;
       if (ReferenceKeysEqual(lt, l, rt, r, keys)) ref.prov.insert(ref.prov.end(), {l, r});
     }
@@ -619,6 +624,65 @@ TEST_P(JoinKeyProperty, JoinsMatchValueAtATimeReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinKeyProperty, ::testing::Range(0, 4));
+
+/// One int64 key column `k` holding `keys`.
+Table MakeIntKeyTable(const std::string& name, const std::vector<int64_t>& keys) {
+  Table t(name, Schema({{"k", ValueType::kInt64}}));
+  for (const int64_t k : keys) t.AppendRow({Value::Int64(k)});
+  return t;
+}
+
+/// Hash-join build and probe sides whose shapes stress the build table's
+/// directory: empty sides, a one-row build (two directory heads, so
+/// distinct probe hashes share a head and its tag bits), one key shared by
+/// every build row (a single chain as long as the build side), and a wide
+/// int64 domain over thousands of rows.
+TEST(JoinShapes, HashJoinMatchesReferenceOnEveryBuildShape) {
+  Rng rng(4242);
+  const auto draw = [&rng](int n, int64_t lo, int64_t hi) {
+    std::vector<int64_t> keys;
+    for (int i = 0; i < n; ++i) keys.push_back(rng.NextInt(lo, hi));
+    return keys;
+  };
+  // The wide case: mostly distinct build keys with a few repeats, probed
+  // by a mix of build keys (hits) and fresh draws (misses).
+  const int64_t wide = int64_t{1} << 62;
+  std::vector<int64_t> wide_build = draw(2000, -wide, wide);
+  for (int i = 0; i < 100; ++i) {
+    wide_build[rng.NextBelow(wide_build.size())] =
+        wide_build[rng.NextBelow(wide_build.size())];
+  }
+  std::vector<int64_t> wide_probe = draw(1500, -wide, wide);
+  for (size_t i = 0; i < wide_probe.size(); i += 2) {
+    wide_probe[i] = wide_build[rng.NextBelow(wide_build.size())];
+  }
+  struct Shape {
+    std::string name;
+    std::vector<int64_t> probe, build;
+    bool joins;  ///< some probe row has a partner
+  };
+  const std::vector<Shape> shapes = {
+      {"empty build", draw(30, 0, 9), {}, false},
+      {"empty probe", {}, draw(30, 0, 9), false},
+      {"one build row", draw(500, 0, 39), {7}, true},
+      {"one key", draw(300, 0, 9), std::vector<int64_t>(200, 5), true},
+      {"wide domain", wide_probe, wide_build, true},
+  };
+  for (const Shape& shape : shapes) {
+    Database db("join-shapes");
+    db.AddTable(MakeIntKeyTable("l", shape.probe));
+    db.AddTable(MakeIntKeyTable("r", shape.build));
+    db.AnalyzeAll(8);
+    const std::vector<std::pair<int, int>> keys = {{0, 0}};
+    const JoinReference want =
+        ReferenceHashJoin(db.GetTable("l"), db.GetTable("r"), keys);
+    EXPECT_EQ(!want.prov.empty(), shape.joins) << shape.name;
+    ExpectJoinMatches(db,
+                      Plan(MakeHashJoin(MakeSeqScan("l", nullptr),
+                                        MakeSeqScan("r", nullptr), keys)),
+                      0, want, shape.name);
+  }
+}
 
 // ---------- Statistical validation of Var̂[ρ_n] (Theorem 3 / S²_n) ----------
 

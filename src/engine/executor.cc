@@ -195,73 +195,58 @@ int ValueCompare3(const Value& a, const Value& b) {
 /// True for a NaN double: the one key that equals nothing, itself included.
 bool IsNan(const Value& v) { return v.type == ValueType::kDouble && std::isnan(v.d); }
 
-/// Hash-join build table: build rows grouped by their exact 64-bit key
-/// hash. One open-addressing pass assigns each distinct hash a group and
-/// counts its rows; a scatter pass then lays every group's row ids out
-/// contiguously in build-row order (`offsets_` + one `rids_` array). A
-/// group holds the rows a hash -> row-list chain would hold, in the same
-/// order; the table allocates four arrays per join and nothing per key.
-class FlatJoinTable {
+/// Hash-join build table: a power-of-two directory of chain heads (at
+/// least one per build row), each with a 32-bit tag mask, over one
+/// {exact key hash, next} entry per build row. The Fibonacci-multiplied
+/// hash picks the head with its top bits and a tag bit with the five bits
+/// below them. The build links every row in one branch-free pass in
+/// reverse row order, so each chain lists its rows in ascending build-row
+/// order; a probe whose tag bit is clear (most of them: the sample run
+/// joins independent samples) touches one head and no chain.
+class JoinTable {
  public:
-  explicit FlatJoinTable(const std::vector<uint64_t>& hashes) {
-    const size_t n = hashes.size();
+  explicit JoinTable(const std::vector<uint64_t>& hashes) : entries_(hashes.size()) {
     int bits = 1;
-    while ((size_t{1} << bits) < 2 * n) ++bits;
+    while ((size_t{1} << bits) < hashes.size()) ++bits;
     shift_ = 64 - bits;
-    slots_.resize(size_t{1} << bits);
-    std::vector<uint32_t> group_of(n);
-    offsets_.reserve(n + 1);
-    for (size_t r = 0; r < n; ++r) {
-      Slot& slot = slots_[Probe(hashes[r])];
-      if (slot.group == kEmpty) {
-        slot.hash = hashes[r];
-        slot.group = static_cast<uint32_t>(offsets_.size());
-        offsets_.push_back(0);
-      }
-      group_of[r] = slot.group;
-      ++offsets_[slot.group];
+    heads_.assign(size_t{1} << bits, Head{kEnd, 0});
+    for (size_t r = hashes.size(); r-- > 0;) {
+      const uint64_t m = hashes[r] * 0x9e3779b97f4a7c15ULL;
+      Head& head = heads_[m >> shift_];
+      entries_[r] = {hashes[r], head.first};
+      head.first = static_cast<uint32_t>(r);
+      head.tags |= TagBit(m);
     }
-    // Counts -> each group's end offset; scattering rows in reverse then
-    // fills every group back to front (so its rids ascend) and leaves
-    // offsets_[g] at the group's start.
-    std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
-    rids_.resize(n);
-    for (size_t r = n; r-- > 0;) {
-      rids_[--offsets_[group_of[r]]] = static_cast<uint32_t>(r);
-    }
-    offsets_.push_back(static_cast<uint32_t>(n));
   }
 
-  /// Build rows whose key hash is exactly `h`, in build-row order; empty
-  /// when no build row has that hash.
-  std::pair<const uint32_t*, const uint32_t*> Find(uint64_t h) const {
-    const Slot& slot = slots_[Probe(h)];
-    if (slot.group == kEmpty) return {nullptr, nullptr};
-    return {rids_.data() + offsets_[slot.group],
-            rids_.data() + offsets_[slot.group + 1]};
+  /// Calls visit(r) for every build row r whose key hash is exactly `h`,
+  /// in build-row order.
+  template <typename Visit>
+  void ForEachRow(uint64_t h, const Visit& visit) const {
+    const uint64_t m = h * 0x9e3779b97f4a7c15ULL;
+    const Head& head = heads_[m >> shift_];
+    if ((head.tags & TagBit(m)) == 0) return;
+    for (uint32_t r = head.first; r != kEnd; r = entries_[r].next) {
+      if (entries_[r].hash == h) visit(r);
+    }
   }
 
  private:
-  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
-  struct Slot {
-    uint64_t hash = 0;
-    uint32_t group = kEmpty;
+  static constexpr uint32_t kEnd = std::numeric_limits<uint32_t>::max();
+  struct Head {
+    uint32_t first;  ///< smallest build row of the chain, or kEnd
+    uint32_t tags;   ///< TagBit of every row on the chain
+  };
+  struct Entry {
+    uint64_t hash;
+    uint32_t next;  ///< next larger build row of the chain, or kEnd
   };
 
-  /// Linear probing from a Fibonacci-hashed home slot (the top bits of
-  /// h * 2^64/phi depend on every bit of h). Returns the slot holding `h`
-  /// or the empty slot where it would go; the table is at most half full.
-  size_t Probe(uint64_t h) const {
-    const size_t mask = slots_.size() - 1;
-    size_t i = static_cast<size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift_);
-    while (slots_[i].group != kEmpty && slots_[i].hash != h) i = (i + 1) & mask;
-    return i;
-  }
+  uint32_t TagBit(uint64_t m) const { return uint32_t{1} << ((m >> (shift_ - 5)) & 31); }
 
   int shift_ = 63;
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> offsets_;  ///< group g's rids: [offsets_[g], offsets_[g+1])
-  std::vector<uint32_t> rids_;
+  std::vector<Head> heads_;
+  std::vector<Entry> entries_;
 };
 
 /// An empty block over one table: one slot, column c reading src's
@@ -837,9 +822,9 @@ class NodeRunner {
     const int64_t chunk = ctx_->batch();
 
     // Build on the right input: hash every build row (chunks shard across
-    // the pool), then group the rows into the flat table in one sequential
-    // pass. Every group lists the same rids in the same build-row order at
-    // any thread count, which keeps the probe output order bit-identical.
+    // the pool), then link the rows into the table in one sequential pass.
+    // A probe visits the build rows with its exact hash in build-row order
+    // at any thread count, which keeps the probe output order bit-identical.
     const int64_t rn = right.num_rows();
     std::vector<uint64_t> build_hashes(static_cast<size_t>(rn));
     RunTaskRange(NumChunks(rn), [&](int64_t c) {
@@ -848,12 +833,13 @@ class NodeRunner {
                   build_hashes.data() + base);
     });
     st.actual.no += static_cast<double>(rn);  // build-side hash ops
-    const FlatJoinTable table(build_hashes);
+    const JoinTable table(build_hashes);
 
     const JoinEmitter emitter(node, left, right);
     RowBlock out = emitter.OutputBlock();
-    // Probe in chunks: hash a chunk of probe keys, then walk the chains,
-    // appending matches' row-id tuples to the chunk's output.
+    // Probe in chunks: hash a chunk of probe keys, then visit each probe
+    // row's equal-hash build rows, appending matches' row-id tuples to the
+    // chunk's output.
     const auto probe_chunk = [&](int64_t base, int64_t nb,
                                  std::vector<uint32_t>* dst, OpStats* pst) {
       std::vector<Value> scratch(emitter.scratch_size());
@@ -861,14 +847,13 @@ class NodeRunner {
       HashRowKeys(left, lcols, base, nb, hashes.data());
       pst->actual.no += static_cast<double>(nb);  // probe-side hash ops
       for (int64_t i = 0; i < nb; ++i) {
-        const auto [begin, end] = table.Find(hashes[static_cast<size_t>(i)]);
         const int64_t l = base + i;
-        for (const uint32_t* it = begin; it != end; ++it) {
-          const uint32_t r = *it;
+        table.ForEachRow(hashes[static_cast<size_t>(i)], [&](uint32_t r) {
           pst->actual.no += 1.0;  // chain visit / key compare
-          if (!KeysEqual(left, l, lcols, right, r, rcols)) continue;
-          emitter.Emit(l, r, scratch.data(), dst, pst);
-        }
+          if (KeysEqual(left, l, lcols, right, r, rcols)) {
+            emitter.Emit(l, r, scratch.data(), dst, pst);
+          }
+        });
       }
     };
     RunChunks(left.num_rows(), &out.rids, &st, probe_chunk);

@@ -409,22 +409,19 @@ TEST(Executor, HashJoinDuplicateBuildKeysKeepBuildRowOrder) {
 // left child's error wins when both fail, and a cancelled run ends in the
 // full result or DeadlineExceeded, never a partial OK.
 
-/// A left child that fails at run time: an index scan whose predicate has
-/// no range over the indexed column.
-std::unique_ptr<PlanNode> FailingIndexScan() {
-  return MakeIndexScan("t1", 1, Expr::Cmp(0, CmpOp::kLe, Value::Int64(10)));
-}
-
 TEST(Executor, JoinChildErrorsKeepLeftPrecedence) {
   Database db = MakeTestDb();
-  // The right child is a merge join given a second key after Finalize,
-  // which it rejects when it runs.
+  // The left child is an index scan whose predicate has no range over the
+  // indexed column; the right child is a merge join given a second key
+  // after Finalize. Each rejects its input when it runs.
   const auto make_right = [] {
     return MakeMergeJoin(MakeSort(MakeSeqScan("t2", NoPred()), {0}),
                          MakeSort(MakeSeqScan("t2", NoPred()), {0}), {{0, 0}});
   };
   Plan right_fails(MakeHashJoin(MakeSeqScan("t1", NoPred()), make_right(), {{0, 0}}));
-  Plan both_fail(MakeHashJoin(FailingIndexScan(), make_right(), {{0, 0}}));
+  Plan both_fail(
+      MakeHashJoin(MakeIndexScan("t1", 1, Expr::Cmp(0, CmpOp::kLe, Value::Int64(10))),
+                   make_right(), {{0, 0}}));
   for (Plan* plan : {&right_fails, &both_fail}) {
     ASSERT_TRUE(plan->Finalize(db).ok());
     plan->mutable_root()->right->join_keys.push_back({1, 1});

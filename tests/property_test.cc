@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -687,6 +688,173 @@ TEST(JoinShapes, HashJoinMatchesReferenceOnEveryBuildShape) {
                       Plan(MakeHashJoin(MakeSeqScan("l", nullptr),
                                         MakeSeqScan("r", nullptr), keys)),
                       0, want, shape.name);
+  }
+}
+
+// ---------- Aggregate grouping vs a Value-at-a-time reference ----------
+
+/// One row of agg(k int64, s string, d double, v int64).
+struct AggRow {
+  int64_t k = 0;
+  std::string s;
+  double d = 0.0;
+  int64_t v = 0;
+};
+
+Table MakeAggTable(const std::vector<AggRow>& rows) {
+  Table t("agg", Schema({{"k", ValueType::kInt64},
+                         {"s", ValueType::kString},
+                         {"d", ValueType::kDouble},
+                         {"v", ValueType::kInt64}}));
+  for (const AggRow& row : rows) {
+    t.AppendRow({Value::Int64(row.k), Value::String(row.s), Value::Double(row.d),
+                 Value::Int64(row.v)});
+  }
+  return t;
+}
+
+/// COUNT, SUM(v), MIN(v), MAX(v), AVG(v) of one group.
+struct AggGroupReference {
+  uint32_t first = 0;  ///< the row the group first appears at
+  int64_t count = 0;
+  double sum = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+};
+
+/// Groups in first-appearance order: a row joins the first earlier group
+/// whose first row's keys are all Value::Equals to its own (so a NaN key
+/// starts a group of its own).
+std::vector<AggGroupReference> ReferenceAggregate(const Table& t,
+                                                  const std::vector<int>& group_cols) {
+  std::vector<AggGroupReference> groups;
+  for (uint32_t row = 0; row < t.num_rows(); ++row) {
+    AggGroupReference* into = nullptr;
+    for (AggGroupReference& g : groups) {
+      bool same = true;
+      for (const int c : group_cols) same = same && t.at(g.first, c).Equals(t.at(row, c));
+      if (same) {
+        into = &g;
+        break;
+      }
+    }
+    if (into == nullptr) {
+      groups.push_back({row});
+      into = &groups.back();
+    }
+    const double v = t.at(row, 3).AsDouble();
+    ++into->count;
+    into->sum += v;
+    into->min = std::min(into->min, v);
+    into->max = std::max(into->max, v);
+  }
+  return groups;
+}
+
+/// Aggregate inputs whose shapes stress grouping: no rows, one group,
+/// all-distinct keys, NaN keys, signed zeros, string keys, a three-column
+/// mixed-type key, groups that recur across chunk boundaries, and a global
+/// aggregate. v is integer-valued, so SUM and AVG are exact at every batch
+/// size and merge order.
+TEST(AggregateShapes, GroupingMatchesReferenceOnEveryShape) {
+  Rng rng(5151);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::string> words = {"a", "b", "", "ab"};
+  const auto rows_of = [&rng](int n, const std::function<void(int, AggRow*)>& fill) {
+    std::vector<AggRow> rows(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      rows[static_cast<size_t>(i)].v = rng.NextInt(-1000, 1000);
+      fill(i, &rows[static_cast<size_t>(i)]);
+    }
+    return rows;
+  };
+  struct Shape {
+    std::string name;
+    std::vector<AggRow> rows;
+    std::vector<int> group_cols;
+  };
+  const std::vector<Shape> shapes = {
+      {"empty input", {}, {0}},
+      {"one group", rows_of(300, [](int, AggRow* r) { r->k = 3; }), {0}},
+      {"all distinct", rows_of(2500, [](int i, AggRow* r) { r->k = 7 * i - 900; }), {0}},
+      {"NaN keys",
+       rows_of(400,
+               [&](int, AggRow* r) {
+                 r->d = rng.NextBool(0.3) ? nan : static_cast<double>(rng.NextInt(0, 4));
+               }),
+       {2}},
+      {"signed zeros",
+       rows_of(200, [&](int i, AggRow* r) { r->d = i == 0 || rng.NextBool(0.5) ? -0.0 : 0.0; }),
+       {2}},
+      {"string keys",
+       rows_of(500,
+               [&](int, AggRow* r) {
+                 r->s = words[static_cast<size_t>(rng.NextInt(0, 3))];
+               }),
+       {1}},
+      {"three-column key",
+       rows_of(1500,
+               [&](int, AggRow* r) {
+                 r->k = rng.NextInt(0, 3);
+                 r->s = words[static_cast<size_t>(rng.NextInt(0, 3))];
+                 const double ds[] = {-0.0, 0.0, 1.5, nan, 2.0};
+                 r->d = ds[rng.NextInt(0, 4)];
+               }),
+       {0, 1, 2}},
+      {"groups across chunks",
+       rows_of(2600, [](int i, AggRow* r) { r->k = (i / 5) % 41; }), {0}},
+      {"global aggregate", rows_of(1300, [](int, AggRow*) {}), {}},
+  };
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggSpec::Kind::kCount, -1, "cnt"});
+  aggs.push_back({AggSpec::Kind::kSum, 3, "sum_v"});
+  aggs.push_back({AggSpec::Kind::kMin, 3, "min_v"});
+  aggs.push_back({AggSpec::Kind::kMax, 3, "max_v"});
+  aggs.push_back({AggSpec::Kind::kAvg, 3, "avg_v"});
+  MorselPool pool(3);
+  for (const Shape& shape : shapes) {
+    Database db("agg-shapes");
+    db.AddTable(MakeAggTable(shape.rows));
+    db.AnalyzeAll(8);
+    const Table& t = db.GetTable("agg");
+    const std::vector<AggGroupReference> want = ReferenceAggregate(t, shape.group_cols);
+    Plan plan(MakeAggregate(MakeSeqScan("agg", nullptr), shape.group_cols, aggs));
+    ASSERT_TRUE(plan.Finalize(db).ok()) << shape.name;
+    Executor executor(&db);
+    const int ng = static_cast<int>(shape.group_cols.size());
+    for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
+                               static_cast<TaskRunner*>(&pool)}) {
+      for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{1024}}) {
+        SCOPED_TRACE(shape.name + ", batch " + std::to_string(batch) +
+                     (runner == nullptr ? ", no pool" : ", pool"));
+        ExecOptions options;
+        options.max_batch_size = batch;
+        options.task_runner = runner;
+        auto result = executor.Execute(plan, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        const RowBlock& out = result->output;
+        ASSERT_EQ(out.num_rows(), static_cast<int64_t>(want.size()));
+        for (size_t g = 0; g < want.size(); ++g) {
+          const int64_t r = static_cast<int64_t>(g);
+          for (int c = 0; c < ng; ++c) {
+            // Bit for bit the first row's cell: -0.0 stays -0.0.
+            const Value first = t.at(want[g].first, shape.group_cols[static_cast<size_t>(c)]);
+            EXPECT_EQ(out.at(r, c).type, first.type) << "group " << g;
+            EXPECT_EQ(PayloadOf(out.at(r, c)), PayloadOf(first)) << "group " << g;
+          }
+          EXPECT_EQ(out.at(r, ng).AsDouble(), static_cast<double>(want[g].count));
+          EXPECT_EQ(out.at(r, ng + 1).AsDouble(), want[g].sum) << "group " << g;
+          EXPECT_EQ(out.at(r, ng + 2).AsDouble(), want[g].min) << "group " << g;
+          EXPECT_EQ(out.at(r, ng + 3).AsDouble(), want[g].max) << "group " << g;
+          EXPECT_EQ(out.at(r, ng + 4).AsDouble(),
+                    want[g].sum / static_cast<double>(want[g].count))
+              << "group " << g;
+        }
+        const OpStats& agg = result->ops[0];
+        ASSERT_EQ(agg.type, OpType::kAggregate);
+        EXPECT_EQ(agg.actual.no, static_cast<double>(t.num_rows() + out.num_rows()));
+      }
+    }
   }
 }
 

@@ -5,7 +5,6 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -195,14 +194,17 @@ int ValueCompare3(const Value& a, const Value& b) {
 /// True for a NaN double: the one key that equals nothing, itself included.
 bool IsNan(const Value& v) { return v.type == ValueType::kDouble && std::isnan(v.d); }
 
-/// Hash-join build table: a power-of-two directory of chain heads (at
-/// least one per build row), each with a 32-bit tag mask, over one
-/// {exact key hash, next} entry per build row. The Fibonacci-multiplied
-/// hash picks the head with its top bits and a tag bit with the five bits
-/// below them. The build links every row in one branch-free pass in
-/// reverse row order, so each chain lists its rows in ascending build-row
-/// order; a probe whose tag bit is clear (most of them: the sample run
-/// joins independent samples) touches one head and no chain.
+/// The executor's one hash table, built once over a fixed list of 64-bit
+/// key hashes: the hash join's build rows, an aggregate chunk's rows, or
+/// the left partial's groups in an aggregate merge. A power-of-two
+/// directory of chain heads (at least one per row), each with a 32-bit tag
+/// mask, over one {exact key hash, next} entry per row. The
+/// Fibonacci-multiplied hash picks the head with its top bits and a tag
+/// bit with the five bits below them. The build links every row in one
+/// branch-free pass in reverse row order, so each chain lists its rows in
+/// ascending order; a lookup whose tag bit is clear (most hash-join
+/// probes: the sample run joins independent samples) touches one head and
+/// no chain.
 class JoinTable {
  public:
   explicit JoinTable(const std::vector<uint64_t>& hashes) : entries_(hashes.size()) {
@@ -219,27 +221,27 @@ class JoinTable {
     }
   }
 
-  /// Calls visit(r) for every build row r whose key hash is exactly `h`,
-  /// in build-row order.
+  /// Calls visit(r) for every row r whose key hash is exactly `h`, in
+  /// ascending order, until visit returns false.
   template <typename Visit>
   void ForEachRow(uint64_t h, const Visit& visit) const {
     const uint64_t m = h * 0x9e3779b97f4a7c15ULL;
     const Head& head = heads_[m >> shift_];
     if ((head.tags & TagBit(m)) == 0) return;
     for (uint32_t r = head.first; r != kEnd; r = entries_[r].next) {
-      if (entries_[r].hash == h) visit(r);
+      if (entries_[r].hash == h && !visit(r)) return;
     }
   }
 
  private:
   static constexpr uint32_t kEnd = std::numeric_limits<uint32_t>::max();
   struct Head {
-    uint32_t first;  ///< smallest build row of the chain, or kEnd
+    uint32_t first;  ///< smallest row of the chain, or kEnd
     uint32_t tags;   ///< TagBit of every row on the chain
   };
   struct Entry {
     uint64_t hash;
-    uint32_t next;  ///< next larger build row of the chain, or kEnd
+    uint32_t next;  ///< next larger row of the chain, or kEnd
   };
 
   uint32_t TagBit(uint64_t m) const { return uint32_t{1} << ((m >> (shift_ - 5)) & 31); }
@@ -371,63 +373,14 @@ double PagesFor(double rows, double width_bytes) {
   return std::ceil(rows * std::max(8.0, width_bytes) / kPageSizeBytes);
 }
 
+/// One group's running aggregates.
 struct GroupAccumulator {
-  uint64_t hash = 0;  ///< group-key hash, kept so chunk tables merge cheaply
-  std::vector<Value> group_values;
+  int64_t row = 0;    ///< the group's first row in the aggregate's input
+  uint64_t hash = 0;  ///< group-key hash, kept so chunk partials merge cheaply
   std::vector<double> sums;
   std::vector<double> mins;
   std::vector<double> maxs;
   int64_t count = 0;
-};
-
-/// One aggregation hash table: accumulators in first-appearance order plus
-/// a hash index into them. Aggregation builds one table per input chunk and
-/// merges the chunk tables in chunk order, so the global first-appearance
-/// order equals the sequential scan's regardless of thread count.
-struct GroupTable {
-  std::vector<GroupAccumulator> groups;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;  ///< hash -> idx
-
-  GroupAccumulator* FindByRow(uint64_t h, const RowBlock& in, int64_t r,
-                              const std::vector<int>& group_cols) {
-    auto it = buckets.find(h);
-    if (it == buckets.end()) return nullptr;
-    for (uint32_t idx : it->second) {
-      GroupAccumulator& cand = groups[idx];
-      bool same = true;
-      for (size_t g = 0; g < group_cols.size(); ++g) {
-        if (!cand.group_values[g].Equals(in.at(r, group_cols[g]))) {
-          same = false;
-          break;
-        }
-      }
-      if (same) return &cand;
-    }
-    return nullptr;
-  }
-
-  GroupAccumulator* FindByAcc(const GroupAccumulator& key) {
-    auto it = buckets.find(key.hash);
-    if (it == buckets.end()) return nullptr;
-    for (uint32_t idx : it->second) {
-      GroupAccumulator& cand = groups[idx];
-      bool same = true;
-      for (size_t g = 0; g < key.group_values.size(); ++g) {
-        if (!cand.group_values[g].Equals(key.group_values[g])) {
-          same = false;
-          break;
-        }
-      }
-      if (same) return &cand;
-    }
-    return nullptr;
-  }
-
-  GroupAccumulator* Append(GroupAccumulator&& acc) {
-    buckets[acc.hash].push_back(static_cast<uint32_t>(groups.size()));
-    groups.push_back(std::move(acc));
-    return &groups.back();
-  }
 };
 
 class ExecContext {
@@ -853,6 +806,7 @@ class NodeRunner {
           if (KeysEqual(left, l, lcols, right, r, rcols)) {
             emitter.Emit(l, r, scratch.data(), dst, pst);
           }
+          return true;
         });
       }
     };
@@ -1153,69 +1107,94 @@ class NodeRunner {
     st.left_rows = static_cast<double>(in.num_rows());
 
     // Sharded aggregation with a pinned output contract: groups emit in
-    // FIRST-APPEARANCE order of their key in the input (stable across
-    // standard-library implementations — the old code followed
-    // unordered_map bucket iteration order). Each max_batch_size-row chunk
-    // builds a private hash table in chunk-local first-appearance order;
-    // the chunk tables then combine through a width-doubling pairwise
-    // merge tree (same fixed-shape contract as the sort's merge tree): the
-    // tree's shape depends only on the chunk count — i.e. on row count and
-    // max_batch_size — never on thread count, so the same merges happen in
-    // the same pairing at every thread count and the output is
-    // bit-identical. Ordered-union merging (left table's order wins, the
-    // right table's new groups append in their local first-appearance
-    // order) is associative, so the tree reproduces the sequential scan's
-    // global first-appearance order exactly.
+    // FIRST-APPEARANCE order of their key in the input. Each
+    // max_batch_size-row chunk groups its rows in chunk-local
+    // first-appearance order; the chunk partials then combine through a
+    // width-doubling pairwise merge tree (same fixed-shape contract as the
+    // sort's merge tree): the tree's shape depends only on the chunk count
+    // — i.e. on row count and max_batch_size — never on thread count, so
+    // the same merges happen in the same pairing at every thread count and
+    // the output is bit-identical. Ordered-union merging (left partial's
+    // order wins, the right partial's new groups append in their local
+    // first-appearance order) is associative, so the tree reproduces the
+    // sequential scan's global first-appearance order exactly.
+    const std::vector<int>& keys = node.group_columns;
     const size_t nagg = node.aggregates.size();
     const int64_t rows = in.num_rows();
     const int64_t chunk = ctx_->batch();
     const int64_t nchunks = rows > 0 ? NumChunks(rows) : 0;
     st.actual.no += static_cast<double>(rows);  // group hash / transition ops
 
-    std::vector<GroupTable> locals(static_cast<size_t>(nchunks));
+    std::vector<std::vector<GroupAccumulator>> locals(static_cast<size_t>(nchunks));
     RunTaskRange(nchunks, [&](int64_t c) {
       const int64_t base = c * chunk;
       const int64_t nb = std::min(chunk, rows - base);
-      GroupTable& table = locals[static_cast<size_t>(c)];
+      std::vector<GroupAccumulator>& groups = locals[static_cast<size_t>(c)];
       std::vector<uint64_t> hashes(static_cast<size_t>(nb));
-      HashRowKeys(in, node.group_columns, base, nb, hashes.data());
-      for (int64_t i = 0; i < nb; ++i) {
+      HashRowKeys(in, keys, base, nb, hashes.data());
+      const JoinTable table(hashes);
+      std::vector<uint32_t> group_of(static_cast<size_t>(nb));
+      for (uint32_t i = 0; i < static_cast<uint32_t>(nb); ++i) {
         const int64_t r = base + i;
-        const uint64_t h = hashes[static_cast<size_t>(i)];
-        GroupAccumulator* acc = table.FindByRow(h, in, r, node.group_columns);
-        if (acc == nullptr) {
+        // The row joins the group of the first earlier row with equal keys
+        // (its chain lists rows in ascending order); a row without one,
+        // such as any row with a NaN key, starts a group.
+        uint32_t first = i;
+        table.ForEachRow(hashes[i], [&](uint32_t j) {
+          if (j == i) return false;
+          if (!KeysEqual(in, base + j, keys, in, r, keys)) return true;
+          first = j;
+          return false;
+        });
+        if (first == i) {
+          group_of[i] = static_cast<uint32_t>(groups.size());
           GroupAccumulator fresh;
-          fresh.hash = h;
-          for (int g : node.group_columns) fresh.group_values.push_back(in.at(r, g));
+          fresh.row = r;
+          fresh.hash = hashes[i];
           fresh.sums.assign(nagg, 0.0);
           fresh.mins.assign(nagg, std::numeric_limits<double>::infinity());
           fresh.maxs.assign(nagg, -std::numeric_limits<double>::infinity());
-          acc = table.Append(std::move(fresh));
+          groups.push_back(std::move(fresh));
+        } else {
+          group_of[i] = group_of[first];
         }
-        ++acc->count;
+        GroupAccumulator& acc = groups[group_of[i]];
+        ++acc.count;
         for (size_t a = 0; a < nagg; ++a) {
           const AggSpec& spec = node.aggregates[a];
           if (spec.kind == AggSpec::Kind::kCount) continue;
-          const double v = in.at(r, spec.column).AsDouble();
-          acc->sums[a] += v;
-          acc->mins[a] = std::min(acc->mins[a], v);
-          acc->maxs[a] = std::max(acc->maxs[a], v);
+          const double v = PayloadAsDouble(in.columns[static_cast<size_t>(spec.column)].type,
+                                           in.payload(r, spec.column));
+          acc.sums[a] += v;
+          acc.mins[a] = std::min(acc.mins[a], v);
+          acc.maxs[a] = std::max(acc.maxs[a], v);
         }
       }
     });
 
-    // Pairwise tree-merge of the chunk tables. Each level pairs
-    // locals[lo] with locals[lo + width] and folds the right table into
+    // Pairwise tree-merge of the chunk partials. Each level pairs
+    // locals[lo] with locals[lo + width] and folds the right partial into
     // the left (first chunk that saw a key keeps its output position);
-    // pairs at one level touch disjoint tables, so they merge in
-    // parallel. This replaces the old sequential chunk-order fold, whose
-    // O(nchunks * groups) rescans dominated when group count approaches
-    // row count; the tree does O(log nchunks) levels of halving work.
-    const auto merge_pair = [&](GroupTable* left, GroupTable* right) {
-      for (GroupAccumulator& acc : right->groups) {
-        GroupAccumulator* into = left->FindByAcc(acc);
+    // pairs at one level touch disjoint partials, so they merge in
+    // parallel, and the tree does O(log nchunks) levels of halving work.
+    // Only the left partial's groups are looked up: the right partial's
+    // groups are pairwise distinct, so none matches one appended here.
+    const auto merge_pair = [&](std::vector<GroupAccumulator>* left,
+                                std::vector<GroupAccumulator>* right) {
+      std::vector<uint64_t> hashes;
+      hashes.reserve(left->size());
+      for (const GroupAccumulator& acc : *left) hashes.push_back(acc.hash);
+      const JoinTable table(hashes);
+      for (GroupAccumulator& acc : *right) {
+        GroupAccumulator* into = nullptr;
+        table.ForEachRow(acc.hash, [&](uint32_t g) {
+          GroupAccumulator& cand = (*left)[g];
+          if (!KeysEqual(in, cand.row, keys, in, acc.row, keys)) return true;
+          into = &cand;
+          return false;
+        });
         if (into == nullptr) {
-          left->Append(std::move(acc));
+          left->push_back(std::move(acc));
           continue;
         }
         into->count += acc.count;
@@ -1225,31 +1204,31 @@ class NodeRunner {
           into->maxs[a] = std::max(into->maxs[a], acc.maxs[a]);
         }
       }
-      right->groups.clear();
-      right->buckets.clear();
+      right->clear();
     };
     for (int64_t width = 1; width < nchunks; width *= 2) {
       std::vector<int64_t> lefts;
       for (int64_t lo = 0; lo + width < nchunks; lo += 2 * width) {
         lefts.push_back(lo);
       }
-      // Tables without a partner at this level carry over untouched.
+      // Partials without a partner at this level carry over untouched.
       RunTaskRange(static_cast<int64_t>(lefts.size()), [&](int64_t p) {
         const int64_t lo = lefts[static_cast<size_t>(p)];
         merge_pair(&locals[static_cast<size_t>(lo)],
                    &locals[static_cast<size_t>(lo + width)]);
       });
     }
-    GroupTable merged;
+    std::vector<GroupAccumulator> merged;
     if (nchunks > 0) merged = std::move(locals[0]);
 
     // The groups become a small columnar table the output block (and every
     // block derived from it) co-owns; provenance does not flow through.
     auto groups = std::make_shared<Table>("aggregate", node.output_schema);
-    groups->Reserve(static_cast<int64_t>(merged.groups.size()));
+    groups->Reserve(static_cast<int64_t>(merged.size()));
     std::vector<Value> row;
-    for (const GroupAccumulator& acc : merged.groups) {
-      row = acc.group_values;
+    for (const GroupAccumulator& acc : merged) {
+      row.clear();
+      for (const int g : keys) row.push_back(in.at(acc.row, g));
       for (size_t a = 0; a < nagg; ++a) {
         const AggSpec& spec = node.aggregates[a];
         double v = 0.0;

@@ -1,6 +1,7 @@
 #include "math/rng.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "math/gaussian.h"
@@ -59,7 +60,12 @@ uint64_t Rng::NextBelow(uint64_t n) {
 
 int64_t Rng::NextInt(int64_t lo, int64_t hi) {
   UQP_DCHECK(lo <= hi);
-  return lo + static_cast<int64_t>(NextBelow(static_cast<uint64_t>(hi - lo + 1)));
+  // Span and sum in uint64_t, where they wrap instead of overflowing; the
+  // full int64 range has 2^64 values, one per NextU64 draw.
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  const uint64_t offset =
+      span == std::numeric_limits<uint64_t>::max() ? NextU64() : NextBelow(span + 1);
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + offset);
 }
 
 double Rng::NextGaussian() {

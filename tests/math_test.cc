@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "math/gaussian.h"
 #include "math/nnls.h"
@@ -67,6 +70,48 @@ TEST(Rng, NextIntInclusiveBounds) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+}
+
+TEST(Rng, NextIntDrawsArePinned) {
+  // Draws from an ordinary range and a wide one, fixed for this seed.
+  Rng rng(2024);
+  const std::vector<int64_t> want = {501, 259, 205, 393, 736, 799, 978, 646};
+  for (const int64_t w : want) EXPECT_EQ(rng.NextInt(-50, 1000), w);
+  Rng wide(2024);
+  const int64_t bound = int64_t{1} << 61;
+  EXPECT_EQ(wide.NextInt(-bound, bound), int64_t{112670598160408756});
+  EXPECT_EQ(wide.NextInt(-bound, bound), int64_t{-945831025513227586});
+}
+
+TEST(Rng, NextIntCoversSpansWiderThanInt64Max) {
+  // hi - lo does not fit in int64 for these ranges.
+  const int64_t lowest = std::numeric_limits<int64_t>::min();
+  const int64_t highest = std::numeric_limits<int64_t>::max();
+  const int64_t half = int64_t{1} << 62;
+  Rng full(31), mirror(31);
+  bool saw_negative = false, saw_positive = false;
+  for (int i = 0; i < 64; ++i) {
+    // The full range maps each 64-bit draw to one value.
+    const int64_t v = full.NextInt(lowest, highest);
+    EXPECT_EQ(static_cast<uint64_t>(v), mirror.NextU64() + static_cast<uint64_t>(lowest));
+    saw_negative |= v < 0;
+    saw_positive |= v > 0;
+  }
+  EXPECT_TRUE(saw_negative);
+  EXPECT_TRUE(saw_positive);
+  Rng rng(37);
+  saw_negative = saw_positive = false;
+  for (int i = 0; i < 2000; ++i) {
+    const int64_t v = rng.NextInt(-half, half);
+    ASSERT_GE(v, -half);
+    ASSERT_LE(v, half);
+    saw_negative |= v < -half / 2;
+    saw_positive |= v > half / 2;
+  }
+  EXPECT_TRUE(saw_negative);
+  EXPECT_TRUE(saw_positive);
+  EXPECT_EQ(rng.NextInt(highest, highest), highest);
+  EXPECT_EQ(rng.NextInt(lowest, lowest), lowest);
 }
 
 TEST(Rng, GaussianMoments) {

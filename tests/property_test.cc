@@ -713,7 +713,7 @@ Table MakeAggTable(const std::vector<AggRow>& rows) {
   return t;
 }
 
-/// COUNT, SUM(v), MIN(v), MAX(v), AVG(v) of one group.
+/// COUNT, SUM(v), MIN(v) and MAX(v) of one group; AVG(v) is SUM / COUNT.
 struct AggGroupReference {
   uint32_t first = 0;  ///< the row the group first appears at
   int64_t count = 0;

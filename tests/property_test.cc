@@ -20,6 +20,7 @@
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/executor.h"
+#include "engine/expr.h"
 #include "engine/planner.h"
 #include "hw/machine.h"
 #include "math/gaussian.h"
@@ -399,6 +400,82 @@ TEST(ScanPredicateEdgeValues, MatchRowAtATimeFilter) {
     CheckRandomScans(db, "empty", {0, 2}, 600 + seed, 2);
   }
   EXPECT_GT(selective, 0) << "every tree kept all rows or none";
+}
+
+// ---------- The column kernel's mask contract ----------
+//
+// EvalPredicateColumns writes every lane of its mask, and every byte it
+// writes is exactly 0 or 1: AND and OR nodes fold their sides into the
+// mask with &= and |=, which is exact only on 0/1 bytes. Random depth-5
+// trees run over contiguous chunks at odd offsets and over gathered rids
+// in reversed and shuffled order; every lane must equal EvalPredicate on
+// its row.
+
+/// Checks `trees` random trees over `table` lane by lane; returns how many
+/// kept some but not all rows.
+int CheckMaskContract(const Table& table, uint64_t seed, int trees) {
+  Rng rng(seed);
+  PredicateGen gen(&table, &rng);
+  const int64_t rows = table.num_rows();
+  std::vector<std::vector<Value>> cells;
+  for (int64_t r = 0; r < rows; ++r) cells.push_back(TableRow(table, r));
+  std::vector<uint32_t> reversed(static_cast<size_t>(rows));
+  std::iota(reversed.rbegin(), reversed.rend(), 0u);
+  std::vector<uint32_t> shuffled = reversed;
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.NextBelow(i)]);
+  }
+  int selective = 0;
+  for (int t = 0; t < trees; ++t) {
+    const ExprPtr tree = gen.Tree(5);
+    SCOPED_TRACE(table.name() + " tree " + std::to_string(t) + ": " +
+                 tree->ToString(&table.schema()));
+    std::vector<uint8_t> want;
+    for (const std::vector<Value>& row : cells) {
+      want.push_back(
+          EvalPredicate(*tree, RowRef{row.data(), static_cast<int>(row.size())}) ? 1 : 0);
+    }
+    const int64_t kept = std::count(want.begin(), want.end(), 1);
+    selective += kept > 0 && kept < rows;
+    const auto check = [&](const std::string& what, int64_t first,
+                           const uint32_t* rids, int64_t n) {
+      std::vector<uint8_t> mask(static_cast<size_t>(n), 0xA5);
+      EvalPredicateColumns(*tree, table, first, rids, n, mask.data());
+      for (int64_t i = 0; i < n; ++i) {
+        const uint8_t got = mask[static_cast<size_t>(i)];
+        const int64_t r = rids == nullptr ? first + i : rids[i];
+        ASSERT_TRUE(got == 0 || got == 1) << what << " lane " << i << " holds "
+                                          << static_cast<int>(got);
+        ASSERT_EQ(got, want[static_cast<size_t>(r)]) << what << " lane " << i
+                                                     << " (row " << r << ")";
+      }
+    };
+    for (const int64_t len : {int64_t{1}, int64_t{7}, int64_t{64}, int64_t{1024}}) {
+      for (const int64_t first : {int64_t{1}, int64_t{13}, (rows / 2) | 1}) {
+        if (first >= rows) continue;
+        check("chunk at " + std::to_string(first), first, nullptr,
+              std::min(len, rows - first));
+      }
+    }
+    check("reversed rids", 0, reversed.data(), rows);
+    check("shuffled rids", 0, shuffled.data(), rows);
+  }
+  return selective;
+}
+
+TEST(ScanMaskContract, EdgeValueLanesAreZeroOrOneAndMatchRowAtATime) {
+  const Database db = MakeEdgeDb();
+  int selective = 0;
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    selective += CheckMaskContract(db.GetTable("edge"), 900 + seed, 32);
+  }
+  EXPECT_GT(selective, 0) << "every tree kept all rows or none";
+}
+
+TEST(ScanMaskContract, TpchLanesAreZeroOrOneAndMatchRowAtATime) {
+  const Database db = MakeTpchDatabase(TpchConfig::Profile("tiny"));
+  EXPECT_GT(CheckMaskContract(db.GetTable("lineitem"), 77, 64), 0)
+      << "every tree kept all rows or none";
 }
 
 // ---------- Join keys vs a row-at-a-time reference ----------

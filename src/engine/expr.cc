@@ -157,11 +157,14 @@ bool EvalPredicate(const Expr& e, RowRef row) {
 
 namespace {
 
-/// How a comparison node combines into the chunk mask.
+/// How a comparison node combines into the chunk mask. Mask bytes are
+/// exactly 0 or 1. Every lane is evaluated and combined without a branch:
+/// predicates are pure and every lane's row is valid, so a lane already
+/// decided costs a comparison, not a mispredicted jump.
 enum class MaskMode {
   kFill,    ///< mask[i] = p(i)
-  kNarrow,  ///< mask[i] &= p(i), lanes already clear are skipped (AND)
-  kWiden,   ///< mask[i] |= p(i), lanes already set are skipped (OR)
+  kNarrow,  ///< mask[i] &= p(i) (AND)
+  kWiden,   ///< mask[i] |= p(i) (OR)
 };
 
 template <typename RowPred>
@@ -171,14 +174,10 @@ void ApplyMask(MaskMode mode, int64_t n, uint8_t* mask, RowPred pred) {
       for (int64_t i = 0; i < n; ++i) mask[i] = pred(i) ? 1 : 0;
       break;
     case MaskMode::kNarrow:
-      for (int64_t i = 0; i < n; ++i) {
-        if (mask[i] != 0 && !pred(i)) mask[i] = 0;
-      }
+      for (int64_t i = 0; i < n; ++i) mask[i] &= pred(i) ? 1 : 0;
       break;
     case MaskMode::kWiden:
-      for (int64_t i = 0; i < n; ++i) {
-        if (mask[i] == 0 && pred(i)) mask[i] = 1;
-      }
+      for (int64_t i = 0; i < n; ++i) mask[i] |= pred(i) ? 1 : 0;
       break;
   }
 }

@@ -60,10 +60,11 @@ bool EvalPredicate(const Expr& e, RowRef row);
 ///   mask[i] = e(row rids[i])     otherwise (e.g. index-scan matches).
 /// Column-at-a-time: each comparison node runs one typed loop over its
 /// column's payload array instead of the per-row tree walk of
-/// EvalPredicate. ANDs narrow the mask (right side only probes lanes still
-/// set), ORs widen it. Semantically identical to calling EvalPredicate on
-/// each row (predicates are pure), NaN, int64 beyond 2^53 and cross-type
-/// string/number equality included.
+/// EvalPredicate. ANDs narrow the mask (&=) and ORs widen it (|=); both
+/// sides evaluate every lane and combine without a branch, which is exact
+/// because every mask byte written is 0 or 1. Semantically identical to
+/// calling EvalPredicate on each row (predicates are pure), NaN, int64
+/// beyond 2^53 and cross-type string/number equality included.
 void EvalPredicateColumns(const Expr& e, const Table& table, int64_t first,
                           const uint32_t* rids, int64_t n, uint8_t* mask);
 

@@ -564,9 +564,8 @@ TEST(Executor, AggregateOutputsGroupsInFirstAppearanceOrder) {
   aggs.push_back({AggSpec::Kind::kCount, -1, "cnt"});
   // t1.a = i % 50, so grouping by a sees keys 0, 1, ..., 49 in row order.
   // The pinned contract: groups emit in FIRST-APPEARANCE order of their
-  // key in the input — stable across standard-library implementations
-  // (the old code followed unordered_map bucket iteration order) — and
-  // independent of the chunking, so the same rows come back at every
+  // key in the input — stable across standard-library implementations —
+  // and independent of the chunking, so the same rows come back at every
   // batch size.
   for (int64_t batch : {int64_t{1024}, int64_t{7}, int64_t{1}}) {
     Plan plan(MakeAggregate(MakeSeqScan("t1", NoPred()), {0}, aggs));

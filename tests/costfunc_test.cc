@@ -5,12 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "costfunc/fitter.h"
 #include "costfunc/types.h"
+#include "datagen/tpch.h"
 #include "engine/planner.h"
 #include "sampling/estimator.h"
 #include "sampling/sample_db.h"
+#include "workload/common.h"
 
 namespace uqp {
 namespace {
@@ -264,6 +271,77 @@ TEST(Fitter, DegenerateVarianceStillFits) {
   EXPECT_NEAR((*funcs)[0].funcs[kCostSeqPage].Eval(1.0, 1.0, 1.0),
               static_cast<double>(r.num_pages()), 1.0);
   EXPECT_NEAR((*funcs)[0].funcs[kCostTuple].Eval(1.0, 1.0, 1.0), 4000.0, 1.0);
+}
+
+// FNV-1a over the eight bytes of `v`, least significant first.
+uint64_t FnvMix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+uint64_t DoubleBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// The fitted functions of seeded micro, seljoin and TPC-H plans on the tiny
+// TPC-H profile, plus a merge join and a materialize (which the planner
+// never emits), digested bit for bit: the shape of every function and
+// every coefficient's bit pattern. Any change to the grid points, the
+// oracle probes, the order of the NNLS arithmetic or the sign of a zero
+// coefficient changes the digest.
+TEST(Fitter, CoefficientBitsArePinned) {
+  const Database db = MakeTpchDatabase(TpchConfig::Profile("tiny"));
+  const SampleDb samples = SampleDb::Build(db, SampleOptions());
+  std::vector<Plan> plans;
+  for (const char* kind : {"micro", "seljoin", "tpch"}) {
+    for (auto& q : MakeWorkload(db, kind, 3, 16)) {
+      auto plan = OptimizePlan(std::move(q.logical), db);
+      ASSERT_TRUE(plan.ok()) << kind << " " << q.name;
+      plans.push_back(std::move(plan).value());
+    }
+  }
+  auto join = MakeMergeJoin(
+      MakeSort(MakeSeqScan("orders", Expr::Cmp(3, CmpOp::kLe,
+                                               Value::Double(150000.0))),
+               {0}),
+      MakeSort(MakeSeqScan("lineitem", nullptr), {0}), {{0, 0}});
+  plans.emplace_back(MakeNestLoopJoin(MakeSeqScan("region", nullptr),
+                                      MakeMaterialize(std::move(join)), {}));
+  ASSERT_TRUE(plans.back().Finalize(db).ok());
+
+  const SamplingEstimator estimator(&db, &samples);
+  const CostFunctionFitter fitter(&db);
+  bool op_seen[8] = {};
+  bool shape_seen[6] = {};
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const Plan& plan : plans) {
+    auto estimates = estimator.Estimate(plan);
+    ASSERT_TRUE(estimates.ok());
+    auto funcs = fitter.FitPlan(plan, *estimates);
+    ASSERT_TRUE(funcs.ok());
+    for (const OperatorCostFunctions& ocf : *funcs) {
+      op_seen[static_cast<int>(ocf.op_type)] = true;
+      for (const FittedCostFunction& f : ocf.funcs) {
+        shape_seen[static_cast<int>(f.type)] = true;
+        digest = FnvMix(digest, static_cast<uint64_t>(f.type));
+        for (double b : f.b) digest = FnvMix(digest, DoubleBits(b));
+      }
+    }
+  }
+  for (int op = 0; op < 8; ++op) {
+    EXPECT_TRUE(op_seen[op]) << OpTypeName(static_cast<OpType>(op));
+  }
+  for (int shape = 0; shape < 6; ++shape) {
+    EXPECT_TRUE(shape_seen[shape])
+        << CostFuncTypeName(static_cast<CostFuncType>(shape));
+  }
+  EXPECT_EQ(digest, 0xc4cf509396f201daULL) << std::hex << "digest 0x" << digest << " over "
+                            << std::dec << plans.size() << " plans";
 }
 
 }  // namespace

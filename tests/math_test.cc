@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "math/gaussian.h"
@@ -383,8 +387,8 @@ TEST(Stats, Figure5GridMatchesPaper) {
 
 // ---------- NNLS ----------
 
-TEST(Nnls, UnconstrainedExactFit) {
-  // y = 2x + 1 fits exactly; both coefficients "free".
+// y = 2x + 1 over four points; both coefficients free.
+NnlsProblem ExactLineProblem() {
   NnlsProblem p;
   p.rows = 4;
   p.cols = 2;
@@ -393,16 +397,11 @@ TEST(Nnls, UnconstrainedExactFit) {
     p.a.insert(p.a.end(), {x, 1.0});
     p.y.push_back(2.0 * x + 1.0);
   }
-  auto result = SolveNnls(p);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->coefficients[0], 2.0, 1e-8);
-  EXPECT_NEAR(result->coefficients[1], 1.0, 1e-8);
-  EXPECT_NEAR(result->residual_norm, 0.0, 1e-8);
+  return p;
 }
 
-TEST(Nnls, NonnegativityClampsNegativeSlope) {
-  // Best unconstrained slope is negative; constrained solution must have
-  // slope exactly 0 and intercept = mean(y).
+// y = 10 - 2x with a constrained slope and a free constant.
+NnlsProblem NegativeSlopeProblem() {
   NnlsProblem p;
   p.rows = 4;
   p.cols = 2;
@@ -411,13 +410,11 @@ TEST(Nnls, NonnegativityClampsNegativeSlope) {
     p.a.insert(p.a.end(), {x, 1.0});
     p.y.push_back(10.0 - 2.0 * x);
   }
-  auto result = SolveNnls(p);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->coefficients[0], 0.0, 1e-10);
-  EXPECT_NEAR(result->coefficients[1], 7.0, 1e-8);
+  return p;
 }
 
-TEST(Nnls, FreeConstantCanGoNegative) {
+// y = 4x - 2 with a constrained slope and a free constant.
+NnlsProblem NegativeConstantProblem() {
   NnlsProblem p;
   p.rows = 3;
   p.cols = 2;
@@ -426,14 +423,12 @@ TEST(Nnls, FreeConstantCanGoNegative) {
     p.a.insert(p.a.end(), {x, 1.0});
     p.y.push_back(4.0 * x - 2.0);
   }
-  auto result = SolveNnls(p);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->coefficients[0], 4.0, 1e-8);
-  EXPECT_NEAR(result->coefficients[1], -2.0, 1e-8);
+  return p;
 }
 
-TEST(Nnls, QuadraticRecoveryWithScaling) {
-  // Columns spanning orders of magnitude (selectivity-like).
+// A quadratic over selectivity-like points: columns spanning orders of
+// magnitude.
+NnlsProblem ScaledQuadraticProblem() {
   NnlsProblem p;
   p.rows = 9;
   p.cols = 3;
@@ -443,7 +438,55 @@ TEST(Nnls, QuadraticRecoveryWithScaling) {
     p.a.insert(p.a.end(), {x * x, x, 1.0});
     p.y.push_back(5e7 * x * x + 3e4 * x + 11.0);
   }
-  auto result = SolveNnls(p);
+  return p;
+}
+
+// The fitter's bilinear shape (C6') on a 5 x 5 grid: the target's negative
+// Xr slope and its N log N term make the active set add and drop columns.
+NnlsProblem BilinearGridProblem() {
+  NnlsProblem p;
+  p.rows = 25;
+  p.cols = 4;
+  p.nonnegative = {true, true, true, false};
+  for (int i = 0; i < 5; ++i) {
+    const double xl = 0.02 + 0.01 * i;
+    for (int j = 0; j < 5; ++j) {
+      const double xr = 0.3 + 0.05 * j;
+      const double n = 6000.0 * xl * xr;
+      p.a.insert(p.a.end(), {xl * xr, xl, xr, 1.0});
+      p.y.push_back(n * std::log2(std::max(2.0, n)) + 500.0 * xl - 40.0 * xr +
+                    3.0);
+    }
+  }
+  return p;
+}
+
+TEST(Nnls, UnconstrainedExactFit) {
+  auto result = SolveNnls(ExactLineProblem());
+  ASSERT_TRUE(result.ok());
+  EXPECT_NEAR(result->coefficients[0], 2.0, 1e-8);
+  EXPECT_NEAR(result->coefficients[1], 1.0, 1e-8);
+  EXPECT_NEAR(result->residual_norm, 0.0, 1e-8);
+}
+
+TEST(Nnls, NonnegativityClampsNegativeSlope) {
+  // Best unconstrained slope is negative; constrained solution must have
+  // slope exactly 0 and intercept = mean(y).
+  auto result = SolveNnls(NegativeSlopeProblem());
+  ASSERT_TRUE(result.ok());
+  EXPECT_NEAR(result->coefficients[0], 0.0, 1e-10);
+  EXPECT_NEAR(result->coefficients[1], 7.0, 1e-8);
+}
+
+TEST(Nnls, FreeConstantCanGoNegative) {
+  auto result = SolveNnls(NegativeConstantProblem());
+  ASSERT_TRUE(result.ok());
+  EXPECT_NEAR(result->coefficients[0], 4.0, 1e-8);
+  EXPECT_NEAR(result->coefficients[1], -2.0, 1e-8);
+}
+
+TEST(Nnls, QuadraticRecoveryWithScaling) {
+  auto result = SolveNnls(ScaledQuadraticProblem());
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->coefficients[0], 5e7, 5e7 * 1e-4);
   EXPECT_NEAR(result->coefficients[1], 3e4, 3e4 * 1e-3);
@@ -468,6 +511,92 @@ TEST(Nnls, ShapeErrors) {
   p.a = {1, 2, 3};  // wrong size
   p.y = {1, 2};
   EXPECT_FALSE(SolveNnls(p).ok());
+}
+
+uint64_t DoubleBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Every coefficient's bit pattern and the residual norm's, per problem: any
+// reordering of the solver's arithmetic (the column scaling, the passive
+// set's order, the elimination) shows up here.
+TEST(Nnls, ResultBitsArePinned) {
+  NnlsProblem classic;
+  classic.a = {1.0, 0.0, 0.0, 1.0, 1.0, 1.0};
+  classic.y = {2.0, 3.0, 5.0};
+  classic.rows = 3;
+  classic.cols = 2;
+  classic.nonnegative = {true, true};
+  const struct {
+    const char* name;
+    NnlsProblem problem;
+    std::vector<uint64_t> bits;  // coefficients, then residual_norm
+  } cases[] = {
+      {"exact line",
+       ExactLineProblem(),
+       {0x3fffffffffffb296, 0x3ff0000000006285, 0x3da61505e2787db0}},
+      {"negative slope",
+       NegativeSlopeProblem(),
+       {0x0000000000000000, 0x401bffffffffe136, 0x4011e3779b97f4a8}},
+      {"negative constant",
+       NegativeConstantProblem(),
+       {0x400ffffffffed4f2, 0xbffffffffffb309e, 0x3dca804f80018131}},
+      {"scaled quadratic",
+       ScaledQuadraticProblem(),
+       {0x4187d783ffff6126, 0x40dd4c00000104ed, 0x4025ffffffffaf98,
+        0x3dd56d6dba4b239f}},
+      {"classic",
+       classic,
+       {0x3ffffffffffff446, 0x4007ffffffffe88c, 0x3d92ff68ff571c71}},
+      {"bilinear grid",
+       BilinearGridProblem(),
+       {0x40e7bdf87cde6452, 0x406dda837155d3cb, 0x0000000000000000,
+        0xc061264afdf937a4, 0x404cc2165950e8e2}},
+  };
+  for (const auto& c : cases) {
+    auto result = SolveNnls(c.problem);
+    ASSERT_TRUE(result.ok()) << c.name;
+    std::vector<uint64_t> bits;
+    for (double b : result->coefficients) bits.push_back(DoubleBits(b));
+    bits.push_back(DoubleBits(result->residual_norm));
+    std::string got;
+    for (uint64_t b : bits) {
+      char hex[24];
+      std::snprintf(hex, sizeof(hex), " 0x%016llx",
+                    static_cast<unsigned long long>(b));
+      got += hex;
+    }
+    EXPECT_EQ(bits, c.bits) << c.name << ":" << got;
+  }
+}
+
+// An all-zero target (either sign of zero) gives +0.0 coefficients and a
+// zero residual, with one free constant and 1-3 constrained columns.
+TEST(Nnls, ZeroTargetsGiveExactZeros) {
+  for (int cols = 2; cols <= 4; ++cols) {
+    for (double zero : {0.0, -0.0}) {
+      NnlsProblem p;
+      p.rows = 7;
+      p.cols = cols;
+      p.nonnegative.assign(static_cast<size_t>(cols), true);
+      p.nonnegative.back() = false;
+      for (int r = 0; r < p.rows; ++r) {
+        const double x = 0.1 + 0.05 * r;
+        for (int c = 0; c + 1 < cols; ++c) p.a.push_back(std::pow(x, c + 1));
+        p.a.push_back(1.0);
+        p.y.push_back(zero);
+      }
+      auto result = SolveNnls(p);
+      ASSERT_TRUE(result.ok());
+      ASSERT_EQ(result->coefficients.size(), static_cast<size_t>(cols));
+      for (double b : result->coefficients) {
+        EXPECT_EQ(DoubleBits(b), 0u) << cols << " columns, target " << zero;
+      }
+      EXPECT_EQ(DoubleBits(result->residual_norm), 0u);
+    }
+  }
 }
 
 // ---------- Zipf ----------

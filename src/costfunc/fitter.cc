@@ -11,29 +11,30 @@ namespace uqp {
 
 namespace {
 
-/// Grid points over the likely range of a selectivity: [μ - 3σ, μ + 3σ]
-/// clamped to [0, 1] (paper §4.2; Pr(X in I) ≈ 0.997). Degenerate
-/// intervals are widened slightly for numerical conditioning.
-std::vector<double> GridPoints(const Gaussian& g, int subintervals) {
-  double lo = g.mean - 3.0 * g.stddev();
-  double hi = g.mean + 3.0 * g.stddev();
-  lo = std::clamp(lo, 0.0, 1.0);
-  hi = std::clamp(hi, 0.0, 1.0);
-  if (hi - lo < 1e-9) {
-    const double pad = std::max(1e-4, 0.05 * std::max(g.mean, 1e-3));
-    lo = std::clamp(g.mean - pad, 0.0, 1.0);
-    hi = std::clamp(g.mean + pad, 0.0, 1.0);
-    if (hi - lo < 1e-9) hi = std::min(1.0, lo + 1e-4);
-  }
-  std::vector<double> points;
-  points.reserve(static_cast<size_t>(subintervals) + 1);
-  for (int i = 0; i <= subintervals; ++i) {
-    points.push_back(lo + (hi - lo) * static_cast<double>(i) / subintervals);
-  }
-  return points;
-}
+/// The likely range of a selectivity: [μ - 3σ, μ + 3σ] clamped to [0, 1]
+/// (paper §4.2; Pr(X in I) ≈ 0.997). Degenerate intervals are widened
+/// slightly for numerical conditioning.
+struct GridRange {
+  double lo, hi;
 
-/// The cost-model oracle: expected counter value for one operator at a
+  explicit GridRange(const Gaussian& g) {
+    lo = std::clamp(g.mean - 3.0 * g.stddev(), 0.0, 1.0);
+    hi = std::clamp(g.mean + 3.0 * g.stddev(), 0.0, 1.0);
+    if (hi - lo < 1e-9) {
+      const double pad = std::max(1e-4, 0.05 * std::max(g.mean, 1e-3));
+      lo = std::clamp(g.mean - pad, 0.0, 1.0);
+      hi = std::clamp(g.mean + pad, 0.0, 1.0);
+      if (hi - lo < 1e-9) hi = std::min(1.0, lo + 1e-4);
+    }
+  }
+
+  /// Point i of `subintervals` + 1 equally spaced grid points.
+  double Point(int i, int subintervals) const {
+    return lo + (hi - lo) * static_cast<double>(i) / subintervals;
+  }
+};
+
+/// The cost-model oracle: expected counters for one operator at a
 /// selectivity point. Cardinalities are reconstructed from selectivities
 /// via the leaf-row products (Nl = |Rl| Xl etc., paper §4.1).
 class Oracle {
@@ -56,7 +57,7 @@ class Oracle {
     }
   }
 
-  double Counter(int cost_unit, double x, double xl, double xr) const {
+  ResourceVector Counters(double x, double xl, double xr) const {
     OperatorContext ctx = ctx_;
     ctx.out_rows = std::max(0.0, x) * node_.leaf_row_product;
     if (node_.left != nullptr) {
@@ -65,7 +66,7 @@ class Oracle {
     if (node_.right != nullptr) {
       ctx.right_rows = std::max(0.0, xr) * node_.right->leaf_row_product;
     }
-    return EstimateResources(ctx, engine_).Get(cost_unit);
+    return EstimateResources(ctx, engine_);
   }
 
  private:
@@ -74,49 +75,130 @@ class Oracle {
   OperatorContext ctx_;
 };
 
+/// A selectivity point and the oracle's counters there.
 struct FitPoint {
   double x, xl, xr;
-  double f;
+  ResourceVector counters;
 };
 
-StatusOr<std::vector<double>> FitCoefficients(CostFuncType type,
-                                              const std::vector<FitPoint>& pts) {
-  const int ncoef = CostFuncNumCoefficients(type);
+/// The grids a node's functions are fitted on. Shapes that vary the same
+/// selectivities share one grid: C3'/C4' vary Xl, C5'/C6' vary Xl and Xr.
+enum class Grid { kConstant, kOutput, kLeft, kBoth };
+constexpr int kNumGrids = 4;
+
+Grid GridOf(CostFuncType type) {
+  switch (type) {
+    case CostFuncType::kConstant:
+      return Grid::kConstant;
+    case CostFuncType::kLinearOutput:
+      return Grid::kOutput;
+    case CostFuncType::kLinearLeft:
+    case CostFuncType::kQuadraticLeft:
+      return Grid::kLeft;
+    case CostFuncType::kLinearBoth:
+    case CostFuncType::kBilinear:
+      return Grid::kBoth;
+  }
+  return Grid::kConstant;
+}
+
+size_t GridSize(Grid grid, const FitOptions& options) {
+  switch (grid) {
+    case Grid::kConstant:
+      return 1;
+    case Grid::kOutput:
+    case Grid::kLeft:
+      return static_cast<size_t>(options.grid_1d) + 1;
+    case Grid::kBoth:
+      return (static_cast<size_t>(options.grid_2d) + 1) *
+             (static_cast<size_t>(options.grid_2d) + 1);
+  }
+  return 0;
+}
+
+/// Appends one grid's points to `pts`, probing the oracle once per point.
+/// The non-varying selectivities sit at their means.
+void AppendGrid(Grid grid, const Oracle& oracle, const Gaussian& gx,
+                const Gaussian& gl, const Gaussian& gr,
+                const FitOptions& options, std::vector<FitPoint>* pts) {
+  auto probe = [&](double x, double xl, double xr) {
+    pts->push_back({x, xl, xr, oracle.Counters(x, xl, xr)});
+  };
+  switch (grid) {
+    case Grid::kConstant:
+      probe(gx.mean, gl.mean, gr.mean);
+      break;
+    case Grid::kOutput: {
+      const GridRange range(gx);
+      for (int i = 0; i <= options.grid_1d; ++i) {
+        probe(range.Point(i, options.grid_1d), gl.mean, gr.mean);
+      }
+      break;
+    }
+    case Grid::kLeft: {
+      const GridRange range(gl);
+      for (int i = 0; i <= options.grid_1d; ++i) {
+        probe(gx.mean, range.Point(i, options.grid_1d), gr.mean);
+      }
+      break;
+    }
+    case Grid::kBoth: {
+      const GridRange left(gl), right(gr);
+      for (int i = 0; i <= options.grid_2d; ++i) {
+        const double xl = left.Point(i, options.grid_2d);
+        for (int j = 0; j <= options.grid_2d; ++j) {
+          probe(gx.mean, xl, right.Point(j, options.grid_2d));
+        }
+      }
+      break;
+    }
+  }
+}
+
+/// Fits one cost unit's function of shape `type` to the oracle's counter
+/// on the grid points [begin, end), reusing `problem`'s storage.
+StatusOr<std::vector<double>> FitCoefficients(CostFuncType type, int unit,
+                                              const FitPoint* begin,
+                                              const FitPoint* end,
+                                              NnlsProblem* problem) {
   if (type == CostFuncType::kConstant) {
     // Single coefficient: the oracle value itself.
-    return std::vector<double>{pts.empty() ? 0.0 : pts[0].f};
+    return std::vector<double>{begin->counters.Get(unit)};
   }
-  NnlsProblem problem;
-  problem.rows = static_cast<int>(pts.size());
-  problem.cols = ncoef;
-  problem.nonnegative.assign(static_cast<size_t>(ncoef), true);
-  problem.nonnegative[static_cast<size_t>(ncoef) - 1] = false;  // constant free
-  problem.a.reserve(pts.size() * static_cast<size_t>(ncoef));
-  problem.y.reserve(pts.size());
-  for (const FitPoint& p : pts) {
+  const int ncoef = CostFuncNumCoefficients(type);
+  problem->rows = static_cast<int>(end - begin);
+  problem->cols = ncoef;
+  problem->nonnegative.assign(static_cast<size_t>(ncoef), true);
+  problem->nonnegative[static_cast<size_t>(ncoef) - 1] = false;  // constant free
+  problem->a.clear();
+  problem->a.reserve(static_cast<size_t>(problem->rows) * ncoef);
+  problem->y.clear();
+  problem->y.reserve(static_cast<size_t>(problem->rows));
+  for (const FitPoint* p = begin; p != end; ++p) {
     switch (type) {
       case CostFuncType::kLinearOutput:
-        problem.a.insert(problem.a.end(), {p.x, 1.0});
+        problem->a.insert(problem->a.end(), {p->x, 1.0});
         break;
       case CostFuncType::kLinearLeft:
-        problem.a.insert(problem.a.end(), {p.xl, 1.0});
+        problem->a.insert(problem->a.end(), {p->xl, 1.0});
         break;
       case CostFuncType::kQuadraticLeft:
-        problem.a.insert(problem.a.end(), {p.xl * p.xl, p.xl, 1.0});
+        problem->a.insert(problem->a.end(), {p->xl * p->xl, p->xl, 1.0});
         break;
       case CostFuncType::kLinearBoth:
-        problem.a.insert(problem.a.end(), {p.xl, p.xr, 1.0});
+        problem->a.insert(problem->a.end(), {p->xl, p->xr, 1.0});
         break;
       case CostFuncType::kBilinear:
-        problem.a.insert(problem.a.end(), {p.xl * p.xr, p.xl, p.xr, 1.0});
+        problem->a.insert(problem->a.end(),
+                          {p->xl * p->xr, p->xl, p->xr, 1.0});
         break;
       case CostFuncType::kConstant:
         break;
     }
-    problem.y.push_back(p.f);
+    problem->y.push_back(p->counters.Get(unit));
   }
-  UQP_ASSIGN_OR_RETURN(NnlsResult result, SolveNnls(problem));
-  return result.coefficients;
+  UQP_ASSIGN_OR_RETURN(NnlsResult result, SolveNnls(*problem));
+  return std::move(result.coefficients);
 }
 
 }  // namespace
@@ -138,41 +220,38 @@ StatusOr<OperatorCostFunctions> CostFunctionFitter::FitNode(
     gr = estimates.ops[static_cast<size_t>(node.right->id)].AsGaussian();
   }
 
-  const Oracle oracle(node, *db_, options_.engine);
+  // Probe each grid the node's shapes need once; every cost unit of that
+  // grid reads its counter from the same points.
+  CostFuncType types[kNumCostUnits];
+  bool needed[kNumGrids] = {};
   for (int unit = 0; unit < kNumCostUnits; ++unit) {
-    const CostFuncType type = CostFunctionTypeFor(node.type, unit);
-    std::vector<FitPoint> pts;
-    switch (type) {
-      case CostFuncType::kConstant:
-        pts.push_back({gx.mean, gl.mean, gr.mean,
-                       oracle.Counter(unit, gx.mean, gl.mean, gr.mean)});
-        break;
-      case CostFuncType::kLinearOutput:
-        for (double x : GridPoints(gx, options_.grid_1d)) {
-          pts.push_back({x, gl.mean, gr.mean,
-                         oracle.Counter(unit, x, gl.mean, gr.mean)});
-        }
-        break;
-      case CostFuncType::kLinearLeft:
-      case CostFuncType::kQuadraticLeft:
-        for (double xl : GridPoints(gl, options_.grid_1d)) {
-          pts.push_back({gx.mean, xl, gr.mean,
-                         oracle.Counter(unit, gx.mean, xl, gr.mean)});
-        }
-        break;
-      case CostFuncType::kLinearBoth:
-      case CostFuncType::kBilinear:
-        for (double xl : GridPoints(gl, options_.grid_2d)) {
-          for (double xr : GridPoints(gr, options_.grid_2d)) {
-            pts.push_back({gx.mean, xl, xr,
-                           oracle.Counter(unit, gx.mean, xl, xr)});
-          }
-        }
-        break;
+    types[unit] = CostFunctionTypeFor(node.type, unit);
+    needed[static_cast<int>(GridOf(types[unit]))] = true;
+  }
+  size_t num_points = 0;
+  for (int g = 0; g < kNumGrids; ++g) {
+    if (needed[g]) num_points += GridSize(static_cast<Grid>(g), options_);
+  }
+  const Oracle oracle(node, *db_, options_.engine);
+  std::vector<FitPoint> pts;
+  pts.reserve(num_points);
+  size_t grid_begin[kNumGrids], grid_end[kNumGrids];
+  for (int g = 0; g < kNumGrids; ++g) {
+    grid_begin[g] = pts.size();
+    if (needed[g]) {
+      AppendGrid(static_cast<Grid>(g), oracle, gx, gl, gr, options_, &pts);
     }
-    UQP_ASSIGN_OR_RETURN(std::vector<double> coefs, FitCoefficients(type, pts));
-    out.funcs[unit].type = type;
-    out.funcs[unit].b = std::move(coefs);
+    grid_end[g] = pts.size();
+  }
+
+  NnlsProblem problem;
+  for (int unit = 0; unit < kNumCostUnits; ++unit) {
+    const int g = static_cast<int>(GridOf(types[unit]));
+    UQP_ASSIGN_OR_RETURN(
+        out.funcs[unit].b,
+        FitCoefficients(types[unit], unit, pts.data() + grid_begin[g],
+                        pts.data() + grid_end[g], &problem));
+    out.funcs[unit].type = types[unit];
   }
   return out;
 }

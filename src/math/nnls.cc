@@ -10,31 +10,74 @@ namespace uqp {
 
 namespace {
 
+/// One solve's working storage, sized once per call: the column-scaled
+/// matrix, the column scales, the residual, the normal equations of the
+/// passive subproblem and the trial solution z. Nothing is allocated
+/// inside the active-set loop.
+struct Workspace {
+  Workspace(int rows, int cols)
+      : doubles(static_cast<size_t>(rows) * cols + rows +
+                static_cast<size_t>(cols) * cols + 4 * static_cast<size_t>(cols)),
+        ints(2 * static_cast<size_t>(cols)) {
+    double* next = doubles.data();
+    a = next;
+    next += static_cast<size_t>(rows) * cols;
+    resid = next;
+    next += rows;
+    g_mat = next;
+    next += static_cast<size_t>(cols) * cols;
+    col_scale = next;
+    g_rhs = next + cols;
+    sol = next + 2 * static_cast<size_t>(cols);
+    z = next + 3 * static_cast<size_t>(cols);
+    passive = ints.data();
+    in_passive = ints.data() + cols;
+  }
+
+  std::vector<double> doubles;
+  std::vector<int> ints;
+  double* a;
+  double* resid;
+  double* g_mat;
+  double* col_scale;
+  double* g_rhs;
+  double* sol;
+  double* z;
+  /// The passive set in insertion order (free columns first), and a 0/1
+  /// membership flag per column.
+  int* passive;
+  int* in_passive;
+  int num_passive = 0;
+};
+
 /// Solves the unconstrained LS restricted to the passive columns via normal
 /// equations with a tiny ridge for numerical safety (column counts here are
-/// at most 4, so this is robust enough in practice).
-bool SolveSubproblem(const NnlsProblem& p, const std::vector<int>& passive,
-                     std::vector<double>* z) {
-  const int k = static_cast<int>(passive.size());
+/// at most 4, so this is robust enough in practice). Writes ws->z; leaves
+/// it untouched when the passive set is empty.
+bool SolveSubproblem(int rows, int cols, const std::vector<double>& y,
+                     Workspace* ws) {
+  const int k = ws->num_passive;
   if (k == 0) return true;
+  const double* a = ws->a;
+  const int* passive = ws->passive;
+  double* g_mat = ws->g_mat;
+  double* g_rhs = ws->g_rhs;
   // Normal matrix G = Ap' Ap (k x k), rhs g = Ap' y.
-  std::vector<double> g_mat(static_cast<size_t>(k) * k, 0.0);
-  std::vector<double> g_rhs(k, 0.0);
   for (int i = 0; i < k; ++i) {
     const int ci = passive[i];
     for (int j = i; j < k; ++j) {
       const int cj = passive[j];
       double acc = 0.0;
-      for (int r = 0; r < p.rows; ++r) {
-        acc += p.a[static_cast<size_t>(r) * p.cols + ci] *
-               p.a[static_cast<size_t>(r) * p.cols + cj];
+      for (int r = 0; r < rows; ++r) {
+        acc += a[static_cast<size_t>(r) * cols + ci] *
+               a[static_cast<size_t>(r) * cols + cj];
       }
       g_mat[static_cast<size_t>(i) * k + j] = acc;
       g_mat[static_cast<size_t>(j) * k + i] = acc;
     }
     double acc = 0.0;
-    for (int r = 0; r < p.rows; ++r) {
-      acc += p.a[static_cast<size_t>(r) * p.cols + ci] * p.y[r];
+    for (int r = 0; r < rows; ++r) {
+      acc += a[static_cast<size_t>(r) * cols + ci] * y[r];
     }
     g_rhs[i] = acc;
   }
@@ -76,7 +119,7 @@ bool SolveSubproblem(const NnlsProblem& p, const std::vector<int>& passive,
       g_rhs[r] -= factor * g_rhs[col];
     }
   }
-  std::vector<double> sol(k, 0.0);
+  double* sol = ws->sol;
   for (int r = k - 1; r >= 0; --r) {
     double acc = g_rhs[r];
     for (int c = r + 1; c < k; ++c) {
@@ -84,8 +127,8 @@ bool SolveSubproblem(const NnlsProblem& p, const std::vector<int>& passive,
     }
     sol[r] = acc / g_mat[static_cast<size_t>(r) * k + r];
   }
-  std::fill(z->begin(), z->end(), 0.0);
-  for (int i = 0; i < k; ++i) (*z)[passive[i]] = sol[i];
+  std::fill(ws->z, ws->z + cols, 0.0);
+  for (int i = 0; i < k; ++i) ws->z[passive[i]] = sol[i];
   return true;
 }
 
@@ -100,6 +143,13 @@ double ResidualNorm(const NnlsProblem& p, const std::vector<double>& x) {
     acc += d * d;
   }
   return std::sqrt(acc);
+}
+
+bool AllFinite(const std::vector<double>& v) {
+  for (double e : v) {
+    if (!std::isfinite(e)) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -118,78 +168,98 @@ StatusOr<NnlsResult> SolveNnls(const NnlsProblem& problem) {
       problem.nonnegative.size() != static_cast<size_t>(problem.cols)) {
     return Status::InvalidArgument("NNLS: constraint flag size mismatch");
   }
+  if (!AllFinite(problem.a) || !AllFinite(problem.y)) {
+    return Status::InvalidArgument("NNLS: non-finite matrix or target entry");
+  }
 
   const int n = problem.cols;
+  const int rows = problem.rows;
+  auto is_constrained = [&problem](int j) {
+    return problem.nonnegative.empty() || problem.nonnegative[j];
+  };
+  int num_free = 0;
+  for (int j = 0; j < n; ++j) num_free += is_constrained(j) ? 0 : 1;
+
+  NnlsResult result;
+  std::vector<double>& x = result.coefficients;
+  x.assign(static_cast<size_t>(n), 0.0);
+
+  // An all-zero target needs no solve. With at most one free column the
+  // active-set loop returns exactly this: the free column's 1 x 1 solve
+  // divides +0.0 by a positive pivot, every gradient entry is a sum of
+  // zeros (+0.0, never above the tolerance), and the loop stops after its
+  // first test. With more free columns a negative pivot can make a zero
+  // -0.0, so those problems run the loop.
+  if (num_free <= 1 &&
+      std::all_of(problem.y.begin(), problem.y.end(),
+                  [](double v) { return v == 0.0; })) {
+    result.iterations = 1;
+    result.residual_norm = 0.0;
+    return result;
+  }
+
   // Normalize columns to unit L2 norm for conditioning (selectivity-power
   // columns span many orders of magnitude); positive scaling preserves the
   // nonnegativity constraints and the coefficients are unscaled at the end.
-  NnlsProblem scaled = problem;
-  std::vector<double> col_scale(static_cast<size_t>(n), 1.0);
+  Workspace ws(rows, n);
+  double* a = ws.a;
   for (int j = 0; j < n; ++j) {
     double norm = 0.0;
-    for (int r = 0; r < problem.rows; ++r) {
+    for (int r = 0; r < rows; ++r) {
       const double v = problem.a[static_cast<size_t>(r) * n + j];
       norm += v * v;
     }
     norm = std::sqrt(norm);
-    if (norm > 0.0) {
-      col_scale[static_cast<size_t>(j)] = norm;
-      for (int r = 0; r < scaled.rows; ++r) {
-        scaled.a[static_cast<size_t>(r) * n + j] /= norm;
-      }
+    ws.col_scale[j] = norm > 0.0 ? norm : 1.0;
+    for (int r = 0; r < rows; ++r) {
+      const double v = problem.a[static_cast<size_t>(r) * n + j];
+      a[static_cast<size_t>(r) * n + j] = norm > 0.0 ? v / norm : v;
     }
   }
-  const NnlsProblem& p_ref = scaled;
-  auto is_constrained = [&problem](int j) {
-    return problem.nonnegative.empty() || problem.nonnegative[j];
-  };
+  const std::vector<double>& y = problem.y;
 
-  std::vector<bool> in_passive(n, false);
-  std::vector<int> passive;
   // Free columns start (and stay) in the passive set.
   for (int j = 0; j < n; ++j) {
-    if (!is_constrained(j)) {
-      in_passive[j] = true;
-      passive.push_back(j);
-    }
+    ws.in_passive[j] = is_constrained(j) ? 0 : 1;
+    if (!is_constrained(j)) ws.passive[ws.num_passive++] = j;
   }
 
-  std::vector<double> x(n, 0.0);
-  std::vector<double> z(n, 0.0);
-  if (!passive.empty()) {
-    if (!SolveSubproblem(p_ref, passive, &z)) {
+  double* z = ws.z;
+  std::fill(z, z + n, 0.0);
+  if (ws.num_passive > 0) {
+    if (!SolveSubproblem(rows, n, y, &ws)) {
       return Status::Internal("NNLS: singular subproblem on free columns");
     }
-    x = z;
+    std::copy(z, z + n, x.begin());
   }
 
   // Scale-aware tolerance for the dual feasibility test.
   double a_max = 0.0;
-  for (double v : p_ref.a) a_max = std::max(a_max, std::fabs(v));
+  for (size_t i = 0; i < problem.a.size(); ++i) {
+    a_max = std::max(a_max, std::fabs(a[i]));
+  }
   double y_max = 0.0;
-  for (double v : p_ref.y) y_max = std::max(y_max, std::fabs(v));
-  const double tol = 1e-10 * std::max(1.0, a_max * y_max) * p_ref.rows;
+  for (double v : y) y_max = std::max(y_max, std::fabs(v));
+  const double tol = 1e-10 * std::max(1.0, a_max * y_max) * rows;
 
-  NnlsResult result;
   const int max_outer = 3 * n + 30;
   for (int outer = 0; outer < max_outer; ++outer) {
     ++result.iterations;
     // Gradient w = A'(y - Ax).
-    std::vector<double> resid(p_ref.rows, 0.0);
-    for (int r = 0; r < p_ref.rows; ++r) {
+    for (int r = 0; r < rows; ++r) {
       double pred = 0.0;
       for (int c = 0; c < n; ++c) {
-        pred += p_ref.a[static_cast<size_t>(r) * n + c] * x[c];
+        pred += a[static_cast<size_t>(r) * n + c] * x[c];
       }
-      resid[r] = p_ref.y[r] - pred;
+      ws.resid[r] = y[r] - pred;
     }
     int best_j = -1;
     double best_w = tol;
     for (int j = 0; j < n; ++j) {
-      if (in_passive[j]) continue;
+      if (ws.in_passive[j] != 0) continue;
       double w = 0.0;
-      for (int r = 0; r < p_ref.rows; ++r) {
-        w += p_ref.a[static_cast<size_t>(r) * n + j] * resid[r];
+      for (int r = 0; r < rows; ++r) {
+        w += a[static_cast<size_t>(r) * n + j] * ws.resid[r];
       }
       if (w > best_w) {
         best_w = w;
@@ -198,17 +268,18 @@ StatusOr<NnlsResult> SolveNnls(const NnlsProblem& problem) {
     }
     if (best_j < 0) break;  // KKT satisfied.
 
-    in_passive[best_j] = true;
-    passive.push_back(best_j);
+    ws.in_passive[best_j] = 1;
+    ws.passive[ws.num_passive++] = best_j;
 
     // Inner loop: restore feasibility of constrained passive variables.
     for (int inner = 0; inner < 3 * n + 30; ++inner) {
-      if (!SolveSubproblem(p_ref, passive, &z)) {
+      if (!SolveSubproblem(rows, n, y, &ws)) {
         return Status::Internal("NNLS: singular subproblem");
       }
       bool feasible = true;
       double alpha = std::numeric_limits<double>::infinity();
-      for (int j : passive) {
+      for (int i = 0; i < ws.num_passive; ++i) {
+        const int j = ws.passive[i];
         if (is_constrained(j) && z[j] <= 0.0) {
           feasible = false;
           const double denom = x[j] - z[j];
@@ -216,30 +287,31 @@ StatusOr<NnlsResult> SolveNnls(const NnlsProblem& problem) {
         }
       }
       if (feasible) {
-        x = z;
+        std::copy(z, z + n, x.begin());
         break;
       }
       if (!std::isfinite(alpha)) alpha = 0.0;
       for (int j = 0; j < n; ++j) {
-        if (in_passive[j]) x[j] += alpha * (z[j] - x[j]);
+        if (ws.in_passive[j] != 0) x[j] += alpha * (z[j] - x[j]);
       }
-      // Move zeroed constrained variables back to the active set.
-      std::vector<int> next_passive;
-      for (int j : passive) {
+      // Move zeroed constrained variables back to the active set, keeping
+      // the remaining passive columns in order.
+      int kept = 0;
+      for (int i = 0; i < ws.num_passive; ++i) {
+        const int j = ws.passive[i];
         if (is_constrained(j) && x[j] <= 1e-14) {
           x[j] = 0.0;
-          in_passive[j] = false;
+          ws.in_passive[j] = 0;
         } else {
-          next_passive.push_back(j);
+          ws.passive[kept++] = j;
         }
       }
-      passive = std::move(next_passive);
+      ws.num_passive = kept;
     }
   }
 
   // Unscale coefficients back to the original column units.
-  for (int j = 0; j < n; ++j) x[j] /= col_scale[static_cast<size_t>(j)];
-  result.coefficients = x;
+  for (int j = 0; j < n; ++j) x[j] /= ws.col_scale[j];
   result.residual_norm = ResidualNorm(problem, x);
   return result;
 }

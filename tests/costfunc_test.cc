@@ -273,6 +273,26 @@ TEST(Fitter, DegenerateVarianceStillFits) {
   EXPECT_NEAR((*funcs)[0].funcs[kCostTuple].Eval(1.0, 1.0, 1.0), 4000.0, 1.0);
 }
 
+TEST(Fitter, NonFiniteSelectivityIsRejected) {
+  FitFixture fx;
+  Plan plan(MakeHashJoin(
+      MakeSeqScan("r", Expr::Cmp(1, CmpOp::kLe, Value::Double(0.4))),
+      MakeSeqScan("s", nullptr), {{0, 0}}));
+  ASSERT_TRUE(plan.Finalize(fx.db).ok());
+  SamplingEstimator estimator(&fx.db, &fx.samples);
+  auto estimates = estimator.Estimate(plan);
+  ASSERT_TRUE(estimates.ok());
+  CostFunctionFitter fitter(&fx.db);
+  ASSERT_TRUE(fitter.FitPlan(plan, *estimates).ok());
+  // A NaN selectivity of the probe side puts NaN grid points into the
+  // join's NNLS matrix: the fit fails instead of yielding NaN coefficients.
+  estimates->ops[1].rho = std::numeric_limits<double>::quiet_NaN();
+  auto funcs = fitter.FitPlan(plan, *estimates);
+  ASSERT_FALSE(funcs.ok());
+  EXPECT_EQ(funcs.status().code(), StatusCode::kInvalidArgument)
+      << funcs.status().ToString();
+}
+
 // FNV-1a over the eight bytes of `v`, least significant first.
 uint64_t FnvMix(uint64_t h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {

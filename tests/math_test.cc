@@ -513,6 +513,31 @@ TEST(Nnls, ShapeErrors) {
   EXPECT_FALSE(SolveNnls(p).ok());
 }
 
+// A NaN or an infinity anywhere in the matrix or the target is rejected
+// before any solve, the all-zero short cut included.
+TEST(Nnls, NonFiniteInputIsRejected) {
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (double bad : bad_values) {
+    NnlsProblem in_a = NegativeSlopeProblem();
+    in_a.a[3] = bad;
+    auto result = SolveNnls(in_a);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << bad;
+
+    NnlsProblem in_y = NegativeSlopeProblem();
+    in_y.y[2] = bad;
+    result = SolveNnls(in_y);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << bad;
+
+    NnlsProblem zero_y = NegativeSlopeProblem();
+    std::fill(zero_y.y.begin(), zero_y.y.end(), 0.0);
+    zero_y.y[1] = bad;
+    result = SolveNnls(zero_y);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 uint64_t DoubleBits(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));

@@ -10,26 +10,29 @@ namespace uqp {
 
 namespace {
 
-/// One solve's working storage, sized once per call: the column-scaled
-/// matrix, the column scales, the residual, the normal equations of the
-/// passive subproblem and the trial solution z. Nothing is allocated
-/// inside the active-set loop.
+/// One solve's working storage, carved out of one block of doubles (and
+/// one of ints for the passive set) sized once per call: the column-scaled
+/// matrix, the residual, the normal equations of the passive subproblem,
+/// the column scales and the trial solution z. Nothing is allocated inside
+/// the active-set loop.
 struct Workspace {
   Workspace(int rows, int cols)
       : doubles(static_cast<size_t>(rows) * cols + rows +
                 static_cast<size_t>(cols) * cols + 4 * static_cast<size_t>(cols)),
         ints(2 * static_cast<size_t>(cols)) {
     double* next = doubles.data();
-    a = next;
-    next += static_cast<size_t>(rows) * cols;
-    resid = next;
-    next += rows;
-    g_mat = next;
-    next += static_cast<size_t>(cols) * cols;
-    col_scale = next;
-    g_rhs = next + cols;
-    sol = next + 2 * static_cast<size_t>(cols);
-    z = next + 3 * static_cast<size_t>(cols);
+    auto take = [&next](size_t count) {
+      double* block = next;
+      next += count;
+      return block;
+    };
+    a = take(static_cast<size_t>(rows) * cols);
+    resid = take(rows);
+    g_mat = take(static_cast<size_t>(cols) * cols);
+    col_scale = take(cols);
+    g_rhs = take(cols);
+    sol = take(cols);
+    z = take(cols);
     passive = ints.data();
     in_passive = ints.data() + cols;
   }

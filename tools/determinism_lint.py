@@ -6,12 +6,15 @@ The repo promises bit-identical predictions regardless of thread count
 range-for over an unordered_map in an output-producing loop, one wall
 clock read in a sampling stage, one pointer-keyed std::set, and results
 depend on allocator addresses or the scheduler. This lint scans the
-contract-path sources (src/engine, src/sampling, src/core, and
-src/schedule — the SLO simulator promises byte-identical event logs at
-every thread count and must never read a real clock — plus
-src/service/fault.{h,cc}, whose injected-fault schedule is a pure
-function of the configured seed so chaos runs replay bit-identically)
-for the constructs that have historically caused exactly that:
+contract-path sources (src/engine, src/sampling, src/core, src/costfunc
+— stage 2's cost-function fits feed every prediction — and src/schedule —
+the SLO simulator promises byte-identical event logs at every thread
+count and must never read a real clock — plus src/service/fault.{h,cc},
+whose injected-fault schedule is a pure function of the configured seed
+so chaos runs replay bit-identically, and src/math/nnls.{h,cc}, the
+least-squares solver behind every fit; the rest of src/math stays out,
+its rank statistics sort off the prediction path) for the constructs
+that have historically caused exactly that:
 
   banned-random        std::random_device, rand(), srand() — all sampling
                        randomness must flow through the seeded PRNG plumbing.
@@ -49,14 +52,18 @@ import re
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CONTRACT_DIRS = ("src/engine", "src/sampling", "src/core", "src/schedule")
+CONTRACT_DIRS = ("src/engine", "src/sampling", "src/core", "src/costfunc",
+                 "src/schedule")
 # Individual contract files outside the contract dirs. The fault injector
 # lives in the service layer (a test/bench seam), but its schedule is
 # seed-derived by contract: the decision for (fingerprint, attempt) must be
 # a pure function of the seed — no std::random_device, no clock reads — so
-# chaos runs replay bit-identically across thread counts. Same rules, same
-# waiver tags; no new waiver categories.
-CONTRACT_FILES = ("src/service/fault.cc", "src/service/fault.h")
+# chaos runs replay bit-identically across thread counts. The NNLS solver
+# lives in src/math with the off-path rank statistics, but every fitted
+# coefficient comes out of it. Same rules, same waiver tags; no new waiver
+# categories.
+CONTRACT_FILES = ("src/service/fault.cc", "src/service/fault.h",
+                  "src/math/nnls.cc", "src/math/nnls.h")
 FIXTURE_DIR = "tests/determinism_lint"
 SOURCE_EXTS = (".cc", ".h")
 

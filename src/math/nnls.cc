@@ -227,8 +227,7 @@ StatusOr<NnlsResult> SolveNnls(const NnlsProblem& problem) {
     if (!is_constrained(j)) ws.passive[ws.num_passive++] = j;
   }
 
-  double* z = ws.z;
-  std::fill(z, z + n, 0.0);
+  double* z = ws.z;  // zero-initialized with the workspace
   if (ws.num_passive > 0) {
     if (!SolveSubproblem(rows, n, y, &ws)) {
       return Status::Internal("NNLS: singular subproblem on free columns");

@@ -264,6 +264,38 @@ TEST_F(ServiceTest, LruEvictionKeepsServing) {
   EXPECT_EQ(stats.sample_runs, stats.cache_misses);
 }
 
+TEST_F(ServiceTest, EvictionSparesEntryServedLockFree) {
+  // One shard holding three entries: a, b, c inserted in that order, then
+  // a served off the published slots. The next insert (d) must evict b, the
+  // coldest, not a (the oldest insert): a lock-free hit counts as a use.
+  // The insert after that (e) evicts c, the coldest left, and neither a nor
+  // d, the entry the previous overflow just made room for.
+  ASSERT_GE(plans_->size(), 5u);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.cache_shards = 1;
+  options.cache_capacity = 3;
+  PredictionService service(db_, samples_, *units_, options);
+  const Plan& a = (*plans_)[0];
+  const Plan& b = (*plans_)[1];
+  const Plan& c = (*plans_)[2];
+  const Plan& d = (*plans_)[3];
+  const Plan& e = (*plans_)[4];
+  for (const Plan* plan : {&a, &b, &c}) ASSERT_TRUE(service.Predict(*plan).ok());
+  ASSERT_TRUE(service.Predict(a).ok());
+  ASSERT_EQ(service.stats().lockfree_hits, 1u)
+      << "the recency touch under test must come from the lock-free path";
+  ASSERT_TRUE(service.Predict(d).ok());
+  ASSERT_TRUE(service.Predict(e).ok());
+  ASSERT_EQ(service.stats().sample_runs, 5u);
+  EXPECT_EQ(service.cache_size(), 3u);
+
+  // Three residents in a cache of three: a, d and e, so b and c went.
+  for (const Plan* plan : {&a, &d, &e}) ASSERT_TRUE(service.Predict(*plan).ok());
+  EXPECT_EQ(service.stats().sample_runs, 5u)
+      << "a, d or e was evicted instead of the colder b and c";
+}
+
 // ---------- Async + in-flight dedup ----------
 
 TEST_F(ServiceTest, AsyncStormSharesOneSampleRun) {

@@ -100,7 +100,10 @@ struct Prediction {
   /// The calibration snapshot this prediction combined under — resolved
   /// exactly once at stage-3 time, so the breakdown can never mix cost
   /// units from two epochs even while a new snapshot is being published
-  /// concurrently. Non-null for every pipeline-produced prediction.
+  /// concurrently. Non-null for every pipeline-produced prediction. A
+  /// prediction the service serves from its cache holds the snapshot
+  /// through the entry's stage-3 memo (an aliasing pointer): get() is the
+  /// snapshot itself, and the snapshot lives as long as the prediction.
   CalibrationPtr calibration;
   uint64_t calibration_epoch() const {
     return calibration != nullptr ? calibration->epoch : 0;
@@ -245,6 +248,7 @@ class PredictionPipeline {
                      CalibrationPtr calibration, PredictorOptions options,
                      TaskRunner* task_runner = nullptr)
       : calibration_(std::move(calibration)),
+        epoch_(calibration_->epoch),
         options_(options),
         sample_run_(db, samples, options.aggregate_mode, options.scan_mode,
                     options.num_threads, task_runner, options.max_batch_size),
@@ -252,10 +256,21 @@ class PredictionPipeline {
 
   /// The current calibration snapshot (atomic load; safe to call while a
   /// concurrent SetCalibration publishes a new epoch). Every prediction
-  /// resolves this exactly once, at stage-3 time.
+  /// resolves this exactly once, at stage-3 time. Not free: libstdc++
+  /// serves an atomic shared_ptr load through its process-wide lock pool,
+  /// and the copy bumps the one snapshot's reference count, so every
+  /// caller writes the same cache lines. A path that only needs to know
+  /// whether a snapshot it already holds is current compares
+  /// calibration_epoch() instead.
   CalibrationPtr calibration() const {
     return std::atomic_load_explicit(&calibration_,
                                      std::memory_order_acquire);
+  }
+  /// The current snapshot's epoch, from a plain atomic: a load that writes
+  /// nothing. SetCalibration stores it after the pointer, so a caller that
+  /// reads epoch E and then calls calibration() gets epoch E or newer.
+  uint64_t calibration_epoch() const {
+    return epoch_.load(std::memory_order_acquire);
   }
   /// Copy of the current snapshot's units (the snapshot may be swapped at
   /// any time, so no reference is handed out).
@@ -268,8 +283,10 @@ class PredictionPipeline {
   /// nothing else invalidates. Epoch monotonicity is the caller's
   /// contract (PredictionService::PublishCalibration serializes it).
   void SetCalibration(CalibrationPtr snapshot) {
+    const uint64_t epoch = snapshot->epoch;
     std::atomic_store_explicit(&calibration_, std::move(snapshot),
                                std::memory_order_release);
+    epoch_.store(epoch, std::memory_order_release);
   }
 
   const PredictorOptions& options() const { return options_; }
@@ -330,6 +347,8 @@ class PredictionPipeline {
   /// analysis cannot model atomic shared_ptr protocols; TSan covers this
   /// path instead.
   CalibrationPtr calibration_;
+  /// calibration_->epoch, published after the pointer (calibration_epoch).
+  std::atomic<uint64_t> epoch_;
   PredictorOptions options_;
   SampleRunStage sample_run_;
   CostFitStage cost_fit_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <thread>
 #include <utility>
 
@@ -28,6 +27,21 @@ size_t RoundUpPow2(size_t v) {
   return p;
 }
 
+/// The hardware concurrency, clamped to [1, 64].
+size_t HardwareSlots() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return std::min(64u, std::max(1u, hw));
+}
+
+/// A number per thread, handed out in the order threads first ask: the
+/// first threads to record stats land on different stripes.
+size_t ThisThreadIndex() {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t index =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return index;
+}
+
 }  // namespace
 
 PredictionService::PredictionService(const Database* db, const SampleDb* samples,
@@ -36,15 +50,12 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
       pipeline_(db, samples, units, options.predictor, &pool_runner_),
       options_(std::move(options)),
       db_(db) {
-  int s = options_.cache_shards;
-  if (s <= 0) {
-    // One shard per hardware thread is enough to make same-shard mutex
-    // collisions rare under a uniform fingerprint mix; cap at 64 so a
-    // huge machine doesn't fragment a small cache_capacity into nothing.
-    const unsigned hw = std::thread::hardware_concurrency();
-    s = static_cast<int>(std::min(64u, std::max(1u, hw)));
-  }
-  const size_t shard_count = RoundUpPow2(static_cast<size_t>(s));
+  // One shard per hardware thread is enough to make same-shard mutex
+  // collisions rare under a uniform fingerprint mix; cap at 64 so a huge
+  // machine doesn't fragment a small cache_capacity into nothing.
+  const size_t shard_count = RoundUpPow2(
+      options_.cache_shards > 0 ? static_cast<size_t>(options_.cache_shards)
+                                : HardwareSlots());
   shard_storage_.reset(new Shard[shard_count]);
   shards_ = ShardSpan{shard_storage_.get(), shard_count};
   shard_mask_ = shard_count - 1;
@@ -67,8 +78,12 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
       std::min<size_t>(4096, std::max<size_t>(16, 2 * shard_capacity_)));
   slot_mask_ = slot_count - 1;
   for (Shard& shard : shards_) shard.slots.resize(slot_count * kSlotWays);
-  stripes_storage_.reset(new StatsStripe[shard_count]);
+  // One stripe per hardware thread, whatever the shard count: a thread
+  // writes only its own stripe (Stripe()).
+  const size_t stripe_count = RoundUpPow2(HardwareSlots());
+  stripes_storage_.reset(new StatsStripe[stripe_count]);
   stripes_ = stripes_storage_.get();
+  stripe_mask_ = stripe_count - 1;
 
   if ((options_.feedback.enabled && options_.feedback.window_size > 0) ||
       options_.breaker.failure_threshold > 0) {
@@ -102,9 +117,13 @@ PredictionService::Request PredictionService::MakeRequest(
   return req;
 }
 
-void PredictionService::RecordOutcome(uint64_t fingerprint, bool hit,
-                                      Outcome outcome, bool lock_free) {
-  StatsStripe& stripe = StripeFor(fingerprint);
+PredictionService::StatsStripe& PredictionService::Stripe() const {
+  return stripes_[ThisThreadIndex() & stripe_mask_];
+}
+
+void PredictionService::RecordOutcome(bool hit, Outcome outcome,
+                                      bool lock_free) {
+  StatsStripe& stripe = Stripe();
   // Exactly one matrix cell moves per request, and every reported
   // aggregate (predictions, the hit/miss split, the outcome split) is a
   // sum over cells — neither invariant can tear. (inflight_joins is NOT
@@ -173,7 +192,7 @@ void PredictionService::MaybeSpuriousWakeup() {
   // through its predicate loop. A naked notify, outside the pool's mutex,
   // is exactly the hostile shape the loops must absorb.
   pool_.WakeAll();
-  stripes_[0].spurious_wakeups.fetch_add(1, std::memory_order_relaxed);
+  Stripe().spurious_wakeups.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool PredictionService::TryLockFreeHit(uint64_t fingerprint,
@@ -200,9 +219,7 @@ bool PredictionService::TryLockFreeHit(uint64_t fingerprint,
         entry->identity->key != identity.key) {
       continue;
     }
-    entry->last_used.store(
-        shard.ticket.fetch_add(1, std::memory_order_relaxed),
-        std::memory_order_relaxed);
+    entry->Touch();
     *out = std::move(entry);
     return true;
   }
@@ -212,14 +229,12 @@ bool PredictionService::TryLockFreeHit(uint64_t fingerprint,
 void PredictionService::PublishSlotLocked(Shard& shard, const EntryPtr& entry) {
   const size_t base = SlotBase(entry->fingerprint);
   // Way choice: reuse the way already holding this fingerprint, else an
-  // empty way, else displace the colder (older recency tick) way. Two hot
-  // plans sharing one slot index thus each keep a way and both stay on
-  // the lock-free path — a single-way design would let them displace each
-  // other on every publish.
+  // empty way, else displace a way whose entry has not been used since the
+  // hand last passed it. Two hot plans sharing one slot index thus each
+  // keep a way and both stay on the lock-free path — a single-way design
+  // would let them displace each other on every publish.
   size_t victim = base;
-  uint64_t oldest = std::numeric_limits<uint64_t>::max();
-  bool chosen = false;
-  bool victim_empty = false;
+  int best = -1;  // 2 = empty, 1 = reference bit clear, 0 = set
   for (size_t way = 0; way < kSlotWays; ++way) {
     const EntryPtr cur = std::atomic_load_explicit(&shard.slots[base + way],
                                                    std::memory_order_relaxed);
@@ -227,19 +242,12 @@ void PredictionService::PublishSlotLocked(Shard& shard, const EntryPtr& entry) {
       victim = base + way;
       break;
     }
-    if (cur == nullptr) {
-      if (!victim_empty) {  // an empty way beats any occupied one
-        victim = base + way;
-        victim_empty = true;
-        chosen = true;
-      }
-      continue;
-    }
-    const uint64_t tick = cur->last_used.load(std::memory_order_relaxed);
-    if (!chosen || (!victim_empty && tick < oldest)) {
+    const int rank =
+        cur == nullptr ? 2
+                       : (cur->referenced.load(std::memory_order_relaxed) ? 0 : 1);
+    if (rank > best) {
       victim = base + way;
-      oldest = tick;
-      chosen = true;
+      best = rank;
     }
   }
   std::atomic_store_explicit(&shard.slots[victim], EntryPtr(entry),
@@ -264,48 +272,53 @@ void PredictionService::CachePutLocked(Shard& shard, uint64_t fingerprint,
                                        const IdentityPtr& identity,
                                        Artifacts artifacts,
                                        uint64_t generation) {
-  const uint64_t tick = shard.ticket.fetch_add(1, std::memory_order_relaxed);
   auto it = shard.entries.find(fingerprint);
-  if (it != shard.entries.end()) {
-    if (it->second->identity->key == identity->key) {
-      // A concurrent miss on the same plan got here first; both artifacts
-      // are identical (deterministic stages), keep the incumbent.
-      it->second->last_used.store(tick, std::memory_order_relaxed);
-      PublishSlotLocked(shard, it->second);
-      return;
-    }
-    // Fingerprint collision with a structurally different plan: the entry
-    // goes to the newcomer (the most recent user), like any LRU update.
-    UnpublishSlotLocked(shard, it->second);
-    shard.entries.erase(it);
+  if (it != shard.entries.end() &&
+      shard.ring[it->second]->identity->key == identity->key) {
+    // A concurrent miss on the same plan got here first; both artifacts
+    // are identical (deterministic stages), keep the incumbent.
+    const EntryPtr& incumbent = shard.ring[it->second];
+    incumbent->Touch();
+    PublishSlotLocked(shard, incumbent);
+    return;
   }
   auto entry = std::make_shared<CacheEntry>();
   entry->fingerprint = fingerprint;
   entry->identity = identity;
   entry->artifacts = std::move(artifacts);
   entry->generation = generation;
-  entry->last_used.store(tick, std::memory_order_relaxed);
-  EntryPtr resident = std::move(entry);
-  shard.entries[fingerprint] = resident;
-  PublishSlotLocked(shard, resident);
-  // Approximate LRU: evict the smallest recency tick. The O(shard
-  // capacity) scan runs only on insert-past-capacity, under the shard
-  // lock only — eviction order is explicitly not part of the determinism
-  // contract.
-  while (shard_capacity_ > 0 && shard.entries.size() > shard_capacity_) {
-    auto victim = shard.entries.begin();
-    uint64_t oldest = victim->second->last_used.load(std::memory_order_relaxed);
-    for (auto cand = std::next(shard.entries.begin());
-         cand != shard.entries.end(); ++cand) {
-      const uint64_t t = cand->second->last_used.load(std::memory_order_relaxed);
-      if (t < oldest) {
-        oldest = t;
-        victim = cand;
-      }
+  size_t pos = 0;
+  if (it != shard.entries.end()) {
+    // Fingerprint collision with a structurally different plan: the place
+    // goes to the newcomer, the most recent user.
+    pos = it->second;
+    entry->Touch();
+    UnpublishSlotLocked(shard, shard.ring[pos]);
+  } else if (shard.ring.size() < shard_capacity_) {
+    pos = shard.ring.size();
+    shard.ring.emplace_back();
+    shard.entries.emplace(fingerprint, pos);
+  } else {
+    // CLOCK: the hand clears set reference bits until it finds a clear
+    // one; an entry touched since the hand last passed it gets one more
+    // turn. A hit may set a bit again behind the hand, so the sweep stops
+    // after one full turn. O(1) amortized, under the shard lock only —
+    // eviction order is not part of the determinism contract.
+    const size_t n = shard.ring.size();
+    for (size_t step = 0; step < n; ++step) {
+      const CacheEntry& cand = *shard.ring[shard.hand];
+      if (!cand.referenced.load(std::memory_order_relaxed)) break;
+      cand.referenced.store(false, std::memory_order_relaxed);
+      if (++shard.hand == n) shard.hand = 0;
     }
-    UnpublishSlotLocked(shard, victim->second);
-    shard.entries.erase(victim);
+    pos = shard.hand;
+    if (++shard.hand == n) shard.hand = 0;
+    UnpublishSlotLocked(shard, shard.ring[pos]);
+    shard.entries.erase(shard.ring[pos]->fingerprint);
+    shard.entries.emplace(fingerprint, pos);
   }
+  shard.ring[pos] = std::move(entry);
+  PublishSlotLocked(shard, shard.ring[pos]);
 }
 
 void PredictionService::InvalidateCache() {
@@ -316,6 +329,8 @@ void PredictionService::InvalidateCache() {
   for (Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
     shard.entries.clear();
+    shard.ring.clear();
+    shard.hand = 0;
     for (auto& slot : shard.slots) {
       std::atomic_store_explicit(&slot, EntryPtr(), std::memory_order_release);
     }
@@ -339,7 +354,7 @@ size_t PredictionService::cache_size() const {
 
 StatusOr<PredictionService::Artifacts> PredictionService::RunStages(
     const Plan& plan, uint64_t fingerprint, const RequestContext& ctx) {
-  StatsStripe& stripe = StripeFor(fingerprint);
+  StatsStripe& stripe = Stripe();
   if (options_.fault_injector != nullptr) {
     const FaultDecision decision =
         options_.fault_injector->OnSampleRun(fingerprint);
@@ -395,7 +410,7 @@ StatusOr<PredictionService::Artifacts> PredictionService::RunOwnedStages(
     const Plan& plan, const Request& req, const Ticket& ticket) {
   // With the breaker off, the miss path makes no registry call.
   const bool breaker = families_ != nullptr && families_->breaker_enabled();
-  StatsStripe& stripe = StripeFor(req.fingerprint);
+  StatsStripe& stripe = Stripe();
   if (breaker) {
     const BreakerDecision decision = families_->Admit(req.fingerprint);
     if (decision.probe) {
@@ -427,38 +442,43 @@ StatusOr<PredictionService::Artifacts> PredictionService::RunOwnedStages(
 }
 
 Prediction PredictionService::CombineCached(const EntryPtr& entry) {
-  const CalibrationPtr snapshot = pipeline_.calibration();
   MemoPtr memo =
       std::atomic_load_explicit(&entry->combined, std::memory_order_acquire);
-  if (memo != nullptr && memo->epoch == snapshot->epoch) {
-    // Epochs are unique (PublishCalibration serializes them), so an epoch
-    // match proves this breakdown was combined under exactly `snapshot` —
-    // serve it with zero combination work.
-    Prediction out;
-    out.breakdown = memo->breakdown;
-    out.sample_run = entry->artifacts.run;
-    out.cost_fit = entry->artifacts.fit;
-    out.calibration = snapshot;
-    return out;
+  // Epochs are unique and increasing (PublishCalibration serializes
+  // them), so a memo no older than the current epoch was combined under
+  // the current snapshot, or one published since — serve it with zero
+  // combination work, without loading the snapshot pointer.
+  if (memo == nullptr || memo->epoch < pipeline_.calibration_epoch()) {
+    const CalibrationPtr snapshot = pipeline_.calibration();
+    if (memo != nullptr) {
+      // A stale memo means a calibration swap landed since this entry last
+      // served: this lazy per-entry re-combination is the entire
+      // invalidation cost of a swap — the stage-1/2 artifacts are reused
+      // untouched.
+      Stripe().recombines.fetch_add(1, std::memory_order_relaxed);
+    }
+    auto fresh = std::make_shared<CombineMemo>();
+    fresh->epoch = snapshot->epoch;
+    fresh->breakdown =
+        pipeline_.PredictFromArtifacts(entry->artifacts, snapshot).breakdown;
+    fresh->calibration = snapshot;
+    memo = std::move(fresh);
+    // Benign race: a concurrent combiner under a newer epoch may be
+    // overwritten by this older store; the next hit just re-combines. The
+    // memo is a cache of deterministic work — staleness costs time, never
+    // correctness (a served prediction carries the snapshot its own memo
+    // was combined under).
+    std::atomic_store_explicit(&entry->combined, memo,
+                               std::memory_order_release);
   }
-  Prediction out = pipeline_.PredictFromArtifacts(entry->artifacts, snapshot);
-  if (memo != nullptr) {
-    // A stale memo means a calibration swap landed since this entry last
-    // served: this lazy per-entry re-combination is the entire
-    // invalidation cost of a swap — the stage-1/2 artifacts above were
-    // reused untouched.
-    StripeFor(entry->fingerprint)
-        .recombines.fetch_add(1, std::memory_order_relaxed);
-  }
-  auto fresh = std::make_shared<CombineMemo>();
-  fresh->epoch = snapshot->epoch;
-  fresh->breakdown = out.breakdown;
-  // Benign race: a concurrent combiner under a newer epoch may be
-  // overwritten by this older store; the next hit just re-combines. The
-  // memo is a cache of deterministic work — staleness costs time, never
-  // correctness (served predictions always use their own `snapshot`).
-  std::atomic_store_explicit(&entry->combined, MemoPtr(std::move(fresh)),
-                             std::memory_order_release);
+  Prediction out;
+  out.breakdown = memo->breakdown;
+  out.sample_run = entry->artifacts.run;
+  out.cost_fit = entry->artifacts.fit;
+  // Aliasing: the prediction keeps the memo (and so its snapshot) alive
+  // through the memo's reference count, never the snapshot's.
+  const CalibrationSnapshot* snapshot = memo->calibration.get();
+  out.calibration = CalibrationPtr(memo, snapshot);
   return out;
 }
 
@@ -469,10 +489,11 @@ PredictionService::EntryPtr PredictionService::FindEntry(
   MutexLock lock(&shard.mu);
   auto it = shard.entries.find(fingerprint);
   if (it == shard.entries.end()) return nullptr;
-  if (it->second->generation != generation_.load(std::memory_order_acquire)) {
+  const EntryPtr& entry = shard.ring[it->second];
+  if (entry->generation != generation_.load(std::memory_order_acquire)) {
     return nullptr;
   }
-  return it->second;
+  return entry;
 }
 
 void PredictionService::CompleteRun(const Plan& plan, const Request& req,
@@ -500,8 +521,7 @@ void PredictionService::CompleteRun(const Plan& plan, const Request& req,
       } else {
         // InvalidateCache ran while this prediction was in flight: its
         // artifacts may predate the flush, drop the insert.
-        StripeFor(req.fingerprint)
-            .stale_drops.fetch_add(1, std::memory_order_relaxed);
+        Stripe().stale_drops.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -531,10 +551,9 @@ PredictionService::Ticket PredictionService::Route(const Request& req,
     // Confirm the canonical structure: a fingerprint collision must be
     // a miss, never another plan's artifacts.
     if (it != shard.entries.end() &&
-        it->second->identity->key == req.identity->key) {
-      const EntryPtr& entry = it->second;
-      entry->last_used.store(shard.ticket.fetch_add(1, std::memory_order_relaxed),
-                             std::memory_order_relaxed);
+        shard.ring[it->second]->identity->key == req.identity->key) {
+      const EntryPtr& entry = shard.ring[it->second];
+      entry->Touch();
       // Republish: the entry may have been displaced from its slot ways by
       // slot-index neighbours; the most recent user wins a way back.
       PublishSlotLocked(shard, entry);
@@ -551,8 +570,7 @@ PredictionService::Ticket PredictionService::Route(const Request& req,
     if (waiter == nullptr) waiter = std::make_shared<Continuation>(req);
     it->second->waiters.push_back(waiter);
     t.waiter = std::move(waiter);
-    StripeFor(req.fingerprint)
-        .inflight_joins.fetch_add(1, std::memory_order_relaxed);
+    Stripe().inflight_joins.fetch_add(1, std::memory_order_relaxed);
     return t;
   }
   if (!register_owned) return t;
@@ -575,15 +593,14 @@ StatusOr<Prediction> PredictionService::Serve(
   } else if (req.ctx.allow_degraded) {
     out = MakeDegraded(req.fingerprint, plan);
   }
-  RecordOutcome(req.fingerprint, hit, OutcomeOf(out));
+  RecordOutcome(hit, OutcomeOf(out));
   return out;
 }
 
-Prediction PredictionService::ServeEntry(const Request& req,
-                                         const EntryPtr& entry,
+Prediction PredictionService::ServeEntry(const EntryPtr& entry,
                                          bool lock_free) {
   Prediction out = CombineCached(entry);
-  RecordOutcome(req.fingerprint, /*hit=*/true, Outcome::kOk, lock_free);
+  RecordOutcome(/*hit=*/true, Outcome::kOk, lock_free);
   return out;
 }
 
@@ -603,7 +620,7 @@ StatusOr<Prediction> PredictionService::Predict(const Plan& plan,
                                                 const RequestOptions& opts) {
   const Request req = MakeRequest(plan, MakeContext(opts));
   const Ticket t = Route(req, nullptr, /*register_owned=*/true);
-  if (t.entry != nullptr) return ServeEntry(req, t.entry, t.lock_free);
+  if (t.entry != nullptr) return ServeEntry(t.entry, t.lock_free);
   if (t.waiter != nullptr) return Await(*t.waiter, plan);
   return Serve(req, RunOwnedStages(plan, req, t), /*hit=*/false, plan);
 }
@@ -616,7 +633,7 @@ void PredictionService::RunQueued(const ContinuationPtr& c) {
   const Ticket t = Route(c->req, c, /*register_owned=*/!c->req.ctx.Expired());
   if (t.waiter != nullptr) return;  // the owner will finish it; worker freed
   if (t.entry != nullptr) {
-    c->promise.set_value(ServeEntry(c->req, t.entry, t.lock_free));
+    c->promise.set_value(ServeEntry(t.entry, t.lock_free));
     return;
   }
   Deliver(*c,
@@ -636,7 +653,7 @@ std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
   if (t.waiter != nullptr) return std::move(t.waiter->future);
   if (t.entry != nullptr) {
     std::promise<StatusOr<Prediction>> ready;
-    ready.set_value(ServeEntry(req, t.entry, t.lock_free));
+    ready.set_value(ServeEntry(t.entry, t.lock_free));
     return ready.get_future();
   }
 
@@ -648,8 +665,7 @@ std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
   if (!pool_.Submit([this, c] { RunQueued(c); })) {
     // The pool is gone; enqueueing would leave the future unsatisfied
     // forever. Fail fast instead.
-    StripeFor(req.fingerprint)
-        .async_rejects.fetch_add(1, std::memory_order_relaxed);
+    Stripe().async_rejects.fetch_add(1, std::memory_order_relaxed);
     c->promise.set_value(Status::Unavailable("PredictionService is shut down"));
     return future;
   }
@@ -692,7 +708,7 @@ std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
     Group& gr = groups[static_cast<size_t>(g)];
     const Plan& plan = *plans[gr.slot];
     if (gr.ticket.entry != nullptr) {
-      gr.result = ServeEntry(gr.req, gr.ticket.entry, gr.ticket.lock_free);
+      gr.result = ServeEntry(gr.ticket.entry, gr.ticket.lock_free);
     } else if (gr.ticket.owner) {
       gr.result = Serve(gr.req, RunOwnedStages(plan, gr.req, gr.ticket),
                         /*hit=*/false, plan);
@@ -712,7 +728,7 @@ std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
     const Group& gr = groups[group_of[i]];
     results.push_back(gr.result);
     if (gr.slot != i) {
-      RecordOutcome(gr.req.fingerprint, /*hit=*/true, OutcomeOf(gr.result));
+      RecordOutcome(/*hit=*/true, OutcomeOf(gr.result));
     }
   }
   return results;
@@ -727,7 +743,7 @@ VarianceBreakdown PredictionService::Recompute(const Prediction& prediction,
 uint64_t PredictionService::PublishCalibration(CostUnits units,
                                                std::string source) {
   MutexLock lock(&calibration_mu_);
-  const uint64_t epoch = pipeline_.calibration()->epoch + 1;
+  const uint64_t epoch = pipeline_.calibration_epoch() + 1;
   const uint64_t reports =
       families_ != nullptr ? families_->total_reports() : 0;
   pipeline_.SetCalibration(MakeCalibrationSnapshot(std::move(units), epoch,
@@ -768,8 +784,8 @@ void PredictionService::ReportObserved(uint64_t fingerprint,
            // The stash may predate the current calibration epoch; that
            // slack is bounded by one eviction-to-report gap and beats
            // dropping the report.
-           StripeFor(fingerprint)
-               .feedback_stash_hits.fetch_add(1, std::memory_order_relaxed);
+           Stripe().feedback_stash_hits.fetch_add(1,
+                                                  std::memory_order_relaxed);
            *mean_ms = stash->mean_ms;
            return true;
          });
@@ -798,7 +814,7 @@ void PredictionService::Report(uint64_t fingerprint, double observed_ms,
                                bool comparable,
                                const FamilyRegistry::ErrorFn& mean_fn) {
   if (families_ == nullptr || !families_->feedback_enabled()) return;
-  StatsStripe& stripe = StripeFor(fingerprint);
+  StatsStripe& stripe = Stripe();
   stripe.feedback_reports.fetch_add(1, std::memory_order_relaxed);
   // Only a finite positive runtime has a relative error: +inf would put
   // inf/inf = NaN into the window, and the family could then neither
@@ -819,14 +835,14 @@ void PredictionService::Report(uint64_t fingerprint, double observed_ms,
       stripe.feedback_dropped.fetch_add(1, std::memory_order_relaxed);
       break;
     case FamilyRegistry::Action::kDrift:
-      HandleDrift(fingerprint);
+      HandleDrift();
       break;
     default:
       break;
   }
 }
 
-void PredictionService::HandleDrift(uint64_t fingerprint) {
+void PredictionService::HandleDrift() {
   if (!options_.feedback.recalibrate) return;  // detect-only mode
   // At most one recalibration per cooldown window across all families:
   // one machine-wide drift makes many families scream at once.
@@ -835,7 +851,7 @@ void PredictionService::HandleDrift(uint64_t fingerprint) {
   // real (harness) queries and must not stall the prediction hot path.
   CostUnits units = options_.feedback.recalibrate();
   PublishCalibration(std::move(units), "drift");
-  StripeFor(fingerprint).recalibrations.fetch_add(1, std::memory_order_relaxed);
+  Stripe().recalibrations.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<FamilyFeedback> PredictionService::FeedbackSnapshot() const {
@@ -844,7 +860,7 @@ std::vector<FamilyFeedback> PredictionService::FeedbackSnapshot() const {
 }
 
 ServiceStats PredictionService::stats() const {
-  // Sum the per-shard stripes. Each stripe's relaxed counters are
+  // Sum the stripes. Each stripe's relaxed counters are
   // monotone and each request touched exactly one resolution-matrix cell
   // in exactly one stripe, so every reported aggregate — the hit/miss
   // split, the outcome split, and `predictions` itself — is a sum over
@@ -852,8 +868,7 @@ ServiceStats PredictionService::stats() const {
   // invariants hold at every observable instant instead of only at
   // quiescence.
   ServiceStats out;
-  const size_t n = shards_.size();
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i <= stripe_mask_; ++i) {
     const StatsStripe& s = stripes_[i];
     for (size_t row = 0; row < 2; ++row) {
       for (size_t col = 0; col < kNumOutcomes; ++col) {

@@ -92,8 +92,8 @@ struct ServiceOptions {
   /// When true (default), cache entries are additionally published into a
   /// per-shard, 2-way tagged slot array read with
   /// std::atomic_load(acquire): a hot-cache hit costs a couple of atomic
-  /// loads, a key memcmp and a relaxed recency-tick store — no shard
-  /// mutex, no global mutex. Two hot plans whose fingerprints collide on
+  /// loads and a key memcmp, and writes no line another plan's hit
+  /// writes — no shard mutex, no global mutex. Two hot plans whose fingerprints collide on
   /// one slot index each keep a way, so both stay lock-free instead of
   /// perpetually displacing each other. When false, every hit goes
   /// through the shard mutex (the pre-sharding behavior, kept as the
@@ -210,13 +210,17 @@ struct ServiceStats {
 /// another request's run.
 ///
 /// The cache and the in-flight table are sharded by fingerprint: N
-/// independent shards, each with its own mutex, entry map and recency
-/// ticks, so requests for different plans never serialize on a global
-/// lock. Within a shard, hot hits do not take the shard mutex either:
-/// resident entries are published as immutable shared_ptr bundles into a
+/// independent shards, each with its own mutex, entry map and CLOCK ring,
+/// so requests for different plans never serialize on a global lock.
+/// Within a shard, hot hits do not take the shard mutex either: resident
+/// entries are published as immutable shared_ptr bundles into a
 /// per-shard, 2-way tagged slot array read via std::atomic_load(acquire);
-/// recency is a relaxed per-entry tick (approximate LRU — eviction order
-/// is not part of the determinism contract). Each entry stores the plan's
+/// recency is a per-entry CLOCK reference bit that a hit writes only when
+/// it is clear (eviction order is not part of the determinism contract).
+/// A steady-state hit writes no cache line that a hit on another plan
+/// writes: it compares the pipeline's plain-atomic calibration epoch
+/// against the entry's memo, leaves a set reference bit alone, and bumps
+/// counters on its own thread's stats stripe. Each entry stores the plan's
 /// interned canonical structural key (PlanIdentity, serialized once per
 /// distinct plan object and shared by reference), confirmed on every hit,
 /// so a 64-bit fingerprint collision degrades to a miss instead of
@@ -311,7 +315,7 @@ class PredictionService {
   /// prediction records the snapshot it combined under in
   /// Prediction::calibration.
   CalibrationPtr calibration() const { return pipeline_.calibration(); }
-  uint64_t calibration_epoch() const { return calibration()->epoch; }
+  uint64_t calibration_epoch() const { return pipeline_.calibration_epoch(); }
 
   /// Atomically installs new cost units as the next calibration epoch and
   /// returns that epoch. Deliberately does NOT flush the artifact cache:
@@ -473,19 +477,26 @@ class PredictionService {
     std::vector<ContinuationPtr> waiters;
   };
 
-  /// Memoized stage-3 combination of one cache entry, stamped with the
-  /// calibration epoch it was combined under. Epochs are unique
-  /// (PublishCalibration serializes them), so an epoch match proves the
-  /// breakdown is valid under the current units — serving it runs zero
-  /// combination work. Immutable once published.
+  /// Memoized stage-3 combination of one cache entry, holding the
+  /// calibration snapshot it was combined under. Epochs are unique and
+  /// increasing (PublishCalibration serializes them), so an `epoch` no
+  /// older than the pipeline's current one proves the breakdown is valid
+  /// under the current units — serving it runs zero combination work and
+  /// never loads the shared snapshot pointer: the served
+  /// Prediction::calibration aliases `calibration` through the memo's own
+  /// reference count, which only hits on this entry share. Immutable once
+  /// published.
   struct CombineMemo {
+    /// calibration->epoch, copied so a hit's check reads this memo's line
+    /// and not the snapshot's, whose reference count other paths write.
     uint64_t epoch = 0;
+    CalibrationPtr calibration;
     VarianceBreakdown breakdown;
   };
   using MemoPtr = std::shared_ptr<const CombineMemo>;
 
   /// One resident cache entry. Immutable after construction except for
-  /// the recency tick and the stage-3 memo, so concurrent lock-free
+  /// the reference bit and the stage-3 memo, so concurrent lock-free
   /// readers may copy the artifact bundle without synchronization beyond
   /// the acquire load that reached the entry.
   struct CacheEntry {
@@ -493,11 +504,17 @@ class PredictionService {
     IdentityPtr identity;  ///< interned key, confirmed on every hit
     Artifacts artifacts;
     uint64_t generation = 0;  ///< global generation at insert time
-    /// Last-use tick from the shard's ticket counter; relaxed stores from
-    /// hit paths, read under the shard mutex for (approximate-LRU)
-    /// eviction. Approximation is fine: eviction order is not part of the
+    /// CLOCK reference bit: set by a hit, cleared by the shard's hand
+    /// sweeping past on an overflowing insert (CachePutLocked). Touch
+    /// stores only when the bit is clear, so the hits on a hot entry read
+    /// it and write nothing. Relaxed: eviction order is not part of the
     /// determinism contract.
-    mutable std::atomic<uint64_t> last_used{0};
+    mutable std::atomic<bool> referenced{false};
+    void Touch() const {
+      if (!referenced.load(std::memory_order_relaxed)) {
+        referenced.store(true, std::memory_order_relaxed);
+      }
+    }
     /// Epoch-stamped stage-3 memo; accessed only via std::atomic_load /
     /// atomic_store free functions (see CombineCached). A calibration
     /// swap makes it stale — never wrong — and the next hit lazily
@@ -506,8 +523,11 @@ class PredictionService {
   };
   using EntryPtr = std::shared_ptr<const CacheEntry>;
 
-  /// Per-shard stats stripe: monotone relaxed atomics, padded to a cache
-  /// line so neighbouring stripes don't false-share. Neither
+  /// Stats stripe: monotone relaxed atomics, padded to a cache line so
+  /// neighbouring stripes don't false-share. A thread bumps only its own
+  /// stripe (Stripe()), picked by the order in which threads first
+  /// recorded anything, so two clients hitting the cache write different
+  /// lines whatever plans they ask for. Neither
   /// `predictions` nor the hit/miss/outcome splits are stored separately —
   /// all are sums over the resolution matrix by definition, which is what
   /// makes BOTH snapshot invariants un-tearable.
@@ -539,26 +559,28 @@ class PredictionService {
   /// groups accessed only through std::atomic_load/atomic_store — outside
   /// the mutex capability model by design (the published-slot read path is
   /// the one that must never take `mu`), so the slot protocol is covered
-  /// by TSan and the generation check rather than GUARDED_BY; `entries`
-  /// (under `mu`) is the authority for residency and capacity.
+  /// by TSan and the generation check rather than GUARDED_BY; `ring` and
+  /// `entries` (under `mu`) are the authority for residency and capacity.
   struct alignas(64) Shard {
     mutable Mutex mu;
-    std::unordered_map<uint64_t, EntryPtr> entries UQP_GUARDED_BY(mu);
+    /// Resident entries in CLOCK order, at most the shard's capacity share.
+    std::vector<EntryPtr> ring UQP_GUARDED_BY(mu);
+    /// The next eviction candidate in `ring`.
+    size_t hand UQP_GUARDED_BY(mu) = 0;
+    /// Fingerprint -> position in `ring`.
+    std::unordered_map<uint64_t, size_t> entries UQP_GUARDED_BY(mu);
     std::unordered_map<uint64_t, std::shared_ptr<Inflight>> inflight
         UQP_GUARDED_BY(mu);
     /// Published entries; size is (power of two) * kSlotWays, fixed at
     /// construction. Never resized, so concurrent element access is safe.
     std::vector<EntryPtr> slots;
-    /// Monotone recency ticket; fetch_add(relaxed) per hit.
-    std::atomic<uint64_t> ticket{0};
   };
 
   Shard& ShardFor(uint64_t fingerprint) const {
     return shards_[static_cast<size_t>(fingerprint) & shard_mask_];
   }
-  StatsStripe& StripeFor(uint64_t fingerprint) const {
-    return stripes_[static_cast<size_t>(fingerprint) & shard_mask_];
-  }
+  /// The calling thread's stats stripe.
+  StatsStripe& Stripe() const;
   size_t SlotBase(uint64_t fingerprint) const {
     // The low bits picked the shard; the next bits pick the slot index;
     // each index owns kSlotWays consecutive ways.
@@ -584,7 +606,7 @@ class PredictionService {
   /// The mutex-free fast path: probes the shard's published slot ways for
   /// a current-generation entry with this fingerprint and a confirmed
   /// structural key. On a hit, returns the entry (artifacts + epoch memo)
-  /// and bumps its recency tick (relaxed) — no mutex anywhere. Does NOT
+  /// and touches its reference bit — no mutex anywhere. Does NOT
   /// classify the request: the caller records the resolution (hit, ok,
   /// lock_free) when it actually serves. Returns false on any mismatch
   /// (empty ways, displaced entry, stale generation, collision).
@@ -594,7 +616,7 @@ class PredictionService {
   /// The lookup-and-route step of every request path, so the collision
   /// and generation rules live in exactly one place: the lock-free slot
   /// probe, then, under the shard mutex, the cache (structural key
-  /// confirmed, recency bumped, slot republished) and the in-flight
+  /// confirmed, reference bit touched, slot republished) and the in-flight
   /// table. A run in flight for the same structure gets the request parked
   /// on it as `waiter` (created here unless passed in) — atomic with the
   /// lookup, so the owner cannot complete in between and lose it, and
@@ -605,12 +627,13 @@ class PredictionService {
   Ticket Route(const Request& req, ContinuationPtr waiter, bool register_owned);
 
   /// Serves a prediction from a resident entry through its epoch memo:
-  /// if the memoized stage-3 result matches the current calibration
-  /// epoch, zero combination work runs; otherwise the entry re-combines
-  /// under the current snapshot and republishes the memo (counted in
-  /// stats().recombines when a stale memo existed — i.e. on the first hit
-  /// after a calibration swap). Does NOT classify the request — callers
-  /// already did.
+  /// if the memo's epoch is no older than the pipeline's current one, zero
+  /// combination work runs and the calibration snapshot pointer is never
+  /// loaded; otherwise the entry re-combines under the current snapshot
+  /// and republishes the memo (counted in stats().recombines when a stale
+  /// memo existed — i.e. on the first hit after a calibration swap). The
+  /// prediction's `calibration` aliases the memo's snapshot. Does NOT
+  /// classify the request — callers already did.
   Prediction CombineCached(const EntryPtr& entry);
 
   /// Locked cache probe by fingerprint only (no identity confirmation) —
@@ -620,7 +643,7 @@ class PredictionService {
 
   /// Publishes `entry` into its slot group (shard mutex held): reuses the
   /// way already holding this fingerprint, else an empty way, else
-  /// displaces the way with the older recency tick.
+  /// displaces the first way whose reference bit is clear, else way 0.
   void PublishSlotLocked(Shard& shard, const EntryPtr& entry)
       UQP_REQUIRES(shard.mu);
   /// Clears any way still pointing at `entry` (shard mutex held).
@@ -657,8 +680,7 @@ class PredictionService {
                              const StatusOr<Artifacts>& artifacts, bool hit,
                              const Plan& plan);
   /// Same, served from a resident entry through its epoch memo.
-  Prediction ServeEntry(const Request& req, const EntryPtr& entry,
-                        bool lock_free);
+  Prediction ServeEntry(const EntryPtr& entry, bool lock_free);
   /// Resolves a continuation with Serve's result.
   void Deliver(Continuation& c, const StatusOr<Artifacts>& artifacts, bool hit,
                const Plan& plan) {
@@ -674,10 +696,9 @@ class PredictionService {
                                 const RequestContext& ctx);
 
   /// The single resolution point of a request: bumps exactly one cell of
-  /// the stripe's [hit][outcome] matrix (every stats invariant is a sum
-  /// over those cells).
-  void RecordOutcome(uint64_t fingerprint, bool hit, Outcome outcome,
-                     bool lock_free = false);
+  /// the calling thread's stripe's [hit][outcome] matrix (every stats
+  /// invariant is a sum over those cells).
+  void RecordOutcome(bool hit, Outcome outcome, bool lock_free = false);
 
   /// The Outcome a terminal result maps to.
   static Outcome OutcomeOf(const StatusOr<Prediction>& result) {
@@ -703,8 +724,10 @@ class PredictionService {
 
   /// Inserts into the shard (shard mutex held) and publishes the slot. On
   /// a lost race the incumbent wins; on a fingerprint collision the
-  /// newcomer replaces it. Evicts the least-recently-ticked entry when
-  /// the shard exceeds its capacity share.
+  /// newcomer takes its place in the ring. When the shard is at its
+  /// capacity share, the CLOCK hand sweeps from its position, clearing set
+  /// reference bits, and the newcomer replaces the first entry whose bit
+  /// is clear (after one full turn, the one under the hand).
   void CachePutLocked(Shard& shard, uint64_t fingerprint,
                       const IdentityPtr& identity, Artifacts artifacts,
                       uint64_t generation) UQP_REQUIRES(shard.mu);
@@ -712,7 +735,7 @@ class PredictionService {
   /// Drift handler: at most one caller per cooldown re-derives the cost
   /// units (FeedbackOptions::recalibrate, run outside every lock) and
   /// publishes them as the next epoch. No-op in detect-only mode.
-  void HandleDrift(uint64_t fingerprint);
+  void HandleDrift();
 
   /// The one feedback path behind both ReportObserved forms: drops an
   /// observation that is not a finite positive number, or that is not
@@ -783,10 +806,12 @@ class PredictionService {
   /// overhead).
   std::unique_ptr<FamilyRegistry> families_;
 
-  // ----- striped counters (one stripe per shard + classification rules
-  // that make hits + misses == predictions hold by construction) -----
+  // ----- striped counters (one stripe per thread, modulo the stripe
+  // count, + classification rules that make hits + misses == predictions
+  // hold by construction) -----
   mutable std::unique_ptr<StatsStripe[]> stripes_storage_;
   StatsStripe* stripes_ = nullptr;
+  size_t stripe_mask_ = 0;  ///< stripes - 1 (stripe count is a power of two)
 };
 
 }  // namespace uqp

@@ -14,7 +14,9 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/predictor.h"
@@ -1218,6 +1220,124 @@ TEST_F(ServiceTest, CalibrationSwapRecombinesLazilyWithoutTouchingStage12) {
       service.options().predictor.bound);
   EXPECT_EQ(re.mean, warm->breakdown.mean);
   EXPECT_EQ(re.variance, warm->breakdown.variance);
+}
+
+TEST_F(ServiceTest, MemoHitsCarryTheSnapshotTheyCombinedUnder) {
+  // One shard holding one entry, so a second plan evicts the first.
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.cache_shards = 1;
+  options.cache_capacity = 1;
+  PredictionService service(db_, samples_, *units_, options);
+  const Plan& plan = (*plans_)[0];
+  const Plan& other = (*plans_)[1];
+
+  ASSERT_TRUE(service.Predict(plan).ok());  // miss
+  ASSERT_TRUE(service.Predict(plan).ok());  // first hit: builds the memo
+  const uint64_t combines = service.pipeline().combine_count();
+  auto held1 = service.Predict(plan);       // memo hit under epoch 1
+  ASSERT_TRUE(held1.ok());
+  EXPECT_EQ(service.pipeline().combine_count(), combines);
+  EXPECT_EQ(held1->calibration.get(), service.calibration().get());
+  EXPECT_EQ(held1->calibration_epoch(), 1u);
+  const std::string bytes1 = CalibrationSnapshotBytes(*service.calibration());
+
+  ASSERT_EQ(service.PublishCalibration(ScaleUnitMeans(*units_, 2.0), "test"),
+            2u);
+  ASSERT_TRUE(service.Predict(plan).ok());  // re-combines under epoch 2
+  auto held2 = service.Predict(plan);       // memo hit under epoch 2
+  ASSERT_TRUE(held2.ok());
+  EXPECT_EQ(service.stats().recombines, 1u);
+  EXPECT_EQ(held2->calibration.get(), service.calibration().get());
+  EXPECT_EQ(held2->calibration_epoch(), 2u);
+  EXPECT_EQ(service.calibration_epoch(), 2u);
+  const std::string bytes2 = CalibrationSnapshotBytes(*service.calibration());
+  ASSERT_NE(bytes1, bytes2);
+
+  // Drop every other owner of both snapshots and of the entry that held
+  // their memos: evict the entry, flush the cache, publish a third epoch.
+  ASSERT_TRUE(service.Predict(other).ok());
+  ASSERT_EQ(service.stats().sample_runs, 2u);
+  service.InvalidateCache();
+  ASSERT_EQ(service.PublishCalibration(ScaleUnitMeans(*units_, 3.0), "test"),
+            3u);
+  EXPECT_EQ(service.cache_size(), 0u);
+
+  // Each held prediction still reads its own snapshot, and recomputes to
+  // its own bits under it.
+  const std::pair<const StatusOr<Prediction>*, const std::string*> held[] = {
+      {&held1, &bytes1}, {&held2, &bytes2}};
+  uint64_t epoch = 1;
+  for (const auto& [pred, bytes] : held) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    const Prediction& p = pred->value();
+    EXPECT_EQ(p.calibration_epoch(), epoch);
+    EXPECT_EQ(p.calibration->epoch, epoch);
+    EXPECT_EQ(CalibrationSnapshotBytes(*p.calibration), *bytes);
+    const VarianceBreakdown re = service.Recompute(
+        p, options.predictor.variant, options.predictor.bound);
+    EXPECT_EQ(re.mean, p.breakdown.mean);
+    EXPECT_EQ(re.variance, p.breakdown.variance);
+    ++epoch;
+  }
+}
+
+TEST_F(ServiceTest, HitsRacingPublishAndInvalidateNeverMixEpochs) {
+  // Clients hammer PredictAsync over a warm cache while the main thread
+  // publishes calibrations and flushes the cache. Every served breakdown
+  // must recompute to the same bits under the prediction's own snapshot:
+  // a hit that paired one epoch's memo with another epoch's snapshot
+  // would not. Served epochs never go backwards on one thread.
+  ServiceOptions options;
+  options.num_workers = 2;
+  PredictionService service(db_, samples_, *units_, options);
+  for (const Plan& plan : *plans_) ASSERT_TRUE(service.Predict(plan).ok());
+
+  constexpr int kClients = 3;
+  constexpr int kRequests = 1000;
+  std::atomic<int> done{0};
+  std::atomic<uint64_t> mismatches{0}, regressions{0}, errors{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      uint64_t last_epoch = 0;
+      for (int i = 0; i < kRequests; ++i) {
+        const Plan& plan = (*plans_)[static_cast<size_t>(i + c) % plans_->size()];
+        auto pred = service.PredictAsync(plan).get();
+        if (!pred.ok()) {
+          errors.fetch_add(1);
+          continue;
+        }
+        const VarianceBreakdown re = service.Recompute(
+            *pred, options.predictor.variant, options.predictor.bound);
+        if (re.mean != pred->breakdown.mean ||
+            re.variance != pred->breakdown.variance) {
+          mismatches.fetch_add(1);
+        }
+        if (pred->calibration_epoch() < last_epoch) regressions.fetch_add(1);
+        last_epoch = pred->calibration_epoch();
+      }
+      done.fetch_add(1);
+    });
+  }
+  uint64_t publishes = 0;
+  while (done.load() < kClients) {
+    ++publishes;
+    service.PublishCalibration(
+        ScaleUnitMeans(*units_, 1.0 + 0.25 * static_cast<double>(publishes % 4)),
+        "race");
+    if (publishes % 3 == 0) service.InvalidateCache();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(regressions.load(), 0u);
+  EXPECT_GT(publishes, 0u);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.predictions);
+  EXPECT_EQ(stats.predictions,
+            plans_->size() + static_cast<uint64_t>(kClients) * kRequests);
 }
 
 uint64_t SameSlotFingerprint(const Plan& plan) {

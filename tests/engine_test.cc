@@ -444,6 +444,47 @@ TEST(Executor, JoinChildErrorsKeepLeftPrecedence) {
   }
 }
 
+TEST(Executor, InlineJoinSkipsRightChildAfterLeftFails) {
+  Database db = MakeTestDb();
+  // The left child fails when it runs (an index scan whose predicate has no
+  // range over the indexed column); the right child is a merge join over
+  // two sorted scans. Every operator polls the cancellation probe when it
+  // starts, so the probe's call count tells which operators ran.
+  const auto make_left = [] {
+    return MakeIndexScan("t1", 1, Expr::Cmp(0, CmpOp::kLe, Value::Int64(10)));
+  };
+  const auto make_right = [] {
+    return MakeMergeJoin(MakeSort(MakeSeqScan("t2", NoPred()), {0}),
+                         MakeSort(MakeSeqScan("t2", NoPred()), {0}), {{0, 0}});
+  };
+  Plan left(make_left());
+  Plan right(make_right());
+  Plan join(MakeHashJoin(make_left(), make_right(), {{0, 0}}));
+  for (Plan* plan : {&left, &right, &join}) ASSERT_TRUE(plan->Finalize(db).ok());
+  Executor executor(&db);
+  // Probe calls over one inline execution (no task runner).
+  const auto probe_calls = [&executor](const Plan& plan) {
+    int64_t calls = 0;
+    ExecOptions options;
+    options.cancelled = [&calls] {
+      ++calls;
+      return false;
+    };
+    const bool ok = executor.Execute(plan, options).ok();
+    return std::make_pair(ok, calls);
+  };
+  const auto [left_ok, left_calls] = probe_calls(left);
+  const auto [right_ok, right_calls] = probe_calls(right);
+  const auto [join_ok, join_calls] = probe_calls(join);
+  ASSERT_FALSE(left_ok);
+  ASSERT_TRUE(right_ok);
+  ASSERT_GE(right_calls, 5) << "each of the right child's operators polls";
+  EXPECT_FALSE(join_ok);
+  // The join's own entry check, then the left child's calls, and nothing
+  // of the right child.
+  EXPECT_EQ(join_calls, 1 + left_calls);
+}
+
 TEST(Executor, CancelledJoinEndsInFullResultOrDeadline) {
   Database db = MakeTestDb();
   // Two hash joins, every input several morsels long at batch 16.

@@ -1454,6 +1454,59 @@ TEST(Plan, CloneCarriesFinalizedStateAndSharesNothing) {
   EXPECT_EQ(RowFingerprints(a.output), RowFingerprints(b->output));
 }
 
+TEST(Plan, IdentityIsPublishedOnceAndFollowsThePlan) {
+  Database db = MakeTestDb();
+  Plan plan(MakeHashJoin(
+      MakeSeqScan("t1", Expr::Cmp(0, CmpOp::kLt, Value::Int64(10))),
+      MakeSeqScan("t2", NoPred()), {{0, 0}}));
+  ASSERT_TRUE(plan.Finalize(db).ok());
+
+  // Racing first calls on a fresh plan: every caller gets the one
+  // published PlanIdentity object.
+  constexpr int kThreads = 4;
+  std::vector<const PlanIdentity*> seen(kThreads, nullptr);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      seen[t] = plan.Identity().get();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const PlanIdentity* first = seen[0];
+  ASSERT_NE(first, nullptr);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], first) << t;
+  EXPECT_EQ(first->fingerprint, PlanFingerprint(plan));
+  EXPECT_EQ(first->key, PlanStructuralKey(plan));
+
+  // Later calls, a clone, and the targets of a move all return it.
+  EXPECT_EQ(plan.Identity().get(), first);
+  const Plan clone = plan.Clone();
+  EXPECT_EQ(clone.Identity().get(), first);
+  Plan moved(std::move(plan));
+  EXPECT_EQ(moved.Identity().get(), first);
+  Plan assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.Identity().get(), first);
+
+  // An edit followed by Finalize yields a new identity that describes the
+  // edited structure; the clone keeps the old one.
+  assigned.mutable_root()->left->predicate =
+      Expr::Cmp(0, CmpOp::kLt, Value::Int64(20));
+  ASSERT_TRUE(assigned.Finalize(db).ok());
+  const PlanIdentity* edited = assigned.Identity().get();
+  ASSERT_NE(edited, nullptr);
+  EXPECT_NE(edited, first);
+  EXPECT_NE(edited->fingerprint, first->fingerprint);
+  EXPECT_EQ(edited->fingerprint, PlanFingerprint(assigned));
+  EXPECT_EQ(edited->key, PlanStructuralKey(assigned));
+  EXPECT_EQ(assigned.Identity().get(), edited);
+  EXPECT_EQ(clone.Identity().get(), first);
+  EXPECT_EQ(clone.Identity()->fingerprint, PlanFingerprint(clone));
+}
+
 // ---------- Planner ----------
 
 TEST(Planner, PicksIndexScanForSelectiveRange) {

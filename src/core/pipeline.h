@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/shared_cell.h"
 #include "common/status.h"
 #include "core/variance.h"
 #include "cost/snapshot.h"
@@ -247,25 +248,21 @@ class PredictionPipeline {
   PredictionPipeline(const Database* db, const SampleDb* samples,
                      CalibrationPtr calibration, PredictorOptions options,
                      TaskRunner* task_runner = nullptr)
-      : calibration_(std::move(calibration)),
-        epoch_(calibration_->epoch),
+      : calibration_(calibration),
+        epoch_(calibration->epoch),
         options_(options),
         sample_run_(db, samples, options.aggregate_mode, options.scan_mode,
                     options.num_threads, task_runner, options.max_batch_size),
         cost_fit_(db, options.fit) {}
 
-  /// The current calibration snapshot (atomic load; safe to call while a
-  /// concurrent SetCalibration publishes a new epoch). Every prediction
-  /// resolves this exactly once, at stage-3 time. Not free: libstdc++
-  /// serves an atomic shared_ptr load through its process-wide lock pool,
-  /// and the copy bumps the one snapshot's reference count, so every
-  /// caller writes the same cache lines. A path that only needs to know
-  /// whether a snapshot it already holds is current compares
-  /// calibration_epoch() instead.
-  CalibrationPtr calibration() const {
-    return std::atomic_load_explicit(&calibration_,
-                                     std::memory_order_acquire);
-  }
+  /// The current calibration snapshot (safe to call while a concurrent
+  /// SetCalibration publishes a new epoch). Every prediction resolves this
+  /// exactly once, at stage-3 time. The load takes the cell's own lock
+  /// byte and bumps the one snapshot's reference count, so every caller
+  /// writes those two lines. A path that only needs to know whether a
+  /// snapshot it already holds is current compares calibration_epoch()
+  /// instead.
+  CalibrationPtr calibration() const { return calibration_.load(); }
   /// The current snapshot's epoch, from a plain atomic: a load that writes
   /// nothing. SetCalibration stores it after the pointer, so a caller that
   /// reads epoch E and then calls calibration() gets epoch E or newer.
@@ -284,8 +281,7 @@ class PredictionPipeline {
   /// contract (PredictionService::PublishCalibration serializes it).
   void SetCalibration(CalibrationPtr snapshot) {
     const uint64_t epoch = snapshot->epoch;
-    std::atomic_store_explicit(&calibration_, std::move(snapshot),
-                               std::memory_order_release);
+    calibration_.store(std::move(snapshot));
     epoch_.store(epoch, std::memory_order_release);
   }
 
@@ -339,14 +335,10 @@ class PredictionPipeline {
                               CovarianceBoundKind bound) const;
 
  private:
-  /// Atomically swappable current snapshot; access only through
-  /// std::atomic_load/store (calibration()/SetCalibration). Deliberately
-  /// outside the mutex capability model (no GUARDED_BY): the swap IS the
-  /// synchronization — readers resolve one coherent snapshot via the
-  /// acquire load and never see a half-published epoch. Thread-safety
-  /// analysis cannot model atomic shared_ptr protocols; TSan covers this
-  /// path instead.
-  CalibrationPtr calibration_;
+  /// Atomically swappable current snapshot (calibration()/SetCalibration).
+  /// The swap IS the synchronization: readers resolve one coherent
+  /// snapshot and never see a half-published epoch.
+  SharedCell<const CalibrationSnapshot> calibration_;
   /// calibration_->epoch, published after the pointer (calibration_epoch).
   std::atomic<uint64_t> epoch_;
   PredictorOptions options_;

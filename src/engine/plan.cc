@@ -215,7 +215,7 @@ Status Plan::Finalize(const Database& db) {
   if (root_ == nullptr) return Status::InvalidArgument("empty plan");
   // The tree may have been edited since a previous finalization: any
   // memoized identity describes the old structure.
-  std::atomic_store(&identity_, std::shared_ptr<const PlanIdentity>());
+  delete identity_.exchange(nullptr, std::memory_order_acq_rel);
   int next_id = 0;
   int next_leaf = 0;
   UQP_RETURN_IF_ERROR(FinalizeNode(root_.get(), db, &next_id, &next_leaf));
@@ -257,25 +257,48 @@ Plan Plan::Clone() const {
   copy.num_leaves_ = num_leaves_;
   // The copy is structurally identical by construction: share the interned
   // identity instead of re-serializing it on the clone's first request.
-  copy.identity_ = std::atomic_load(&identity_);
+  const IdentityPtr* memo = identity_.load(std::memory_order_acquire);
+  if (memo != nullptr) {
+    copy.identity_.store(new IdentityPtr(*memo), std::memory_order_relaxed);
+  }
   return copy;
 }
 
-std::shared_ptr<const PlanIdentity> Plan::Identity() const {
-  auto memo = std::atomic_load_explicit(&identity_, std::memory_order_acquire);
-  if (memo != nullptr) return memo;
-  auto fresh = std::make_shared<const PlanIdentity>(
-      PlanIdentity{PlanFingerprint(*this), PlanStructuralKey(*this)});
+Plan::~Plan() { delete identity_.load(std::memory_order_acquire); }
+
+Plan::Plan(Plan&& other) noexcept
+    : root_(std::move(other.root_)),
+      num_operators_(other.num_operators_),
+      num_leaves_(other.num_leaves_),
+      identity_(other.identity_.exchange(nullptr, std::memory_order_acq_rel)) {}
+
+Plan& Plan::operator=(Plan&& other) noexcept {
+  if (this == &other) return *this;
+  root_ = std::move(other.root_);
+  num_operators_ = other.num_operators_;
+  num_leaves_ = other.num_leaves_;
+  delete identity_.exchange(
+      other.identity_.exchange(nullptr, std::memory_order_acq_rel),
+      std::memory_order_acq_rel);
+  return *this;
+}
+
+const std::shared_ptr<const PlanIdentity>& Plan::Identity() const {
+  const IdentityPtr* memo = identity_.load(std::memory_order_acquire);
+  if (memo != nullptr) return *memo;
+  const IdentityPtr* fresh = new IdentityPtr(std::make_shared<const PlanIdentity>(
+      PlanIdentity{PlanFingerprint(*this), PlanStructuralKey(*this)}));
   // First publisher wins, so every holder shares one instance; a losing
-  // racer adopts the winner's copy (both computed the same bytes).
-  std::shared_ptr<const PlanIdentity> expected;
-  if (std::atomic_compare_exchange_strong_explicit(
-          &identity_, &expected,
-          std::shared_ptr<const PlanIdentity>(fresh),
-          std::memory_order_acq_rel, std::memory_order_acquire)) {
-    return fresh;
+  // racer frees its own copy and adopts the winner's (both computed the
+  // same bytes).
+  const IdentityPtr* expected = nullptr;
+  if (identity_.compare_exchange_strong(expected, fresh,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+    return *fresh;
   }
-  return expected;
+  delete fresh;
+  return *expected;
 }
 
 std::vector<const PlanNode*> Plan::NodesPreorder() const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -82,10 +83,10 @@ struct PlanNode {
 /// The interned identity of a plan: its 64-bit structural fingerprint and
 /// the canonical byte serialization of its structure (PlanStructuralKey —
 /// typically a few hundred bytes). Computed lazily once per Plan object
-/// and shared by reference from there on: the service layer's cache
-/// entries, in-flight records and async requests all alias one immutable
-/// instance instead of re-serializing the plan per request and storing a
-/// copy per table.
+/// and shared from there on: the service layer's cache entries, in-flight
+/// records and parked or queued requests own one immutable instance
+/// instead of re-serializing the plan per request and storing a copy per
+/// table, and a request served at once only points at it.
 struct PlanIdentity {
   uint64_t fingerprint = 0;
   std::string key;
@@ -99,6 +100,11 @@ class Plan {
  public:
   Plan() = default;
   explicit Plan(std::unique_ptr<PlanNode> root) : root_(std::move(root)) {}
+  ~Plan();
+  /// A move carries the memoized identity along: Identity() on the target
+  /// returns the object the source had published.
+  Plan(Plan&& other) noexcept;
+  Plan& operator=(Plan&& other) noexcept;
 
   /// Assigns operator ids, derives output schemas and leaf spans.
   /// Fails if referenced tables/columns don't exist. Drops any memoized
@@ -132,23 +138,28 @@ class Plan {
 
   /// The memoized structural identity (fingerprint + canonical key) of
   /// this plan. Computed on first use — thread-safe: concurrent first
-  /// calls race benignly and every caller ends up sharing one immutable
-  /// instance — and aliased by every later call, so a recurring plan
-  /// object pays the O(plan) serialization exactly once no matter how
-  /// many requests it is submitted to. Clone() shares the memo (the copy
-  /// is structurally identical by construction). The plan must not be
-  /// structurally mutated after the first Identity() call without
-  /// re-running Finalize, which drops the memo.
-  std::shared_ptr<const PlanIdentity> Identity() const;
+  /// calls race benignly, the first to publish wins and every caller gets
+  /// its instance — and returned by every later call through a plain
+  /// pointer load, so a recurring plan object pays the O(plan)
+  /// serialization exactly once and a later call writes nothing. Clone()
+  /// shares the instance (the copy is structurally identical by
+  /// construction). The reference stays valid while the plan (or the plan
+  /// it is moved into) lives and is not re-finalized; copy the shared_ptr
+  /// to keep the identity longer. The plan must not be structurally
+  /// mutated after the first Identity() call without re-running Finalize,
+  /// which drops the memo.
+  const std::shared_ptr<const PlanIdentity>& Identity() const;
 
  private:
+  using IdentityPtr = std::shared_ptr<const PlanIdentity>;
+
   std::unique_ptr<PlanNode> root_;
   int num_operators_ = 0;
   int num_leaves_ = 0;
-  /// Lazily published identity; accessed only through the std::atomic_*
-  /// shared_ptr free functions (plain moves are fine: a Plan is never
-  /// moved concurrently with Identity()).
-  mutable std::shared_ptr<const PlanIdentity> identity_;
+  /// Lazily published identity, owned by the plan: null until the first
+  /// Identity() call publishes a heap-allocated IdentityPtr with a
+  /// compare-exchange. Freed by Finalize and the destructor.
+  mutable std::atomic<const IdentityPtr*> identity_{nullptr};
 };
 
 /// Fluent helpers for building plan trees in workloads/tests.

@@ -77,7 +77,7 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
   const size_t slot_count = RoundUpPow2(
       std::min<size_t>(4096, std::max<size_t>(16, 2 * shard_capacity_)));
   slot_mask_ = slot_count - 1;
-  for (Shard& shard : shards_) shard.slots.resize(slot_count * kSlotWays);
+  for (Shard& shard : shards_) shard.slots.reset(new SlotGroup[slot_count]);
   // One stripe per hardware thread, whatever the shard count: a thread
   // writes only its own stripe (Stripe()).
   const size_t stripe_count = RoundUpPow2(HardwareSlots());
@@ -111,8 +111,8 @@ uint64_t PredictionService::Fingerprint(const Plan& plan,
 PredictionService::Request PredictionService::MakeRequest(
     const Plan& plan, const RequestContext& ctx) const {
   Request req;
-  req.identity = plan.Identity();
-  req.fingerprint = Fingerprint(plan, *req.identity);
+  req.identity = &plan.Identity();
+  req.fingerprint = Fingerprint(plan, req.id());
   req.ctx = ctx;
   return req;
 }
@@ -199,11 +199,9 @@ bool PredictionService::TryLockFreeHit(uint64_t fingerprint,
                                        const PlanIdentity& identity,
                                        EntryPtr* out) {
   if (!options_.lock_free_hits || options_.cache_capacity == 0) return false;
-  Shard& shard = ShardFor(fingerprint);
-  const size_t base = SlotBase(fingerprint);
-  for (size_t way = 0; way < kSlotWays; ++way) {
-    EntryPtr entry = std::atomic_load_explicit(&shard.slots[base + way],
-                                               std::memory_order_acquire);
+  SlotGroup& group = SlotsFor(ShardFor(fingerprint), fingerprint);
+  for (SharedCell<const CacheEntry>& way : group.ways) {
+    EntryPtr entry = way.load();
     if (entry == nullptr || entry->fingerprint != fingerprint) continue;
     // An entry inserted before the last InvalidateCache must not be
     // served: validate its insert generation against the global counter,
@@ -227,44 +225,39 @@ bool PredictionService::TryLockFreeHit(uint64_t fingerprint,
 }
 
 void PredictionService::PublishSlotLocked(Shard& shard, const EntryPtr& entry) {
-  const size_t base = SlotBase(entry->fingerprint);
+  SlotGroup& group = SlotsFor(shard, entry->fingerprint);
   // Way choice: reuse the way already holding this fingerprint, else an
   // empty way, else displace a way whose entry has not been used since the
   // hand last passed it. Two hot plans sharing one slot index thus each
   // keep a way and both stay on the lock-free path — a single-way design
   // would let them displace each other on every publish.
-  size_t victim = base;
+  SharedCell<const CacheEntry>* victim = &group.ways[0];
   int best = -1;  // 2 = empty, 1 = reference bit clear, 0 = set
-  for (size_t way = 0; way < kSlotWays; ++way) {
-    const EntryPtr cur = std::atomic_load_explicit(&shard.slots[base + way],
-                                                   std::memory_order_relaxed);
+  for (SharedCell<const CacheEntry>& way : group.ways) {
+    const EntryPtr cur = way.load();
     if (cur != nullptr && cur->fingerprint == entry->fingerprint) {
-      victim = base + way;
+      victim = &way;
       break;
     }
     const int rank =
         cur == nullptr ? 2
                        : (cur->referenced.load(std::memory_order_relaxed) ? 0 : 1);
     if (rank > best) {
-      victim = base + way;
+      victim = &way;
       best = rank;
     }
   }
-  std::atomic_store_explicit(&shard.slots[victim], EntryPtr(entry),
-                             std::memory_order_release);
+  victim->store(entry);
 }
 
 void PredictionService::UnpublishSlotLocked(Shard& shard,
                                             const EntryPtr& entry) {
-  const size_t base = SlotBase(entry->fingerprint);
-  for (size_t way = 0; way < kSlotWays; ++way) {
-    auto& slot = shard.slots[base + way];
+  for (SharedCell<const CacheEntry>& way :
+       SlotsFor(shard, entry->fingerprint).ways) {
     // Clear only the way still pointing at this entry; concurrent
     // lock-free readers that already loaded the pointer keep the entry
     // alive through their shared_ptr.
-    if (std::atomic_load_explicit(&slot, std::memory_order_relaxed) == entry) {
-      std::atomic_store_explicit(&slot, EntryPtr(), std::memory_order_release);
-    }
+    if (way.load() == entry) way.store(nullptr);
   }
 }
 
@@ -331,8 +324,10 @@ void PredictionService::InvalidateCache() {
     shard.entries.clear();
     shard.ring.clear();
     shard.hand = 0;
-    for (auto& slot : shard.slots) {
-      std::atomic_store_explicit(&slot, EntryPtr(), std::memory_order_release);
+    for (size_t i = 0; i <= slot_mask_; ++i) {
+      for (SharedCell<const CacheEntry>& way : shard.slots[i].ways) {
+        way.store(nullptr);
+      }
     }
     // Detach in-flight runs: their waiters still get a (pre-flush) result —
     // parked continuations live on the Inflight object, not in this map, so
@@ -442,8 +437,7 @@ StatusOr<PredictionService::Artifacts> PredictionService::RunOwnedStages(
 }
 
 Prediction PredictionService::CombineCached(const EntryPtr& entry) {
-  MemoPtr memo =
-      std::atomic_load_explicit(&entry->combined, std::memory_order_acquire);
+  MemoPtr memo = entry->combined.load();
   // Epochs are unique and increasing (PublishCalibration serializes
   // them), so a memo no older than the current epoch was combined under
   // the current snapshot, or one published since — serve it with zero
@@ -468,8 +462,7 @@ Prediction PredictionService::CombineCached(const EntryPtr& entry) {
     // memo is a cache of deterministic work — staleness costs time, never
     // correctness (a served prediction carries the snapshot its own memo
     // was combined under).
-    std::atomic_store_explicit(&entry->combined, memo,
-                               std::memory_order_release);
+    entry->combined.store(memo);
   }
   Prediction out;
   out.breakdown = memo->breakdown;
@@ -516,7 +509,7 @@ void PredictionService::CompleteRun(const Plan& plan, const Request& req,
     }
     if (options_.cache_capacity > 0 && result.ok()) {
       if (generation_.load(std::memory_order_acquire) == ticket.generation) {
-        CachePutLocked(shard, req.fingerprint, req.identity, result.value(),
+        CachePutLocked(shard, req.fingerprint, *req.identity, result.value(),
                        ticket.generation);
       } else {
         // InvalidateCache ran while this prediction was in flight: its
@@ -539,7 +532,7 @@ PredictionService::Ticket PredictionService::Route(const Request& req,
   Ticket t;
   // Hits are served even past the deadline: the result is already free,
   // and deadlines bound work consumption, not delivery.
-  if (TryLockFreeHit(req.fingerprint, *req.identity, &t.entry)) {
+  if (TryLockFreeHit(req.fingerprint, req.id(), &t.entry)) {
     t.lock_free = true;
     return t;
   }
@@ -551,7 +544,7 @@ PredictionService::Ticket PredictionService::Route(const Request& req,
     // Confirm the canonical structure: a fingerprint collision must be
     // a miss, never another plan's artifacts.
     if (it != shard.entries.end() &&
-        shard.ring[it->second]->identity->key == req.identity->key) {
+        shard.ring[it->second]->identity->key == req.id().key) {
       const EntryPtr& entry = shard.ring[it->second];
       entry->Touch();
       // Republish: the entry may have been displaced from its slot ways by
@@ -563,7 +556,7 @@ PredictionService::Ticket PredictionService::Route(const Request& req,
   }
   auto it = shard.inflight.find(req.fingerprint);
   if (it != shard.inflight.end() &&
-      it->second->identity->key == req.identity->key) {
+      it->second->identity->key == req.id().key) {
     // The owner finishes the parked request with one cheap stage-3 run;
     // the join is counted NOW, so a gated owner's joiners are observable
     // while it is still mid-stages.
@@ -578,7 +571,7 @@ PredictionService::Ticket PredictionService::Route(const Request& req,
   // The fingerprint in flight for a structurally different plan (hash
   // collision) leaves `owned` null: run solo, without registering.
   if (it == shard.inflight.end()) {
-    t.owned = std::make_shared<Inflight>(req.identity);
+    t.owned = std::make_shared<Inflight>(*req.identity);
     shard.inflight.emplace(req.fingerprint, t.owned);
   }
   return t;
@@ -693,7 +686,7 @@ std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
     Request req = MakeRequest(*plans[i], ctx);
     std::string key;
     AppendKeyU64(&key, req.fingerprint);
-    key += req.identity->key;
+    key += req.id().key;
     const auto [it, inserted] = index.emplace(std::move(key), groups.size());
     group_of[i] = it->second;
     if (!inserted) continue;
@@ -757,8 +750,7 @@ uint64_t PredictionService::PublishCalibration(CostUnits units,
 }
 
 void PredictionService::ReportObserved(const Plan& plan, double observed_ms) {
-  const IdentityPtr identity = plan.Identity();
-  ReportObserved(Fingerprint(plan, *identity), observed_ms);
+  ReportObserved(Fingerprint(plan, *plan.Identity()), observed_ms);
 }
 
 void PredictionService::ReportObserved(uint64_t fingerprint,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/shared_cell.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/pipeline.h"
@@ -90,12 +91,13 @@ struct ServiceOptions {
   /// contention baseline.
   int cache_shards = 0;
   /// When true (default), cache entries are additionally published into a
-  /// per-shard, 2-way tagged slot array read with
-  /// std::atomic_load(acquire): a hot-cache hit costs a couple of atomic
-  /// loads and a key memcmp, and writes no line another plan's hit
-  /// writes — no shard mutex, no global mutex. Two hot plans whose fingerprints collide on
-  /// one slot index each keep a way, so both stay lock-free instead of
-  /// perpetually displacing each other. When false, every hit goes
+  /// per-shard, 2-way tagged slot array of SharedCells: a hot-cache hit
+  /// loads its slot way and the entry's stage-3 memo, each under that
+  /// cell's own lock byte, compares the interned key by pointer, and
+  /// writes only lines that hits on the same plan (or its slot-index
+  /// neighbour) write — no shard mutex, no process-wide lock. Two hot
+  /// plans whose fingerprints collide on one slot index each keep a way,
+  /// so both stay lock-free instead of perpetually displacing each other. When false, every hit goes
   /// through the shard mutex (the pre-sharding behavior, kept as the
   /// bench baseline and a differential-testing seam).
   bool lock_free_hits = true;
@@ -214,17 +216,20 @@ struct ServiceStats {
 /// so requests for different plans never serialize on a global lock.
 /// Within a shard, hot hits do not take the shard mutex either: resident
 /// entries are published as immutable shared_ptr bundles into a
-/// per-shard, 2-way tagged slot array read via std::atomic_load(acquire);
-/// recency is a per-entry CLOCK reference bit that a hit writes only when
-/// it is clear (eviction order is not part of the determinism contract).
-/// A steady-state hit writes no cache line that a hit on another plan
-/// writes: it compares the pipeline's plain-atomic calibration epoch
-/// against the entry's memo, leaves a set reference bit alone, and bumps
-/// counters on its own thread's stats stripe. Each entry stores the plan's
-/// interned canonical structural key (PlanIdentity, serialized once per
-/// distinct plan object and shared by reference), confirmed on every hit,
-/// so a 64-bit fingerprint collision degrades to a miss instead of
-/// serving another plan's artifacts.
+/// per-shard, 2-way tagged slot array of SharedCells, one cache line per
+/// slot index; recency is a per-entry CLOCK reference bit that a hit
+/// writes only when it is clear (eviction order is not part of the
+/// determinism contract). A steady-state hit reads the plan's identity
+/// through a plain pointer, and writes only its slot group's cell lock,
+/// the entry's and the memo's cell lock and reference counts, and the
+/// artifacts' reference counts — lines that only hits on the same plan
+/// (or its slot-index neighbour) write — plus its own thread's stats
+/// stripe. It compares the pipeline's plain-atomic calibration epoch
+/// against the entry's memo and leaves a set reference bit alone. Each
+/// entry stores the plan's interned canonical structural key
+/// (PlanIdentity, serialized once per distinct plan object and shared by
+/// reference), confirmed on every hit, so a 64-bit fingerprint collision
+/// degrades to a miss instead of serving another plan's artifacts.
 ///
 /// Calibration is a versioned runtime artifact, not construction-time
 /// state: the service owns an epoch-stamped, atomically swappable
@@ -428,11 +433,16 @@ class PredictionService {
   enum class Outcome { kOk = 0, kFailed = 1, kDegraded = 2, kDeadline = 3 };
   static constexpr size_t kNumOutcomes = 4;
 
-  /// The identity of one request and its resolved options.
+  /// The identity of one request and its resolved options. `identity`
+  /// points at the plan's own interned IdentityPtr (Plan::Identity), so
+  /// building a request takes no reference count; whatever outlives the
+  /// caller's plan (a cache entry, an in-flight record, a parked or queued
+  /// continuation) copies the shared_ptr it points at.
   struct Request {
     uint64_t fingerprint = 0;
-    IdentityPtr identity;  ///< interned canonical structure (shared, not copied)
+    const IdentityPtr* identity = nullptr;  ///< never null once made
     RequestContext ctx;
+    const PlanIdentity& id() const { return **identity; }
   };
   Request MakeRequest(const Plan& plan, const RequestContext& ctx) const;
 
@@ -442,13 +452,18 @@ class PredictionService {
   /// identical, the key was confirmed when it parked) for a degraded
   /// fallback.
   struct Continuation {
-    explicit Continuation(Request r)
-        : req(std::move(r)), future(promise.get_future()) {}
+    /// Owns a copy of the request's identity and re-points `req` at it:
+    /// the caller's plan may be gone before the continuation resolves.
+    explicit Continuation(const Request& r)
+        : identity(*r.identity), req(r), future(promise.get_future()) {
+      req.identity = &identity;
+    }
     /// True for exactly one caller: the owner draining the waiter list or
     /// the parked caller's own deadline, whichever comes first. Only the
     /// claimant sets the promise and records the request's outcome.
     bool Claim() { return !claimed.exchange(true, std::memory_order_acq_rel); }
 
+    IdentityPtr identity;
     Request req;
     std::shared_ptr<const Plan> plan;  ///< queued async owner only
     std::promise<StatusOr<Prediction>> promise;
@@ -515,11 +530,11 @@ class PredictionService {
         referenced.store(true, std::memory_order_relaxed);
       }
     }
-    /// Epoch-stamped stage-3 memo; accessed only via std::atomic_load /
-    /// atomic_store free functions (see CombineCached). A calibration
-    /// swap makes it stale — never wrong — and the next hit lazily
-    /// re-combines.
-    mutable MemoPtr combined;
+    /// Epoch-stamped stage-3 memo (see CombineCached). A hit loads it
+    /// under the cell's own lock byte, which only hits on this entry
+    /// write. A calibration swap makes it stale — never wrong — and the
+    /// next hit lazily re-combines.
+    mutable SharedCell<const CombineMemo> combined;
   };
   using EntryPtr = std::shared_ptr<const CacheEntry>;
 
@@ -554,12 +569,18 @@ class PredictionService {
     std::atomic<uint64_t> breaker_probes{0};
   };
 
+  /// The kSlotWays ways of one published-slot index, on a cache line of
+  /// their own so that hits on neighbouring indexes do not false-share.
+  struct alignas(64) SlotGroup {
+    SharedCell<const CacheEntry> ways[kSlotWays];
+  };
+
   /// One cache + in-flight shard. `slots` is the lock-free publication
-  /// layer: a fixed direct-mapped array of kSlotWays-way shared_ptr slot
-  /// groups accessed only through std::atomic_load/atomic_store — outside
-  /// the mutex capability model by design (the published-slot read path is
-  /// the one that must never take `mu`), so the slot protocol is covered
-  /// by TSan and the generation check rather than GUARDED_BY; `ring` and
+  /// layer: a fixed direct-mapped array of SlotGroups whose cells only
+  /// `mu`'s holder stores and any thread loads — outside the mutex
+  /// capability model by design (the published-slot read path is the one
+  /// that must never take `mu`), so the slot protocol is covered by TSan
+  /// and the generation check rather than GUARDED_BY; `ring` and
   /// `entries` (under `mu`) are the authority for residency and capacity.
   struct alignas(64) Shard {
     mutable Mutex mu;
@@ -571,9 +592,9 @@ class PredictionService {
     std::unordered_map<uint64_t, size_t> entries UQP_GUARDED_BY(mu);
     std::unordered_map<uint64_t, std::shared_ptr<Inflight>> inflight
         UQP_GUARDED_BY(mu);
-    /// Published entries; size is (power of two) * kSlotWays, fixed at
-    /// construction. Never resized, so concurrent element access is safe.
-    std::vector<EntryPtr> slots;
+    /// Published entries; (power of two) groups, fixed at construction.
+    /// Never resized, so concurrent element access is safe.
+    std::unique_ptr<SlotGroup[]> slots;
   };
 
   Shard& ShardFor(uint64_t fingerprint) const {
@@ -581,11 +602,10 @@ class PredictionService {
   }
   /// The calling thread's stats stripe.
   StatsStripe& Stripe() const;
-  size_t SlotBase(uint64_t fingerprint) const {
-    // The low bits picked the shard; the next bits pick the slot index;
-    // each index owns kSlotWays consecutive ways.
-    return (static_cast<size_t>(fingerprint >> shard_bits_) & slot_mask_) *
-           kSlotWays;
+  SlotGroup& SlotsFor(const Shard& shard, uint64_t fingerprint) const {
+    // The low bits picked the shard; the next bits pick the slot index.
+    return shard.slots[static_cast<size_t>(fingerprint >> shard_bits_) &
+                       slot_mask_];
   }
 
   uint64_t Fingerprint(const Plan& plan, const PlanIdentity& identity) const;

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/shared_cell.h"
 #include "core/predictor.h"
 #include "core/variance.h"
 #include "cost/calibration.h"
@@ -112,6 +113,70 @@ TEST(Concurrency, MplAwareUnitsPredictMplWorkloads) {
 TEST(Concurrency, InvalidMplRejected) {
   SimulatedMachine machine(MachineProfile::PC1(), 11);
   EXPECT_DEATH(machine.ExecuteOnce({ResourceVector{}}, 0), "concurrency");
+}
+
+// ---------------------------------------------------------------------------
+// SharedCell: the lock-guarded shared_ptr behind the service's published
+// slots, stage-3 memos and the pipeline's calibration snapshot.
+// ---------------------------------------------------------------------------
+
+// Readers load while one writer stores a stream of values: a reader only
+// ever sees values the writer stored, in the order it stored them, and
+// each value is destroyed exactly once, never while a reader holds it.
+TEST(SharedCell, ReadersSeeStoredValuesAndEachIsFreedOnceAfterItsLastReader) {
+  constexpr int kValues = 10000;
+  constexpr int kReaders = 3;
+  std::unique_ptr<std::atomic<int>[]> holders(new std::atomic<int>[kValues + 1]());
+  std::unique_ptr<std::atomic<int>[]> frees(new std::atomic<int>[kValues + 1]());
+  std::vector<const int*> stored(kValues + 1, nullptr);
+  std::atomic<int> freed_while_held{0};
+  std::atomic<int> bad_loads{0};
+  const auto deleter = [&](const int* p) {
+    if (holders[*p].load() != 0) freed_while_held.fetch_add(1);
+    frees[*p].fetch_add(1);
+    delete p;
+  };
+  {
+    SharedCell<const int> cell;
+    std::atomic<int> started{0};
+    std::atomic<bool> done{false};
+    std::vector<std::thread> readers;
+    std::vector<int> loads(kReaders, 0);
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        started.fetch_add(1);
+        int last = 0;
+        // One more pass after `done`, so the final value is read too.
+        for (bool more = true; more;) {
+          more = !done.load();
+          std::shared_ptr<const int> p = cell.load();
+          if (p == nullptr) continue;
+          const int v = *p;
+          holders[v].fetch_add(1);
+          if (v < last || v > kValues || p.get() != stored[v] ||
+              frees[v].load() != 0) {
+            bad_loads.fetch_add(1);
+          }
+          last = v;
+          ++loads[r];
+          holders[v].fetch_sub(1);
+        }
+      });
+    }
+    while (started.load() < kReaders) std::this_thread::yield();
+    for (int v = 1; v <= kValues; ++v) {
+      const int* raw = new int(v);
+      stored[v] = raw;
+      cell.store(std::shared_ptr<const int>(raw, deleter));
+    }
+    done.store(true);
+    for (std::thread& t : readers) t.join();
+    for (int r = 0; r < kReaders; ++r) EXPECT_GT(loads[r], 0) << r;
+    EXPECT_EQ(*cell.load(), kValues);
+  }  // the cell drops the last value
+  EXPECT_EQ(bad_loads.load(), 0);
+  EXPECT_EQ(freed_while_held.load(), 0);
+  for (int v = 1; v <= kValues; ++v) ASSERT_EQ(frees[v].load(), 1) << v;
 }
 
 // ---------------------------------------------------------------------------

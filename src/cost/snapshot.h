@@ -14,7 +14,7 @@ namespace uqp {
 /// Calibration used to be construction-time state baked into every
 /// pipeline stage; it is now a first-class versioned value. Exactly one
 /// snapshot is "current" per pipeline at any instant, resolved once per
-/// prediction via an atomic shared_ptr load, so
+/// prediction via one load of the pipeline's snapshot cell, so
 ///   - a prediction never mixes units from two epochs (it sees one
 ///     snapshot object for its whole stage-3 combination, and records it
 ///     in Prediction::calibration),

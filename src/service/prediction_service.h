@@ -815,7 +815,7 @@ class PredictionService {
 
   // ----- versioned calibration + feedback loop -----
   /// Serializes epoch assignment (PublishCalibration): the snapshot
-  /// pointer itself is lock-free (an atomic shared_ptr swap inside the
+  /// pointer itself is swapped without this mutex (a SharedCell inside the
   /// pipeline, deliberately outside the mutex capability model — see
   /// PredictionPipeline::calibration_); this mutex only guarantees epochs
   /// are unique and monotone, so it guards no fields, just the

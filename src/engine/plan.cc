@@ -286,8 +286,9 @@ Plan& Plan::operator=(Plan&& other) noexcept {
 const std::shared_ptr<const PlanIdentity>& Plan::Identity() const {
   const IdentityPtr* memo = identity_.load(std::memory_order_acquire);
   if (memo != nullptr) return *memo;
-  const IdentityPtr* fresh = new IdentityPtr(std::make_shared<const PlanIdentity>(
-      PlanIdentity{PlanFingerprint(*this), PlanStructuralKey(*this)}));
+  const IdentityPtr* fresh =
+      new IdentityPtr(std::make_shared<const PlanIdentity>(
+          PlanIdentity{PlanFingerprint(*this), PlanStructuralKey(*this)}));
   // First publisher wins, so every holder shares one instance; a losing
   // racer frees its own copy and adopts the winner's (both computed the
   // same bytes).

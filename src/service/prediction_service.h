@@ -97,9 +97,10 @@ struct ServiceOptions {
   /// writes only lines that hits on the same plan (or its slot-index
   /// neighbour) write — no shard mutex, no process-wide lock. Two hot
   /// plans whose fingerprints collide on one slot index each keep a way,
-  /// so both stay lock-free instead of perpetually displacing each other. When false, every hit goes
-  /// through the shard mutex (the pre-sharding behavior, kept as the
-  /// bench baseline and a differential-testing seam).
+  /// so both stay lock-free instead of perpetually displacing each other.
+  /// When false, every hit goes through the shard mutex (the pre-sharding
+  /// behavior, kept as the bench baseline and a differential-testing
+  /// seam).
   bool lock_free_hits = true;
   /// Test seam: replaces PlanFingerprint as the cache/dedup hash when
   /// non-null. The structural-key confirmation still applies, so tests can

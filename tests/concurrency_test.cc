@@ -126,8 +126,9 @@ TEST(Concurrency, InvalidMplRejected) {
 TEST(SharedCell, ReadersSeeStoredValuesAndEachIsFreedOnceAfterItsLastReader) {
   constexpr int kValues = 10000;
   constexpr int kReaders = 3;
-  std::unique_ptr<std::atomic<int>[]> holders(new std::atomic<int>[kValues + 1]());
-  std::unique_ptr<std::atomic<int>[]> frees(new std::atomic<int>[kValues + 1]());
+  using Counts = std::unique_ptr<std::atomic<int>[]>;
+  Counts holders(new std::atomic<int>[kValues + 1]());
+  Counts frees(new std::atomic<int>[kValues + 1]());
   std::vector<const int*> stored(kValues + 1, nullptr);
   std::atomic<int> freed_while_held{0};
   std::atomic<int> bad_loads{0};

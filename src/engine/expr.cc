@@ -377,33 +377,6 @@ int PredicateOpCount(const Expr* e) {
   return 0;
 }
 
-uint64_t ExprFingerprint(const Expr* e) {
-  if (e == nullptr) return 0x9ae16a3b2f90404fULL;  // null-predicate tag
-  uint64_t h = 0xc3a5c85c97cb3127ULL;
-  h = HashMix64(h, static_cast<uint64_t>(e->kind));
-  switch (e->kind) {
-    case Expr::Kind::kCmp:
-      h = HashMix64(h, static_cast<uint64_t>(e->op));
-      h = HashMix64(h, static_cast<uint64_t>(e->column));
-      h = HashMix64(h, e->constant.Hash());
-      break;
-    case Expr::Kind::kCmpCol:
-      h = HashMix64(h, static_cast<uint64_t>(e->op));
-      h = HashMix64(h, static_cast<uint64_t>(e->column));
-      h = HashMix64(h, static_cast<uint64_t>(e->column2));
-      break;
-    case Expr::Kind::kAnd:
-    case Expr::Kind::kOr:
-      h = HashMix64(h, ExprFingerprint(e->lhs.get()));
-      h = HashMix64(h, ExprFingerprint(e->rhs.get()));
-      break;
-    case Expr::Kind::kNot:
-      h = HashMix64(h, ExprFingerprint(e->lhs.get()));
-      break;
-  }
-  return h;
-}
-
 void AppendKeyU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));

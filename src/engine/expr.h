@@ -71,16 +71,11 @@ void EvalPredicateColumns(const Expr& e, const Table& table, int64_t first,
 /// Number of comparison nodes (CPU operations charged per tuple).
 int PredicateOpCount(const Expr* e);
 
-/// Structural 64-bit fingerprint: kind, operator, columns and constants,
-/// recursively. Stable within a process (string constants hash by interned
-/// pool id); null hashes to a fixed tag. Used by PlanFingerprint.
-uint64_t ExprFingerprint(const Expr* e);
-
 /// Appends an unambiguous byte serialization of the expression tree to
 /// `out`: two expressions serialize identically iff they are structurally
-/// equal (same shape, operators, columns and constants; string constants
-/// compare by interned pool id, like ExprFingerprint). Used by
-/// PlanStructuralKey to confirm fingerprint cache hits exactly.
+/// equal (same shape, operators, columns and constants, each constant by
+/// its type and payload bits; string constants compare by interned pool
+/// id). Used by PlanStructuralKey, the one structural walk of a plan.
 void AppendExprKey(const Expr* e, std::string* out);
 
 /// Appends `v` to `out` as 8 little-endian bytes — the shared fixed-width

@@ -209,18 +209,27 @@ Status FinalizeNode(PlanNode* node, const Database& db, int* next_id,
   return Status::OK();
 }
 
+/// The fingerprint of a structural key (see PlanFingerprint).
+uint64_t KeyFingerprint(const std::string& key) {
+  return HashAvalanche64(HashBytes64(key.data(), key.size()));
+}
+
 }  // namespace
 
 Status Plan::Finalize(const Database& db) {
-  if (root_ == nullptr) return Status::InvalidArgument("empty plan");
   // The tree may have been edited since a previous finalization: any
-  // memoized identity describes the old structure.
-  delete identity_.exchange(nullptr, std::memory_order_acq_rel);
+  // identity describes the old structure.
+  identity_ = nullptr;
+  if (root_ == nullptr) return Status::InvalidArgument("empty plan");
   int next_id = 0;
   int next_leaf = 0;
   UQP_RETURN_IF_ERROR(FinalizeNode(root_.get(), db, &next_id, &next_leaf));
   num_operators_ = next_id;
   num_leaves_ = next_leaf;
+  std::string key = PlanStructuralKey(*this);
+  const uint64_t fingerprint = KeyFingerprint(key);
+  identity_ = std::make_shared<const PlanIdentity>(
+      PlanIdentity{fingerprint, std::move(key)});
   return Status::OK();
 }
 
@@ -255,51 +264,8 @@ Plan Plan::Clone() const {
   if (root_ != nullptr) copy.root_ = CloneNodeFinalized(*root_);
   copy.num_operators_ = num_operators_;
   copy.num_leaves_ = num_leaves_;
-  // The copy is structurally identical by construction: share the interned
-  // identity instead of re-serializing it on the clone's first request.
-  const IdentityPtr* memo = identity_.load(std::memory_order_acquire);
-  if (memo != nullptr) {
-    copy.identity_.store(new IdentityPtr(*memo), std::memory_order_relaxed);
-  }
+  copy.identity_ = identity_;
   return copy;
-}
-
-Plan::~Plan() { delete identity_.load(std::memory_order_acquire); }
-
-Plan::Plan(Plan&& other) noexcept
-    : root_(std::move(other.root_)),
-      num_operators_(other.num_operators_),
-      num_leaves_(other.num_leaves_),
-      identity_(other.identity_.exchange(nullptr, std::memory_order_acq_rel)) {}
-
-Plan& Plan::operator=(Plan&& other) noexcept {
-  if (this == &other) return *this;
-  root_ = std::move(other.root_);
-  num_operators_ = other.num_operators_;
-  num_leaves_ = other.num_leaves_;
-  delete identity_.exchange(
-      other.identity_.exchange(nullptr, std::memory_order_acq_rel),
-      std::memory_order_acq_rel);
-  return *this;
-}
-
-const std::shared_ptr<const PlanIdentity>& Plan::Identity() const {
-  const IdentityPtr* memo = identity_.load(std::memory_order_acquire);
-  if (memo != nullptr) return *memo;
-  const IdentityPtr* fresh =
-      new IdentityPtr(std::make_shared<const PlanIdentity>(
-          PlanIdentity{PlanFingerprint(*this), PlanStructuralKey(*this)}));
-  // First publisher wins, so every holder shares one instance; a losing
-  // racer frees its own copy and adopts the winner's (both computed the
-  // same bytes).
-  const IdentityPtr* expected = nullptr;
-  if (identity_.compare_exchange_strong(expected, fresh,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-    return *fresh;
-  }
-  delete fresh;
-  return *expected;
 }
 
 std::vector<const PlanNode*> Plan::NodesPreorder() const {
@@ -445,50 +411,13 @@ std::unique_ptr<PlanNode> ClonePlanTree(const PlanNode& node) {
 
 namespace {
 
-uint64_t NodeFingerprint(const PlanNode& node) {
-  uint64_t h = 0x2545f4914f6cdd1dULL;
-  h = HashMix64(h, static_cast<uint64_t>(node.type));
-  for (char c : node.table_name) {
-    h = HashMix64(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
-  }
-  h = HashMix64(h, ExprFingerprint(node.predicate.get()));
-  h = HashMix64(h, static_cast<uint64_t>(node.index_column) + 1);
-  for (const auto& [l, r] : node.join_keys) {
-    h = HashMix64(h, (static_cast<uint64_t>(l) << 32) |
-                              static_cast<uint64_t>(static_cast<uint32_t>(r)));
-  }
-  for (int c : node.sort_columns) h = HashMix64(h, 0x5000 + c);
-  for (int c : node.group_columns) h = HashMix64(h, 0x6000 + c);
-  for (const AggSpec& a : node.aggregates) {
-    h = HashMix64(h, static_cast<uint64_t>(a.kind));
-    h = HashMix64(h, static_cast<uint64_t>(a.column) + 1);
-  }
-  // Distinct tags for left/right keep the tree shape in the hash.
-  if (node.left != nullptr) {
-    h = HashMix64(h, 0xa1b2c3d4e5f60718ULL ^ NodeFingerprint(*node.left));
-  }
-  if (node.right != nullptr) {
-    h = HashMix64(h, 0x18f6e5d4c3b2a190ULL ^ NodeFingerprint(*node.right));
-  }
-  return h;
-}
-
-}  // namespace
-
-uint64_t PlanFingerprint(const Plan& plan) {
-  if (plan.root() == nullptr) return 0;
-  return NodeFingerprint(*plan.root());
-}
-
-namespace {
-
 void AppendKeyInt(std::string* out, int64_t v) {
   AppendKeyU64(out, static_cast<uint64_t>(v));
 }
 
-/// Mirrors NodeFingerprint field for field, but into an unambiguous byte
-/// string (every variable-length field is length-prefixed) instead of a
-/// lossy 64-bit mix.
+/// Every structural field of the node, then its children, into an
+/// unambiguous byte string (every variable-length field is
+/// length-prefixed).
 void AppendNodeKey(const PlanNode& node, std::string* out) {
   out->push_back(static_cast<char>(node.type));
   AppendKeyInt(out, static_cast<int64_t>(node.table_name.size()));
@@ -521,6 +450,10 @@ std::string PlanStructuralKey(const Plan& plan) {
   std::string out;
   if (plan.root() != nullptr) AppendNodeKey(*plan.root(), &out);
   return out;
+}
+
+uint64_t PlanFingerprint(const Plan& plan) {
+  return KeyFingerprint(PlanStructuralKey(plan));
 }
 
 }  // namespace uqp

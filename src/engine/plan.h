@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -80,13 +79,14 @@ struct PlanNode {
   bool is_unary() const { return right == nullptr; }
 };
 
-/// The interned identity of a plan: its 64-bit structural fingerprint and
-/// the canonical byte serialization of its structure (PlanStructuralKey —
-/// typically a few hundred bytes). Computed lazily once per Plan object
-/// and shared from there on: the service layer's cache entries, in-flight
-/// records and parked or queued requests own one immutable instance
-/// instead of re-serializing the plan per request and storing a copy per
-/// table, and a request served at once only points at it.
+/// The interned identity of a plan: the canonical byte serialization of
+/// its structure (PlanStructuralKey — typically a few hundred bytes) and
+/// its 64-bit fingerprint, the hash of those bytes. Computed once per
+/// successful Plan::Finalize and shared from there on: the service
+/// layer's cache entries, in-flight records and parked or queued requests
+/// own one immutable instance instead of re-serializing the plan per
+/// request and storing a copy per table, and a request served at once
+/// only points at it.
 struct PlanIdentity {
   uint64_t fingerprint = 0;
   std::string key;
@@ -100,16 +100,10 @@ class Plan {
  public:
   Plan() = default;
   explicit Plan(std::unique_ptr<PlanNode> root) : root_(std::move(root)) {}
-  ~Plan();
-  /// A move carries the memoized identity along: Identity() on the target
-  /// returns the object the source had published.
-  Plan(Plan&& other) noexcept;
-  Plan& operator=(Plan&& other) noexcept;
 
-  /// Assigns operator ids, derives output schemas and leaf spans.
-  /// Fails if referenced tables/columns don't exist. Drops any memoized
-  /// identity: the plan may have been structurally edited before the
-  /// (re-)finalization.
+  /// Assigns operator ids, derives output schemas and leaf spans, and
+  /// computes the plan's identity (see Identity()). Fails if referenced
+  /// tables/columns don't exist, leaving the plan without an identity.
   Status Finalize(const Database& db);
 
   /// Deep copy that preserves the finalized state: operator ids, derived
@@ -136,30 +130,23 @@ class Plan {
   /// Pretty-printed tree for debugging / examples.
   std::string ToString() const;
 
-  /// The memoized structural identity (fingerprint + canonical key) of
-  /// this plan. Computed on first use — thread-safe: concurrent first
-  /// calls race benignly, the first to publish wins and every caller gets
-  /// its instance — and returned by every later call through a plain
-  /// pointer load, so a recurring plan object pays the O(plan)
-  /// serialization exactly once and a later call writes nothing. Clone()
-  /// shares the instance (the copy is structurally identical by
-  /// construction). The reference stays valid while the plan (or the plan
-  /// it is moved into) lives and is not re-finalized; copy the shared_ptr
-  /// to keep the identity longer. The plan must not be structurally
-  /// mutated after the first Identity() call without re-running Finalize,
-  /// which drops the memo.
-  const std::shared_ptr<const PlanIdentity>& Identity() const;
+  /// The structural identity (fingerprint + canonical key) computed by
+  /// the last successful Finalize; null before one (or after a failed
+  /// one). A plain member read that writes nothing, so concurrent readers
+  /// need no synchronization. Clone() and moves carry the instance along
+  /// (the copy is structurally identical by construction). The reference
+  /// stays valid while the plan (or the plan it is moved into) lives and
+  /// is not re-finalized; copy the shared_ptr to keep the identity longer.
+  /// A structural edit must be followed by Finalize, which recomputes it.
+  const std::shared_ptr<const PlanIdentity>& Identity() const {
+    return identity_;
+  }
 
  private:
-  using IdentityPtr = std::shared_ptr<const PlanIdentity>;
-
   std::unique_ptr<PlanNode> root_;
   int num_operators_ = 0;
   int num_leaves_ = 0;
-  /// Lazily published identity, owned by the plan: null until the first
-  /// Identity() call publishes a heap-allocated IdentityPtr with a
-  /// compare-exchange. Freed by Finalize and the destructor.
-  mutable std::atomic<const IdentityPtr*> identity_{nullptr};
+  std::shared_ptr<const PlanIdentity> identity_;
 };
 
 /// Fluent helpers for building plan trees in workloads/tests.
@@ -190,22 +177,20 @@ std::unique_ptr<PlanNode> MakeMaterialize(std::unique_ptr<PlanNode> child);
 /// carries the derived fields and clones the expression trees.
 std::unique_ptr<PlanNode> ClonePlanTree(const PlanNode& node);
 
-/// Structural 64-bit fingerprint of a finalized plan: operator types and
-/// tree shape, table names, predicates, join keys, sort/group columns and
-/// aggregate specs. Two plans with the same fingerprint execute the same
-/// physical query, so their sample-run artifacts are interchangeable —
-/// this is the cache key of the service layer. (A 64-bit hash: collisions
-/// are possible in principle but need ~2³² distinct cached plans to
-/// become likely.)
-uint64_t PlanFingerprint(const Plan& plan);
-
 /// Canonical byte serialization of the plan structure: two plans produce
 /// the same key iff they are structurally equal (same tree shape, operator
 /// types, tables, predicates, join keys, sort/group columns and aggregate
-/// specs) — exactly the equivalence PlanFingerprint approximates. The
-/// service layer stores this key alongside each cache entry and confirms
-/// it on every fingerprint hit, so a 64-bit hash collision degrades to a
-/// cache miss instead of serving another plan's artifacts.
+/// specs). The service layer stores this key alongside each cache entry
+/// and confirms it on every fingerprint hit, so a 64-bit hash collision
+/// degrades to a cache miss instead of serving another plan's artifacts.
 std::string PlanStructuralKey(const Plan& plan);
+
+/// Structural 64-bit fingerprint: HashAvalanche64(HashBytes64(key)) over
+/// PlanStructuralKey, so two plans share it whenever their keys are equal
+/// and, barring a 64-bit collision (~2³² distinct cached plans to become
+/// likely), only then. The same value under every standard library. This
+/// is the cache key of the service layer, whose low bits pick the shard
+/// and slot.
+uint64_t PlanFingerprint(const Plan& plan);
 
 }  // namespace uqp

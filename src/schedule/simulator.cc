@@ -8,6 +8,7 @@
 #include "engine/executor.h"
 #include "engine/planner.h"
 #include "math/rng.h"
+#include "storage/value.h"
 #include "workload/arrivals.h"
 #include "workload/common.h"
 
@@ -181,12 +182,7 @@ ScheduleScenario BuildScenario(const Database& db, const SampleDb& samples,
 }
 
 uint64_t EventLogHash(const std::vector<uint8_t>& log) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (uint8_t b : log) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return HashBytes64(log.data(), log.size());
 }
 
 Simulator::Simulator(const Database* db, const SampleDb* samples,

@@ -126,7 +126,8 @@ struct SimResult {
   ServiceStats service_stats;
 };
 
-/// FNV-1a 64 over the event log (compact identity for gates and JSON).
+/// HashBytes64 (FNV-1a 64) over the event log (compact identity for gates
+/// and JSON).
 uint64_t EventLogHash(const std::vector<uint8_t>& log);
 
 /// The simulator. Each Run constructs a fresh PredictionService from the

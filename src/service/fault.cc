@@ -4,25 +4,20 @@
 #include <cstring>
 
 #include "engine/expr.h"  // AppendKeyU64: canonical fixed-width serialization
+#include "storage/value.h"  // HashAvalanche64
 
 namespace uqp {
 
 namespace {
 
-/// splitmix64 finalizer: a strong 64-bit mix with no global state. Every
-/// schedule draw below is Mix over (seed, fingerprint, attempt, salt) — a
-/// pure function, so the whole fault schedule is pre-drawn by construction.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Uniform draw in [0, 1) for one (seed, fingerprint, attempt, salt) cell.
+/// Uniform draw in [0, 1) for one (seed, fingerprint, attempt, salt) cell:
+/// a pure function, so the whole fault schedule is pre-drawn by
+/// construction.
 double UnitDraw(uint64_t seed, uint64_t fingerprint, uint64_t attempt,
                 uint64_t salt) {
-  const uint64_t h = Mix(seed ^ Mix(fingerprint ^ Mix(attempt ^ Mix(salt))));
+  const uint64_t h = HashAvalanche64(
+      seed ^ HashAvalanche64(fingerprint ^
+                             HashAvalanche64(attempt ^ HashAvalanche64(salt))));
   // Top 53 bits -> [0, 1) with full double resolution.
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }

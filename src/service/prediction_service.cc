@@ -33,6 +33,16 @@ size_t HardwareSlots() {
   return std::min(64u, std::max(1u, hw));
 }
 
+/// The cost-only degraded fallback's sigma = mean x rel x kDegradedInflation,
+/// where rel is the family's windowed mean |relative error|
+/// (FamilyRegistry) when larger than kDegradedRelError, the error assumed
+/// for a family with no feedback history — a family we already know we
+/// mispredict gets a wider interval. The inflation is > 1 because a
+/// cost-only guess is strictly less informed than the sampling pipeline it
+/// stands in for.
+constexpr double kDegradedRelError = 0.5;
+constexpr double kDegradedInflation = 2.0;
+
 /// A number per thread, handed out in the order threads first ask: the
 /// first threads to record stats land on different stripes.
 size_t ThisThreadIndex() {
@@ -157,7 +167,6 @@ PredictionService::RequestContext PredictionService::MakeContext(
 
 Prediction PredictionService::MakeDegraded(uint64_t fingerprint,
                                            const Plan& plan) {
-  const DegradedOptions& dg = options_.degraded;
   // The optimizer's resource estimate priced by the calibrated unit means
   // is in milliseconds, like the pipeline's own mean; the raw PostgreSQL
   // scalar cost would be cost units.
@@ -165,18 +174,14 @@ Prediction PredictionService::MakeDegraded(uint64_t fingerprint,
   const ResourceVector r = OptimizerResources(plan, *db_);
   const double mean =
       std::max(0.0, snapshot->units.MeanDot(r.ns, r.nr, r.nt, r.ni, r.no));
-  // The degraded interval is widest where we already know we mispredict:
-  // the family's windowed feedback error replaces the configured default
-  // when larger, then the whole sigma is inflated — a cost-only guess is
-  // strictly less informed than the sampling pipeline it stands in for.
-  double rel = dg.default_rel_error;
+  double rel = kDegradedRelError;
   if (families_ != nullptr) {
     double windowed = 0.0;
     if (families_->WindowedError(fingerprint, &windowed)) {
       rel = std::max(rel, windowed);
     }
   }
-  const double sigma = mean * rel * dg.inflation;
+  const double sigma = mean * rel * kDegradedInflation;
   Prediction out;
   out.breakdown.mean = mean;
   out.breakdown.variance = sigma * sigma;
@@ -609,8 +614,14 @@ StatusOr<Prediction> PredictionService::Await(Continuation& c,
   return c.future.get();
 }
 
+StatusOr<Prediction> PredictionService::RejectUnfinalized() {
+  RecordOutcome(/*hit=*/false, Outcome::kFailed);
+  return Status::FailedPrecondition("plan must be finalized");
+}
+
 StatusOr<Prediction> PredictionService::Predict(const Plan& plan,
                                                 const RequestOptions& opts) {
+  if (plan.Identity() == nullptr) return RejectUnfinalized();
   const Request req = MakeRequest(plan, MakeContext(opts));
   const Ticket t = Route(req, nullptr, /*register_owned=*/true);
   if (t.entry != nullptr) return ServeEntry(t.entry, t.lock_free);
@@ -637,6 +648,11 @@ void PredictionService::RunQueued(const ContinuationPtr& c) {
 
 std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
     const Plan& plan, const RequestOptions& opts) {
+  if (plan.Identity() == nullptr) {
+    std::promise<StatusOr<Prediction>> rejected;
+    rejected.set_value(RejectUnfinalized());
+    return rejected.get_future();
+  }
   // Resolved on the submitting thread, without a copy of the plan or a
   // queue trip: a hit (on a hot cache through the lock-free probe, no
   // service mutex at all) or a continuation parked on a run already in
@@ -682,7 +698,12 @@ std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
   std::vector<Group> groups;
   std::vector<size_t> group_of(plans.size());
   std::unordered_map<std::string, size_t> index;  // fp ‖ key -> group
+  constexpr size_t kUnfinalized = SIZE_MAX;  // group_of: resolved at once
   for (size_t i = 0; i < plans.size(); ++i) {
+    if (plans[i]->Identity() == nullptr) {
+      group_of[i] = kUnfinalized;
+      continue;
+    }
     Request req = MakeRequest(*plans[i], ctx);
     std::string key;
     AppendKeyU64(&key, req.fingerprint);
@@ -718,6 +739,10 @@ std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
   std::vector<StatusOr<Prediction>> results;
   results.reserve(plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {
+    if (group_of[i] == kUnfinalized) {
+      results.push_back(RejectUnfinalized());
+      continue;
+    }
     const Group& gr = groups[group_of[i]];
     results.push_back(gr.result);
     if (gr.slot != i) {
@@ -750,6 +775,11 @@ uint64_t PredictionService::PublishCalibration(CostUnits units,
 }
 
 void PredictionService::ReportObserved(const Plan& plan, double observed_ms) {
+  if (plan.Identity() == nullptr) {
+    // An unfinalized plan names no family: the report is dropped.
+    Report(0, observed_ms, /*comparable=*/false, {});
+    return;
+  }
   ReportObserved(Fingerprint(plan, *plan.Identity()), observed_ms);
 }
 

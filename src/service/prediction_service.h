@@ -24,24 +24,6 @@
 
 namespace uqp {
 
-/// Cost-only degradation knobs: when stage 1 fails (or is quarantined by
-/// the circuit breaker) and the request opted in with
-/// RequestOptions::allow_degraded, the service serves a fallback built
-/// from the optimizer's estimated resource counters alone — no sampling,
-/// no fitted cost functions — priced in milliseconds by the current
-/// calibration's unit means and flagged Prediction::degraded.
-struct DegradedOptions {
-  /// Relative error assumed for a family with no feedback history. The
-  /// family's windowed mean |relative error| (FamilyRegistry) replaces
-  /// it when larger — a family we already know we mispredict gets a wider
-  /// degraded interval.
-  double default_rel_error = 0.5;
-  /// Variance inflation: sigma = mean * rel_error * inflation. >1 because
-  /// a cost-only guess is strictly less informed than the sampling
-  /// pipeline it stands in for.
-  double inflation = 2.0;
-};
-
 /// Per-request resilience knobs. The zero value (no deadline, no
 /// degradation) reproduces the historical behavior exactly.
 struct RequestOptions {
@@ -58,7 +40,10 @@ struct RequestOptions {
   double deadline_ms = 0.0;
   /// When true, a stage failure / deadline expiry / breaker shed resolves
   /// with a cost-only degraded prediction (Prediction::degraded == true)
-  /// instead of the error status. See DegradedOptions.
+  /// instead of the error status: the optimizer's estimated resource
+  /// counters alone — no sampling, no fitted cost functions — priced in
+  /// milliseconds by the current calibration's unit means. A plan that
+  /// was never finalized is not degraded: it has nothing to price.
   bool allow_degraded = false;
 };
 
@@ -126,9 +111,6 @@ struct ServiceOptions {
   /// stage 1) until a half-open probe succeeds. failure_threshold == 0
   /// (default) disables the breaker entirely.
   BreakerOptions breaker;
-  /// Cost-only fallback served when a request sets
-  /// RequestOptions::allow_degraded and its stage work failed.
-  DegradedOptions degraded;
   PredictorOptions predictor;
 };
 
@@ -202,15 +184,17 @@ struct ServiceStats {
 ///   - PredictBatch(plans): one request per distinct plan, owned runs
 ///     sharded across the worker pool.
 ///
-/// All three share one request path. A request's lookup-and-route step
-/// ends in one of three ways: served from the artifact cache, parked as a
-/// continuation on the run already in flight for its plan, or registered
-/// as the owner of a new run. The owner runs stages 1-2 and then drains
-/// every parked continuation with the cheap stage-3 combination; a
-/// continuation is resolved exactly once, by that drain or by its own
-/// caller's deadline, whichever comes first. So a same-fingerprint storm
-/// occupies one thread, never the pool: no pool worker ever blocks on
-/// another request's run.
+/// All three share one request path, and all three take finalized plans:
+/// a request for a plan without an identity (Plan::Identity) resolves
+/// FailedPrecondition at once, as one failed miss. A request's
+/// lookup-and-route step ends in one of three ways: served from the
+/// artifact cache, parked as a continuation on the run already in flight
+/// for its plan, or registered as the owner of a new run. The owner runs
+/// stages 1-2 and then drains every parked continuation with the cheap
+/// stage-3 combination; a continuation is resolved exactly once, by that
+/// drain or by its own caller's deadline, whichever comes first. So a
+/// same-fingerprint storm occupies one thread, never the pool: no pool
+/// worker ever blocks on another request's run.
 ///
 /// The cache and the in-flight table are sharded by fingerprint: N
 /// independent shards, each with its own mutex, entry map and CLOCK ring,
@@ -228,7 +212,7 @@ struct ServiceStats {
 /// stripe. It compares the pipeline's plain-atomic calibration epoch
 /// against the entry's memo and leaves a set reference bit alone. Each
 /// entry stores the plan's interned canonical structural key
-/// (PlanIdentity, serialized once per distinct plan object and shared by
+/// (PlanIdentity, serialized once per Plan::Finalize and shared by
 /// reference), confirmed on every hit, so a 64-bit fingerprint collision
 /// degrades to a miss instead of serving another plan's artifacts.
 ///
@@ -348,9 +332,9 @@ class PredictionService {
   /// stash (counted in stats().feedback_stash_hits), so an
   /// evicted-but-reported family still tracks instead of dropping.
   /// Only a family that was never predicted at all drops its reports
-  /// (stats().feedback_dropped), as does an observation that is not a
-  /// finite positive number of milliseconds. No-op unless
-  /// ServiceOptions::feedback.enabled.
+  /// (stats().feedback_dropped), as do an observation that is not a
+  /// finite positive number of milliseconds and a plan never finalized.
+  /// No-op unless ServiceOptions::feedback.enabled.
   void ReportObserved(const Plan& plan, double observed_ms);
   void ReportObserved(uint64_t fingerprint, double observed_ms);
 
@@ -435,13 +419,13 @@ class PredictionService {
   static constexpr size_t kNumOutcomes = 4;
 
   /// The identity of one request and its resolved options. `identity`
-  /// points at the plan's own interned IdentityPtr (Plan::Identity), so
+  /// points at the finalized plan's own IdentityPtr (Plan::Identity), so
   /// building a request takes no reference count; whatever outlives the
   /// caller's plan (a cache entry, an in-flight record, a parked or queued
   /// continuation) copies the shared_ptr it points at.
   struct Request {
     uint64_t fingerprint = 0;
-    const IdentityPtr* identity = nullptr;  ///< never null once made
+    const IdentityPtr* identity = nullptr;  ///< never null, nor its target
     RequestContext ctx;
     const PlanIdentity& id() const { return **identity; }
   };
@@ -733,10 +717,15 @@ class PredictionService {
 
   /// Cost-only degraded fallback (Prediction::degraded == true): mean =
   /// OptimizerResources dotted with the current calibration's unit means
-  /// (ms), stamped with that snapshot; sigma inflated from the family's
-  /// windowed feedback error (or the configured default when the family
-  /// has no history). Carries NO stage-1/2 artifacts.
+  /// (ms), stamped with that snapshot; sigma = mean x max(0.5, the
+  /// family's windowed feedback error) x 2. Carries NO stage-1/2
+  /// artifacts.
   Prediction MakeDegraded(uint64_t fingerprint, const Plan& plan);
+
+  /// The resolution of a request for a plan without an identity (never
+  /// finalized, or its last Finalize failed), decided before routing:
+  /// FailedPrecondition, recorded as one failed miss, never degraded.
+  StatusOr<Prediction> RejectUnfinalized();
 
   /// Injected spurious wakeup on a pool enqueue or fan-out (test seam): a
   /// MorselPool::WakeAll with nothing new to do, exercising the explicit

@@ -176,11 +176,34 @@ struct RowRef {
 };
 
 /// Mixes one 64-bit value into a running hash (golden-ratio combine).
-/// The single mixing function behind multi-column row hashing (joins,
-/// grouping) and the structural expr/plan fingerprints.
+/// The mixing function behind multi-column row hashing (joins, grouping).
 inline uint64_t HashMix64(uint64_t h, uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h;
+}
+
+/// FNV-1a 64 over `size` bytes: the one byte-string hash, behind the plan
+/// fingerprint (over PlanStructuralKey) and the simulator's EventLogHash.
+/// Defined byte by byte, so every standard library computes the same
+/// value.
+inline uint64_t HashBytes64(const void* data, size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// splitmix64's finalizer: every output bit depends on every input bit.
+/// Applied where the low bits of a hash pick a bucket (the plan
+/// fingerprint's shard and slot) or a uniform draw is taken from it.
+inline uint64_t HashAvalanche64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
 }  // namespace uqp

@@ -1507,6 +1507,34 @@ TEST(Plan, IdentityIsPublishedOnceAndFollowsThePlan) {
   EXPECT_EQ(clone.Identity()->fingerprint, PlanFingerprint(clone));
 }
 
+TEST(Plan, FingerprintIsPinnedAndHashesTheKey) {
+  // The fingerprint is the avalanched byte hash of the structural key,
+  // both defined in-tree, so it reads the same under every standard
+  // library (the plan holds no string constant, whose key bytes would be
+  // an interned pool id).
+  Database db = MakeTestDb();
+  Plan plan(MakeHashJoin(
+      MakeSeqScan("t1", Expr::And(Expr::Cmp(0, CmpOp::kLt, Value::Int64(10)),
+                                  Expr::Cmp(1, CmpOp::kGe, Value::Double(2.5)))),
+      MakeSeqScan("t2", NoPred()), {{0, 0}}));
+  EXPECT_EQ(plan.Identity(), nullptr) << "no identity before Finalize";
+  ASSERT_TRUE(plan.Finalize(db).ok());
+  const std::string key = PlanStructuralKey(plan);
+  EXPECT_EQ(PlanFingerprint(plan), 0x7b01b57b61b19581ULL);
+  EXPECT_EQ(PlanFingerprint(plan),
+            HashAvalanche64(HashBytes64(key.data(), key.size())));
+  EXPECT_EQ(HashBytes64("a", 1), 0xaf63dc4c8601ec8cULL)
+      << "FNV-1a 64's published test vector";
+  ASSERT_NE(plan.Identity(), nullptr);
+  EXPECT_EQ(plan.Identity()->fingerprint, PlanFingerprint(plan));
+  EXPECT_EQ(plan.Identity()->key, key);
+
+  // A failed Finalize leaves the plan without an identity.
+  plan.mutable_root()->left->table_name = "no_such_table";
+  EXPECT_FALSE(plan.Finalize(db).ok());
+  EXPECT_EQ(plan.Identity(), nullptr);
+}
+
 // ---------- Planner ----------
 
 TEST(Planner, PicksIndexScanForSelectiveRange) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "engine/expr.h"
@@ -206,6 +207,32 @@ TEST(Expr, ToStringRendersReadably) {
   const auto e = Expr::And(Expr::Cmp(0, CmpOp::kLe, Value::Int64(9)),
                            Expr::CmpColumns(0, CmpOp::kLt, 1));
   EXPECT_EQ(e->ToString(&schema), "(a <= 9 AND a < b)");
+}
+
+TEST(Expr, KeyDistinguishesConstantTypesBitsAndShapes) {
+  const auto key = [](const ExprPtr& e) {
+    std::string out;
+    AppendExprKey(e.get(), &out);
+    return out;
+  };
+  const auto cmp = [](const Value& v) { return Expr::Cmp(4, CmpOp::kLt, v); };
+  // Equal structure, built twice, serializes equally.
+  EXPECT_EQ(key(cmp(Value::Int64(24))), key(cmp(Value::Int64(24))));
+  EXPECT_EQ(key(cmp(Value::String("x"))), key(cmp(Value::String("x"))));
+  // Values that compare equal are still different constants.
+  EXPECT_NE(key(cmp(Value::Int64(24))), key(cmp(Value::Double(24.0))));
+  EXPECT_NE(key(cmp(Value::Double(0.0))), key(cmp(Value::Double(-0.0))));
+  EXPECT_NE(key(cmp(Value::String("x"))), key(cmp(Value::String("y"))));
+  // Operator, column, null and shape all count.
+  const ExprPtr a = cmp(Value::Int64(1));
+  const ExprPtr b = Expr::CmpColumns(0, CmpOp::kLt, 1);
+  EXPECT_NE(key(a), key(Expr::Cmp(4, CmpOp::kLe, Value::Int64(1))));
+  EXPECT_NE(key(a), key(Expr::Cmp(3, CmpOp::kLt, Value::Int64(1))));
+  EXPECT_NE(key(nullptr), key(a));
+  EXPECT_NE(key(b), key(Expr::CmpColumns(1, CmpOp::kLt, 0)));
+  EXPECT_NE(key(Expr::And(a, b)), key(Expr::And(b, a)));
+  EXPECT_NE(key(Expr::And(a, b)), key(Expr::Or(a, b)));
+  EXPECT_NE(key(Expr::Not(a)), key(a));
 }
 
 }  // namespace

@@ -569,6 +569,35 @@ TEST_F(ServiceTest, StructuralKeyDistinguishesPlans) {
   EXPECT_EQ(k0, PlanStructuralKey((*plans_)[0]));
 }
 
+TEST_F(ServiceTest, StructuralTwinsKeepTheirOwnCacheEntries) {
+  // Plans that differ only in a constant's type or sign bit are different
+  // plans (their keys differ), so they must not share a fingerprint: two
+  // twins alternating through the cache each keep their own entry instead
+  // of evicting each other as fingerprint collisions.
+  const std::pair<Value, Value> twins[] = {
+      {Value::Int64(24), Value::Double(24.0)},
+      {Value::Double(0.0), Value::Double(-0.0)},
+  };
+  for (const auto& [a, b] : twins) {
+    Plan pa(MakeSeqScan("lineitem", Expr::Cmp(4, CmpOp::kGe, a)));
+    Plan pb(MakeSeqScan("lineitem", Expr::Cmp(4, CmpOp::kGe, b)));
+    ASSERT_TRUE(pa.Finalize(*db_).ok());
+    ASSERT_TRUE(pb.Finalize(*db_).ok());
+    ASSERT_NE(PlanStructuralKey(pa), PlanStructuralKey(pb));
+    EXPECT_NE(PlanFingerprint(pa), PlanFingerprint(pb))
+        << a.ToString() << " vs " << b.ToString();
+
+    PredictionService service(db_, samples_, *units_);
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(service.Predict(i % 2 == 0 ? pa : pb).ok());
+    }
+    const ServiceStats st = service.stats();
+    EXPECT_EQ(st.sample_runs, 2u) << a.ToString() << " vs " << b.ToString();
+    EXPECT_EQ(st.cache_hits, 4u);
+    EXPECT_EQ(service.cache_size(), 2u);
+  }
+}
+
 // ---------- Plan lifetime: fire-and-forget PredictAsync ----------
 
 TEST_F(ServiceTest, AsyncCallerDropsPlanImmediately) {
@@ -1898,8 +1927,8 @@ TEST_F(ServiceTest, DeadlineBoundedJoinersDetachFromAGatedWinner) {
 TEST_F(ServiceTest, DegradedFallbackFollowsTheCostOnlyFormula) {
   // allow_degraded converts a hard failure into a usable cost-only
   // prediction: mean = the optimizer's resource estimate dotted with the
-  // calibrated unit means (ms), sigma = mean x max(default_rel_error,
-  // windowed error) x inflation.
+  // calibrated unit means (ms), sigma = mean x max(0.5, windowed error)
+  // x 2.
   const uint64_t fp = PlanFingerprint((*plans_)[0]);
   ScheduledFaultOptions fopts;
   FaultRule rule;
@@ -1909,8 +1938,6 @@ TEST_F(ServiceTest, DegradedFallbackFollowsTheCostOnlyFormula) {
   ServiceOptions options;
   options.num_workers = 1;
   options.fault_injector = &injector;
-  options.degraded.default_rel_error = 0.5;
-  options.degraded.inflation = 2.0;
   PredictionService service(db_, samples_, *units_, options);
 
   // Without the opt-in the failure surfaces as-is.
@@ -1950,6 +1977,55 @@ TEST_F(ServiceTest, DegradedFallbackFollowsTheCostOnlyFormula) {
   EXPECT_EQ(st.failed, 1u);
   EXPECT_EQ(st.sample_runs, 0u);
   ExpectOutcomeConservation(st);
+}
+
+TEST_F(ServiceTest, UnfinalizedPlanFailsPreconditionOnEveryEntryPoint) {
+  // A plan that was never finalized has no identity and nothing to price:
+  // every entry point resolves it FailedPrecondition before routing, as
+  // one failed miss per request, even with degradation allowed, and a
+  // report against it is dropped.
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.feedback.enabled = true;
+  options.feedback.window_size = 4;
+  PredictionService service(db_, samples_, *units_, options);
+  const Plan raw(MakeSeqScan(
+      "lineitem", Expr::Cmp(4, CmpOp::kLt, Value::Double(24.0))));
+  ASSERT_EQ(raw.Identity(), nullptr);
+  RequestOptions opts;
+  opts.allow_degraded = true;
+
+  auto sync = service.Predict(raw, opts);
+  ASSERT_FALSE(sync.ok());
+  EXPECT_EQ(sync.status().code(), StatusCode::kFailedPrecondition);
+  ServiceStats st = service.stats();
+  EXPECT_EQ(st.failed, 1u);
+
+  auto async = service.PredictAsync(raw, opts).get();
+  ASSERT_FALSE(async.ok());
+  EXPECT_EQ(async.status().code(), StatusCode::kFailedPrecondition);
+  st = service.stats();
+  EXPECT_EQ(st.failed, 2u);
+
+  // A batch resolves the unfinalized slots one by one and serves the rest.
+  const Plan& good = (*plans_)[0];
+  const auto batch = service.PredictBatch({&raw, &good, &raw}, opts);
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch[0].status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(batch[1].ok()) << batch[1].status().ToString();
+  EXPECT_EQ(batch[2].status().code(), StatusCode::kFailedPrecondition);
+  st = service.stats();
+  EXPECT_EQ(st.failed, 4u);
+  EXPECT_EQ(st.sample_runs, 1u) << "only the finalized plan ran stage 1";
+  EXPECT_EQ(st.degraded_served, 0u);
+  EXPECT_EQ(st.cache_misses, 5u);
+  ExpectOutcomeConservation(st);
+
+  service.ReportObserved(raw, 10.0);
+  st = service.stats();
+  EXPECT_EQ(st.feedback_reports, 1u);
+  EXPECT_EQ(st.feedback_dropped, 1u);
+  EXPECT_TRUE(service.FeedbackSnapshot().empty());
 }
 
 TEST_F(ServiceTest, DegradedMeanFollowsThePublishedCalibration) {

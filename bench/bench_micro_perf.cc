@@ -5,7 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/planner.h"
@@ -47,7 +47,7 @@ struct Fixture {
 
 void BM_FullPrediction(benchmark::State& state) {
   Fixture& fx = Fixture::Get();
-  Predictor predictor(&fx.db, &fx.samples, fx.units);
+  PredictionPipeline predictor(&fx.db, &fx.samples, fx.units);
   size_t i = 0;
   for (auto _ : state) {
     auto p = predictor.Predict(fx.plans[i % fx.plans.size()]);
@@ -71,7 +71,7 @@ BENCHMARK(BM_SelectivityEstimation);
 
 void BM_VarianceAssembly(benchmark::State& state) {
   Fixture& fx = Fixture::Get();
-  Predictor predictor(&fx.db, &fx.samples, fx.units);
+  PredictionPipeline predictor(&fx.db, &fx.samples, fx.units);
   auto pred = predictor.Predict(fx.plans[0]);
   for (auto _ : state) {
     auto b = predictor.Recompute(*pred, PredictorVariant::kAll,

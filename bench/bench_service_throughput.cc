@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/planner.h"
@@ -194,7 +194,7 @@ struct Env {
   const std::vector<Plan> distinct = SelJoinPlans(db, 2);
   /// `distinct` kRepeats times, interleaved round-robin.
   std::vector<const Plan*> stream;
-  /// The sequential Predictor's prediction of each distinct plan: the
+  /// The sequential pipeline's prediction of each distinct plan: the
   /// reference every service prediction must match bit for bit.
   std::vector<Prediction> expected;
   /// Mean ms of one sequential pass over the stream: the baseline every
@@ -219,7 +219,7 @@ Env::Env() {
   }
   // One full pipeline run (sample + fit + combine) per prediction, no
   // service layer; the first pass doubles as the reference.
-  Predictor predictor(&db, &samples, units);
+  PredictionPipeline predictor(&db, &samples, units);
   for (int rep = 0; rep < kReps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
     for (const Plan* p : stream) {
@@ -423,21 +423,21 @@ Report PoolProgress(const Env& env) {
 }
 
 struct ColdLatency {
-  double t1_ms = 0.0;  ///< median, sequential Predictor
+  double t1_ms = 0.0;  ///< median, sequential pipeline
   double t4_ms = 0.0;  ///< median, PredictionPipeline at num_threads = 4
   bool parity = true;  ///< every parallel prediction bit-identical
   double speedup() const { return perfbench::Ratio(t1_ms, t4_ms); }
 };
 
 /// Cold Predict latency of `plan` over the full-ratio 1gb samples: a
-/// sequential Predictor against a 4-thread pipeline on a long-lived pool,
+/// sequential pipeline against a 4-thread pipeline on a long-lived pool,
 /// as the service would hold one (per-prediction cost is shard dispatch,
 /// not thread spawning). One untimed warmup per side absorbs first-touch
 /// and allocator costs; the timed pairs alternate which side runs first,
 /// so neither side always inherits the other's cache and load state; the
 /// medians of the two sides compare.
 ColdLatency MeasureColdLatency(const Env& env, const Plan& plan) {
-  Predictor sequential(&env.heavy_db, &env.heavy_samples, env.units);
+  PredictionPipeline sequential(&env.heavy_db, &env.heavy_samples, env.units);
   MorselPool pool(4);
   PredictorOptions par_opts;
   par_opts.num_threads = 4;
@@ -474,7 +474,7 @@ ColdLatency MeasureColdLatency(const Env& env, const Plan& plan) {
 /// (hardware_concurrency >= 2).
 Report SinglePlanCold(const Env& env) {
   const std::vector<Plan> plans = SelJoinPlans(env.heavy_db, 1);
-  Predictor sequential(&env.heavy_db, &env.heavy_samples, env.units);
+  PredictionPipeline sequential(&env.heavy_db, &env.heavy_samples, env.units);
   size_t heaviest = 0;
   double worst_ms = -1.0;
   for (size_t i = 0; i < plans.size(); ++i) {

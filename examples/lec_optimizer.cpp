@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/planner.h"
@@ -37,7 +37,7 @@ int main() {
   SampleOptions so;
   so.sampling_ratio = 0.05;
   const SampleDb samples = SampleDb::Build(db, so);
-  Predictor predictor(&db, &samples, units);
+  PredictionPipeline predictor(&db, &samples, units);
   Executor executor(&db);
 
   Rng rng(29);

@@ -22,7 +22,8 @@
 
 namespace uqp {
 
-/// Predictor configuration (shared by the facade and the pipeline).
+/// Predictor configuration (PredictionPipeline; the service passes it
+/// through ServiceOptions::predictor).
 struct PredictorOptions {
   PredictorVariant variant = PredictorVariant::kAll;
   CovarianceBoundKind bound = CovarianceBoundKind::kBest;
@@ -229,9 +230,10 @@ class VarianceCombineStage {
   VarianceCombineOutput Run(const VarianceCombineInput& input) const;
 };
 
-/// The composed three-stage pipeline. `Predictor` is a thin facade over
-/// this; `PredictionService` drives the stages individually so it can cache
-/// stage 1 and shard stages 2-3 across workers.
+/// The uncertainty-aware query execution time predictor (the paper's core
+/// contribution): the three stages composed. `PredictionService` drives the
+/// stages individually so it can cache stage 1 and shard stages 2-3 across
+/// workers; both finish through PredictFromArtifacts.
 class PredictionPipeline {
  public:
   /// `task_runner` (optional) backs stage 1's intra-query fan-out when
@@ -239,17 +241,11 @@ class PredictionPipeline {
   /// so plan-level and intra-plan tasks share one set of threads. The
   /// construction-time units become calibration epoch 1 ("offline").
   PredictionPipeline(const Database* db, const SampleDb* samples,
-                     CostUnits units, PredictorOptions options,
+                     CostUnits units,
+                     PredictorOptions options = PredictorOptions(),
                      TaskRunner* task_runner = nullptr)
-      : PredictionPipeline(db, samples,
-                           MakeCalibrationSnapshot(units, 1, "offline"),
-                           options, task_runner) {}
-
-  PredictionPipeline(const Database* db, const SampleDb* samples,
-                     CalibrationPtr calibration, PredictorOptions options,
-                     TaskRunner* task_runner = nullptr)
-      : calibration_(calibration),
-        epoch_(calibration->epoch),
+      : calibration_(MakeCalibrationSnapshot(units, 1, "offline")),
+        epoch_(1),
         options_(options),
         sample_run_(db, samples, options.aggregate_mode, options.scan_mode,
                     options.num_threads, task_runner, options.max_batch_size),
@@ -293,36 +289,22 @@ class PredictionPipeline {
     return variance_combine_;
   }
 
-  /// The number of times the stage-3 combination ran (any overload).
+  /// The number of times the stage-3 combination ran.
   /// Monotone, relaxed; a test/bench seam for asserting that memoized
   /// epoch-stamped combines actually skip the combination work.
   uint64_t combine_count() const {
     return combine_count_.load(std::memory_order_relaxed);
   }
 
-  /// All three stages in sequence.
+  /// All three stages in sequence; stage 3 combines under calibration().
   StatusOr<Prediction> Predict(const Plan& plan) const;
 
-  /// Stages 2-3 only, from a pre-computed (possibly cached) stage 1
-  /// output. Bit-identical to Predict when `sample_run` came from the same
-  /// plan: every stage is deterministic. The prediction shares ownership
-  /// of `sample_run` (no copy).
-  StatusOr<Prediction> PredictFromSampleRun(const Plan& plan,
-                                            SampleRunPtr sample_run) const;
-
   /// Stage 3 only, from pre-computed stage 1-2 outputs (the fully cached
-  /// path: a recurring plan re-runs just the variance combination). The
-  /// prediction aliases both artifacts — zero-copy, O(variance breakdown).
-  /// Resolves the current calibration snapshot once.
-  Prediction PredictFromArtifacts(SampleRunPtr sample_run,
-                                  CostFitPtr cost_fit) const;
-  /// Bundle overload: the form the service's cache, in-flight dedup and
-  /// continuation handoff trade in.
-  Prediction PredictFromArtifacts(const StageArtifacts& artifacts) const;
-  /// Pinned-snapshot overload: combines under exactly `snapshot` instead
-  /// of re-resolving the current one — the service's epoch-memoization
-  /// path uses it so the epoch it stamps is the epoch it combined under,
-  /// even while a publish races.
+  /// path: a recurring plan re-runs just the variance combination), under
+  /// exactly `snapshot`. The caller resolves the snapshot once, so the
+  /// epoch the prediction records is the epoch it combined under even
+  /// while a publish races. The prediction aliases both artifacts and the
+  /// snapshot — zero-copy, O(variance breakdown).
   Prediction PredictFromArtifacts(const StageArtifacts& artifacts,
                                   const CalibrationPtr& snapshot) const;
 

@@ -465,6 +465,9 @@ class NodeRunner {
     if (ctx_->Cancelled()) {
       return Status::DeadlineExceeded("execution cancelled at operator boundary");
     }
+    OpStats& st = ctx_->stats(node);
+    st.id = node.id;
+    st.type = node.type;
     UQP_ASSIGN_OR_RETURN(RowBlock block, RunImpl(node));
     if (ctx_->Cancelled()) {
       return Status::DeadlineExceeded("execution cancelled at operator boundary");
@@ -678,8 +681,6 @@ class NodeRunner {
   StatusOr<RowBlock> RunSeqScan(const PlanNode& node) {
     const Table& src = ctx_->SourceTable(node);
     OpStats& st = ctx_->stats(node);
-    st.id = node.id;
-    st.type = node.type;
     ctx_->RecordLeafRows(node.leaf_begin, static_cast<double>(src.num_rows()));
 
     RowBlock out = TableBlock(node.output_schema, src, ctx_->prov());
@@ -702,8 +703,6 @@ class NodeRunner {
   StatusOr<RowBlock> RunIndexScan(const PlanNode& node) {
     const Table& src = ctx_->SourceTable(node);
     OpStats& st = ctx_->stats(node);
-    st.id = node.id;
-    st.type = node.type;
     ctx_->RecordLeafRows(node.leaf_begin, static_cast<double>(src.num_rows()));
 
     double lo = -std::numeric_limits<double>::infinity();
@@ -761,8 +760,6 @@ class NodeRunner {
     RowBlock left, right;
     UQP_RETURN_IF_ERROR(RunChildren(node, &left, &right));
     OpStats& st = ctx_->stats(node);
-    st.id = node.id;
-    st.type = node.type;
     st.left_rows = static_cast<double>(left.num_rows());
     st.right_rows = static_cast<double>(right.num_rows());
 
@@ -833,8 +830,6 @@ class NodeRunner {
     RowBlock left, right;
     UQP_RETURN_IF_ERROR(RunChildren(node, &left, &right));
     OpStats& st = ctx_->stats(node);
-    st.id = node.id;
-    st.type = node.type;
     st.left_rows = static_cast<double>(left.num_rows());
     st.right_rows = static_cast<double>(right.num_rows());
 
@@ -926,8 +921,6 @@ class NodeRunner {
     RowBlock left, right;
     UQP_RETURN_IF_ERROR(RunChildren(node, &left, &right));
     OpStats& st = ctx_->stats(node);
-    st.id = node.id;
-    st.type = node.type;
     st.left_rows = static_cast<double>(left.num_rows());
     st.right_rows = static_cast<double>(right.num_rows());
 
@@ -965,8 +958,6 @@ class NodeRunner {
   StatusOr<RowBlock> RunSort(const PlanNode& node) {
     UQP_ASSIGN_OR_RETURN(RowBlock in, Run(*node.left));
     OpStats& st = ctx_->stats(node);
-    st.id = node.id;
-    st.type = node.type;
     st.left_rows = static_cast<double>(in.num_rows());
 
     // Fixed-shape blocked merge sort. Leaf blocks of max_batch_size rows
@@ -1102,8 +1093,6 @@ class NodeRunner {
   StatusOr<RowBlock> RunAggregate(const PlanNode& node) {
     UQP_ASSIGN_OR_RETURN(RowBlock in, Run(*node.left));
     OpStats& st = ctx_->stats(node);
-    st.id = node.id;
-    st.type = node.type;
     st.left_rows = static_cast<double>(in.num_rows());
 
     // Sharded aggregation with a pinned output contract: groups emit in
@@ -1268,8 +1257,6 @@ class NodeRunner {
   StatusOr<RowBlock> RunMaterialize(const PlanNode& node) {
     UQP_ASSIGN_OR_RETURN(RowBlock in, Run(*node.left));
     OpStats& st = ctx_->stats(node);
-    st.id = node.id;
-    st.type = node.type;
     st.left_rows = static_cast<double>(in.num_rows());
     st.actual.no += static_cast<double>(in.num_rows());
     st.actual.nt += static_cast<double>(in.num_rows());

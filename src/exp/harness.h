@@ -9,7 +9,7 @@
 
 #include "common/status.h"
 #include "core/metrics.h"
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/planner.h"

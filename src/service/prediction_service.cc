@@ -66,8 +66,8 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
   const size_t shard_count = RoundUpPow2(
       options_.cache_shards > 0 ? static_cast<size_t>(options_.cache_shards)
                                 : HardwareSlots());
-  shard_storage_.reset(new Shard[shard_count]);
-  shards_ = ShardSpan{shard_storage_.get(), shard_count};
+  shards_.reset(new Shard[shard_count]);
+  shard_count_ = shard_count;
   shard_mask_ = shard_count - 1;
   shard_bits_ = 0;
   while ((size_t{1} << shard_bits_) < shard_count) ++shard_bits_;
@@ -87,12 +87,13 @@ PredictionService::PredictionService(const Database* db, const SampleDb* samples
   const size_t slot_count = RoundUpPow2(
       std::min<size_t>(4096, std::max<size_t>(16, 2 * shard_capacity_)));
   slot_mask_ = slot_count - 1;
-  for (Shard& shard : shards_) shard.slots.reset(new SlotGroup[slot_count]);
+  for (size_t i = 0; i < shard_count; ++i) {
+    shards_[i].slots.reset(new SlotGroup[slot_count]);
+  }
   // One stripe per hardware thread, whatever the shard count: a thread
   // writes only its own stripe (Stripe()).
   const size_t stripe_count = RoundUpPow2(HardwareSlots());
-  stripes_storage_.reset(new StatsStripe[stripe_count]);
-  stripes_ = stripes_storage_.get();
+  stripes_.reset(new StatsStripe[stripe_count]);
   stripe_mask_ = stripe_count - 1;
 
   if ((options_.feedback.enabled && options_.feedback.window_size > 0) ||
@@ -324,7 +325,8 @@ void PredictionService::InvalidateCache() {
   // validates against a pre-flush entry and no in-flight run re-inserts
   // one, even in shards the sweep below hasn't reached yet.
   generation_.fetch_add(1, std::memory_order_acq_rel);
-  for (Shard& shard : shards_) {
+  for (size_t s = 0; s < shard_count_; ++s) {
+    Shard& shard = shards_[s];
     MutexLock lock(&shard.mu);
     shard.entries.clear();
     shard.ring.clear();
@@ -345,7 +347,8 @@ void PredictionService::InvalidateCache() {
 
 size_t PredictionService::cache_size() const {
   size_t total = 0;
-  for (Shard& shard : shards_) {
+  for (size_t s = 0; s < shard_count_; ++s) {
+    const Shard& shard = shards_[s];
     MutexLock lock(&shard.mu);
     total += shard.entries.size();
   }
@@ -587,7 +590,8 @@ StatusOr<Prediction> PredictionService::Serve(
     const Plan& plan) {
   StatusOr<Prediction> out = artifacts.status();
   if (artifacts.ok()) {
-    out = pipeline_.PredictFromArtifacts(artifacts.value());
+    out = pipeline_.PredictFromArtifacts(artifacts.value(),
+                                         pipeline_.calibration());
   } else if (req.ctx.allow_degraded) {
     out = MakeDegraded(req.fingerprint, plan);
   }
@@ -750,12 +754,6 @@ std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
     }
   }
   return results;
-}
-
-VarianceBreakdown PredictionService::Recompute(const Prediction& prediction,
-                                               PredictorVariant variant,
-                                               CovarianceBoundKind bound) const {
-  return pipeline_.Recompute(prediction, variant, bound);
 }
 
 uint64_t PredictionService::PublishCalibration(CostUnits units,

@@ -245,7 +245,7 @@ class PredictionService {
   const PredictionPipeline& pipeline() const { return pipeline_; }
   const ServiceOptions& options() const { return options_; }
   int num_workers() const { return pool_.num_threads() - 1; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  int num_shards() const { return static_cast<int>(shard_count_); }
 
   /// Full prediction of one plan: submit, then wait on the calling thread.
   /// A request that owns its plan's run executes the stages inline. Safe
@@ -290,14 +290,6 @@ class PredictionService {
   std::vector<StatusOr<Prediction>> PredictBatch(
       const std::vector<const Plan*>& plans,
       const RequestOptions& opts = RequestOptions());
-
-  /// Re-derives the distribution of an existing prediction under a
-  /// different variant/bound without re-running any stage (the ablation /
-  /// variant re-derivation path). Combines under the prediction's own
-  /// calibration snapshot, so the result is stable across epoch swaps.
-  VarianceBreakdown Recompute(const Prediction& prediction,
-                              PredictorVariant variant,
-                              CovarianceBoundKind bound) const;
 
   // ----- calibration-epoch lifecycle -----
 
@@ -784,17 +776,9 @@ class PredictionService {
   const Database* db_ = nullptr;
 
   // ----- sharded stage-artifact cache + in-flight dedup tables -----
-  mutable std::unique_ptr<Shard[]> shard_storage_;
-  /// Span view of shard_storage_ (mutable access from const snapshots).
-  struct ShardSpan {
-    Shard* data = nullptr;
-    size_t count = 0;
-    Shard& operator[](size_t i) const { return data[i]; }
-    size_t size() const { return count; }
-    Shard* begin() const { return data; }
-    Shard* end() const { return data + count; }
-  } shards_;
-  size_t shard_mask_ = 0;   ///< shards - 1 (shard count is a power of two)
+  std::unique_ptr<Shard[]> shards_;
+  size_t shard_count_ = 0;  ///< a power of two
+  size_t shard_mask_ = 0;   ///< shard_count_ - 1
   unsigned shard_bits_ = 0; ///< log2(shard count)
   size_t slot_mask_ = 0;    ///< per-shard published slot indexes - 1
   size_t shard_capacity_ = 0;  ///< resident entries allowed per shard
@@ -819,8 +803,7 @@ class PredictionService {
   // ----- striped counters (one stripe per thread, modulo the stripe
   // count, + classification rules that make hits + misses == predictions
   // hold by construction) -----
-  mutable std::unique_ptr<StatsStripe[]> stripes_storage_;
-  StatsStripe* stripes_ = nullptr;
+  std::unique_ptr<StatsStripe[]> stripes_;
   size_t stripe_mask_ = 0;  ///< stripes - 1 (stripe count is a power of two)
 };
 

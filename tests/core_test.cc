@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "core/metrics.h"
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "core/variance.h"
 #include "math/rng.h"
 

@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "core/montecarlo.h"
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "core/variance.h"
 #include "cost/calibration.h"
 #include "costfunc/fitter.h"

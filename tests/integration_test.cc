@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "exp/harness.h"
 #include "hw/machine.h"
@@ -195,7 +198,7 @@ TEST(PredictorBehaviour, DifferentSamplesGiveDifferentDistributions) {
   o2.seed = 200;
   const SampleDb s1 = SampleDb::Build(db, o1);
   const SampleDb s2 = SampleDb::Build(db, o2);
-  Predictor p1(&db, &s1, units), p2(&db, &s2, units);
+  PredictionPipeline p1(&db, &s1, units), p2(&db, &s2, units);
   auto d1 = p1.Predict(plan);
   auto d2 = p2.Predict(plan);
   ASSERT_TRUE(d1.ok() && d2.ok());
@@ -225,13 +228,87 @@ TEST(PredictorBehaviour, LargerSamplesShrinkSelectivityUncertainty) {
     SampleOptions options;
     options.sampling_ratio = sr;
     const SampleDb samples = SampleDb::Build(db, options);
-    Predictor predictor(&db, &samples, units);
+    PredictionPipeline predictor(&db, &samples, units);
     auto pred = predictor.Predict(plan);
     ASSERT_TRUE(pred.ok());
     const double sel_var =
         pred->breakdown.var_selectivity + pred->breakdown.var_cov_bounds;
     EXPECT_LT(sel_var, prev * 1.5);  // allow sampling noise, expect a trend
     prev = sel_var;
+  }
+}
+
+
+// ---------- Stage 3 as its own entry point (paper §5, Algorithm 3) ----------
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameBits(const VarianceBreakdown& a, const VarianceBreakdown& b) {
+  EXPECT_EQ(Bits(a.mean), Bits(b.mean));
+  EXPECT_EQ(Bits(a.variance), Bits(b.variance));
+  EXPECT_EQ(Bits(a.var_cost_units), Bits(b.var_cost_units));
+  EXPECT_EQ(Bits(a.var_selectivity), Bits(b.var_selectivity));
+  EXPECT_EQ(Bits(a.var_cov_bounds), Bits(b.var_cov_bounds));
+  for (int c = 0; c < kNumCostUnits; ++c) {
+    EXPECT_EQ(Bits(a.expected_work[c]), Bits(b.expected_work[c])) << c;
+  }
+}
+
+// Re-running only the variance combination on a prediction's own artifacts
+// and snapshot reproduces that prediction exactly, and counts as the one
+// combination Predict itself made.
+TEST(Pipeline, StageThreeEntryMatchesPredict) {
+  Database db = MakeTpchDatabase(TpchConfig::Profile("tiny"));
+  SimulatedMachine machine(MachineProfile::PC1(), 1);
+  Calibrator calibrator(&machine);
+  const CostUnits units = calibrator.Calibrate();
+  SampleOptions sample_options;
+  sample_options.sampling_ratio = 0.05;
+  const SampleDb samples = SampleDb::Build(db, sample_options);
+  const PredictorOptions options;
+  const PredictionPipeline pipeline(&db, &samples, units, options);
+
+  Rng rng(5);
+  ConstantPicker pick(&db, &rng);
+  std::vector<Plan> plans;
+  for (double fraction : {0.1, 0.4, 0.8}) {
+    JoinChainBuilder chain(&db);
+    chain.Start("lineitem",
+                pick.LessEqAtFraction("lineitem", "l_shipdate", fraction))
+        .Join("orders", nullptr, {{"lineitem.l_orderkey", "o_orderkey"}});
+    auto plan_or = OptimizePlan(chain.Finish(), db);
+    ASSERT_TRUE(plan_or.ok());
+    plans.push_back(std::move(plan_or).value());
+  }
+  JoinChainBuilder scan(&db);
+  scan.Start("orders", pick.LessEqAtFraction("orders", "o_orderdate", 0.5));
+  auto scan_or = OptimizePlan(scan.Finish(), db);
+  ASSERT_TRUE(scan_or.ok());
+  plans.push_back(std::move(scan_or).value());
+
+  for (size_t i = 0; i < plans.size(); ++i) {
+    SCOPED_TRACE(i);
+    const uint64_t before_predict = pipeline.combine_count();
+    auto p = pipeline.Predict(plans[i]);
+    ASSERT_TRUE(p.ok());
+    const uint64_t after_predict = pipeline.combine_count();
+    EXPECT_EQ(after_predict, before_predict + 1);
+
+    const Prediction q = pipeline.PredictFromArtifacts(
+        StageArtifacts{p->sample_run, p->cost_fit}, p->calibration);
+    EXPECT_EQ(pipeline.combine_count(), after_predict + 1);
+    ExpectSameBits(q.breakdown, p->breakdown);
+    EXPECT_EQ(q.sample_run.get(), p->sample_run.get());
+    EXPECT_EQ(q.cost_fit.get(), p->cost_fit.get());
+    EXPECT_EQ(q.calibration.get(), p->calibration.get());
+    EXPECT_FALSE(q.degraded);
+
+    ExpectSameBits(pipeline.Recompute(*p, options.variant, options.bound),
+                   p->breakdown);
   }
 }
 

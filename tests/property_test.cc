@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/executor.h"
@@ -131,7 +131,7 @@ TEST_P(RandomPlanProperty, EndToEndInvariantsHold) {
   }
 
   // Prediction invariants.
-  Predictor predictor(db, samples, *units);
+  PredictionPipeline predictor(db, samples, *units);
   auto pred = predictor.Predict(plan);
   ASSERT_TRUE(pred.ok()) << pred.status().ToString();
   EXPECT_TRUE(std::isfinite(pred->mean()));

@@ -19,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/predictor.h"
+#include "core/pipeline.h"
 #include "cost/calibration.h"
 #include "datagen/tpch.h"
 #include "engine/cost_model.h"
@@ -88,8 +88,8 @@ CostUnits* ServiceTest::units_ = nullptr;
 std::vector<Plan>* ServiceTest::plans_ = nullptr;
 
 TEST_F(ServiceTest, BatchBitIdenticalToSequential) {
-  // Sequential reference through the plain Predictor (no cache, no pool).
-  Predictor predictor(db_, samples_, *units_);
+  // Sequential reference through the plain pipeline (no cache, no pool).
+  PredictionPipeline predictor(db_, samples_, *units_);
   std::vector<Prediction> reference;
   for (const Plan& plan : *plans_) {
     auto pred_or = predictor.Predict(plan);
@@ -169,7 +169,7 @@ TEST_F(ServiceTest, FingerprintDistinguishesPlans) {
 TEST_F(ServiceTest, ConcurrentPredictIsRaceFree) {
   // N threads hammer Predict over a shared service (shared cache, shared
   // pipeline); every result must equal the sequential reference.
-  Predictor predictor(db_, samples_, *units_);
+  PredictionPipeline predictor(db_, samples_, *units_);
   std::vector<Prediction> reference;
   for (const Plan& plan : *plans_) {
     auto pred_or = predictor.Predict(plan);
@@ -235,13 +235,13 @@ TEST_F(ServiceTest, CacheDisabledStillCorrect) {
 
 TEST_F(ServiceTest, RecomputeMatchesPredictorRecompute) {
   PredictionService service(db_, samples_, *units_);
-  Predictor predictor(db_, samples_, *units_);
+  PredictionPipeline predictor(db_, samples_, *units_);
   auto pred_or = service.Predict((*plans_)[2]);
   ASSERT_TRUE(pred_or.ok());
   for (const auto variant : {PredictorVariant::kNoVarC, PredictorVariant::kNoVarX,
                              PredictorVariant::kNoCov}) {
-    const VarianceBreakdown s =
-        service.Recompute(*pred_or, variant, CovarianceBoundKind::kBest);
+    const VarianceBreakdown s = service.pipeline().Recompute(
+        *pred_or, variant, CovarianceBoundKind::kBest);
     const VarianceBreakdown p =
         predictor.Recompute(*pred_or, variant, CovarianceBoundKind::kBest);
     EXPECT_EQ(s.mean, p.mean);
@@ -329,7 +329,7 @@ TEST_F(ServiceTest, AsyncStormSharesOneSampleRun) {
     futures.push_back(service.PredictAsync(plan));
   }
 
-  Predictor reference(db_, samples_, *units_);
+  PredictionPipeline reference(db_, samples_, *units_);
   auto ref = reference.Predict(plan);
   ASSERT_TRUE(ref.ok());
   for (auto& f : futures) {
@@ -351,7 +351,7 @@ TEST_F(ServiceTest, AsyncStormSharesOneSampleRun) {
 
 TEST_F(ServiceTest, AsyncMatchesSyncBitIdentical) {
   PredictionService service(db_, samples_, *units_);
-  Predictor predictor(db_, samples_, *units_);
+  PredictionPipeline predictor(db_, samples_, *units_);
   std::vector<std::future<StatusOr<Prediction>>> futures;
   for (const Plan& plan : *plans_) futures.push_back(service.PredictAsync(plan));
   for (size_t i = 0; i < plans_->size(); ++i) {
@@ -497,7 +497,7 @@ TEST_F(ServiceTest, FingerprintCollisionFallsBackToMiss) {
   // Force every plan onto one 64-bit fingerprint: the structural key
   // stored with each cache entry must turn would-be false hits into
   // misses, so predictions stay bit-identical to the reference.
-  Predictor predictor(db_, samples_, *units_);
+  PredictionPipeline predictor(db_, samples_, *units_);
   ServiceOptions options;
   options.fingerprint_fn = [](const Plan&) -> uint64_t { return 42; };
   PredictionService service(db_, samples_, *units_, options);
@@ -541,7 +541,7 @@ TEST_F(ServiceTest, BatchDedupRespectsStructuralKey) {
   ServiceOptions options;
   options.fingerprint_fn = [](const Plan&) -> uint64_t { return 7; };
   PredictionService service(db_, samples_, *units_, options);
-  Predictor predictor(db_, samples_, *units_);
+  PredictionPipeline predictor(db_, samples_, *units_);
 
   std::vector<const Plan*> batch = {&(*plans_)[0], &(*plans_)[1],
                                     &(*plans_)[0], &(*plans_)[1]};
@@ -606,7 +606,7 @@ TEST_F(ServiceTest, AsyncCallerDropsPlanImmediately) {
   // copy. Under AddressSanitizer this test is what proves the old
   // capture-by-raw-pointer use-after-free is gone.
   PredictionService service(db_, samples_, *units_);
-  Predictor reference(db_, samples_, *units_);
+  PredictionPipeline reference(db_, samples_, *units_);
   auto ref = reference.Predict((*plans_)[0]);
   ASSERT_TRUE(ref.ok());
 
@@ -643,7 +643,7 @@ TEST_F(ServiceTest, AsyncStormWithDroppedPlansSharesOneCloneAndOneRun) {
     }
   };
   PredictionService service(db_, samples_, *units_, options);
-  Predictor reference(db_, samples_, *units_);
+  PredictionPipeline reference(db_, samples_, *units_);
   auto ref = reference.Predict((*plans_)[1]);
   ASSERT_TRUE(ref.ok());
 
@@ -1105,7 +1105,7 @@ TEST_F(ServiceTest, StripedStatsInvariantNeverTearsUnderMixedStorm) {
   // against a deliberately tiny cache. The striped counters must never
   // expose a snapshot where hits + misses != predictions, and predictions
   // must be monotone across polls.
-  Predictor reference(db_, samples_, *units_);
+  PredictionPipeline reference(db_, samples_, *units_);
   std::vector<Prediction> expected;
   for (const Plan& plan : *plans_) {
     auto ref = reference.Predict(plan);
@@ -1244,7 +1244,7 @@ TEST_F(ServiceTest, CalibrationSwapRecombinesLazilyWithoutTouchingStage12) {
 
   // Pre-swap predictions recompute under their own pinned snapshot:
   // referentially transparent across the swap.
-  const VarianceBreakdown re = service.Recompute(
+  const VarianceBreakdown re = service.pipeline().Recompute(
       *warm, service.options().predictor.variant,
       service.options().predictor.bound);
   EXPECT_EQ(re.mean, warm->breakdown.mean);
@@ -1303,7 +1303,7 @@ TEST_F(ServiceTest, MemoHitsCarryTheSnapshotTheyCombinedUnder) {
     EXPECT_EQ(p.calibration_epoch(), epoch);
     EXPECT_EQ(p.calibration->epoch, epoch);
     EXPECT_EQ(CalibrationSnapshotBytes(*p.calibration), *bytes);
-    const VarianceBreakdown re = service.Recompute(
+    const VarianceBreakdown re = service.pipeline().Recompute(
         p, options.predictor.variant, options.predictor.bound);
     EXPECT_EQ(re.mean, p.breakdown.mean);
     EXPECT_EQ(re.variance, p.breakdown.variance);
@@ -1337,7 +1337,7 @@ TEST_F(ServiceTest, HitsRacingPublishAndInvalidateNeverMixEpochs) {
           errors.fetch_add(1);
           continue;
         }
-        const VarianceBreakdown re = service.Recompute(
+        const VarianceBreakdown re = service.pipeline().Recompute(
             *pred, options.predictor.variant, options.predictor.bound);
         if (re.mean != pred->breakdown.mean ||
             re.variance != pred->breakdown.variance) {

@@ -523,22 +523,26 @@ class NodeRunner {
     return (total + chunk - 1) / chunk;
   }
 
-  /// Runs task indexes [0, n): on the pool when there is one and more than
-  /// one task, inline in task order otherwise.
+  /// The one pool/inline fork: runs task indexes [0, n) on the pool when
+  /// there is one and more than one task, inline in task order otherwise.
+  template <typename Fn>
+  void Dispatch(int64_t n, const Fn& fn) {
+    if (ctx_->parallel() && n >= 2) {
+      ctx_->runner()->RunTasks(n, fn);
+    } else {
+      for (int64_t t = 0; t < n; ++t) fn(t);
+    }
+  }
+
+  /// Dispatches a chunked loop's tasks with morsel-boundary cancellation:
+  /// each shard re-probes the token before its body, so a request past its
+  /// deadline stops consuming pool time within one morsel of the expiry —
+  /// without interrupting a shard that is already running.
   void RunTaskRange(int64_t n, const std::function<void(int64_t)>& fn) {
-    // Morsel-boundary cancellation: each shard re-probes the token before
-    // its body, so a request past its deadline stops consuming pool time
-    // within one morsel of the expiry — without interrupting a shard that
-    // is already running.
-    const auto guarded = [&](int64_t t) {
+    Dispatch(n, [&](int64_t t) {
       if (ctx_->Cancelled()) return;
       fn(t);
-    };
-    if (ctx_->parallel() && n >= 2) {
-      ctx_->runner()->RunTasks(n, guarded);
-    } else {
-      for (int64_t t = 0; t < n; ++t) guarded(t);
-    }
+    });
   }
 
   /// Runs `task_fn(t, rids, stats)` for every task in [0, ntasks) and
@@ -561,7 +565,7 @@ class NodeRunner {
     }
     std::vector<std::vector<uint32_t>> parts(static_cast<size_t>(ntasks));
     std::vector<OpStats> partials(static_cast<size_t>(ntasks));
-    ctx_->runner()->RunTasks(ntasks, [&](int64_t t) {
+    Dispatch(ntasks, [&](int64_t t) {
       // Morsel-boundary cancellation (see RunTaskRange): a cancelled
       // compute pass leaves empty parts; the run's output is discarded
       // at the next operator boundary, so no partial block escapes.
@@ -577,7 +581,7 @@ class NodeRunner {
     }
     out->resize(base + off[static_cast<size_t>(ntasks)]);
     // Placement: every task writes its span of the pre-sized output.
-    ctx_->runner()->RunTasks(ntasks, [&](int64_t t) {
+    Dispatch(ntasks, [&](int64_t t) {
       const std::vector<uint32_t>& part = parts[static_cast<size_t>(t)];
       std::copy(part.begin(), part.end(),
                 out->begin() + static_cast<std::ptrdiff_t>(base + off[static_cast<size_t>(t)]));
@@ -652,29 +656,28 @@ class NodeRunner {
     return sel;
   }
 
-  /// Runs both children of a binary operator, concurrently when the
-  /// intra-query pool is on (independent subtrees touch disjoint stats /
-  /// retained-block slots). Errors keep the sequential precedence: the
-  /// left child's status wins.
+  /// Runs both children of a binary operator as two tasks, concurrently
+  /// when the intra-query pool is on (independent subtrees touch disjoint
+  /// stats / retained-block slots). Errors keep the sequential precedence:
+  /// the left child's status wins, and a right child not yet started when
+  /// the left one fails never starts (inline: none of its operators runs).
+  /// Run's own entry check turns cancellation into DeadlineExceeded.
   Status RunChildren(const PlanNode& node, RowBlock* left, RowBlock* right) {
-    if (ctx_->parallel()) {
-      StatusOr<RowBlock> l = Status::Internal("left child did not run");
-      StatusOr<RowBlock> r = Status::Internal("right child did not run");
-      ctx_->runner()->RunTasks(2, [&](int64_t i) {
-        if (i == 0) {
-          l = Run(*node.left);
-        } else {
-          r = Run(*node.right);
-        }
-      });
-      if (!l.ok()) return l.status();
-      if (!r.ok()) return r.status();
-      *left = std::move(l).value();
-      *right = std::move(r).value();
-      return Status::OK();
-    }
-    UQP_ASSIGN_OR_RETURN(*left, Run(*node.left));
-    UQP_ASSIGN_OR_RETURN(*right, Run(*node.right));
+    StatusOr<RowBlock> l = Status::DeadlineExceeded("child skipped");
+    StatusOr<RowBlock> r = l.status();
+    std::atomic<bool> left_failed{false};
+    Dispatch(2, [&](int64_t i) {
+      if (i == 0) {
+        l = Run(*node.left);
+        if (!l.ok()) left_failed = true;
+      } else if (!left_failed) {
+        r = Run(*node.right);
+      }
+    });
+    if (!l.ok()) return l.status();
+    if (!r.ok()) return r.status();
+    *left = std::move(l).value();
+    *right = std::move(r).value();
     return Status::OK();
   }
 

@@ -216,7 +216,7 @@ uint64_t KeyFingerprint(const std::string& key) {
 
 }  // namespace
 
-Status Plan::Finalize(const Database& db) {
+Status Plan::Derive(const Database& db) {
   // The tree may have been edited since a previous finalization: any
   // identity describes the old structure.
   identity_ = nullptr;
@@ -226,6 +226,11 @@ Status Plan::Finalize(const Database& db) {
   UQP_RETURN_IF_ERROR(FinalizeNode(root_.get(), db, &next_id, &next_leaf));
   num_operators_ = next_id;
   num_leaves_ = next_leaf;
+  return Status::OK();
+}
+
+Status Plan::Finalize(const Database& db) {
+  UQP_RETURN_IF_ERROR(Derive(db));
   std::string key = PlanStructuralKey(*this);
   const uint64_t fingerprint = KeyFingerprint(key);
   identity_ = std::make_shared<const PlanIdentity>(

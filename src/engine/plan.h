@@ -92,6 +92,8 @@ struct PlanIdentity {
   std::string key;
 };
 
+struct PlannerConfig;
+
 /// A finalized physical plan: ids assigned, schemas derived, leaf order
 /// fixed. Leaf order is the in-order sequence of scan operators; the
 /// sampling layer uses leaf positions to bind (possibly distinct) sample
@@ -143,6 +145,14 @@ class Plan {
   }
 
  private:
+  // The planner derives the logical tree once before its rewrite and
+  // finalizes the rewritten plan; only the second pass needs the identity.
+  friend StatusOr<Plan> OptimizePlan(std::unique_ptr<PlanNode> root,
+                                     const Database& db,
+                                     const PlannerConfig& config);
+  /// Finalize without the identity: ids, schemas and leaf spans.
+  Status Derive(const Database& db);
+
   std::unique_ptr<PlanNode> root_;
   int num_operators_ = 0;
   int num_leaves_ = 0;

@@ -78,14 +78,16 @@ StatusOr<Plan> OptimizePlan(std::unique_ptr<PlanNode> root, const Database& db,
                             const PlannerConfig& config) {
   if (root == nullptr) return Status::InvalidArgument("empty logical tree");
   Plan plan(std::move(root));
-  UQP_RETURN_IF_ERROR(plan.Finalize(db));
+  // Ids, schemas and leaf spans for the estimator; the identity waits for
+  // the rewritten plan.
+  UQP_RETURN_IF_ERROR(plan.Derive(db));
 
   CardinalityEstimator cards(&db);
   const std::vector<double> rows_by_id = cards.EstimatePlan(plan);
   RewriteNode(plan.mutable_root(), db, cards, rows_by_id, config);
 
-  // Operator types changed; re-derive ids/schemas (ids are unchanged by the
-  // rewrite but Finalize also re-validates index scans).
+  // Operator types changed: the identity is computed here, once (ids are
+  // unchanged by the rewrite, but Finalize also re-validates index scans).
   UQP_RETURN_IF_ERROR(plan.Finalize(db));
   return plan;
 }

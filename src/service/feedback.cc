@@ -229,7 +229,8 @@ std::vector<FamilyFeedback> FamilyRegistry::Snapshot() const {
       out.push_back(std::move(ff));
     }
   }
-  std::sort(out.begin(), out.end(),
+  // Fingerprints are unique, so the order is total.
+  std::sort(out.begin(), out.end(),  // det-lint: sorted-output
             [](const FamilyFeedback& a, const FamilyFeedback& b) {
               return a.fingerprint < b.fingerprint;
             });

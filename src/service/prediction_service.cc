@@ -267,13 +267,11 @@ void PredictionService::UnpublishSlotLocked(Shard& shard,
   }
 }
 
-void PredictionService::CachePutLocked(Shard& shard, uint64_t fingerprint,
-                                       const IdentityPtr& identity,
-                                       Artifacts artifacts,
-                                       uint64_t generation) {
+void PredictionService::CachePutLocked(Shard& shard, const EntryPtr& entry) {
+  const uint64_t fingerprint = entry->fingerprint;
   auto it = shard.entries.find(fingerprint);
   if (it != shard.entries.end() &&
-      shard.ring[it->second]->identity->key == identity->key) {
+      shard.ring[it->second]->identity->key == entry->identity->key) {
     // A concurrent miss on the same plan got here first; both artifacts
     // are identical (deterministic stages), keep the incumbent.
     const EntryPtr& incumbent = shard.ring[it->second];
@@ -281,11 +279,6 @@ void PredictionService::CachePutLocked(Shard& shard, uint64_t fingerprint,
     PublishSlotLocked(shard, incumbent);
     return;
   }
-  auto entry = std::make_shared<CacheEntry>();
-  entry->fingerprint = fingerprint;
-  entry->identity = identity;
-  entry->artifacts = std::move(artifacts);
-  entry->generation = generation;
   size_t pos = 0;
   if (it != shard.entries.end()) {
     // Fingerprint collision with a structurally different plan: the place
@@ -316,8 +309,8 @@ void PredictionService::CachePutLocked(Shard& shard, uint64_t fingerprint,
     shard.entries.erase(shard.ring[pos]->fingerprint);
     shard.entries.emplace(fingerprint, pos);
   }
-  shard.ring[pos] = std::move(entry);
-  PublishSlotLocked(shard, shard.ring[pos]);
+  shard.ring[pos] = entry;
+  PublishSlotLocked(shard, entry);
 }
 
 void PredictionService::InvalidateCache() {
@@ -355,12 +348,12 @@ size_t PredictionService::cache_size() const {
   return total;
 }
 
-StatusOr<PredictionService::Artifacts> PredictionService::RunStages(
-    const Plan& plan, uint64_t fingerprint, const RequestContext& ctx) {
+StatusOr<PredictionService::EntryPtr> PredictionService::RunStages(
+    const Plan& plan, const Request& req, uint64_t generation) {
   StatsStripe& stripe = Stripe();
   if (options_.fault_injector != nullptr) {
     const FaultDecision decision =
-        options_.fault_injector->OnSampleRun(fingerprint);
+        options_.fault_injector->OnSampleRun(req.fingerprint);
     if (decision.latency_ms > 0.0) {
       // A degraded machine is slow first, broken second: the injected
       // latency lands before the verdict either way, so a delayed attempt
@@ -376,6 +369,7 @@ StatusOr<PredictionService::Artifacts> PredictionService::RunStages(
       return decision.status;
     }
   }
+  const RequestContext& ctx = req.ctx;
   if (ctx.Expired()) {
     // Don't start a sample run we already know we won't deliver from —
     // the pool stops spending time on this request here.
@@ -397,55 +391,62 @@ StatusOr<PredictionService::Artifacts> PredictionService::RunStages(
   }
   UQP_ASSIGN_OR_RETURN(SampleRunOutput run_out,
                        pipeline_.sample_run_stage().Run(run_in));
-  Artifacts artifacts;
-  artifacts.run = std::make_shared<const SampleRunOutput>(std::move(run_out));
+  auto entry = std::make_shared<CacheEntry>();
+  entry->fingerprint = req.fingerprint;
+  entry->identity = *req.identity;
+  entry->generation = generation;
+  entry->artifacts.run =
+      std::make_shared<const SampleRunOutput>(std::move(run_out));
   stripe.fit_runs.fetch_add(1, std::memory_order_relaxed);
   CostFitInput fit_in;
   fit_in.plan = &plan;
-  fit_in.sample_run = artifacts.run.get();
+  fit_in.sample_run = entry->artifacts.run.get();
   UQP_ASSIGN_OR_RETURN(CostFitOutput fit_out,
                        pipeline_.cost_fit_stage().Run(fit_in));
-  artifacts.fit = std::make_shared<const CostFitOutput>(std::move(fit_out));
-  return artifacts;
+  entry->artifacts.fit =
+      std::make_shared<const CostFitOutput>(std::move(fit_out));
+  return EntryPtr(std::move(entry));
 }
 
-StatusOr<PredictionService::Artifacts> PredictionService::RunOwnedStages(
-    const Plan& plan, const Request& req, const Ticket& ticket) {
+StatusOr<Prediction> PredictionService::RunOwnedStages(const Plan& plan,
+                                                      const Request& req,
+                                                      const Ticket& ticket) {
   // With the breaker off, the miss path makes no registry call.
   const bool breaker = families_ != nullptr && families_->breaker_enabled();
   StatsStripe& stripe = Stripe();
+  bool shed = false;
   if (breaker) {
     const BreakerDecision decision = families_->Admit(req.fingerprint);
     if (decision.probe) {
       stripe.breaker_probes.fetch_add(1, std::memory_order_relaxed);
     }
-    if (decision.shed) {
-      // Quarantined: stage 1 is not consulted at all (the fault injector
-      // included — a shed is invisible to the schedule's attempt count).
-      // The run still completes, so every parked continuation resolves
-      // with the same quarantine status. (A half-open probe is admitted
-      // and runs the stages normally; its verdict below closes or re-opens
-      // the family.)
-      stripe.breaker_shed.fetch_add(1, std::memory_order_relaxed);
-      const StatusOr<Artifacts> shed(
-          Status::Unavailable("plan family quarantined by circuit breaker"));
-      CompleteRun(plan, req, ticket, shed);
-      return shed;
+    // Quarantined: stage 1 is not consulted at all (the fault injector
+    // included — a shed is invisible to the schedule's attempt count).
+    // The run still completes, so every parked continuation resolves with
+    // the same quarantine status. (A half-open probe is admitted and runs
+    // the stages normally; its verdict below closes or re-opens the
+    // family.)
+    shed = decision.shed;
+    if (shed) stripe.breaker_shed.fetch_add(1, std::memory_order_relaxed);
+  }
+  const StatusOr<EntryPtr> run =
+      shed ? StatusOr<EntryPtr>(Status::Unavailable(
+                 "plan family quarantined by circuit breaker"))
+           : RunStages(plan, req, ticket.generation);
+  if (!shed) {
+    if (options_.post_stages_hook) options_.post_stages_hook();
+    // Injected faults and deadline cancellations count as failures: a run
+    // that could not complete is a failure from the family's viewpoint.
+    if (breaker && families_->OnStageResult(req.fingerprint, run.ok())) {
+      stripe.breaker_opens.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  StatusOr<Artifacts> result = RunStages(plan, req.fingerprint, req.ctx);
-  if (options_.post_stages_hook) options_.post_stages_hook();
-  // Injected faults and deadline cancellations count as failures: a run
-  // that could not complete is a failure from the family's viewpoint.
-  if (breaker && families_->OnStageResult(req.fingerprint, result.ok())) {
-    stripe.breaker_opens.fetch_add(1, std::memory_order_relaxed);
-  }
-  CompleteRun(plan, req, ticket, result);
-  return result;
+  CompleteRun(plan, req, ticket, run);
+  return Serve(req, plan, *run, run.status(), /*hit=*/false);
 }
 
-Prediction PredictionService::CombineCached(const EntryPtr& entry) {
-  MemoPtr memo = entry->combined.load();
+Prediction PredictionService::CombineCached(const CacheEntry& entry) {
+  MemoPtr memo = entry.combined.load();
   // Epochs are unique and increasing (PublishCalibration serializes
   // them), so a memo no older than the current epoch was combined under
   // the current snapshot, or one published since — serve it with zero
@@ -462,7 +463,7 @@ Prediction PredictionService::CombineCached(const EntryPtr& entry) {
     auto fresh = std::make_shared<CombineMemo>();
     fresh->epoch = snapshot->epoch;
     fresh->breakdown =
-        pipeline_.PredictFromArtifacts(entry->artifacts, snapshot).breakdown;
+        pipeline_.PredictFromArtifacts(entry.artifacts, snapshot).breakdown;
     fresh->calibration = snapshot;
     memo = std::move(fresh);
     // Benign race: a concurrent combiner under a newer epoch may be
@@ -470,12 +471,12 @@ Prediction PredictionService::CombineCached(const EntryPtr& entry) {
     // memo is a cache of deterministic work — staleness costs time, never
     // correctness (a served prediction carries the snapshot its own memo
     // was combined under).
-    entry->combined.store(memo);
+    entry.combined.store(memo);
   }
   Prediction out;
   out.breakdown = memo->breakdown;
-  out.sample_run = entry->artifacts.run;
-  out.cost_fit = entry->artifacts.fit;
+  out.sample_run = entry.artifacts.run;
+  out.cost_fit = entry.artifacts.fit;
   // Aliasing: the prediction keeps the memo (and so its snapshot) alive
   // through the memo's reference count, never the snapshot's.
   const CalibrationSnapshot* snapshot = memo->calibration.get();
@@ -499,26 +500,26 @@ PredictionService::EntryPtr PredictionService::FindEntry(
 
 void PredictionService::CompleteRun(const Plan& plan, const Request& req,
                                     const Ticket& ticket,
-                                    const StatusOr<Artifacts>& result) {
+                                    const StatusOr<EntryPtr>& run) {
   std::vector<ContinuationPtr> waiters;
   Shard& shard = ShardFor(req.fingerprint);
   {
     MutexLock lock(&shard.mu);
-    if (ticket.owned != nullptr) {
-      auto it = shard.inflight.find(req.fingerprint);
-      if (it != shard.inflight.end() && it->second == ticket.owned) {
+    const auto range = shard.inflight.equal_range(req.fingerprint);
+    for (auto it = range.first; it != range.second; ++it) {
+      if (it->second == ticket.owned) {
         shard.inflight.erase(it);
+        break;
       }
-      // Detach the continuation list under the same lock that guards
-      // parking: once the entry is unreachable no new waiter can be
-      // parked, so none is ever lost. (If InvalidateCache already detached
-      // the entry, the waiters parked before the flush are still here.)
-      waiters = std::move(ticket.owned->waiters);
     }
-    if (options_.cache_capacity > 0 && result.ok()) {
+    // Detach the continuation list under the same lock that guards
+    // parking: once the record is unreachable no new waiter can be parked,
+    // so none is ever lost. (If InvalidateCache already detached the
+    // record, the waiters parked before the flush are still here.)
+    waiters = std::move(ticket.owned->waiters);
+    if (options_.cache_capacity > 0 && run.ok()) {
       if (generation_.load(std::memory_order_acquire) == ticket.generation) {
-        CachePutLocked(shard, req.fingerprint, *req.identity, result.value(),
-                       ticket.generation);
+        CachePutLocked(shard, *run);
       } else {
         // InvalidateCache ran while this prediction was in flight: its
         // artifacts may predate the flush, drop the insert.
@@ -526,11 +527,14 @@ void PredictionService::CompleteRun(const Plan& plan, const Request& req,
       }
     }
   }
-  // Finish every parked continuation with the cheap stage-3 combination
-  // (continuation handoff). A sync or batch caller that already left at
-  // its deadline keeps its claim, and is skipped.
+  // Serve every parked continuation from the run's own entry (continuation
+  // handoff): the first one seeds the entry's stage-3 memo, and the rest,
+  // the owner and the entry's later hits reuse it. A sync or batch caller
+  // that already left at its deadline keeps its claim, and is skipped.
   for (const ContinuationPtr& w : waiters) {
-    if (w->Claim()) Deliver(*w, result, /*hit=*/true, plan);
+    if (w->Claim()) {
+      w->promise.set_value(Serve(w->req, plan, *run, run.status(), /*hit=*/true));
+    }
   }
 }
 
@@ -562,12 +566,14 @@ PredictionService::Ticket PredictionService::Route(const Request& req,
       return t;
     }
   }
-  auto it = shard.inflight.find(req.fingerprint);
-  if (it != shard.inflight.end() &&
-      it->second->identity->key == req.id().key) {
-    // The owner finishes the parked request with one cheap stage-3 run;
-    // the join is counted NOW, so a gated owner's joiners are observable
-    // while it is still mid-stages.
+  const auto range = shard.inflight.equal_range(req.fingerprint);
+  for (auto it = range.first; it != range.second; ++it) {
+    // A run for a structurally different plan (a hash collision) is not
+    // this request's run.
+    if (it->second->identity->key != req.id().key) continue;
+    // The owner serves the parked request from its run's entry; the join
+    // is counted NOW, so a gated owner's joiners are observable while it
+    // is still mid-stages.
     if (waiter == nullptr) waiter = std::make_shared<Continuation>(req);
     it->second->waiters.push_back(waiter);
     t.waiter = std::move(waiter);
@@ -575,34 +581,23 @@ PredictionService::Ticket PredictionService::Route(const Request& req,
     return t;
   }
   if (!register_owned) return t;
-  t.owner = true;
-  // The fingerprint in flight for a structurally different plan (hash
-  // collision) leaves `owned` null: run solo, without registering.
-  if (it == shard.inflight.end()) {
-    t.owned = std::make_shared<Inflight>(*req.identity);
-    shard.inflight.emplace(req.fingerprint, t.owned);
-  }
+  t.owned = std::make_shared<Inflight>(*req.identity);
+  shard.inflight.emplace(req.fingerprint, t.owned);
   return t;
 }
 
-StatusOr<Prediction> PredictionService::Serve(
-    const Request& req, const StatusOr<Artifacts>& artifacts, bool hit,
-    const Plan& plan) {
-  StatusOr<Prediction> out = artifacts.status();
-  if (artifacts.ok()) {
-    out = pipeline_.PredictFromArtifacts(artifacts.value(),
-                                         pipeline_.calibration());
-  } else if (req.ctx.allow_degraded) {
-    out = MakeDegraded(req.fingerprint, plan);
-  }
-  RecordOutcome(hit, OutcomeOf(out));
-  return out;
-}
-
-Prediction PredictionService::ServeEntry(const EntryPtr& entry,
-                                         bool lock_free) {
-  Prediction out = CombineCached(entry);
-  RecordOutcome(/*hit=*/true, Outcome::kOk, lock_free);
+StatusOr<Prediction> PredictionService::Serve(const Request& req,
+                                              const Plan& plan,
+                                              const EntryPtr& entry,
+                                              const Status& failure, bool hit,
+                                              bool lock_free) {
+  // One named result, built in place, so the return elides every copy.
+  StatusOr<Prediction> out =
+      entry != nullptr ? StatusOr<Prediction>(CombineCached(*entry))
+      : req.ctx.allow_degraded
+          ? StatusOr<Prediction>(MakeDegraded(req.fingerprint, plan))
+          : StatusOr<Prediction>(failure);
+  RecordOutcome(hit, OutcomeOf(out), lock_free);
   return out;
 }
 
@@ -611,9 +606,11 @@ StatusOr<Prediction> PredictionService::Await(Continuation& c,
   if (c.req.ctx.has_deadline &&
       c.future.wait_until(c.req.ctx.deadline) == std::future_status::timeout &&
       c.Claim()) {
-    Deliver(c, Status::DeadlineExceeded(
-                   "deadline expired waiting on the in-flight winner"),
-            /*hit=*/true, plan);
+    c.promise.set_value(Serve(
+        c.req, plan, nullptr,
+        Status::DeadlineExceeded(
+            "deadline expired waiting on the in-flight winner"),
+        /*hit=*/true));
   }
   return c.future.get();
 }
@@ -628,9 +625,11 @@ StatusOr<Prediction> PredictionService::Predict(const Plan& plan,
   if (plan.Identity() == nullptr) return RejectUnfinalized();
   const Request req = MakeRequest(plan, MakeContext(opts));
   const Ticket t = Route(req, nullptr, /*register_owned=*/true);
-  if (t.entry != nullptr) return ServeEntry(t.entry, t.lock_free);
+  if (t.entry != nullptr) {
+    return Serve(req, plan, t.entry, Status(), /*hit=*/true, t.lock_free);
+  }
   if (t.waiter != nullptr) return Await(*t.waiter, plan);
-  return Serve(req, RunOwnedStages(plan, req, t), /*hit=*/false, plan);
+  return RunOwnedStages(plan, req, t);
 }
 
 void PredictionService::RunQueued(const ContinuationPtr& c) {
@@ -640,14 +639,15 @@ void PredictionService::RunQueued(const ContinuationPtr& c) {
   // flight to park on) is still delivered.
   const Ticket t = Route(c->req, c, /*register_owned=*/!c->req.ctx.Expired());
   if (t.waiter != nullptr) return;  // the owner will finish it; worker freed
-  if (t.entry != nullptr) {
-    c->promise.set_value(ServeEntry(t.entry, t.lock_free));
+  if (t.owned != nullptr) {
+    c->promise.set_value(RunOwnedStages(*c->plan, c->req, t));
     return;
   }
-  Deliver(*c,
-          t.owner ? RunOwnedStages(*c->plan, c->req, t)
-                  : Status::DeadlineExceeded("deadline expired in the pool queue"),
-          /*hit=*/false, *c->plan);
+  const bool hit = t.entry != nullptr;
+  c->promise.set_value(Serve(
+      c->req, *c->plan, t.entry,
+      hit ? Status() : Status::DeadlineExceeded("deadline expired in the pool queue"),
+      hit, t.lock_free));
 }
 
 std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
@@ -666,7 +666,8 @@ std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
   if (t.waiter != nullptr) return std::move(t.waiter->future);
   if (t.entry != nullptr) {
     std::promise<StatusOr<Prediction>> ready;
-    ready.set_value(ServeEntry(t.entry, t.lock_free));
+    ready.set_value(
+        Serve(req, plan, t.entry, Status(), /*hit=*/true, t.lock_free));
     return ready.get_future();
   }
 
@@ -688,69 +689,40 @@ std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
 
 std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
     const std::vector<const Plan*>& plans, const RequestOptions& opts) {
-  // One request per distinct plan: plans sharing a fingerprint AND the
-  // canonical structure share it. Grouping on the structural key too
-  // keeps the cache's collision guarantee inside a batch: colliding plans
-  // form separate groups instead of silently sharing artifacts.
-  struct Group {
-    size_t slot;  ///< the first slot with this plan
-    Request req;
-    Ticket ticket;
-    StatusOr<Prediction> result = Status::Internal("batch group unresolved");
-  };
+  // Every slot is one request, routed in order like concurrent ones: a
+  // slot that repeats an earlier slot's cold plan parks on that slot's run
+  // (Route confirms the structural key, so colliding plans never share).
   const RequestContext ctx = MakeContext(opts);
-  std::vector<Group> groups;
-  std::vector<size_t> group_of(plans.size());
-  std::unordered_map<std::string, size_t> index;  // fp ‖ key -> group
-  constexpr size_t kUnfinalized = SIZE_MAX;  // group_of: resolved at once
-  for (size_t i = 0; i < plans.size(); ++i) {
+  const size_t n = plans.size();
+  std::vector<StatusOr<Prediction>> results(n, Status::Internal("unresolved"));
+  std::vector<Request> reqs(n);
+  std::vector<Ticket> tickets(n);
+  std::vector<size_t> served;  // slots with a hit or an owned run
+  for (size_t i = 0; i < n; ++i) {
     if (plans[i]->Identity() == nullptr) {
-      group_of[i] = kUnfinalized;
+      results[i] = RejectUnfinalized();
       continue;
     }
-    Request req = MakeRequest(*plans[i], ctx);
-    std::string key;
-    AppendKeyU64(&key, req.fingerprint);
-    key += req.id().key;
-    const auto [it, inserted] = index.emplace(std::move(key), groups.size());
-    group_of[i] = it->second;
-    if (!inserted) continue;
-    Ticket ticket = Route(req, nullptr, /*register_owned=*/true);
-    groups.push_back(Group{i, std::move(req), std::move(ticket)});
+    reqs[i] = MakeRequest(*plans[i], ctx);
+    tickets[i] = Route(reqs[i], nullptr, /*register_owned=*/true);
+    if (tickets[i].waiter == nullptr) served.push_back(i);
   }
 
-  // The runs this batch owns, sharded across the pool, with the stage 3
-  // of cache hits alongside. Parked groups are left to their owners, so no
-  // pool worker waits on another request's run.
-  pool_runner_.RunTasks(static_cast<int64_t>(groups.size()), [&](int64_t g) {
-    Group& gr = groups[static_cast<size_t>(g)];
-    const Plan& plan = *plans[gr.slot];
-    if (gr.ticket.entry != nullptr) {
-      gr.result = ServeEntry(gr.ticket.entry, gr.ticket.lock_free);
-    } else if (gr.ticket.owner) {
-      gr.result = Serve(gr.req, RunOwnedStages(plan, gr.req, gr.ticket),
-                        /*hit=*/false, plan);
-    }
+  // The runs this batch owns, sharded across the pool, with the hits
+  // alongside. Parked slots are left to their owners, so no pool worker
+  // waits on another request's run; an owner in this batch has completed
+  // before its joiners are awaited.
+  pool_runner_.RunTasks(static_cast<int64_t>(served.size()), [&](int64_t k) {
+    const size_t i = served[static_cast<size_t>(k)];
+    const Ticket& t = tickets[i];
+    results[i] = t.owned != nullptr
+                     ? RunOwnedStages(*plans[i], reqs[i], t)
+                     : Serve(reqs[i], *plans[i], t.entry, Status(),
+                             /*hit=*/true, t.lock_free);
   });
-  for (Group& gr : groups) {
-    if (gr.ticket.waiter != nullptr) {
-      gr.result = Await(*gr.ticket.waiter, *plans[gr.slot]);
-    }
-  }
-
-  // In-batch duplicates are served their group's result without any
-  // stage work: cache hits, each counted once.
-  std::vector<StatusOr<Prediction>> results;
-  results.reserve(plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    if (group_of[i] == kUnfinalized) {
-      results.push_back(RejectUnfinalized());
-      continue;
-    }
-    const Group& gr = groups[group_of[i]];
-    results.push_back(gr.result);
-    if (gr.slot != i) {
-      RecordOutcome(/*hit=*/true, OutcomeOf(gr.result));
+  for (size_t i = 0; i < n; ++i) {
+    if (tickets[i].waiter != nullptr) {
+      results[i] = Await(*tickets[i].waiter, *plans[i]);
     }
   }
   return results;
@@ -793,7 +765,7 @@ void PredictionService::ReportObserved(uint64_t fingerprint,
          [this, fingerprint](PredictionStash* stash, double* mean_ms) {
            const EntryPtr entry = FindEntry(fingerprint);
            if (entry != nullptr) {
-             const Prediction prediction = CombineCached(entry);
+             const Prediction prediction = CombineCached(*entry);
              stash->mean_ms = prediction.mean();
              stash->epoch = prediction.calibration->epoch;
              stash->valid = true;

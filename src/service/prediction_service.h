@@ -144,14 +144,16 @@ struct ServiceStats {
   uint64_t lockfree_hits = 0;   ///< hits served by the mutex-free published
                                 ///< slot path (subset of cache_hits)
   uint64_t inflight_joins = 0;  ///< requests that parked a continuation on
-                                ///< an in-flight miss, counted when they
-                                ///< park — observable mid-run
+                                ///< an in-flight miss (repeated cold plans
+                                ///< in one PredictBatch included), counted
+                                ///< when they park — observable mid-run
   uint64_t stale_drops = 0;     ///< cache inserts dropped by InvalidateCache generation
   uint64_t async_rejects = 0;   ///< PredictAsync calls refused after Shutdown
   // --- calibration-epoch lifecycle + feedback loop ---
   uint64_t recombines = 0;        ///< cached entries lazily re-combined after a
                                   ///< calibration swap invalidated their
-                                  ///< stage-3 memo (stage-1/2 untouched)
+                                  ///< stage-3 memo (stage-1/2 untouched);
+                                  ///< the run itself seeds the memo
   uint64_t recalibrations = 0;    ///< drift-triggered snapshot publishes
   uint64_t feedback_reports = 0;  ///< ReportObserved calls accepted
   uint64_t feedback_dropped = 0;  ///< reports with no usable error (plan never
@@ -181,8 +183,8 @@ struct ServiceStats {
 ///   - PredictAsync(plan): one prediction returned as a future; a cold
 ///     plan runs on the worker pool. Fire-and-forget safe: the caller may
 ///     destroy the plan the moment the call returns.
-///   - PredictBatch(plans): one request per distinct plan, owned runs
-///     sharded across the worker pool.
+///   - PredictBatch(plans): one request per plan, owned runs sharded
+///     across the worker pool.
 ///
 /// All three share one request path, and all three take finalized plans:
 /// a request for a plan without an identity (Plan::Identity) resolves
@@ -190,11 +192,12 @@ struct ServiceStats {
 /// lookup-and-route step ends in one of three ways: served from the
 /// artifact cache, parked as a continuation on the run already in flight
 /// for its plan, or registered as the owner of a new run. The owner runs
-/// stages 1-2 and then drains every parked continuation with the cheap
-/// stage-3 combination; a continuation is resolved exactly once, by that
-/// drain or by its own caller's deadline, whichever comes first. So a
-/// same-fingerprint storm occupies one thread, never the pool: no pool
-/// worker ever blocks on another request's run.
+/// stages 1-2 into a cache entry, caches it, and hands that same entry to
+/// every parked continuation; a continuation is resolved exactly once, by
+/// that hand-off or by its own caller's deadline, whichever comes first.
+/// So a same-fingerprint storm occupies one thread, never the pool: no
+/// pool worker ever blocks on another request's run. The owner, its
+/// joiners and the entry's later hits share the entry's one stage-3 memo.
 ///
 /// The cache and the in-flight table are sharded by fingerprint: N
 /// independent shards, each with its own mutex, entry map and CLOCK ring,
@@ -281,12 +284,13 @@ class PredictionService {
 
   /// Predicts every plan in the vector. Results are positional; each plan
   /// gets its own Status. Bit-identical to calling Predict sequentially.
-  /// Plans that share a fingerprint and structure share one request; the
-  /// runs this batch owns are sharded across the worker pool (the calling
-  /// thread participates), and the calling thread then waits on the
-  /// requests parked on other requests' runs. `opts` applies to every
-  /// plan. Every slot resolves to its own terminal status: a failed run
-  /// propagates its failure (or a degraded fallback) to each of its slots.
+  /// Every slot is one request, routed in order: a slot that repeats an
+  /// earlier slot's cold plan joins that slot's run like any concurrent
+  /// request. The runs this batch owns and its hits are sharded across the
+  /// worker pool (the calling thread participates), and the calling thread
+  /// then waits on the parked slots. `opts` applies to every plan. Every
+  /// slot resolves to its own terminal status: a failed run propagates its
+  /// failure (or a degraded fallback) to each of its joiners.
   std::vector<StatusOr<Prediction>> PredictBatch(
       const std::vector<const Plan*>& plans,
       const RequestOptions& opts = RequestOptions());
@@ -487,15 +491,15 @@ class PredictionService {
   };
   using MemoPtr = std::shared_ptr<const CombineMemo>;
 
-  /// One resident cache entry. Immutable after construction except for
-  /// the reference bit and the stage-3 memo, so concurrent lock-free
-  /// readers may copy the artifact bundle without synchronization beyond
-  /// the acquire load that reached the entry.
+  /// The result of one run, and the cache entry it becomes. Immutable
+  /// after construction except for the reference bit and the stage-3 memo,
+  /// so concurrent lock-free readers may copy the artifact bundle without
+  /// synchronization beyond the acquire load that reached the entry.
   struct CacheEntry {
     uint64_t fingerprint = 0;
     IdentityPtr identity;  ///< interned key, confirmed on every hit
     Artifacts artifacts;
-    uint64_t generation = 0;  ///< global generation at insert time
+    uint64_t generation = 0;  ///< global generation the run started under
     /// CLOCK reference bit: set by a hit, cleared by the shard's hand
     /// sweeping past on an overflowing insert (CachePutLocked). Touch
     /// stores only when the bit is clear, so the hits on a hot entry read
@@ -567,7 +571,9 @@ class PredictionService {
     size_t hand UQP_GUARDED_BY(mu) = 0;
     /// Fingerprint -> position in `ring`.
     std::unordered_map<uint64_t, size_t> entries UQP_GUARDED_BY(mu);
-    std::unordered_map<uint64_t, std::shared_ptr<Inflight>> inflight
+    /// Fingerprint -> the runs in flight: one per structure, so plans whose
+    /// fingerprints collide each get a run their duplicates can join.
+    std::unordered_multimap<uint64_t, std::shared_ptr<Inflight>> inflight
         UQP_GUARDED_BY(mu);
     /// Published entries; (power of two) groups, fixed at construction.
     /// Never resized, so concurrent element access is safe.
@@ -587,15 +593,13 @@ class PredictionService {
 
   uint64_t Fingerprint(const Plan& plan, const PlanIdentity& identity) const;
 
-  /// Where Route sent one request: at most one of {entry, waiter, owner};
+  /// Where Route sent one request: at most one of {entry, waiter, owned};
   /// none when a miss was not allowed to register.
   struct Ticket {
     EntryPtr entry;          ///< served from the cache
     bool lock_free = false;  ///< ... off the published slots
     ContinuationPtr waiter;  ///< parked on the run in flight for its plan
-    bool owner = false;      ///< runs the stages itself
-    /// The in-flight record it owns; null for a solo run beside another
-    /// plan's run on the same fingerprint (a hash collision).
+    /// The in-flight record it owns: non-null iff it runs the stages.
     std::shared_ptr<Inflight> owned;
     uint64_t generation = 0;  ///< cache generation the run started under
   };
@@ -623,15 +627,15 @@ class PredictionService {
   /// records its resolution-matrix cell.
   Ticket Route(const Request& req, ContinuationPtr waiter, bool register_owned);
 
-  /// Serves a prediction from a resident entry through its epoch memo:
-  /// if the memo's epoch is no older than the pipeline's current one, zero
-  /// combination work runs and the calibration snapshot pointer is never
-  /// loaded; otherwise the entry re-combines under the current snapshot
-  /// and republishes the memo (counted in stats().recombines when a stale
-  /// memo existed — i.e. on the first hit after a calibration swap). The
-  /// prediction's `calibration` aliases the memo's snapshot. Does NOT
-  /// classify the request — callers already did.
-  Prediction CombineCached(const EntryPtr& entry);
+  /// A prediction from an entry through its epoch memo — the service's
+  /// only stage-3 call: if the memo's epoch is no older than the
+  /// pipeline's current one, zero combination work runs and the calibration
+  /// snapshot pointer is never loaded; otherwise the entry combines under
+  /// the current snapshot and publishes the memo (counted in
+  /// stats().recombines when a stale memo existed — i.e. on the first hit
+  /// after a calibration swap). The prediction's `calibration` aliases the
+  /// memo's snapshot. Does NOT classify the request.
+  Prediction CombineCached(const CacheEntry& entry);
 
   /// Locked cache probe by fingerprint only (no identity confirmation) —
   /// the feedback path's "what do we currently predict for this family"
@@ -648,18 +652,18 @@ class PredictionService {
       UQP_REQUIRES(shard.mu);
 
   /// Runs the stages a ticket owns: breaker admission (a quarantined
-  /// family is shed without touching stage 1), the stage run, the breaker
-  /// verdict, then CompleteRun — so every parked continuation resolves,
-  /// shed or not.
-  StatusOr<Artifacts> RunOwnedStages(const Plan& plan, const Request& req,
-                                     const Ticket& ticket);
+  /// family is shed without touching stage 1), the stage run into a cache
+  /// entry, the breaker verdict, then CompleteRun — so every parked
+  /// continuation resolves, shed or not. Returns the owner's own result.
+  StatusOr<Prediction> RunOwnedStages(const Plan& plan, const Request& req,
+                                      const Ticket& ticket);
 
-  /// Publishes a finished run: removes the in-flight entry, inserts into
-  /// the cache (unless the generation moved) and resolves every parked
-  /// continuation it still can claim, with the same result — the owner's
-  /// error is the group's error, never a placeholder.
+  /// Publishes a finished run: removes the in-flight entry, inserts the
+  /// run's entry into the cache (unless the generation moved) and serves
+  /// every parked continuation it still can claim from that same entry —
+  /// or the owner's error, never a placeholder.
   void CompleteRun(const Plan& plan, const Request& req, const Ticket& ticket,
-                   const StatusOr<Artifacts>& result);
+                   const StatusOr<EntryPtr>& run);
 
   /// Waits on a parked sync or batch request. At its deadline the caller
   /// claims it and resolves it DeadlineExceeded (or degraded) itself; the
@@ -670,27 +674,22 @@ class PredictionService {
   /// warmed), registering as owner only while the deadline holds.
   void RunQueued(const ContinuationPtr& c);
 
-  /// Stage 3 from shared artifacts; a failed result becomes a degraded
-  /// fallback built from `plan` when the request opted in. Records the
-  /// request's resolution cell exactly once.
-  StatusOr<Prediction> Serve(const Request& req,
-                             const StatusOr<Artifacts>& artifacts, bool hit,
-                             const Plan& plan);
-  /// Same, served from a resident entry through its epoch memo.
-  Prediction ServeEntry(const EntryPtr& entry, bool lock_free);
-  /// Resolves a continuation with Serve's result.
-  void Deliver(Continuation& c, const StatusOr<Artifacts>& artifacts, bool hit,
-               const Plan& plan) {
-    c.promise.set_value(Serve(c.req, artifacts, hit, plan));
-  }
+  /// The one serve step of every request: a prediction from `entry`
+  /// (CombineCached), or, when `entry` is null, `failure` — or the
+  /// degraded fallback built from `plan` when the request opted in. Records
+  /// the request's resolution cell exactly once.
+  StatusOr<Prediction> Serve(const Request& req, const Plan& plan,
+                             const EntryPtr& entry, const Status& failure,
+                             bool hit, bool lock_free = false);
 
-  /// Runs stages 1-2 for the plan, outside any lock. Consults the fault
-  /// injector first (injected latency is slept here; an injected failure
-  /// returns without running stage 1), then pre-checks the deadline, then
-  /// runs the real stages with a cooperative cancellation probe derived
-  /// from the deadline (checked at operator and morsel-shard boundaries).
-  StatusOr<Artifacts> RunStages(const Plan& plan, uint64_t fingerprint,
-                                const RequestContext& ctx);
+  /// Runs stages 1-2 for the plan, outside any lock, into a new entry.
+  /// Consults the fault injector first (injected latency is slept here; an
+  /// injected failure returns without running stage 1), then pre-checks
+  /// the deadline, then runs the real stages with a cooperative
+  /// cancellation probe derived from the deadline (checked at operator and
+  /// morsel-shard boundaries).
+  StatusOr<EntryPtr> RunStages(const Plan& plan, const Request& req,
+                               uint64_t generation);
 
   /// The single resolution point of a request: bumps exactly one cell of
   /// the calling thread's stripe's [hit][outcome] matrix (every stats
@@ -724,15 +723,14 @@ class PredictionService {
   /// predicate loops around every CondVar wait.
   void MaybeSpuriousWakeup();
 
-  /// Inserts into the shard (shard mutex held) and publishes the slot. On
-  /// a lost race the incumbent wins; on a fingerprint collision the
-  /// newcomer takes its place in the ring. When the shard is at its
-  /// capacity share, the CLOCK hand sweeps from its position, clearing set
-  /// reference bits, and the newcomer replaces the first entry whose bit
-  /// is clear (after one full turn, the one under the hand).
-  void CachePutLocked(Shard& shard, uint64_t fingerprint,
-                      const IdentityPtr& identity, Artifacts artifacts,
-                      uint64_t generation) UQP_REQUIRES(shard.mu);
+  /// Inserts a run's entry into the shard (shard mutex held) and publishes
+  /// the slot. On a lost race the incumbent wins; on a fingerprint
+  /// collision the newcomer takes its place in the ring. When the shard is
+  /// at its capacity share, the CLOCK hand sweeps from its position,
+  /// clearing set reference bits, and the newcomer replaces the first entry
+  /// whose bit is clear (after one full turn, the one under the hand).
+  void CachePutLocked(Shard& shard, const EntryPtr& entry)
+      UQP_REQUIRES(shard.mu);
 
   /// Drift handler: at most one caller per cooldown re-derives the cost
   /// units (FeedbackOptions::recalibrate, run outside every lock) and

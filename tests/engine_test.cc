@@ -1546,6 +1546,27 @@ TEST(Planner, PicksIndexScanForSelectiveRange) {
   EXPECT_EQ(plan->root()->index_column, 1);
 }
 
+TEST(Planner, OptimizedPlanIdentityMatchesAFreshFinalize) {
+  Database db = MakeTestDb();
+  // Both rewrites fire: the selective scan becomes an index scan and the
+  // small inner turns the hash join into a nested loop, so an identity
+  // taken before the rewrite would describe another plan.
+  auto plan = OptimizePlan(
+      MakeHashJoin(
+          MakeSeqScan("t1", Expr::Cmp(1, CmpOp::kLe, Value::Double(3.0))),
+          MakeSeqScan("t2", NoPred()), {{0, 0}}),
+      db);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->root()->type, OpType::kNestLoopJoin);
+  ASSERT_EQ(plan->root()->left->type, OpType::kIndexScan);
+  ASSERT_NE(plan->Identity(), nullptr);
+  Plan fresh = plan->Clone();
+  ASSERT_TRUE(fresh.Finalize(db).ok());
+  ASSERT_NE(fresh.Identity(), plan->Identity());
+  EXPECT_EQ(plan->Identity()->key, fresh.Identity()->key);
+  EXPECT_EQ(plan->Identity()->fingerprint, fresh.Identity()->fingerprint);
+}
+
 TEST(Planner, KeepsSeqScanForWideRange) {
   Database db = MakeTestDb();
   auto plan = OptimizePlan(

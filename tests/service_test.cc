@@ -740,6 +740,85 @@ TEST_F(ServiceTest, AsyncPlanDroppedWhileBatchOwnsTheInflightRun) {
   EXPECT_EQ(service.stats().sample_runs, 2u);
 }
 
+TEST_F(ServiceTest, EveryJoinerSharesTheRunsOneCombination) {
+  // A cold plan's run is gated mid-stages while an async request, a sync
+  // Predict and a PredictBatch holding the plan twice all park on it. The
+  // run's cache entry serves its owner and every joiner through one
+  // stage-3 memo: one sample run, one combination, and every result
+  // bit-identical and pointer-identical to the owner's. The first hit
+  // after the run reuses the same memo.
+  ServiceOptions options;
+  options.num_workers = 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gated = false;
+  bool release = false;
+  options.post_stages_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    gated = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  PredictionService service(db_, samples_, *units_, options);
+  const Plan& plan = (*plans_)[2];
+  auto owner = service.PredictAsync(plan);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return gated; });
+  }
+  const uint64_t combines_before = service.pipeline().combine_count();
+  auto parked = service.PredictAsync(plan);
+  StatusOr<Prediction> sync = Status::Internal("sync not run");
+  std::thread sync_thread([&] { sync = service.Predict(plan); });
+  std::vector<StatusOr<Prediction>> batched;
+  std::thread batch_thread(
+      [&] { batched = service.PredictBatch({&plan, &plan}); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (service.stats().inflight_joins < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  // Both batch slots park: a repeated slot joins like any other request.
+  // (EXPECT, not ASSERT: the gate must open for the threads to join.)
+  EXPECT_EQ(service.stats().inflight_joins, 4u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  sync_thread.join();
+  batch_thread.join();
+  std::vector<StatusOr<Prediction>> results = {owner.get(), parked.get(),
+                                               sync};
+  results.insert(results.end(), batched.begin(), batched.end());
+  ASSERT_EQ(results.size(), 5u);
+
+  PredictionPipeline reference(db_, samples_, *units_);
+  auto ref = reference.Predict(plan);
+  ASSERT_TRUE(ref.ok());
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << "result " << i << ": "
+                                 << results[i].status().ToString();
+    EXPECT_EQ(results[i]->mean(), ref->mean()) << "result " << i;
+    EXPECT_EQ(results[i]->breakdown.variance, ref->breakdown.variance)
+        << "result " << i;
+    EXPECT_EQ(results[i]->sample_run.get(), results[0]->sample_run.get());
+    EXPECT_EQ(results[i]->cost_fit.get(), results[0]->cost_fit.get());
+    EXPECT_EQ(results[i]->calibration.get(), results[0]->calibration.get());
+  }
+  EXPECT_EQ(service.stats().sample_runs, 1u);
+  EXPECT_EQ(service.pipeline().combine_count(), combines_before + 1)
+      << "the owner and its four joiners must share one combination";
+
+  auto hit = service.Predict(plan);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->mean(), ref->mean());
+  EXPECT_EQ(service.pipeline().combine_count(), combines_before + 1)
+      << "the first hit must reuse the memo the run seeded";
+  EXPECT_EQ(service.stats().recombines, 0u);
+}
+
 // ---------- Continuation handoff: losers never pin a worker ----------
 
 TEST_F(ServiceTest, DedupLosersLeaveWorkersAvailable) {
@@ -1901,7 +1980,9 @@ TEST_F(ServiceTest, DeadlineBoundedJoinersDetachFromAGatedWinner) {
   EXPECT_EQ(winner.wait_for(std::chrono::seconds(0)),
             std::future_status::timeout)
       << "every joiner above must have resolved while the gate was closed";
-  EXPECT_EQ(service.stats().inflight_joins, 4u);
+  // sync + sync_soft, and both plans_[0] slots of each batch: a slot that
+  // repeats a plan parks on the run like any concurrent request.
+  EXPECT_EQ(service.stats().inflight_joins, 6u);
   {
     std::lock_guard<std::mutex> lock(mu);
     release = true;

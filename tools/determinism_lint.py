@@ -11,9 +11,11 @@ contract-path sources (src/engine, src/sampling, src/core, src/costfunc
 the SLO simulator promises byte-identical event logs at every thread
 count and must never read a real clock — plus src/service/fault.{h,cc},
 whose injected-fault schedule is a pure function of the configured seed
-so chaos runs replay bit-identically, and src/math/nnls.{h,cc}, the
-least-squares solver behind every fit; the rest of src/math stays out,
-its rank statistics sort off the prediction path) for the constructs
+so chaos runs replay bit-identically, src/service/feedback.{h,cc}, whose
+per-family feedback trajectory must not depend on the thread count, and
+src/math/nnls.{h,cc}, the least-squares solver behind every fit; the
+rest of src/math stays out, its rank statistics sort off the prediction
+path) for the constructs
 that have historically caused exactly that:
 
   banned-random        std::random_device, rand(), srand() — all sampling
@@ -58,11 +60,15 @@ CONTRACT_DIRS = ("src/engine", "src/sampling", "src/core", "src/costfunc",
 # lives in the service layer (a test/bench seam), but its schedule is
 # seed-derived by contract: the decision for (fingerprint, attempt) must be
 # a pure function of the seed — no std::random_device, no clock reads — so
-# chaos runs replay bit-identically across thread counts. The NNLS solver
+# chaos runs replay bit-identically across thread counts. The feedback
+# registry (FamilyRegistry) documents a thread-count-invariant feedback
+# trajectory, so its windows, verdicts and snapshot follow the same rules.
+# The NNLS solver
 # lives in src/math with the off-path rank statistics, but every fitted
 # coefficient comes out of it. Same rules, same waiver tags; no new waiver
 # categories.
 CONTRACT_FILES = ("src/service/fault.cc", "src/service/fault.h",
+                  "src/service/feedback.cc", "src/service/feedback.h",
                   "src/math/nnls.cc", "src/math/nnls.h")
 FIXTURE_DIR = "tests/determinism_lint"
 SOURCE_EXTS = (".cc", ".h")

@@ -299,7 +299,7 @@ Report AsyncDedupStorm(const Env& env) {
   for (int rep = 0; rep < kReps; ++rep) {
     PredictionService service(&env.db, &env.samples, env.units);
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::future<StatusOr<Prediction>>> futures;
+    std::vector<PredictionFuture> futures;
     futures.reserve(env.stream.size());
     for (const Plan* p : env.stream) futures.push_back(service.PredictAsync(*p));
     for (auto& f : futures) Require(f.get(), "async predict");
@@ -331,7 +331,7 @@ Report DropPlanLifetime(const Env& env) {
   for (int rep = 0; rep < kReps; ++rep) {
     PredictionService service(&env.db, &env.samples, env.units);
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::future<StatusOr<Prediction>>> futures;
+    std::vector<PredictionFuture> futures;
     futures.reserve(env.stream.size());
     for (const Plan* p : env.stream) {
       Plan doomed = p->Clone();
@@ -386,7 +386,7 @@ Report PoolProgress(const Env& env) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return winner_parked; });
   }
-  std::vector<std::future<StatusOr<Prediction>>> losers;
+  std::vector<PredictionFuture> losers;
   for (int i = 0; i < 16; ++i) {
     losers.push_back(service.PredictAsync(env.distinct[0]));
   }
@@ -1055,7 +1055,7 @@ Report ChaosStorm(const Env& env) {
     ++(got.ok() ? b_ok : b_failed);
   };
   for (int wave = 0; wave < kChaosWaves; ++wave) {
-    std::vector<std::future<StatusOr<Prediction>>> fa, fb;
+    std::vector<PredictionFuture> fa, fb;
     for (const Plan& p : distinct) {
       fa.push_back(a.PredictAsync(p, degraded_ok));
       fb.push_back(b.PredictAsync(p));

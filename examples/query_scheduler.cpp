@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
 #include <vector>
 
 #include "cost/calibration.h"
@@ -69,7 +68,7 @@ int main() {
   auto queries = MakeSelJoinWorkload(db, wopts);
   std::vector<Plan> plans;
   std::vector<std::string> names;
-  std::vector<std::future<StatusOr<Prediction>>> pending;
+  std::vector<PredictionFuture> pending;
   for (auto& q : queries) {
     auto plan_or = OptimizePlan(std::move(q.logical), db);
     if (!plan_or.ok()) continue;

@@ -1,11 +1,8 @@
 #include "common/logging.h"
 
-#include <atomic>
-
 namespace uqp {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -24,8 +21,7 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
+LogLevel GetLogLevel() { return LogLevel::kWarning; }
 
 namespace internal {
 

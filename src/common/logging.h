@@ -9,10 +9,9 @@ namespace uqp {
 /// Severity levels for the diagnostic logger.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
-/// Global log threshold; messages below it are dropped. Default: kWarning
-/// so that library code stays quiet in tests and benches.
+/// Log threshold; messages below it are dropped. kWarning, so that library
+/// code stays quiet in tests and benches.
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace internal {
 

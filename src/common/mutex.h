@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -63,19 +64,37 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void Wait(Mutex& mu) UQP_REQUIRES(mu) { WaitImpl(mu); }
+  /// Wait with a deadline: returns false once `deadline` has passed, true
+  /// on a wake-up before it (which, as with Wait, may be spurious).
+  template <class Clock, class Duration>
+  bool WaitUntil(Mutex& mu,
+                 const std::chrono::time_point<Clock, Duration>& deadline)
+      UQP_REQUIRES(mu) {
+    return WaitUntilImpl(mu, deadline);
+  }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:
-  // The one place the capability bookkeeping and reality diverge: the wait
-  // must release the mutex while sleeping. Hidden from the analysis here —
-  // inside common/, with this comment, per the repo's waiver policy — so
-  // every *caller* still checks.
+  // The one place the capability bookkeeping and reality diverge: a wait
+  // must release the mutex while sleeping. Both waits are hidden from the
+  // analysis here — inside common/, with this comment, per the repo's
+  // waiver policy — so every *caller* still checks.
   void WaitImpl(Mutex& mu) UQP_NO_THREAD_SAFETY_ANALYSIS {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();
+  }
+  template <class Clock, class Duration>
+  bool WaitUntilImpl(Mutex& mu,
+                     const std::chrono::time_point<Clock, Duration>& deadline)
+      UQP_NO_THREAD_SAFETY_ANALYSIS {
+    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
+    const bool woken =
+        cv_.wait_until(lock, deadline) == std::cv_status::no_timeout;
+    lock.release();
+    return woken;
   }
 
   std::condition_variable cv_;

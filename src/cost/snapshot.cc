@@ -1,6 +1,5 @@
 #include "cost/snapshot.h"
 
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -18,16 +17,6 @@ void AppendSnapshotDouble(std::string* out, double v) {
 }
 
 }  // namespace
-
-std::string CalibrationSnapshot::ToString() const {
-  char head[128];
-  std::snprintf(head, sizeof head,
-                "calibration epoch %llu (%s, %llu reports):\n",
-                static_cast<unsigned long long>(epoch),
-                source.empty() ? "?" : source.c_str(),
-                static_cast<unsigned long long>(reports_at_publish));
-  return std::string(head) + units.ToString();
-}
 
 CalibrationPtr MakeCalibrationSnapshot(CostUnits units, uint64_t epoch,
                                        std::string source,

@@ -37,8 +37,6 @@ struct CalibrationSnapshot {
   /// the offline fit) — ties a drift recalibration back to the point in
   /// the observed-runtime stream that triggered it.
   uint64_t reports_at_publish = 0;
-
-  std::string ToString() const;
 };
 
 /// Snapshots are shared, immutable and swapped atomically.

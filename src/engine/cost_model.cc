@@ -26,27 +26,6 @@ double ResourceVector::Get(int cost_unit) const {
   return 0.0;
 }
 
-void ResourceVector::Set(int cost_unit, double v) {
-  switch (cost_unit) {
-    case 0:
-      ns = v;
-      return;
-    case 1:
-      nr = v;
-      return;
-    case 2:
-      nt = v;
-      return;
-    case 3:
-      ni = v;
-      return;
-    case 4:
-      no = v;
-      return;
-  }
-  UQP_CHECK(false) << "bad cost unit index " << cost_unit;
-}
-
 double ExpectedPageFetches(double rows, double pages) {
   if (pages <= 0.0 || rows <= 0.0) return 0.0;
   // Expected number of distinct pages when `rows` tuples are spread

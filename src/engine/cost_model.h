@@ -34,7 +34,6 @@ struct ResourceVector {
   }
 
   double Get(int cost_unit) const;       ///< 0..4 = ns,nr,nt,ni,no
-  void Set(int cost_unit, double v);
 };
 
 /// Engine-wide execution parameters.

@@ -334,12 +334,12 @@ class JoinEmitter {
   }
 
   /// Appends pair (l, r)'s tuple to `dst` unless the residual rejects it,
-  /// charging the residual's comparisons to `st`. The residual reads only
-  /// the columns it references, decoded into `scratch`.
+  /// adding the residual's comparisons to the task-local count `ops`. The
+  /// residual reads only the columns it references, decoded into `scratch`.
   void Emit(int64_t l, int64_t r, Value* scratch, std::vector<uint32_t>* dst,
-            OpStats* st) const {
+            int64_t* ops) const {
     if (node_.predicate != nullptr) {
-      st->actual.no += quals_;
+      *ops += quals_;
       const int lcols = left_.schema.num_columns();
       for (int c : residual_cols_) {
         scratch[c] = c < lcols ? left_.at(l, c) : right_.at(r, c - lcols);
@@ -798,17 +798,18 @@ class NodeRunner {
       std::vector<Value> scratch(emitter.scratch_size());
       std::vector<uint64_t> hashes(static_cast<size_t>(nb));
       HashRowKeys(left, lcols, base, nb, hashes.data());
-      pst->actual.no += static_cast<double>(nb);  // probe-side hash ops
+      int64_t ops = nb;  // probe-side hash ops
       for (int64_t i = 0; i < nb; ++i) {
         const int64_t l = base + i;
         table.ForEachRow(hashes[static_cast<size_t>(i)], [&](uint32_t r) {
-          pst->actual.no += 1.0;  // chain visit / key compare
+          ++ops;  // chain visit / key compare
           if (KeysEqual(left, l, lcols, right, r, rcols)) {
-            emitter.Emit(l, r, scratch.data(), dst, pst);
+            emitter.Emit(l, r, scratch.data(), dst, &ops);
           }
           return true;
         });
       }
+      pst->actual.no += static_cast<double>(ops);
     };
     RunChunks(left.num_rows(), &out.rids, &st, probe_chunk);
     st.out_rows = static_cast<double>(out.num_rows());
@@ -903,15 +904,17 @@ class NodeRunner {
         static_cast<int64_t>(task_bounds.size()) - 1, &out.rids, &st,
         [&](int64_t t, std::vector<uint32_t>* dst, OpStats* pst) {
           std::vector<Value> scratch(emitter.scratch_size());
+          int64_t ops = 0;
           const size_t gend = task_bounds[static_cast<size_t>(t) + 1];
           for (size_t g = task_bounds[static_cast<size_t>(t)]; g < gend; ++g) {
             const EqualGroup& eq = eq_groups[g];
             for (int64_t a = eq.li; a < eq.le; ++a) {
               for (int64_t b = eq.ri; b < eq.re; ++b) {
-                emitter.Emit(a, b, scratch.data(), dst, pst);
+                emitter.Emit(a, b, scratch.data(), dst, &ops);
               }
             }
           }
+          pst->actual.no += static_cast<double>(ops);
         });
     st.out_rows = static_cast<double>(out.num_rows());
     st.actual.nt += st.out_rows;
@@ -940,15 +943,17 @@ class NodeRunner {
     const auto outer_chunk = [&](int64_t base, int64_t nb,
                                  std::vector<uint32_t>* dst, OpStats* pst) {
       std::vector<Value> scratch(emitter.scratch_size());
+      int64_t ops = 0;
       for (int64_t l = base; l < base + nb; ++l) {
-        pst->actual.no += static_cast<double>(rn);  // per-pair key comparisons
+        ops += rn;  // per-pair key comparisons
         for (int64_t r = 0; r < rn; ++r) {
           if (!lcols.empty() && !KeysEqual(left, l, lcols, right, r, rcols)) {
             continue;
           }
-          emitter.Emit(l, r, scratch.data(), dst, pst);
+          emitter.Emit(l, r, scratch.data(), dst, &ops);
         }
       }
+      pst->actual.no += static_cast<double>(ops);
     };
     RunChunks(left.num_rows(), &out.rids, &st, outer_chunk);
     st.out_rows = static_cast<double>(out.num_rows());
@@ -1003,21 +1008,24 @@ class NodeRunner {
     int64_t comparisons = 0;
     {
       // Leaf sorts: each block sorted independently, counting comparisons
-      // into its own slot.
+      // in a local and storing the count once into its own slot (adjacent
+      // slots share a cache line, so per-comparison stores would bounce it
+      // between the threads sorting neighbouring leaves).
       std::vector<int64_t> leaf_comps(static_cast<size_t>(nleaves), 0);
       RunTaskRange(nleaves, [&](int64_t l) {
         const int64_t lo = l * block;
         const int64_t hi = std::min(n, lo + block);
-        int64_t* comps = &leaf_comps[static_cast<size_t>(l)];
+        int64_t comps = 0;
         // Leaf blocks are carved by max_batch_size only (never thread
         // count), each is sorted with a total order (row_less tie-breaks
         // on rid), and the counter sums per-leaf slots in leaf order.
         // det-lint: fixed-shape
         std::sort(order.begin() + lo, order.begin() + hi,
                   [&](uint32_t a, uint32_t b) {
-                    ++*comps;
+                    ++comps;
                     return row_less(a, b);
                   });
+        leaf_comps[static_cast<size_t>(l)] = comps;
       });
       for (int64_t l = 0; l < nleaves; ++l) {
         comparisons += leaf_comps[static_cast<size_t>(l)];

@@ -108,8 +108,9 @@ PredictionService::~PredictionService() { Shutdown(); }
 void PredictionService::Shutdown() {
   // The pool drains its queue before its workers exit, so every future
   // handed out by PredictAsync before the shutdown is satisfied; a later
-  // cold PredictAsync is refused by Submit and fails fast with
-  // Status::Unavailable instead of waiting on a pool nobody drains.
+  // cold PredictAsync is refused by Submit and returns a future that is
+  // ready with Status::Unavailable instead of waiting on a pool nobody
+  // drains.
   pool_.Shutdown();
 }
 
@@ -533,7 +534,7 @@ void PredictionService::CompleteRun(const Plan& plan, const Request& req,
   // that already left at its deadline keeps its claim, and is skipped.
   for (const ContinuationPtr& w : waiters) {
     if (w->Claim()) {
-      w->promise.set_value(Serve(w->req, plan, *run, run.status(), /*hit=*/true));
+      w->Resolve(Serve(w->req, plan, *run, run.status(), /*hit=*/true));
     }
   }
 }
@@ -603,16 +604,14 @@ StatusOr<Prediction> PredictionService::Serve(const Request& req,
 
 StatusOr<Prediction> PredictionService::Await(Continuation& c,
                                               const Plan& plan) {
-  if (c.req.ctx.has_deadline &&
-      c.future.wait_until(c.req.ctx.deadline) == std::future_status::timeout &&
+  if (c.req.ctx.has_deadline && !c.WaitUntil(c.req.ctx.deadline) &&
       c.Claim()) {
-    c.promise.set_value(Serve(
-        c.req, plan, nullptr,
-        Status::DeadlineExceeded(
-            "deadline expired waiting on the in-flight winner"),
-        /*hit=*/true));
+    return Serve(c.req, plan, nullptr,
+                 Status::DeadlineExceeded(
+                     "deadline expired waiting on the in-flight winner"),
+                 /*hit=*/true);
   }
-  return c.future.get();
+  return c.Take();
 }
 
 StatusOr<Prediction> PredictionService::RejectUnfinalized() {
@@ -640,51 +639,43 @@ void PredictionService::RunQueued(const ContinuationPtr& c) {
   const Ticket t = Route(c->req, c, /*register_owned=*/!c->req.ctx.Expired());
   if (t.waiter != nullptr) return;  // the owner will finish it; worker freed
   if (t.owned != nullptr) {
-    c->promise.set_value(RunOwnedStages(*c->plan, c->req, t));
+    c->Resolve(RunOwnedStages(*c->plan, c->req, t));
     return;
   }
   const bool hit = t.entry != nullptr;
-  c->promise.set_value(Serve(
+  c->Resolve(Serve(
       c->req, *c->plan, t.entry,
       hit ? Status() : Status::DeadlineExceeded("deadline expired in the pool queue"),
       hit, t.lock_free));
 }
 
-std::future<StatusOr<Prediction>> PredictionService::PredictAsync(
-    const Plan& plan, const RequestOptions& opts) {
-  if (plan.Identity() == nullptr) {
-    std::promise<StatusOr<Prediction>> rejected;
-    rejected.set_value(RejectUnfinalized());
-    return rejected.get_future();
-  }
+PredictionFuture PredictionService::PredictAsync(const Plan& plan,
+                                                const RequestOptions& opts) {
+  if (plan.Identity() == nullptr) return PredictionFuture(RejectUnfinalized());
   // Resolved on the submitting thread, without a copy of the plan or a
   // queue trip: a hit (on a hot cache through the lock-free probe, no
-  // service mutex at all) or a continuation parked on a run already in
-  // flight (stage 3 needs only the artifacts).
+  // service mutex at all), served into a ready future, or a continuation
+  // parked on a run already in flight (stage 3 needs only the artifacts).
   const Request req = MakeRequest(plan, MakeContext(opts));
   Ticket t = Route(req, nullptr, /*register_owned=*/false);
-  if (t.waiter != nullptr) return std::move(t.waiter->future);
   if (t.entry != nullptr) {
-    std::promise<StatusOr<Prediction>> ready;
-    ready.set_value(
+    return PredictionFuture(
         Serve(req, plan, t.entry, Status(), /*hit=*/true, t.lock_free));
-    return ready.get_future();
   }
+  if (t.waiter != nullptr) return PredictionFuture(std::move(t.waiter));
 
   // Cold miss: the queued request owns a deep copy, so the caller's plan
   // is never touched after this call returns.
   auto c = std::make_shared<Continuation>(req);
   c->plan = std::make_shared<const Plan>(plan.Clone());
-  std::future<StatusOr<Prediction>> future = std::move(c->future);
   if (!pool_.Submit([this, c] { RunQueued(c); })) {
     // The pool is gone; enqueueing would leave the future unsatisfied
     // forever. Fail fast instead.
     Stripe().async_rejects.fetch_add(1, std::memory_order_relaxed);
-    c->promise.set_value(Status::Unavailable("PredictionService is shut down"));
-    return future;
+    return PredictionFuture(Status::Unavailable("PredictionService is shut down"));
   }
   MaybeSpuriousWakeup();
-  return future;
+  return PredictionFuture(std::move(c));
 }
 
 std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(

@@ -7,10 +7,12 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/mutex.h"
 #include "common/shared_cell.h"
 #include "common/status.h"
@@ -175,14 +177,17 @@ struct ServiceStats {
   uint64_t breaker_probes = 0;     ///< half-open probe runs admitted
 };
 
+class PredictionFuture;
+
 /// Thread-safe, concurrent front end to the prediction pipeline — the
 /// piece that lets the predictor sit on the admission path of a
 /// multi-user system instead of being re-instantiated per query.
 ///
 ///   - Predict(plan): one prediction, awaited on the calling thread.
-///   - PredictAsync(plan): one prediction returned as a future; a cold
-///     plan runs on the worker pool. Fire-and-forget safe: the caller may
-///     destroy the plan the moment the call returns.
+///   - PredictAsync(plan): one prediction returned as a PredictionFuture
+///     (ready at once on a hit); a cold plan runs on the worker pool.
+///     Fire-and-forget safe: the caller may destroy the plan the moment
+///     the call returns.
 ///   - PredictBatch(plans): one request per plan, owned runs sharded
 ///     across the worker pool.
 ///
@@ -261,14 +266,15 @@ class PredictionService {
   StatusOr<Prediction> Predict(const Plan& plan,
                                const RequestOptions& opts = RequestOptions());
 
-  /// Full prediction of one plan, returned as a future; returns at once.
-  /// The caller can overlap queueing/scheduling work with the prediction
-  /// and collect the result when the admission decision is due.
+  /// Full prediction of one plan, returned as a PredictionFuture; returns
+  /// at once. The caller can overlap queueing/scheduling work with the
+  /// prediction and collect the result when the admission decision is due.
   ///
   /// Ownership contract: the caller may destroy (or move) the plan
   /// immediately after this call; the future stays valid and will be
-  /// satisfied. A cache hit returns an already-ready future (on a hot
-  /// cache without touching any service mutex), and a plan already in
+  /// satisfied. A cache hit returns a ready future that holds its
+  /// prediction inline (on a hot cache without touching any service
+  /// mutex; the future adds no allocation or syscall), and a plan already in
   /// flight parks a continuation that holds no plan. Only a cold miss
   /// deep-copies the plan and queues it for the pool; the worker that
   /// dequeues it registers as its run's owner. A request whose deadline
@@ -278,9 +284,9 @@ class PredictionService {
   ///
   /// After Shutdown() the returned future is never left unsatisfied: cache
   /// hits and parked continuations are served as usual; a cold miss is
-  /// immediately ready with Status::Unavailable.
-  std::future<StatusOr<Prediction>> PredictAsync(
-      const Plan& plan, const RequestOptions& opts = RequestOptions());
+  /// ready at once with Status::Unavailable.
+  PredictionFuture PredictAsync(const Plan& plan,
+                                const RequestOptions& opts = RequestOptions());
 
   /// Predicts every plan in the vector. Results are positional; each plan
   /// gets its own Status. Bit-identical to calling Predict sequentially.
@@ -387,6 +393,8 @@ class PredictionService {
   void InvalidateCache();
 
  private:
+  friend class PredictionFuture;
+
   /// The cached (shared, immutable) stage 1-2 artifacts of one plan.
   using Artifacts = StageArtifacts;
   using IdentityPtr = std::shared_ptr<const PlanIdentity>;
@@ -428,30 +436,61 @@ class PredictionService {
   Request MakeRequest(const Plan& plan, const RequestContext& ctx) const;
 
   /// A request parked on an in-flight run, or an async request queued for
-  /// the pool. Holds no plan except the queued one's deep copy: whoever
-  /// resolves a parked continuation supplies its own plan (structurally
-  /// identical, the key was confirmed when it parked) for a degraded
-  /// fallback.
+  /// the pool, with the one-shot slot its result is delivered through. Its
+  /// resolver fills the slot once (Resolve); its one consumer — a pending
+  /// PredictionFuture, or a sync or batch caller in Await — waits on it and
+  /// moves the result out (Take). Holds no plan except the queued one's
+  /// deep copy: whoever resolves a parked continuation supplies its own
+  /// plan (structurally identical, the key was confirmed when it parked)
+  /// for a degraded fallback.
   struct Continuation {
     /// Owns a copy of the request's identity and re-points `req` at it:
     /// the caller's plan may be gone before the continuation resolves.
-    explicit Continuation(const Request& r)
-        : identity(*r.identity), req(r), future(promise.get_future()) {
+    explicit Continuation(const Request& r) : identity(*r.identity), req(r) {
       req.identity = &identity;
     }
     /// True for exactly one caller: the owner draining the waiter list or
     /// the parked caller's own deadline, whichever comes first. Only the
-    /// claimant sets the promise and records the request's outcome.
+    /// claimant resolves the request and records its outcome. (A queued
+    /// request that never parked is resolved by its pool worker alone.)
     bool Claim() { return !claimed.exchange(true, std::memory_order_acq_rel); }
+
+    /// Fills the slot and wakes its consumer. At most once.
+    void Resolve(StatusOr<Prediction> value) UQP_EXCLUDES(mu) {
+      {
+        MutexLock lock(&mu);
+        result.emplace(std::move(value));
+      }
+      ready.NotifyAll();
+    }
+    /// Waits for the slot until `deadline`; true once it is filled.
+    template <class Clock, class Duration>
+    bool WaitUntil(const std::chrono::time_point<Clock, Duration>& deadline)
+        UQP_EXCLUDES(mu) {
+      MutexLock lock(&mu);
+      while (!result.has_value()) {
+        if (!ready.WaitUntil(mu, deadline)) return result.has_value();
+      }
+      return true;
+    }
+    void Wait() UQP_EXCLUDES(mu) {
+      MutexLock lock(&mu);
+      while (!result.has_value()) ready.Wait(mu);
+    }
+    /// Waits for the slot, then moves the result out. Once.
+    StatusOr<Prediction> Take() UQP_EXCLUDES(mu) {
+      MutexLock lock(&mu);
+      while (!result.has_value()) ready.Wait(mu);
+      return std::move(*result);
+    }
 
     IdentityPtr identity;
     Request req;
     std::shared_ptr<const Plan> plan;  ///< queued async owner only
-    std::promise<StatusOr<Prediction>> promise;
-    /// Used only by the submitting caller (moved out, or waited on); a
-    /// resolver touches only `promise` and `claimed`, so they never race.
-    std::future<StatusOr<Prediction>> future;
     std::atomic<bool> claimed{false};
+    Mutex mu;
+    CondVar ready;
+    std::optional<StatusOr<Prediction>> result UQP_GUARDED_BY(mu);
   };
   using ContinuationPtr = std::shared_ptr<Continuation>;
 
@@ -665,9 +704,10 @@ class PredictionService {
   void CompleteRun(const Plan& plan, const Request& req, const Ticket& ticket,
                    const StatusOr<EntryPtr>& run);
 
-  /// Waits on a parked sync or batch request. At its deadline the caller
-  /// claims it and resolves it DeadlineExceeded (or degraded) itself; the
-  /// run it left completes, caches and drains the others normally.
+  /// Waits on a parked sync or batch request's slot and takes its result.
+  /// At its deadline the caller claims the request and returns
+  /// DeadlineExceeded (or degraded) itself, leaving the slot empty; the run
+  /// it left completes, caches and drains the others normally.
   StatusOr<Prediction> Await(Continuation& c, const Plan& plan);
 
   /// Body of one queued PredictAsync: routes again (the cache may have
@@ -803,6 +843,77 @@ class PredictionService {
   // hold by construction) -----
   std::unique_ptr<StatsStripe[]> stripes_;
   size_t stripe_mask_ = 0;  ///< stripes - 1 (stripe count is a power of two)
+};
+
+/// The result of PredictionService::PredictAsync: a move-only future of
+/// one prediction, with std::future's get, valid, wait, wait_for and
+/// wait_until. A request resolved on the submitting thread — a cache hit,
+/// an unfinalized plan, a refusal after Shutdown — returns a ready future
+/// that holds its result inline, so the future itself adds no allocation,
+/// lock or syscall. Any other request returns a pending future that holds the
+/// request's continuation, which the run's owner or the pool worker
+/// resolves once. Either kind stays valid after the service is destroyed.
+class PredictionFuture {
+ public:
+  /// No result (valid() is false), like a default std::future.
+  PredictionFuture() = default;
+  /// Takes `other`'s result, leaving `other` invalid (a defaulted move
+  /// would leave a moved-from result behind in its optional).
+  PredictionFuture(PredictionFuture&& other) noexcept
+      : ready_(std::move(other.ready_)), pending_(std::move(other.pending_)) {
+    other.ready_.reset();
+  }
+  PredictionFuture& operator=(PredictionFuture&& other) noexcept {
+    PredictionFuture taken(std::move(other));
+    std::swap(ready_, taken.ready_);
+    std::swap(pending_, taken.pending_);
+    return *this;
+  }
+  PredictionFuture(const PredictionFuture&) = delete;
+  PredictionFuture& operator=(const PredictionFuture&) = delete;
+
+  /// True until get() moves the result out.
+  bool valid() const { return ready_.has_value() || pending_ != nullptr; }
+
+  /// Waits for the result and moves it out; valid() is false afterwards.
+  StatusOr<Prediction> get() {
+    UQP_CHECK(valid()) << "PredictionFuture::get on an invalid future";
+    if (pending_ != nullptr) {
+      const PredictionService::ContinuationPtr c = std::move(pending_);
+      return c->Take();
+    }
+    StatusOr<Prediction> out = std::move(*ready_);
+    ready_.reset();
+    return out;
+  }
+
+  /// Wait calls require valid(), like std::future's.
+  void wait() const {
+    if (pending_ != nullptr) pending_->Wait();
+  }
+  template <class Rep, class Period>
+  std::future_status wait_for(
+      const std::chrono::duration<Rep, Period>& timeout) const {
+    if (pending_ == nullptr) return std::future_status::ready;
+    return wait_until(std::chrono::steady_clock::now() + timeout);
+  }
+  template <class Clock, class Duration>
+  std::future_status wait_until(
+      const std::chrono::time_point<Clock, Duration>& deadline) const {
+    return pending_ == nullptr || pending_->WaitUntil(deadline)
+               ? std::future_status::ready
+               : std::future_status::timeout;
+  }
+
+ private:
+  friend class PredictionService;
+  explicit PredictionFuture(StatusOr<Prediction> ready)
+      : ready_(std::move(ready)) {}
+  explicit PredictionFuture(PredictionService::ContinuationPtr pending)
+      : pending_(std::move(pending)) {}
+
+  std::optional<StatusOr<Prediction>> ready_;
+  PredictionService::ContinuationPtr pending_;
 };
 
 }  // namespace uqp

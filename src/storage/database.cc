@@ -20,12 +20,6 @@ const Table& Database::GetTable(const std::string& name) const {
   return *it->second;
 }
 
-Table* Database::GetMutableTable(const std::string& name) {
-  auto it = tables_.find(name);
-  UQP_CHECK(it != tables_.end()) << "no table named " << name;
-  return it->second.get();
-}
-
 std::vector<std::string> Database::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());

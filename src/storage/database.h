@@ -26,7 +26,6 @@ class Database {
 
   bool HasTable(const std::string& name) const { return tables_.count(name) > 0; }
   const Table& GetTable(const std::string& name) const;
-  Table* GetMutableTable(const std::string& name);
 
   std::vector<std::string> TableNames() const;
 

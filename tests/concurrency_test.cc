@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -250,7 +254,7 @@ TEST_F(IntraPlanRaceTest, ConcurrentAsyncPredictionsFanOutShards) {
   options.predictor.num_threads = 4;
   PredictionService service(db_, samples_, *units_, options);
   const int kRepeats = 3;
-  std::vector<std::future<StatusOr<Prediction>>> futures;
+  std::vector<PredictionFuture> futures;
   for (int rep = 0; rep < kRepeats; ++rep) {
     for (const Plan& plan : *plans_) {
       futures.push_back(service.PredictAsync(plan));
@@ -266,6 +270,95 @@ TEST_F(IntraPlanRaceTest, ConcurrentAsyncPredictionsFanOutShards) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.sample_runs, plans_->size());
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.predictions);
+}
+
+// Parked futures waited on from many threads while their owner resolves
+// them (run under TSan in CI). With the owner gated mid-stages, each
+// waiter thread polls its parked futures with short wait_until deadlines;
+// once every thread has timed out at least once, the gate opens and the
+// owner fills every continuation's slot while the waiters are still
+// polling. Each future then reads ready and delivers the owner's
+// prediction bit for bit.
+TEST_F(IntraPlanRaceTest, ParkedFuturesWaitedOnFromManyThreads) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = true;
+  bool gated = false;
+  bool release = false;
+  options.post_stages_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!armed) return;
+    armed = false;
+    gated = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  PredictionService service(db_, samples_, *units_, options);
+  const Plan& plan = (*plans_)[0];
+  auto owner = service.PredictAsync(plan);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return gated; });
+  }
+
+  constexpr int kWaiters = 4;
+  constexpr int kPerWaiter = 3;
+  std::vector<std::vector<PredictionFuture>> parked(kWaiters);
+  for (auto& futures : parked) {
+    for (int k = 0; k < kPerWaiter; ++k) {
+      futures.push_back(service.PredictAsync(plan));
+    }
+  }
+  EXPECT_EQ(service.stats().inflight_joins,
+            static_cast<uint64_t>(kWaiters * kPerWaiter));
+
+  std::atomic<int> timed_out{0};
+  std::vector<std::vector<StatusOr<Prediction>>> results(kWaiters);
+  std::vector<std::thread> waiters;
+  for (int t = 0; t < kWaiters; ++t) {
+    waiters.emplace_back([&, t] {
+      bool counted = false;
+      for (PredictionFuture& f : parked[static_cast<size_t>(t)]) {
+        while (f.wait_until(std::chrono::steady_clock::now() +
+                            std::chrono::milliseconds(1)) ==
+               std::future_status::timeout) {
+          if (!counted) {
+            counted = true;
+            timed_out.fetch_add(1);
+          }
+        }
+        results[static_cast<size_t>(t)].push_back(f.get());
+      }
+    });
+  }
+  while (timed_out.load() < kWaiters) std::this_thread::yield();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  for (std::thread& w : waiters) w.join();
+
+  const auto owned = owner.get();
+  ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+  for (const auto& per_thread : results) {
+    ASSERT_EQ(per_thread.size(), static_cast<size_t>(kPerWaiter));
+    for (const auto& got : per_thread) {
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(std::memcmp(&got->breakdown, &owned->breakdown,
+                            sizeof(VarianceBreakdown)),
+                0);
+      EXPECT_EQ(got->sample_run.get(), owned->sample_run.get());
+    }
+  }
+  for (const auto& futures : parked) {
+    for (const PredictionFuture& f : futures) EXPECT_FALSE(f.valid());
+  }
+  const ServiceStats st = service.stats();
+  EXPECT_EQ(st.sample_runs, 1u);
+  EXPECT_EQ(st.predictions, static_cast<uint64_t>(1 + kWaiters * kPerWaiter));
 }
 
 // InvalidateCache hammered from another thread while parallel sample runs
@@ -293,7 +386,7 @@ TEST_F(IntraPlanRaceTest, InvalidateCacheMidParallelRun) {
 
   const int kWaves = 6;
   for (int wave = 0; wave < kWaves; ++wave) {
-    std::vector<std::future<StatusOr<Prediction>>> futures;
+    std::vector<PredictionFuture> futures;
     for (const Plan& plan : *plans_) {
       futures.push_back(service.PredictAsync(plan));
     }
@@ -357,7 +450,7 @@ TEST_F(IntraPlanRaceTest, InvalidateCacheMidParallelSort) {
 
   const int kWaves = 4;
   for (int wave = 0; wave < kWaves; ++wave) {
-    std::vector<std::future<StatusOr<Prediction>>> futures;
+    std::vector<PredictionFuture> futures;
     futures.push_back(service.PredictAsync(plan));
     for (size_t i = 0; i < 2 && i < plans_->size(); ++i) {
       futures.push_back(service.PredictAsync((*plans_)[i]));
@@ -539,7 +632,7 @@ TEST_F(IntraPlanRaceTest, EpochSwapsRaceLockFreeHitsAndColdRuns) {
   };
 
   {
-    std::vector<std::future<StatusOr<Prediction>>> futures;
+    std::vector<PredictionFuture> futures;
     for (int rep = 0; rep < 3; ++rep) {
       for (const Plan& plan : *plans_) {
         futures.push_back(service.PredictAsync(plan));
@@ -670,7 +763,7 @@ TEST_F(IntraPlanRaceTest, FaultChaosKeepsTheOutcomeMatrixConserved) {
   uint64_t failed_seen = 0;
   uint64_t degraded_seen = 0;
   for (int wave = 0; wave < kWaves; ++wave) {
-    std::vector<std::future<StatusOr<Prediction>>> futures;
+    std::vector<PredictionFuture> futures;
     for (size_t i = 0; i < plans_->size(); ++i) {
       const bool soft = (wave + static_cast<int>(i)) % 2 == 0;
       futures.push_back(soft

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
@@ -323,7 +324,7 @@ TEST_F(ServiceTest, AsyncStormSharesOneSampleRun) {
 
   const Plan& plan = (*plans_)[0];
   constexpr int kRequests = 16;
-  std::vector<std::future<StatusOr<Prediction>>> futures;
+  std::vector<PredictionFuture> futures;
   futures.reserve(kRequests);
   for (int i = 0; i < kRequests; ++i) {
     futures.push_back(service.PredictAsync(plan));
@@ -352,7 +353,7 @@ TEST_F(ServiceTest, AsyncStormSharesOneSampleRun) {
 TEST_F(ServiceTest, AsyncMatchesSyncBitIdentical) {
   PredictionService service(db_, samples_, *units_);
   PredictionPipeline predictor(db_, samples_, *units_);
-  std::vector<std::future<StatusOr<Prediction>>> futures;
+  std::vector<PredictionFuture> futures;
   for (const Plan& plan : *plans_) futures.push_back(service.PredictAsync(plan));
   for (size_t i = 0; i < plans_->size(); ++i) {
     auto async_or = futures[i].get();
@@ -362,6 +363,117 @@ TEST_F(ServiceTest, AsyncMatchesSyncBitIdentical) {
     EXPECT_EQ(async_or->mean(), sync_or->mean()) << "plan " << i;
     EXPECT_EQ(async_or->breakdown.variance, sync_or->breakdown.variance);
   }
+}
+
+/// True when two predictions carry the same breakdown bit for bit (a
+/// memcmp, so -0.0 against 0.0 or two NaN payloads would differ too).
+bool SameBreakdownBits(const Prediction& a, const Prediction& b) {
+  return std::memcmp(&a.breakdown, &b.breakdown, sizeof(VarianceBreakdown)) ==
+         0;
+}
+
+TEST_F(ServiceTest, AsyncHitFutureIsReadyAndBitEqual) {
+  // A hit is served on the submitting thread: PredictAsync returns a future
+  // that is already ready, holding the sync path's prediction bit for bit
+  // over the same cached artifacts, and each call is one lock-free hit.
+  ServiceOptions options;
+  options.num_workers = 1;
+  PredictionService service(db_, samples_, *units_, options);
+  for (const Plan& plan : *plans_) {
+    const auto sync = service.Predict(plan);
+    ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+    const uint64_t before = service.stats().lockfree_hits;
+    for (uint64_t rep = 1; rep <= 3; ++rep) {
+      auto f = service.PredictAsync(plan);
+      ASSERT_TRUE(f.valid());
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      auto moved = std::move(f);
+      EXPECT_FALSE(f.valid()) << "a moved-from future holds no result";
+      ASSERT_TRUE(moved.valid());
+      const auto got = moved.get();
+      EXPECT_FALSE(moved.valid());
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(SameBreakdownBits(*got, *sync));
+      EXPECT_EQ(got->sample_run.get(), sync->sample_run.get());
+      EXPECT_EQ(got->cost_fit.get(), sync->cost_fit.get());
+      EXPECT_EQ(got->calibration.get(), sync->calibration.get());
+      EXPECT_EQ(service.stats().lockfree_hits, before + rep);
+    }
+  }
+  const ServiceStats st = service.stats();
+  EXPECT_EQ(st.cache_hits + st.cache_misses, st.predictions);
+}
+
+TEST_F(ServiceTest, PendingFutureResolvesOnceFromItsContinuation) {
+  // A future parked on a gated owner's run times out until the owner
+  // resolves its continuation, then reads ready; get() moves the result
+  // out once. Futures that were satisfied before the service is destroyed
+  // still deliver afterwards, both a ready hit and a resolved miss.
+  ServiceOptions options;
+  options.num_workers = 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = true;
+  bool gated = false;
+  bool release = false;
+  options.post_stages_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!armed) return;
+    armed = false;
+    gated = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  auto service =
+      std::make_unique<PredictionService>(db_, samples_, *units_, options);
+  const Plan& plan = (*plans_)[0];
+  auto owner = service->PredictAsync(plan);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return gated; });
+  }
+  auto parked = service->PredictAsync(plan);
+  ASSERT_TRUE(parked.valid());
+  EXPECT_EQ(service->stats().inflight_joins, 1u);
+  EXPECT_EQ(parked.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  EXPECT_EQ(parked.wait_until(std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(5)),
+            std::future_status::timeout);
+  EXPECT_TRUE(parked.valid()) << "a timed-out wait leaves the future pending";
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  ASSERT_EQ(parked.wait_until(std::chrono::steady_clock::now() +
+                              std::chrono::seconds(60)),
+            std::future_status::ready);
+  EXPECT_EQ(parked.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  parked.wait();
+  const auto got = parked.get();
+  EXPECT_FALSE(parked.valid());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const auto owned = owner.get();
+  ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+  EXPECT_TRUE(SameBreakdownBits(*got, *owned));
+  EXPECT_EQ(got->sample_run.get(), owned->sample_run.get());
+
+  auto hit = service->PredictAsync(plan);
+  auto miss = service->PredictAsync((*plans_)[1]);
+  miss.wait();
+  service.reset();
+  ASSERT_TRUE(hit.valid());
+  ASSERT_TRUE(miss.valid());
+  const auto hit_result = hit.get();
+  ASSERT_TRUE(hit_result.ok()) << hit_result.status().ToString();
+  EXPECT_TRUE(SameBreakdownBits(*hit_result, *owned));
+  EXPECT_EQ(hit_result->sample_run.get(), owned->sample_run.get());
+  const auto miss_result = miss.get();
+  ASSERT_TRUE(miss_result.ok()) << miss_result.status().ToString();
+  EXPECT_NE(miss_result->sample_run, nullptr);
 }
 
 // ---------- Zero-copy cached artifacts ----------
@@ -428,7 +540,7 @@ TEST_F(ServiceTest, StatsInvariantHoldsMidFlight) {
   for (int round = 0; round < 3; ++round) {
     auto results = service.PredictBatch(batch);
     for (const auto& r : results) ASSERT_TRUE(r.ok());
-    std::vector<std::future<StatusOr<Prediction>>> futures;
+    std::vector<PredictionFuture> futures;
     for (const Plan& p : *plans_) futures.push_back(service.PredictAsync(p));
     for (auto& f : futures) ASSERT_TRUE(f.get().ok());
     ASSERT_TRUE(service.Predict((*plans_)[0]).ok());
@@ -610,7 +722,7 @@ TEST_F(ServiceTest, AsyncCallerDropsPlanImmediately) {
   auto ref = reference.Predict((*plans_)[0]);
   ASSERT_TRUE(ref.ok());
 
-  std::future<StatusOr<Prediction>> future;
+  PredictionFuture future;
   {
     Plan doomed = (*plans_)[0].Clone();
     future = service.PredictAsync(doomed);
@@ -647,7 +759,7 @@ TEST_F(ServiceTest, AsyncStormWithDroppedPlansSharesOneCloneAndOneRun) {
   auto ref = reference.Predict((*plans_)[1]);
   ASSERT_TRUE(ref.ok());
 
-  std::vector<std::future<StatusOr<Prediction>>> futures;
+  std::vector<PredictionFuture> futures;
   {
     Plan doomed = (*plans_)[1].Clone();
     futures.push_back(service.PredictAsync(doomed));
@@ -711,7 +823,7 @@ TEST_F(ServiceTest, AsyncPlanDroppedWhileBatchOwnsTheInflightRun) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return in_stages.load() >= 2; });
   }
-  std::vector<std::future<StatusOr<Prediction>>> futures;
+  std::vector<PredictionFuture> futures;
   constexpr int kAsync = 4;
   for (int i = 0; i < kAsync; ++i) {
     Plan doomed = (*plans_)[0].Clone();
@@ -849,7 +961,7 @@ TEST_F(ServiceTest, DedupLosersLeaveWorkersAvailable) {
     cv.wait(lock, [&] { return winner_parked; });
   }
   constexpr int kLosers = 5;
-  std::vector<std::future<StatusOr<Prediction>>> losers;
+  std::vector<PredictionFuture> losers;
   for (int i = 0; i < kLosers; ++i) {
     losers.push_back(service.PredictAsync((*plans_)[0]));
   }
@@ -902,7 +1014,7 @@ TEST_F(ServiceTest, PoolServesRequestsInFifoOrder) {
   PredictionService service(db_, samples_, *units_, options);
 
   const size_t n = std::min<size_t>(4, plans_->size());
-  std::vector<std::future<StatusOr<Prediction>>> futures;
+  std::vector<PredictionFuture> futures;
   for (size_t i = 0; i < n; ++i) {
     futures.push_back(service.PredictAsync((*plans_)[i]));
   }
@@ -1013,7 +1125,7 @@ TEST_F(ServiceTest, ShutdownRacingAsyncLeavesNoUnsatisfiedFuture) {
     options.num_workers = 2;
     auto service =
         std::make_unique<PredictionService>(db_, samples_, *units_, options);
-    std::vector<std::future<StatusOr<Prediction>>> futures;
+    std::vector<PredictionFuture> futures;
     std::mutex futures_mu;
     std::atomic<bool> go{false};
     std::thread submitter([&] {
@@ -1217,7 +1329,7 @@ TEST_F(ServiceTest, StripedStatsInvariantNeverTearsUnderMixedStorm) {
   const int kThreads = 3;
   const int kRounds = 24;
   std::vector<std::thread> submitters;
-  std::vector<std::vector<std::pair<size_t, std::future<StatusOr<Prediction>>>>>
+  std::vector<std::vector<std::pair<size_t, PredictionFuture>>>
       futures(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
@@ -2042,7 +2154,7 @@ TEST_F(ServiceTest, DegradedFallbackFollowsTheCostOnlyFormula) {
 
   // The async path degrades identically — including for a caller that
   // destroyed its plan right after submitting (the cost is precomputed).
-  std::future<StatusOr<Prediction>> f;
+  PredictionFuture f;
   {
     Plan doomed = (*plans_)[0].Clone();
     f = service.PredictAsync(doomed, opts);
@@ -2331,7 +2443,7 @@ TEST_F(ServiceTest,
       gated = false;
       release = false;
     }
-    std::vector<std::future<StatusOr<Prediction>>> futures;
+    std::vector<PredictionFuture> futures;
     futures.push_back(service.PredictAsync((*plans_)[0], opts));
     {
       std::unique_lock<std::mutex> lock(mu);

@@ -10,6 +10,9 @@
 //
 //   build/bench/bench_service_throughput
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -1184,6 +1187,114 @@ Report ChaosStorm(const Env& env) {
   return r;
 }
 
+/// The CPUs this process may run on, in order.
+std::vector<int> AllowedCpus() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+/// Pins the calling thread to `cpu`; false if it could not.
+bool PinTo(int cpu) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  return pthread_setaffinity_np(pthread_self(), sizeof one, &one) == 0;
+}
+
+/// What a cache hit costs the caller: the number the paper's §6.4 claim
+/// (the distribution costs about what the point estimate costs) turns on
+/// for a recurring plan. Clients pinned to their own CPUs call
+/// PredictAsync(plan).get(), and in a second column Predict(plan), over a
+/// warmed service, cycling through their share of the plan pool, in three
+/// setups: one client on the whole pool; two clients on disjoint halves
+/// (no plan line shared); two clients on the whole pool (every plan line
+/// shared). Each cell is the median over rounds of the clients' mean ns
+/// per hit. Report-only, no gate: it reads the host as much as the code.
+Report HitCost(const Env& env) {
+  constexpr int kRounds = 5;
+  constexpr size_t kHitsPerRound = 400000;
+  ServiceOptions options;
+  options.num_workers = 2;
+  PredictionService service(&env.db, &env.samples, env.units, options);
+  for (const Plan& p : env.distinct) Require(service.Predict(p), "hit warmup");
+  const std::vector<int> cpus = AllowedCpus();
+  const size_t n = env.distinct.size();
+  const ServiceStats before = service.stats();
+  bool parity = true;
+
+  // ns per hit of each client, one round; client c cycles [lo[c], hi[c]).
+  const auto round = [&](bool async, const std::vector<size_t>& lo,
+                         const std::vector<size_t>& hi) {
+    const size_t clients = lo.size();
+    std::vector<double> ns(clients, 0.0);
+    std::vector<char> ok(clients, 1);
+    std::atomic<size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < clients; ++c) {
+      threads.emplace_back([&, c] {
+        if (c < cpus.size()) PinTo(cpus[c]);
+        ready.fetch_add(1);
+        while (ready.load() < clients) std::this_thread::yield();
+        const auto t0 = std::chrono::steady_clock::now();
+        size_t p = lo[c];
+        for (size_t i = 0; i < kHitsPerRound; ++i) {
+          const StatusOr<Prediction> got =
+              async ? service.PredictAsync(env.distinct[p]).get()
+                    : service.Predict(env.distinct[p]);
+          if (!got.ok()) ok[c] = 0;
+          if (++p == hi[c]) p = lo[c];
+        }
+        ns[c] = MsSince(t0) * 1e6 / static_cast<double>(kHitsPerRound);
+        // One bit check per round, outside the timed loop.
+        ok[c] = ok[c] && SameBits(service.Predict(env.distinct[lo[c]]),
+                                  env.expected[lo[c]]);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (char v : ok) parity = parity && v != 0;
+    double sum = 0.0;
+    for (double v : ns) sum += v;
+    return sum / static_cast<double>(clients);
+  };
+
+  struct Setup {
+    const char* key;
+    std::vector<size_t> lo, hi;
+  };
+  const Setup setups[] = {
+      {"one_client", {0}, {n}},
+      {"two_disjoint", {0, n / 2}, {n / 2, n}},
+      {"two_shared", {0, 0}, {n, n}},
+  };
+  Report r;
+  r.Count("plans", n);
+  r.Count("rounds", kRounds);
+  r.Count("hits_per_round", kHitsPerRound);
+  r.Flag("clients_pinned", cpus.size() >= 2);
+  for (const Setup& s : setups) {
+    for (const bool async : {true, false}) {
+      std::vector<double> rounds;
+      for (int k = 0; k < kRounds; ++k) rounds.push_back(round(async, s.lo, s.hi));
+      r.Num((std::string(s.key) + (async ? "_async_ns" : "_sync_ns")).c_str(),
+            perfbench::Median(rounds), 1);
+    }
+  }
+  const ServiceStats after = service.stats();
+  r.Count("sample_runs_while_timed", after.sample_runs - before.sample_runs);
+  r.Num("lockfree_share",
+        static_cast<double>(after.lockfree_hits - before.lockfree_hits) /
+            static_cast<double>(after.cache_hits - before.cache_hits),
+        4);
+  r.Flag("parity", parity);
+  return r;
+}
+
 // ---------------------------------------------------------------------------
 // The scenario table and its writer.
 // ---------------------------------------------------------------------------
@@ -1204,6 +1315,7 @@ const Scenario kScenarios[] = {
     {"open-loop storm", false, OpenLoopStorm},
     {"drift_storm", true, DriftStorm},
     {"chaos_storm", true, ChaosStorm},
+    {"hit_cost", true, HitCost},
 };
 
 /// Prints each scenario's metrics, then one PASS/FAIL line per gate, then

@@ -17,7 +17,8 @@ namespace uqp {
 /// (C++20's std::atomic<std::shared_ptr> has the same design in libstdc++;
 /// this tree builds as C++17.)
 ///
-/// The critical sections are a pointer copy or swap, so a waiter spins on
+/// The critical sections are a pointer copy or swap, or a Read callback
+/// of a few loads and reference-count increments, so a waiter spins on
 /// the byte and yields its time slice while the holder finishes. store()
 /// releases the old value after unlocking, so the destructor of the last
 /// reference never runs under the lock. Outside the mutex capability
@@ -34,6 +35,18 @@ class SharedCell {
   std::shared_ptr<T> load() const {
     Lock();
     std::shared_ptr<T> out = value_;
+    Unlock();
+    return out;
+  }
+
+  /// Calls fn(const std::shared_ptr<T>&) on the held value under the
+  /// lock and returns its result: a reader that only checks the value, or
+  /// copies pointers that alias it, takes no reference on it. `fn` must be
+  /// short, must not throw and must not touch this cell.
+  template <typename Fn>
+  auto Read(Fn&& fn) const {
+    Lock();
+    auto out = fn(value_);
     Unlock();
     return out;
   }

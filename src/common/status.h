@@ -69,8 +69,9 @@ class Status {
 template <typename T>
 class StatusOr {
  public:
-  StatusOr(T value) : status_(Status::OK()), value_(std::move(value)) {}  // NOLINT
-  StatusOr(Status status) : status_(std::move(status)) {}                 // NOLINT
+  StatusOr(const T& value) : value_(value) {}              // NOLINT
+  StatusOr(T&& value) : value_(std::move(value)) {}        // NOLINT
+  StatusOr(Status status) : status_(std::move(status)) {}  // NOLINT
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }

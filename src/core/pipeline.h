@@ -104,8 +104,9 @@ struct Prediction {
   /// units from two epochs even while a new snapshot is being published
   /// concurrently. Non-null for every pipeline-produced prediction. A
   /// prediction the service serves from its cache holds the snapshot
-  /// through the entry's stage-3 memo (an aliasing pointer): get() is the
-  /// snapshot itself, and the snapshot lives as long as the prediction.
+  /// through the cache entry (an aliasing pointer, like sample_run and
+  /// cost_fit): get() is the snapshot itself, and the snapshot lives as
+  /// long as the prediction.
   CalibrationPtr calibration;
   uint64_t calibration_epoch() const {
     return calibration != nullptr ? calibration->epoch : 0;

@@ -133,19 +133,16 @@ PredictionService::StatsStripe& PredictionService::Stripe() const {
   return stripes_[ThisThreadIndex() & stripe_mask_];
 }
 
-void PredictionService::RecordOutcome(bool hit, Outcome outcome,
-                                      bool lock_free) {
-  StatsStripe& stripe = Stripe();
+void PredictionService::RecordOutcome(Source source, Outcome outcome) {
   // Exactly one matrix cell moves per request, and every reported
-  // aggregate (predictions, the hit/miss split, the outcome split) is a
-  // sum over cells — neither invariant can tear. (inflight_joins is NOT
-  // bumped here: joiners are counted when they park in Route, so tests can
-  // observe the join while the owner is still mid-stages.)
-  stripe.outcome[hit ? 1 : 0][static_cast<size_t>(outcome)].fetch_add(
-      1, std::memory_order_relaxed);
-  if (lock_free) {
-    stripe.lockfree_hits.fetch_add(1, std::memory_order_relaxed);
-  }
+  // aggregate (predictions, the hit/miss/lock-free split, the outcome
+  // split) is a sum over cells — neither invariant can tear.
+  // (inflight_joins is NOT bumped here: joiners are counted when they park
+  // in Route, so tests can observe the join while the owner is still
+  // mid-stages.)
+  Stripe()
+      .outcome[static_cast<size_t>(source)][static_cast<size_t>(outcome)]
+      .fetch_add(1, std::memory_order_relaxed);
 }
 
 PredictionService::RequestContext PredictionService::MakeContext(
@@ -202,31 +199,35 @@ void PredictionService::MaybeSpuriousWakeup() {
   Stripe().spurious_wakeups.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool PredictionService::TryLockFreeHit(uint64_t fingerprint,
-                                       const PlanIdentity& identity,
-                                       EntryPtr* out) {
+bool PredictionService::TryLockFreeHit(const Request& req, Prediction* out) {
   if (!options_.lock_free_hits || options_.cache_capacity == 0) return false;
-  SlotGroup& group = SlotsFor(ShardFor(fingerprint), fingerprint);
-  for (SharedCell<const CacheEntry>& way : group.ways) {
-    EntryPtr entry = way.load();
-    if (entry == nullptr || entry->fingerprint != fingerprint) continue;
-    // An entry inserted before the last InvalidateCache must not be
-    // served: validate its insert generation against the global counter,
-    // so a stale published slot fails here even before the flush sweep
-    // reaches it.
-    if (entry->generation != generation_.load(std::memory_order_acquire)) {
-      continue;
-    }
-    // Confirm the canonical structure (64-bit collisions degrade to the
-    // locked path, which treats them as misses). The interned identity
-    // makes the common case a pointer compare.
-    if (entry->identity.get() != &identity &&
-        entry->identity->key != identity.key) {
-      continue;
-    }
-    entry->Touch();
-    *out = std::move(entry);
-    return true;
+  // An entry inserted before the last InvalidateCache must not be served:
+  // its insert generation is validated against the global counter, so a
+  // stale published slot fails here even before the flush sweep reaches
+  // it. An entry combined under an older calibration epoch is left to the
+  // locked path, which re-combines it.
+  const uint64_t generation = generation_.load(std::memory_order_acquire);
+  const uint64_t epoch = pipeline_.calibration_epoch();
+  const PlanIdentity& identity = req.id();
+  for (const SharedCell<const CacheEntry>& way :
+       SlotsFor(ShardFor(req.fingerprint), req.fingerprint).ways) {
+    const bool hit = way.Read([&](const EntryPtr& entry) {
+      if (entry == nullptr || entry->fingerprint != req.fingerprint ||
+          entry->generation != generation || entry->epoch < epoch) {
+        return false;
+      }
+      // Confirm the canonical structure (64-bit collisions degrade to the
+      // locked path, which treats them as misses). The interned identity
+      // makes the common case a pointer compare.
+      if (entry->identity.get() != &identity &&
+          entry->identity->key != identity.key) {
+        return false;
+      }
+      entry->Touch();
+      ServeInto(entry, out);
+      return true;
+    });
+    if (hit) return true;
   }
   return false;
 }
@@ -238,33 +239,33 @@ void PredictionService::PublishSlotLocked(Shard& shard, const EntryPtr& entry) {
   // hand last passed it. Two hot plans sharing one slot index thus each
   // keep a way and both stay on the lock-free path — a single-way design
   // would let them displace each other on every publish.
+  constexpr int kSameFingerprint = 3;
   SharedCell<const CacheEntry>* victim = &group.ways[0];
-  int best = -1;  // 2 = empty, 1 = reference bit clear, 0 = set
+  int best = -1;  // 3 = this fingerprint, 2 = empty, 1 = bit clear, 0 = set
   for (SharedCell<const CacheEntry>& way : group.ways) {
-    const EntryPtr cur = way.load();
-    if (cur != nullptr && cur->fingerprint == entry->fingerprint) {
-      victim = &way;
-      break;
-    }
-    const int rank =
-        cur == nullptr ? 2
-                       : (cur->referenced.load(std::memory_order_relaxed) ? 0 : 1);
+    const int rank = way.Read([&](const EntryPtr& cur) {
+      if (cur == nullptr) return 2;
+      if (cur->fingerprint == entry->fingerprint) return kSameFingerprint;
+      return cur->referenced.load(std::memory_order_relaxed) ? 0 : 1;
+    });
     if (rank > best) {
       victim = &way;
       best = rank;
     }
+    if (rank == kSameFingerprint) break;
   }
   victim->store(entry);
 }
 
-void PredictionService::UnpublishSlotLocked(Shard& shard,
-                                            const EntryPtr& entry) {
+void PredictionService::ReplaceSlotLocked(Shard& shard, const EntryPtr& entry,
+                                          const EntryPtr& replacement) {
   for (SharedCell<const CacheEntry>& way :
        SlotsFor(shard, entry->fingerprint).ways) {
-    // Clear only the way still pointing at this entry; concurrent
-    // lock-free readers that already loaded the pointer keep the entry
-    // alive through their shared_ptr.
-    if (way.load() == entry) way.store(nullptr);
+    // Only a way still pointing at this entry; a lock-free hit that already
+    // copied its prediction keeps the entry alive through those pointers.
+    if (way.Read([&](const EntryPtr& cur) { return cur == entry; })) {
+      way.store(replacement);
+    }
   }
 }
 
@@ -286,7 +287,7 @@ void PredictionService::CachePutLocked(Shard& shard, const EntryPtr& entry) {
     // goes to the newcomer, the most recent user.
     pos = it->second;
     entry->Touch();
-    UnpublishSlotLocked(shard, shard.ring[pos]);
+    ReplaceSlotLocked(shard, shard.ring[pos], nullptr);
   } else if (shard.ring.size() < shard_capacity_) {
     pos = shard.ring.size();
     shard.ring.emplace_back();
@@ -306,7 +307,7 @@ void PredictionService::CachePutLocked(Shard& shard, const EntryPtr& entry) {
     }
     pos = shard.hand;
     if (++shard.hand == n) shard.hand = 0;
-    UnpublishSlotLocked(shard, shard.ring[pos]);
+    ReplaceSlotLocked(shard, shard.ring[pos], nullptr);
     shard.entries.erase(shard.ring[pos]->fingerprint);
     shard.entries.emplace(fingerprint, pos);
   }
@@ -349,8 +350,8 @@ size_t PredictionService::cache_size() const {
   return total;
 }
 
-StatusOr<PredictionService::EntryPtr> PredictionService::RunStages(
-    const Plan& plan, const Request& req, uint64_t generation) {
+StatusOr<PredictionService::Artifacts> PredictionService::RunStages(
+    const Plan& plan, const Request& req) {
   StatsStripe& stripe = Stripe();
   if (options_.fault_injector != nullptr) {
     const FaultDecision decision =
@@ -392,21 +393,16 @@ StatusOr<PredictionService::EntryPtr> PredictionService::RunStages(
   }
   UQP_ASSIGN_OR_RETURN(SampleRunOutput run_out,
                        pipeline_.sample_run_stage().Run(run_in));
-  auto entry = std::make_shared<CacheEntry>();
-  entry->fingerprint = req.fingerprint;
-  entry->identity = *req.identity;
-  entry->generation = generation;
-  entry->artifacts.run =
-      std::make_shared<const SampleRunOutput>(std::move(run_out));
+  Artifacts artifacts;
+  artifacts.run = std::make_shared<const SampleRunOutput>(std::move(run_out));
   stripe.fit_runs.fetch_add(1, std::memory_order_relaxed);
   CostFitInput fit_in;
   fit_in.plan = &plan;
-  fit_in.sample_run = entry->artifacts.run.get();
+  fit_in.sample_run = artifacts.run.get();
   UQP_ASSIGN_OR_RETURN(CostFitOutput fit_out,
                        pipeline_.cost_fit_stage().Run(fit_in));
-  entry->artifacts.fit =
-      std::make_shared<const CostFitOutput>(std::move(fit_out));
-  return EntryPtr(std::move(entry));
+  artifacts.fit = std::make_shared<const CostFitOutput>(std::move(fit_out));
+  return artifacts;
 }
 
 StatusOr<Prediction> PredictionService::RunOwnedStages(const Plan& plan,
@@ -430,78 +426,86 @@ StatusOr<Prediction> PredictionService::RunOwnedStages(const Plan& plan,
     shed = decision.shed;
     if (shed) stripe.breaker_shed.fetch_add(1, std::memory_order_relaxed);
   }
-  const StatusOr<EntryPtr> run =
-      shed ? StatusOr<EntryPtr>(Status::Unavailable(
+  StatusOr<Artifacts> artifacts =
+      shed ? StatusOr<Artifacts>(Status::Unavailable(
                  "plan family quarantined by circuit breaker"))
-           : RunStages(plan, req, ticket.generation);
+           : RunStages(plan, req);
   if (!shed) {
     if (options_.post_stages_hook) options_.post_stages_hook();
     // Injected faults and deadline cancellations count as failures: a run
     // that could not complete is a failure from the family's viewpoint.
-    if (breaker && families_->OnStageResult(req.fingerprint, run.ok())) {
+    if (breaker && families_->OnStageResult(req.fingerprint, artifacts.ok())) {
       stripe.breaker_opens.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  CompleteRun(plan, req, ticket, run);
-  return Serve(req, plan, *run, run.status(), /*hit=*/false);
+  // The run's one combination, after the hook and before the entry is
+  // cached: the owner, its joiners and the entry's hits all serve it.
+  StatusOr<EntryPtr> run = artifacts.status();
+  if (artifacts.ok()) {
+    run = MakeEntry(req.fingerprint, *req.identity,
+                    std::move(artifacts).value(), ticket.generation);
+  }
+  return CompleteRun(plan, req, ticket, std::move(run));
 }
 
-Prediction PredictionService::CombineCached(const CacheEntry& entry) {
-  MemoPtr memo = entry.combined.load();
-  // Epochs are unique and increasing (PublishCalibration serializes
-  // them), so a memo no older than the current epoch was combined under
-  // the current snapshot, or one published since — serve it with zero
-  // combination work, without loading the snapshot pointer.
-  if (memo == nullptr || memo->epoch < pipeline_.calibration_epoch()) {
-    const CalibrationPtr snapshot = pipeline_.calibration();
-    if (memo != nullptr) {
-      // A stale memo means a calibration swap landed since this entry last
-      // served: this lazy per-entry re-combination is the entire
-      // invalidation cost of a swap — the stage-1/2 artifacts are reused
-      // untouched.
-      Stripe().recombines.fetch_add(1, std::memory_order_relaxed);
-    }
-    auto fresh = std::make_shared<CombineMemo>();
-    fresh->epoch = snapshot->epoch;
-    fresh->breakdown =
-        pipeline_.PredictFromArtifacts(entry.artifacts, snapshot).breakdown;
-    fresh->calibration = snapshot;
-    memo = std::move(fresh);
-    // Benign race: a concurrent combiner under a newer epoch may be
-    // overwritten by this older store; the next hit just re-combines. The
-    // memo is a cache of deterministic work — staleness costs time, never
-    // correctness (a served prediction carries the snapshot its own memo
-    // was combined under).
-    entry.combined.store(memo);
-  }
-  Prediction out;
-  out.breakdown = memo->breakdown;
-  out.sample_run = entry.artifacts.run;
-  out.cost_fit = entry.artifacts.fit;
-  // Aliasing: the prediction keeps the memo (and so its snapshot) alive
-  // through the memo's reference count, never the snapshot's.
-  const CalibrationSnapshot* snapshot = memo->calibration.get();
-  out.calibration = CalibrationPtr(memo, snapshot);
-  return out;
-}
-
-PredictionService::EntryPtr PredictionService::FindEntry(
-    uint64_t fingerprint) const {
-  if (options_.cache_capacity == 0) return nullptr;
-  Shard& shard = ShardFor(fingerprint);
-  MutexLock lock(&shard.mu);
-  auto it = shard.entries.find(fingerprint);
-  if (it == shard.entries.end()) return nullptr;
-  const EntryPtr& entry = shard.ring[it->second];
-  if (entry->generation != generation_.load(std::memory_order_acquire)) {
-    return nullptr;
-  }
+PredictionService::EntryPtr PredictionService::MakeEntry(
+    uint64_t fingerprint, IdentityPtr identity, Artifacts artifacts,
+    uint64_t generation) const {
+  Prediction combined =
+      pipeline_.PredictFromArtifacts(artifacts, pipeline_.calibration());
+  auto entry = std::make_shared<CacheEntry>();
+  entry->fingerprint = fingerprint;
+  entry->identity = std::move(identity);
+  entry->artifacts = std::move(artifacts);
+  entry->generation = generation;
+  entry->epoch = combined.calibration->epoch;
+  entry->calibration = std::move(combined.calibration);
+  entry->breakdown = combined.breakdown;
   return entry;
 }
 
-void PredictionService::CompleteRun(const Plan& plan, const Request& req,
-                                    const Ticket& ticket,
-                                    const StatusOr<EntryPtr>& run) {
+void PredictionService::ServeInto(const EntryPtr& entry, Prediction* out) {
+  out->breakdown = entry->breakdown;
+  out->sample_run = SampleRunPtr(entry, entry->artifacts.run.get());
+  out->cost_fit = CostFitPtr(entry, entry->artifacts.fit.get());
+  out->calibration = CalibrationPtr(entry, entry->calibration.get());
+}
+
+void PredictionService::RecombineLocked(Shard& shard, EntryPtr* entry) {
+  // A calibration swap landed since this entry was combined: this
+  // per-entry re-combination is the entire invalidation cost of a swap —
+  // the stage-1/2 artifacts are reused untouched. Under the shard mutex,
+  // so concurrent hits on the stale entry wait for this one instead of
+  // each combining.
+  const EntryPtr stale = std::move(*entry);
+  *entry = MakeEntry(stale->fingerprint, stale->identity, stale->artifacts,
+                     stale->generation);
+  ReplaceSlotLocked(shard, stale, *entry);
+  Stripe().recombines.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool PredictionService::CachedPrediction(uint64_t fingerprint,
+                                         Prediction* out) {
+  if (options_.cache_capacity == 0) return false;
+  Shard& shard = ShardFor(fingerprint);
+  MutexLock lock(&shard.mu);
+  auto it = shard.entries.find(fingerprint);
+  if (it == shard.entries.end()) return false;
+  EntryPtr& entry = shard.ring[it->second];
+  if (entry->generation != generation_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  if (entry->epoch < pipeline_.calibration_epoch()) {
+    RecombineLocked(shard, &entry);
+  }
+  ServeInto(entry, out);
+  return true;
+}
+
+StatusOr<Prediction> PredictionService::CompleteRun(const Plan& plan,
+                                                    const Request& req,
+                                                    const Ticket& ticket,
+                                                    StatusOr<EntryPtr> run) {
   std::vector<ContinuationPtr> waiters;
   Shard& shard = ShardFor(req.fingerprint);
   {
@@ -518,6 +522,13 @@ void PredictionService::CompleteRun(const Plan& plan, const Request& req,
     // so none is ever lost. (If InvalidateCache already detached the
     // record, the waiters parked before the flush are still here.)
     waiters = std::move(ticket.owned->waiters);
+    // A joiner may have been served a newer epoch than the run combined
+    // under before it parked: an epoch published since the combination
+    // re-combines the entry here, under the lock every joiner parked
+    // under, as the first hit on a stale entry would.
+    if (run.ok() && (*run)->epoch < pipeline_.calibration_epoch()) {
+      RecombineLocked(shard, &run.value());
+    }
     if (options_.cache_capacity > 0 && run.ok()) {
       if (generation_.load(std::memory_order_acquire) == ticket.generation) {
         CachePutLocked(shard, *run);
@@ -528,15 +539,20 @@ void PredictionService::CompleteRun(const Plan& plan, const Request& req,
       }
     }
   }
-  // Serve every parked continuation from the run's own entry (continuation
-  // handoff): the first one seeds the entry's stage-3 memo, and the rest,
-  // the owner and the entry's later hits reuse it. A sync or batch caller
-  // that already left at its deadline keeps its claim, and is skipped.
+  // Serve the run's own result to every parked continuation (continuation
+  // handoff), then to the owner. A sync or batch caller that already left
+  // at its deadline keeps its claim, and is skipped.
+  const bool ok = run.ok();
+  Prediction served;
+  if (ok) ServeInto(*run, &served);
   for (const ContinuationPtr& w : waiters) {
-    if (w->Claim()) {
-      w->Resolve(Serve(w->req, plan, *run, run.status(), /*hit=*/true));
-    }
+    if (!w->Claim()) continue;
+    Prediction copy = served;
+    w->Resolve(Serve(w->req, plan, ok ? &copy : nullptr, run.status(),
+                     Source::kHit));
   }
+  return Serve(req, plan, ok ? &served : nullptr, run.status(),
+               Source::kMiss);
 }
 
 PredictionService::Ticket PredictionService::Route(const Request& req,
@@ -545,8 +561,8 @@ PredictionService::Ticket PredictionService::Route(const Request& req,
   Ticket t;
   // Hits are served even past the deadline: the result is already free,
   // and deadlines bound work consumption, not delivery.
-  if (TryLockFreeHit(req.fingerprint, req.id(), &t.entry)) {
-    t.lock_free = true;
+  if (TryLockFreeHit(req, &t.hit)) {
+    t.source = Source::kLockFreeHit;
     return t;
   }
   Shard& shard = ShardFor(req.fingerprint);
@@ -558,12 +574,16 @@ PredictionService::Ticket PredictionService::Route(const Request& req,
     // a miss, never another plan's artifacts.
     if (it != shard.entries.end() &&
         shard.ring[it->second]->identity->key == req.id().key) {
-      const EntryPtr& entry = shard.ring[it->second];
+      EntryPtr& entry = shard.ring[it->second];
+      if (entry->epoch < pipeline_.calibration_epoch()) {
+        RecombineLocked(shard, &entry);
+      }
       entry->Touch();
       // Republish: the entry may have been displaced from its slot ways by
       // slot-index neighbours; the most recent user wins a way back.
       PublishSlotLocked(shard, entry);
-      t.entry = entry;
+      t.source = Source::kHit;
+      ServeInto(entry, &t.hit);
       return t;
     }
   }
@@ -588,17 +608,16 @@ PredictionService::Ticket PredictionService::Route(const Request& req,
 }
 
 StatusOr<Prediction> PredictionService::Serve(const Request& req,
-                                              const Plan& plan,
-                                              const EntryPtr& entry,
-                                              const Status& failure, bool hit,
-                                              bool lock_free) {
+                                              const Plan& plan, Prediction* hit,
+                                              const Status& failure,
+                                              Source source) {
   // One named result, built in place, so the return elides every copy.
   StatusOr<Prediction> out =
-      entry != nullptr ? StatusOr<Prediction>(CombineCached(*entry))
+      hit != nullptr ? StatusOr<Prediction>(std::move(*hit))
       : req.ctx.allow_degraded
           ? StatusOr<Prediction>(MakeDegraded(req.fingerprint, plan))
           : StatusOr<Prediction>(failure);
-  RecordOutcome(hit, OutcomeOf(out), lock_free);
+  RecordOutcome(source, OutcomeOf(out));
   return out;
 }
 
@@ -609,13 +628,13 @@ StatusOr<Prediction> PredictionService::Await(Continuation& c,
     return Serve(c.req, plan, nullptr,
                  Status::DeadlineExceeded(
                      "deadline expired waiting on the in-flight winner"),
-                 /*hit=*/true);
+                 Source::kHit);
   }
   return c.Take();
 }
 
 StatusOr<Prediction> PredictionService::RejectUnfinalized() {
-  RecordOutcome(/*hit=*/false, Outcome::kFailed);
+  RecordOutcome(Source::kMiss, Outcome::kFailed);
   return Status::FailedPrecondition("plan must be finalized");
 }
 
@@ -623,9 +642,9 @@ StatusOr<Prediction> PredictionService::Predict(const Plan& plan,
                                                 const RequestOptions& opts) {
   if (plan.Identity() == nullptr) return RejectUnfinalized();
   const Request req = MakeRequest(plan, MakeContext(opts));
-  const Ticket t = Route(req, nullptr, /*register_owned=*/true);
-  if (t.entry != nullptr) {
-    return Serve(req, plan, t.entry, Status(), /*hit=*/true, t.lock_free);
+  Ticket t = Route(req, nullptr, /*register_owned=*/true);
+  if (t.source != Source::kMiss) {
+    return Serve(req, plan, &t.hit, Status(), t.source);
   }
   if (t.waiter != nullptr) return Await(*t.waiter, plan);
   return RunOwnedStages(plan, req, t);
@@ -636,17 +655,17 @@ void PredictionService::RunQueued(const ContinuationPtr& c) {
   // pool stops spending time on it, and no joiner can inherit its
   // DeadlineExceeded. A result that is already free (cached, or a run in
   // flight to park on) is still delivered.
-  const Ticket t = Route(c->req, c, /*register_owned=*/!c->req.ctx.Expired());
+  Ticket t = Route(c->req, c, /*register_owned=*/!c->req.ctx.Expired());
   if (t.waiter != nullptr) return;  // the owner will finish it; worker freed
   if (t.owned != nullptr) {
     c->Resolve(RunOwnedStages(*c->plan, c->req, t));
     return;
   }
-  const bool hit = t.entry != nullptr;
+  const bool hit = t.source != Source::kMiss;
   c->Resolve(Serve(
-      c->req, *c->plan, t.entry,
+      c->req, *c->plan, hit ? &t.hit : nullptr,
       hit ? Status() : Status::DeadlineExceeded("deadline expired in the pool queue"),
-      hit, t.lock_free));
+      t.source));
 }
 
 PredictionFuture PredictionService::PredictAsync(const Plan& plan,
@@ -658,9 +677,8 @@ PredictionFuture PredictionService::PredictAsync(const Plan& plan,
   // parked on a run already in flight (stage 3 needs only the artifacts).
   const Request req = MakeRequest(plan, MakeContext(opts));
   Ticket t = Route(req, nullptr, /*register_owned=*/false);
-  if (t.entry != nullptr) {
-    return PredictionFuture(
-        Serve(req, plan, t.entry, Status(), /*hit=*/true, t.lock_free));
+  if (t.source != Source::kMiss) {
+    return PredictionFuture(Serve(req, plan, &t.hit, Status(), t.source));
   }
   if (t.waiter != nullptr) return PredictionFuture(std::move(t.waiter));
 
@@ -705,11 +723,10 @@ std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
   // before its joiners are awaited.
   pool_runner_.RunTasks(static_cast<int64_t>(served.size()), [&](int64_t k) {
     const size_t i = served[static_cast<size_t>(k)];
-    const Ticket& t = tickets[i];
+    Ticket& t = tickets[i];
     results[i] = t.owned != nullptr
                      ? RunOwnedStages(*plans[i], reqs[i], t)
-                     : Serve(reqs[i], *plans[i], t.entry, Status(),
-                             /*hit=*/true, t.lock_free);
+                     : Serve(reqs[i], *plans[i], &t.hit, Status(), t.source);
   });
   for (size_t i = 0; i < n; ++i) {
     if (tickets[i].waiter != nullptr) {
@@ -729,7 +746,7 @@ uint64_t PredictionService::PublishCalibration(CostUnits units,
                                                    std::move(source), reports));
   // Deliberately NOT InvalidateCache: stage-1/2 artifacts are
   // unit-independent, so every cached entry survives the swap and only
-  // its stage-3 memo went stale — the next hit re-combines lazily
+  // its stage-3 result went stale — the next hit re-combines lazily
   // (stats().recombines) instead of re-running the expensive stages.
   if (families_ != nullptr) families_->OnPublish();
   return epoch;
@@ -747,16 +764,15 @@ void PredictionService::ReportObserved(const Plan& plan, double observed_ms) {
 void PredictionService::ReportObserved(uint64_t fingerprint,
                                        double observed_ms) {
   // Compared lazily — converged families skip it entirely — against the
-  // family's cached prediction under the CURRENT snapshot (through the
-  // epoch memo, so a hot family pays zero combination work). Every
+  // family's cached prediction under the CURRENT snapshot (a hot family
+  // pays zero combination work; a stale entry re-combines once). Every
   // cache-backed comparison refreshes the family's stash; when the plan
   // was evicted (or flushed) the stashed mean is the fallback comparison
   // point, so late reports still land instead of dropping.
   Report(fingerprint, observed_ms, /*comparable=*/true,
          [this, fingerprint](PredictionStash* stash, double* mean_ms) {
-           const EntryPtr entry = FindEntry(fingerprint);
-           if (entry != nullptr) {
-             const Prediction prediction = CombineCached(*entry);
+           Prediction prediction;
+           if (CachedPrediction(fingerprint, &prediction)) {
              stash->mean_ms = prediction.mean();
              stash->epoch = prediction.calibration->epoch;
              stash->valid = true;
@@ -853,10 +869,12 @@ ServiceStats PredictionService::stats() const {
   ServiceStats out;
   for (size_t i = 0; i <= stripe_mask_; ++i) {
     const StatsStripe& s = stripes_[i];
-    for (size_t row = 0; row < 2; ++row) {
+    for (size_t row = 0; row < kNumSources; ++row) {
       for (size_t col = 0; col < kNumOutcomes; ++col) {
         const uint64_t v = s.outcome[row][col].load(std::memory_order_relaxed);
-        (row == 1 ? out.cache_hits : out.cache_misses) += v;
+        const Source source = static_cast<Source>(row);
+        (source == Source::kMiss ? out.cache_misses : out.cache_hits) += v;
+        if (source == Source::kLockFreeHit) out.lockfree_hits += v;
         switch (static_cast<Outcome>(col)) {
           case Outcome::kOk: out.ok_served += v; break;
           case Outcome::kFailed: out.failed += v; break;
@@ -867,7 +885,6 @@ ServiceStats PredictionService::stats() const {
     }
     out.sample_runs += s.sample_runs.load(std::memory_order_relaxed);
     out.fit_runs += s.fit_runs.load(std::memory_order_relaxed);
-    out.lockfree_hits += s.lockfree_hits.load(std::memory_order_relaxed);
     out.inflight_joins += s.inflight_joins.load(std::memory_order_relaxed);
     out.stale_drops += s.stale_drops.load(std::memory_order_relaxed);
     out.async_rejects += s.async_rejects.load(std::memory_order_relaxed);

@@ -79,12 +79,14 @@ struct ServiceOptions {
   int cache_shards = 0;
   /// When true (default), cache entries are additionally published into a
   /// per-shard, 2-way tagged slot array of SharedCells: a hot-cache hit
-  /// loads its slot way and the entry's stage-3 memo, each under that
-  /// cell's own lock byte, compares the interned key by pointer, and
-  /// writes only lines that hits on the same plan (or its slot-index
-  /// neighbour) write — no shard mutex, no process-wide lock. Two hot
-  /// plans whose fingerprints collide on one slot index each keep a way,
-  /// so both stay lock-free instead of perpetually displacing each other.
+  /// checks its slot way under that cell's own lock byte, compares the
+  /// interned key by pointer and, before releasing the byte, copies its
+  /// prediction's pointers, which alias the entry. So it writes only the
+  /// slot group's line and the entry's reference count, which only hits
+  /// on the same plan (or its slot-index neighbour) write — no shard
+  /// mutex, no process-wide lock. Two hot plans whose fingerprints collide
+  /// on one slot index each keep a way, so both stay lock-free instead of
+  /// perpetually displacing each other.
   /// When false, every hit goes through the shard mutex (the pre-sharding
   /// behavior, kept as the bench baseline and a differential-testing
   /// seam).
@@ -117,11 +119,13 @@ struct ServiceOptions {
 };
 
 /// Monotonic counters exposed for tests and monitoring. Every prediction
-/// request bumps exactly ONE cell of a per-stripe 2x4 resolution matrix
-/// (hit/miss x ok/failed/degraded/deadline_exceeded) at the moment its
-/// caller-visible result is decided — no global stats lock on the hot
-/// path. `cache_hits`/`cache_misses` are the matrix row sums, the outcome
-/// counters its column sums, and `predictions` the total, so BOTH
+/// request bumps exactly ONE cell of a per-stripe 3x4 resolution matrix
+/// (miss/locked hit/lock-free hit x ok/failed/degraded/deadline_exceeded)
+/// at the moment its caller-visible result is decided — one relaxed
+/// increment, no global stats lock on the hot path. `cache_misses` is the
+/// first row's sum, `cache_hits` the other two rows', `lockfree_hits` the
+/// last row's, the outcome counters the column sums, and `predictions`
+/// the total, so BOTH
 /// conservation invariants
 ///   cache_hits + cache_misses == predictions
 ///   ok_served + failed + degraded_served + deadline_exceeded == predictions
@@ -144,7 +148,8 @@ struct ServiceStats {
                                    ///< (Prediction::degraded == true)
   uint64_t deadline_exceeded = 0;  ///< requests resolved DeadlineExceeded
   uint64_t lockfree_hits = 0;   ///< hits served by the mutex-free published
-                                ///< slot path (subset of cache_hits)
+                                ///< slot path (subset of cache_hits; the
+                                ///< matrix's lock-free row)
   uint64_t inflight_joins = 0;  ///< requests that parked a continuation on
                                 ///< an in-flight miss (repeated cold plans
                                 ///< in one PredictBatch included), counted
@@ -153,9 +158,9 @@ struct ServiceStats {
   uint64_t async_rejects = 0;   ///< PredictAsync calls refused after Shutdown
   // --- calibration-epoch lifecycle + feedback loop ---
   uint64_t recombines = 0;        ///< cached entries lazily re-combined after a
-                                  ///< calibration swap invalidated their
-                                  ///< stage-3 memo (stage-1/2 untouched);
-                                  ///< the run itself seeds the memo
+                                  ///< calibration swap made their stage-3
+                                  ///< result stale (stage-1/2 untouched);
+                                  ///< the run itself combines once
   uint64_t recalibrations = 0;    ///< drift-triggered snapshot publishes
   uint64_t feedback_reports = 0;  ///< ReportObserved calls accepted
   uint64_t feedback_dropped = 0;  ///< reports with no usable error (plan never
@@ -201,24 +206,27 @@ class PredictionFuture;
 /// every parked continuation; a continuation is resolved exactly once, by
 /// that hand-off or by its own caller's deadline, whichever comes first.
 /// So a same-fingerprint storm occupies one thread, never the pool: no
-/// pool worker ever blocks on another request's run. The owner, its
-/// joiners and the entry's later hits share the entry's one stage-3 memo.
+/// pool worker ever blocks on another request's run. The owner combines
+/// stage 3 once, into the entry, before caching it; its joiners and the
+/// entry's later hits serve that one result.
 ///
 /// The cache and the in-flight table are sharded by fingerprint: N
 /// independent shards, each with its own mutex, entry map and CLOCK ring,
 /// so requests for different plans never serialize on a global lock.
 /// Within a shard, hot hits do not take the shard mutex either: resident
-/// entries are published as immutable shared_ptr bundles into a
-/// per-shard, 2-way tagged slot array of SharedCells, one cache line per
-/// slot index; recency is a per-entry CLOCK reference bit that a hit
-/// writes only when it is clear (eviction order is not part of the
-/// determinism contract). A steady-state hit reads the plan's identity
-/// through a plain pointer, and writes only its slot group's cell lock,
-/// the entry's and the memo's cell lock and reference counts, and the
-/// artifacts' reference counts — lines that only hits on the same plan
-/// (or its slot-index neighbour) write — plus its own thread's stats
-/// stripe. It compares the pipeline's plain-atomic calibration epoch
-/// against the entry's memo and leaves a set reference bit alone. Each
+/// entries are published as immutable shared_ptrs into a per-shard, 2-way
+/// tagged slot array of SharedCells, one cache line per slot index;
+/// recency is a per-entry CLOCK reference bit that a hit writes only when
+/// it is clear (eviction order is not part of the determinism contract).
+/// A steady-state hit reads the plan's identity through a plain pointer
+/// and the pipeline's plain-atomic calibration epoch. Holding its slot
+/// way's lock byte, it checks the entry's fingerprint, generation, epoch
+/// and key, and copies its prediction's three pointers, each aliasing the
+/// entry. So it writes the slot group's lock byte and the entry's one
+/// reference count — lines that only hits on the same plan (or its
+/// slot-index neighbour) write — plus one cell of its own thread's stats
+/// stripe; the caller's destruction of the prediction writes the
+/// reference count again. It leaves a set reference bit alone. Each
 /// entry stores the plan's interned canonical structural key
 /// (PlanIdentity, serialized once per Plan::Finalize and shared by
 /// reference), confirmed on every hit, so a 64-bit fingerprint collision
@@ -228,18 +236,21 @@ class PredictionFuture;
 /// state: the service owns an epoch-stamped, atomically swappable
 /// CalibrationSnapshot (the construction units become epoch 1).
 /// PublishCalibration installs a new epoch WITHOUT touching the cache —
-/// stage-1/2 artifacts are unit-independent, so a swap invalidates only
-/// each entry's memoized stage-3 combination: entries re-combine lazily
-/// against the new epoch on their next hit (counted in
+/// stage-1/2 artifacts are unit-independent, so a swap only makes each
+/// entry's stage-3 result stale: the first hit on a stale entry builds,
+/// under the shard mutex, a new entry over the same artifacts combined
+/// under the new epoch and puts it in the stale one's place (counted in
 /// stats().recombines) instead of paying a full InvalidateCache.
 /// ReportObserved feeds actual runtimes back in; per-plan-family error
 /// windows converge (and stop paying tracking overhead) or drift (and
 /// trigger a recalibration through FeedbackOptions::recalibrate).
 ///
-/// Served predictions alias the immutable cached artifacts via shared_ptr
-/// (zero-copy), so a hot-cache prediction costs at most one variance
-/// combination — and exactly zero when the entry's memoized combination
-/// matches the current calibration epoch. Every stage is deterministic:
+/// Served predictions alias the immutable cache entry via shared_ptr
+/// (zero-copy): sample_run, cost_fit and calibration share the entry's
+/// one reference count, and their get() values are the artifacts and the
+/// snapshot themselves. A hot-cache prediction costs at most one variance
+/// combination — and exactly zero when the entry was combined under the
+/// current calibration epoch. Every stage is deterministic:
 /// cached, batched, async and sequential predictions are bit-identical.
 class PredictionService {
  public:
@@ -417,8 +428,13 @@ class PredictionService {
   };
   static RequestContext MakeContext(const RequestOptions& opts);
 
-  /// How one request resolved — the second axis of the stats stripe's
-  /// resolution matrix (see ServiceStats).
+  /// Where one request's result came from — the first axis of the stats
+  /// stripe's resolution matrix (see ServiceStats): its own run, or a hit
+  /// through the shard mutex (cache or another request's run), or a hit
+  /// off the published slots.
+  enum class Source { kMiss = 0, kHit = 1, kLockFreeHit = 2 };
+  static constexpr size_t kNumSources = 3;
+  /// How one request resolved — the matrix's second axis.
   enum class Outcome { kOk = 0, kFailed = 1, kDegraded = 2, kDeadline = 3 };
   static constexpr size_t kNumOutcomes = 4;
 
@@ -512,33 +528,26 @@ class PredictionService {
     std::vector<ContinuationPtr> waiters;
   };
 
-  /// Memoized stage-3 combination of one cache entry, holding the
-  /// calibration snapshot it was combined under. Epochs are unique and
-  /// increasing (PublishCalibration serializes them), so an `epoch` no
-  /// older than the pipeline's current one proves the breakdown is valid
-  /// under the current units — serving it runs zero combination work and
-  /// never loads the shared snapshot pointer: the served
-  /// Prediction::calibration aliases `calibration` through the memo's own
-  /// reference count, which only hits on this entry share. Immutable once
-  /// published.
-  struct CombineMemo {
-    /// calibration->epoch, copied so a hit's check reads this memo's line
-    /// and not the snapshot's, whose reference count other paths write.
-    uint64_t epoch = 0;
-    CalibrationPtr calibration;
-    VarianceBreakdown breakdown;
-  };
-  using MemoPtr = std::shared_ptr<const CombineMemo>;
-
-  /// The result of one run, and the cache entry it becomes. Immutable
-  /// after construction except for the reference bit and the stage-3 memo,
-  /// so concurrent lock-free readers may copy the artifact bundle without
-  /// synchronization beyond the acquire load that reached the entry.
+  /// The result of one run, and the cache entry it becomes: the plan's
+  /// stage 1-2 artifacts and their stage-3 combination under one
+  /// calibration snapshot (MakeEntry). Immutable after construction except
+  /// for the reference bit, so a reader needs no synchronization beyond
+  /// the slot lock byte or shard mutex through which it reached the entry.
+  /// Epochs are unique and increasing (PublishCalibration serializes
+  /// them), so an `epoch` no older than the pipeline's current one proves
+  /// the breakdown is valid under the current units. A calibration swap
+  /// makes an entry stale, never wrong: its first hit replaces it
+  /// (RecombineLocked).
   struct CacheEntry {
     uint64_t fingerprint = 0;
     IdentityPtr identity;  ///< interned key, confirmed on every hit
     Artifacts artifacts;
     uint64_t generation = 0;  ///< global generation the run started under
+    /// calibration->epoch, copied so a hit's check reads this entry's line
+    /// and not the snapshot's.
+    uint64_t epoch = 0;
+    CalibrationPtr calibration;  ///< the snapshot `breakdown` combined under
+    VarianceBreakdown breakdown;
     /// CLOCK reference bit: set by a hit, cleared by the shard's hand
     /// sweeping past on an overflowing insert (CachePutLocked). Touch
     /// stores only when the bit is clear, so the hits on a hot entry read
@@ -550,11 +559,6 @@ class PredictionService {
         referenced.store(true, std::memory_order_relaxed);
       }
     }
-    /// Epoch-stamped stage-3 memo (see CombineCached). A hit loads it
-    /// under the cell's own lock byte, which only hits on this entry
-    /// write. A calibration swap makes it stale — never wrong — and the
-    /// next hit lazily re-combines.
-    mutable SharedCell<const CombineMemo> combined;
   };
   using EntryPtr = std::shared_ptr<const CacheEntry>;
 
@@ -563,17 +567,16 @@ class PredictionService {
   /// stripe (Stripe()), picked by the order in which threads first
   /// recorded anything, so two clients hitting the cache write different
   /// lines whatever plans they ask for. Neither
-  /// `predictions` nor the hit/miss/outcome splits are stored separately —
-  /// all are sums over the resolution matrix by definition, which is what
-  /// makes BOTH snapshot invariants un-tearable.
+  /// `predictions` nor the hit/miss/lock-free/outcome splits are stored
+  /// separately — all are sums over the resolution matrix by definition,
+  /// which is what makes BOTH snapshot invariants un-tearable.
   struct alignas(64) StatsStripe {
-    /// The resolution matrix: [miss=0 / hit=1][Outcome]. Every request
-    /// bumps exactly one cell, exactly once, at the moment its
-    /// caller-visible result is decided.
-    std::atomic<uint64_t> outcome[2][kNumOutcomes] = {};
+    /// The resolution matrix: [Source][Outcome]. Every request bumps
+    /// exactly one cell, exactly once, at the moment its caller-visible
+    /// result is decided.
+    std::atomic<uint64_t> outcome[kNumSources][kNumOutcomes] = {};
     std::atomic<uint64_t> sample_runs{0};
     std::atomic<uint64_t> fit_runs{0};
-    std::atomic<uint64_t> lockfree_hits{0};
     std::atomic<uint64_t> inflight_joins{0};
     std::atomic<uint64_t> stale_drops{0};
     std::atomic<uint64_t> async_rejects{0};
@@ -632,77 +635,90 @@ class PredictionService {
 
   uint64_t Fingerprint(const Plan& plan, const PlanIdentity& identity) const;
 
-  /// Where Route sent one request: at most one of {entry, waiter, owned};
-  /// none when a miss was not allowed to register.
+  /// Where Route sent one request: a hit (source != kMiss, carrying its
+  /// prediction), else at most one of {waiter, owned}; none when a miss
+  /// was not allowed to register.
   struct Ticket {
-    EntryPtr entry;          ///< served from the cache
-    bool lock_free = false;  ///< ... off the published slots
+    Source source = Source::kMiss;
+    Prediction hit;          ///< served from the cache
     ContinuationPtr waiter;  ///< parked on the run in flight for its plan
     /// The in-flight record it owns: non-null iff it runs the stages.
     std::shared_ptr<Inflight> owned;
     uint64_t generation = 0;  ///< cache generation the run started under
   };
 
-  /// The mutex-free fast path: probes the shard's published slot ways for
-  /// a current-generation entry with this fingerprint and a confirmed
-  /// structural key. On a hit, returns the entry (artifacts + epoch memo)
-  /// and touches its reference bit — no mutex anywhere. Does NOT
-  /// classify the request: the caller records the resolution (hit, ok,
-  /// lock_free) when it actually serves. Returns false on any mismatch
-  /// (empty ways, displaced entry, stale generation, collision).
-  bool TryLockFreeHit(uint64_t fingerprint, const PlanIdentity& identity,
-                      EntryPtr* out);
+  /// Route's mutex-free probe: checks the shard's published slot ways for
+  /// an entry with this fingerprint, the current generation and epoch, and
+  /// a confirmed structural key. On a hit it touches the entry's reference
+  /// bit and copies the entry's prediction into `out` while it still holds
+  /// the way's lock byte, so it takes no reference on the entry itself —
+  /// no mutex anywhere. Returns false on any mismatch (empty ways,
+  /// displaced entry, stale generation or epoch, collision).
+  bool TryLockFreeHit(const Request& req, Prediction* out);
 
-  /// The lookup-and-route step of every request path, so the collision
-  /// and generation rules live in exactly one place: the lock-free slot
-  /// probe, then, under the shard mutex, the cache (structural key
-  /// confirmed, reference bit touched, slot republished) and the in-flight
-  /// table. A run in flight for the same structure gets the request parked
-  /// on it as `waiter` (created here unless passed in) — atomic with the
-  /// lookup, so the owner cannot complete in between and lose it, and
-  /// counted as an in-flight join at once. On a full miss the request
-  /// becomes the owner when `register_owned`; otherwise the ticket is
-  /// empty. Does NOT classify the request: the path that resolves it
+  /// The lookup-and-route step of every request path, so the collision,
+  /// generation and epoch rules live in exactly one place: the lock-free
+  /// slot probe, then, under the shard mutex, the cache (structural key
+  /// confirmed, a stale entry re-combined, reference bit touched, slot
+  /// republished) and the in-flight table. A hit carries its prediction
+  /// to Serve. A run in flight for the same structure gets the request
+  /// parked on it as `waiter` (created here unless passed in) — atomic
+  /// with the lookup, so the owner cannot complete in between and lose
+  /// it, and counted as an in-flight join at once. On a full miss the
+  /// request becomes the owner when `register_owned`; otherwise the ticket
+  /// is empty. Does NOT classify the request: the path that resolves it
   /// records its resolution-matrix cell.
   Ticket Route(const Request& req, ContinuationPtr waiter, bool register_owned);
 
-  /// A prediction from an entry through its epoch memo — the service's
-  /// only stage-3 call: if the memo's epoch is no older than the
-  /// pipeline's current one, zero combination work runs and the calibration
-  /// snapshot pointer is never loaded; otherwise the entry combines under
-  /// the current snapshot and publishes the memo (counted in
-  /// stats().recombines when a stale memo existed — i.e. on the first hit
-  /// after a calibration swap). The prediction's `calibration` aliases the
-  /// memo's snapshot. Does NOT classify the request.
-  Prediction CombineCached(const CacheEntry& entry);
+  /// A new entry for `artifacts`, combined under the current calibration
+  /// snapshot — the service's only stage-3 call. Loads the snapshot once,
+  /// so the entry's epoch is the epoch its breakdown combined under.
+  EntryPtr MakeEntry(uint64_t fingerprint, IdentityPtr identity,
+                     Artifacts artifacts, uint64_t generation) const;
+
+  /// Writes the prediction `entry` serves into `*out`. Its sample_run,
+  /// cost_fit and calibration alias the entry: their get() values are the
+  /// artifacts and the snapshot, and all three share the entry's reference
+  /// count.
+  static void ServeInto(const EntryPtr& entry, Prediction* out);
+
+  /// Replaces the stale-epoch `*entry` (shard mutex held; a ring element,
+  /// or a finished run's entry not yet cached) by a new entry over the
+  /// same artifacts combined under the current epoch, also in any slot
+  /// way still holding it, and counts one stats().recombines.
+  void RecombineLocked(Shard& shard, EntryPtr* entry) UQP_REQUIRES(shard.mu);
 
   /// Locked cache probe by fingerprint only (no identity confirmation) —
   /// the feedback path's "what do we currently predict for this family"
-  /// lookup. Returns null when absent or stale.
-  EntryPtr FindEntry(uint64_t fingerprint) const;
+  /// lookup, re-combining a stale entry. False when absent or flushed.
+  bool CachedPrediction(uint64_t fingerprint, Prediction* out);
 
   /// Publishes `entry` into its slot group (shard mutex held): reuses the
   /// way already holding this fingerprint, else an empty way, else
   /// displaces the first way whose reference bit is clear, else way 0.
   void PublishSlotLocked(Shard& shard, const EntryPtr& entry)
       UQP_REQUIRES(shard.mu);
-  /// Clears any way still pointing at `entry` (shard mutex held).
-  void UnpublishSlotLocked(Shard& shard, const EntryPtr& entry)
-      UQP_REQUIRES(shard.mu);
+  /// Stores `replacement` (null to unpublish) into any way still pointing
+  /// at `entry` (shard mutex held).
+  void ReplaceSlotLocked(Shard& shard, const EntryPtr& entry,
+                         const EntryPtr& replacement) UQP_REQUIRES(shard.mu);
 
   /// Runs the stages a ticket owns: breaker admission (a quarantined
-  /// family is shed without touching stage 1), the stage run into a cache
-  /// entry, the breaker verdict, then CompleteRun — so every parked
-  /// continuation resolves, shed or not. Returns the owner's own result.
+  /// family is shed without touching stage 1), stages 1-2, the test hook
+  /// and the breaker verdict, the run's one combination into a cache
+  /// entry, then CompleteRun — so every parked continuation resolves, shed
+  /// or not. Returns the owner's own result.
   StatusOr<Prediction> RunOwnedStages(const Plan& plan, const Request& req,
                                       const Ticket& ticket);
 
-  /// Publishes a finished run: removes the in-flight entry, inserts the
-  /// run's entry into the cache (unless the generation moved) and serves
-  /// every parked continuation it still can claim from that same entry —
-  /// or the owner's error, never a placeholder.
-  void CompleteRun(const Plan& plan, const Request& req, const Ticket& ticket,
-                   const StatusOr<EntryPtr>& run);
+  /// Publishes a finished run: removes the in-flight entry, re-combines
+  /// the run's entry if an epoch was published since its combination,
+  /// inserts it into the cache (unless the generation moved), then serves
+  /// every parked continuation it still can claim, and the owner, the
+  /// entry's prediction — or the owner's error, never a placeholder.
+  StatusOr<Prediction> CompleteRun(const Plan& plan, const Request& req,
+                                   const Ticket& ticket,
+                                   StatusOr<EntryPtr> run);
 
   /// Waits on a parked sync or batch request's slot and takes its result.
   /// At its deadline the caller claims the request and returns
@@ -714,27 +730,26 @@ class PredictionService {
   /// warmed), registering as owner only while the deadline holds.
   void RunQueued(const ContinuationPtr& c);
 
-  /// The one serve step of every request: a prediction from `entry`
-  /// (CombineCached), or, when `entry` is null, `failure` — or the
-  /// degraded fallback built from `plan` when the request opted in. Records
-  /// the request's resolution cell exactly once.
+  /// The one serve step of every request: `*hit` (moved out), or, when
+  /// `hit` is null, `failure` — or the degraded fallback built from `plan`
+  /// when the request opted in. Records the request's resolution cell
+  /// exactly once.
   StatusOr<Prediction> Serve(const Request& req, const Plan& plan,
-                             const EntryPtr& entry, const Status& failure,
-                             bool hit, bool lock_free = false);
+                             Prediction* hit, const Status& failure,
+                             Source source);
 
-  /// Runs stages 1-2 for the plan, outside any lock, into a new entry.
+  /// Runs stages 1-2 for the plan, outside any lock.
   /// Consults the fault injector first (injected latency is slept here; an
   /// injected failure returns without running stage 1), then pre-checks
   /// the deadline, then runs the real stages with a cooperative
   /// cancellation probe derived from the deadline (checked at operator and
   /// morsel-shard boundaries).
-  StatusOr<EntryPtr> RunStages(const Plan& plan, const Request& req,
-                               uint64_t generation);
+  StatusOr<Artifacts> RunStages(const Plan& plan, const Request& req);
 
   /// The single resolution point of a request: bumps exactly one cell of
-  /// the calling thread's stripe's [hit][outcome] matrix (every stats
+  /// the calling thread's stripe's [source][outcome] matrix (every stats
   /// invariant is a sum over those cells).
-  void RecordOutcome(bool hit, Outcome outcome, bool lock_free = false);
+  void RecordOutcome(Source source, Outcome outcome);
 
   /// The Outcome a terminal result maps to.
   static Outcome OutcomeOf(const StatusOr<Prediction>& result) {

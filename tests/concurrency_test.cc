@@ -121,7 +121,7 @@ TEST(Concurrency, InvalidMplRejected) {
 
 // ---------------------------------------------------------------------------
 // SharedCell: the lock-guarded shared_ptr behind the service's published
-// slots, stage-3 memos and the pipeline's calibration snapshot.
+// slots and the pipeline's calibration snapshot.
 // ---------------------------------------------------------------------------
 
 // Readers load while one writer stores a stream of values: a reader only
@@ -701,6 +701,95 @@ TEST_F(IntraPlanRaceTest, EpochSwapsRaceLockFreeHitsAndColdRuns) {
     EXPECT_EQ(got->sample_run.get(), first_seen[i]) << "plan " << i;
     EXPECT_EQ(got->calibration_epoch(), final_epoch) << "plan " << i;
   }
+}
+
+// Three clients hit warmed plans (sync and async) while a fourth thread
+// publishes three calibrations, spaced by the clients' progress so every
+// publish lands mid-storm (run under TSan in CI). Every served prediction
+// recomputes to its own bits under the snapshot it carries, and carries an
+// epoch that was published; the swaps cost re-combinations only, never a
+// stage-1/2 run, and once the storm is over a hit costs no combination.
+TEST_F(IntraPlanRaceTest, HitsDuringPublishesCarryAPublishedEpoch) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  PredictionService service(db_, samples_, *units_, options);
+  for (const Plan& plan : *plans_) ASSERT_TRUE(service.Predict(plan).ok());
+  const uint64_t combines_warm = service.pipeline().combine_count();
+  const PredictorVariant variant = options.predictor.variant;
+  const CovarianceBoundKind bound = options.predictor.bound;
+
+  constexpr int kClients = 3;
+  constexpr int kRequests = 600;
+  constexpr int kPublishes = 3;
+  constexpr uint64_t kLastEpoch = 1 + kPublishes;
+  std::atomic<int> served{0};
+  std::atomic<int> errors{0}, mismatches{0}, unpublished{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kRequests; ++i) {
+        const Plan& plan =
+            (*plans_)[static_cast<size_t>(i + c) % plans_->size()];
+        const StatusOr<Prediction> got =
+            i % 2 == 0 ? service.Predict(plan) : service.PredictAsync(plan).get();
+        served.fetch_add(1);
+        if (!got.ok() || got->calibration == nullptr) {
+          errors.fetch_add(1);
+          continue;
+        }
+        const VarianceBreakdown re =
+            service.pipeline().Recompute(*got, variant, bound);
+        if (re.mean != got->breakdown.mean ||
+            re.variance != got->breakdown.variance) {
+          mismatches.fetch_add(1);
+        }
+        const uint64_t epoch = got->calibration_epoch();
+        if (epoch < 1 || epoch > kLastEpoch) unpublished.fetch_add(1);
+      }
+    });
+  }
+  std::vector<uint64_t> published;
+  std::thread publisher([&] {
+    for (int k = 1; k <= kPublishes; ++k) {
+      // Publish k once a k/(kPublishes+1) share of the requests is served.
+      while (served.load() < k * kClients * kRequests / (kPublishes + 1)) {
+        std::this_thread::yield();
+      }
+      CostUnits scaled = *units_;
+      for (int u = 0; u < kNumCostUnits; ++u) {
+        scaled.units[u].mean *= 1.0 + 0.5 * k;
+      }
+      published.push_back(service.PublishCalibration(scaled, "storm"));
+    }
+  });
+  for (std::thread& t : clients) t.join();
+  publisher.join();
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0)
+      << "a hit served a breakdown its own snapshot does not reproduce";
+  EXPECT_EQ(unpublished.load(), 0) << "a hit carried an unpublished epoch";
+  EXPECT_EQ(published, (std::vector<uint64_t>{2, 3, 4}));
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.sample_runs, plans_->size());
+  EXPECT_EQ(stats.fit_runs, plans_->size());
+  EXPECT_EQ(stats.cache_misses, plans_->size());
+  EXPECT_EQ(stats.cache_hits,
+            static_cast<uint64_t>(kClients) * static_cast<uint64_t>(kRequests));
+  EXPECT_EQ(service.pipeline().combine_count() - combines_warm,
+            stats.recombines)
+      << "a swap costs re-combinations, an epoch-matched hit none";
+
+  // After the storm every plan serves under the last epoch: the first
+  // sweep re-combines what the storm left stale, the second costs nothing.
+  for (const Plan& plan : *plans_) {
+    const auto got = service.Predict(plan);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->calibration_epoch(), kLastEpoch);
+  }
+  const uint64_t combines_swept = service.pipeline().combine_count();
+  for (const Plan& plan : *plans_) ASSERT_TRUE(service.Predict(plan).ok());
+  EXPECT_EQ(service.pipeline().combine_count(), combines_swept);
 }
 
 // The fault-injection chaos mix (run under TSan and ASan in CI):

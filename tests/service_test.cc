@@ -1502,6 +1502,67 @@ TEST_F(ServiceTest, MemoHitsCarryTheSnapshotTheyCombinedUnder) {
   }
 }
 
+TEST_F(ServiceTest, HitPredictionsShareTheOwnersObjectsAndOutliveTheService) {
+  // A hit (lock-free, and locked on a service without the published slots)
+  // hands out the very objects the owner's prediction holds: the same
+  // sample run, cost fit and calibration snapshot. Each held prediction
+  // then stays bit-equal and readable while its entry is evicted, the
+  // cache flushed, a new epoch published and the service destroyed.
+  ASSERT_GE(plans_->size(), 2u);
+  const Plan& plan = (*plans_)[0];
+  const Plan& other = (*plans_)[1];
+  PredictionPipeline reference(db_, samples_, *units_);
+  for (const bool lock_free : {true, false}) {
+    SCOPED_TRACE(lock_free ? "lock-free hits" : "locked hits");
+    ServiceOptions options;
+    options.num_workers = 1;
+    options.cache_shards = 1;
+    options.cache_capacity = 1;  // `other` evicts `plan`
+    options.lock_free_hits = lock_free;
+    auto service =
+        std::make_unique<PredictionService>(db_, samples_, *units_, options);
+    const auto owner = service->Predict(plan);
+    ASSERT_TRUE(owner.ok()) << owner.status().ToString();
+    std::vector<StatusOr<Prediction>> hits;
+    hits.push_back(service->Predict(plan));
+    hits.push_back(service->PredictAsync(plan).get());
+    ServiceStats stats = service->stats();
+    ASSERT_EQ(stats.cache_hits, 2u);
+    ASSERT_EQ(stats.lockfree_hits, lock_free ? 2u : 0u);
+    const std::string bytes = CalibrationSnapshotBytes(*owner->calibration);
+    const auto check_held = [&](const char* when) {
+      SCOPED_TRACE(when);
+      for (const StatusOr<Prediction>& hit : hits) {
+        ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+        EXPECT_TRUE(SameBreakdownBits(*hit, *owner));
+        EXPECT_EQ(hit->sample_run.get(), owner->sample_run.get());
+        EXPECT_EQ(hit->cost_fit.get(), owner->cost_fit.get());
+        EXPECT_EQ(hit->calibration.get(), owner->calibration.get());
+        EXPECT_EQ(hit->calibration_epoch(), 1u);
+        EXPECT_EQ(CalibrationSnapshotBytes(*hit->calibration), bytes);
+        EXPECT_FALSE(hit->estimates().ops.empty());
+        EXPECT_EQ(hit->cost_functions().size(),
+                  owner->cost_functions().size());
+        const VarianceBreakdown re = reference.Recompute(
+            *hit, options.predictor.variant, options.predictor.bound);
+        EXPECT_EQ(re.mean, hit->breakdown.mean);
+        EXPECT_EQ(re.variance, hit->breakdown.variance);
+      }
+    };
+    check_held("served");
+    ASSERT_TRUE(service->Predict(other).ok());
+    ASSERT_EQ(service->stats().sample_runs, 2u);
+    check_held("after eviction");
+    service->InvalidateCache();
+    check_held("after InvalidateCache");
+    ASSERT_EQ(service->PublishCalibration(ScaleUnitMeans(*units_, 2.0), "test"),
+              2u);
+    check_held("after PublishCalibration");
+    service.reset();
+    check_held("after the service is destroyed");
+  }
+}
+
 TEST_F(ServiceTest, HitsRacingPublishAndInvalidateNeverMixEpochs) {
   // Clients hammer PredictAsync over a warm cache while the main thread
   // publishes calibrations and flushes the cache. Every served breakdown

@@ -40,13 +40,23 @@ bool AdmissionPolicy::Admits(const ScheduledJob& job, double budget_ms) const {
   return false;
 }
 
-double OrderingPolicy::Key(const ScheduledJob& job, double now_ms) const {
-  switch (kind) {
-    case OrderingPolicyKind::kRiskAdjustedSlack: {
-      const double z = NormalQuantile(1.0 - eps);
+namespace {
+
+/// z_eps of the risk-adjusted ordering (unused by the other kinds).
+double RiskZ(const OrderingPolicy& policy) {
+  return policy.kind == OrderingPolicyKind::kRiskAdjustedSlack
+             ? NormalQuantile(1.0 - policy.eps)
+             : 0.0;
+}
+
+/// OrderingPolicy::Key with z_eps supplied, so PickNext computes the
+/// quantile once per call instead of once per queued job.
+double KeyWithZ(const OrderingPolicy& policy, const ScheduledJob& job,
+                double now_ms, double z) {
+  switch (policy.kind) {
+    case OrderingPolicyKind::kRiskAdjustedSlack:
       return job.deadline_ms - now_ms -
              (job.predicted_ms.mean + z * job.predicted_ms.stddev());
-    }
     case OrderingPolicyKind::kExpectedSlack:
       return job.deadline_ms - now_ms - job.predicted_ms.mean;
     case OrderingPolicyKind::kFifo:
@@ -55,13 +65,20 @@ double OrderingPolicy::Key(const ScheduledJob& job, double now_ms) const {
   return 0.0;
 }
 
+}  // namespace
+
+double OrderingPolicy::Key(const ScheduledJob& job, double now_ms) const {
+  return KeyWithZ(*this, job, now_ms, RiskZ(*this));
+}
+
 size_t PickNext(const OrderingPolicy& policy,
                 const std::vector<ScheduledJob>& queue, double now_ms) {
   UQP_CHECK(!queue.empty());
+  const double z = RiskZ(policy);
   size_t best = 0;
-  double best_key = policy.Key(queue[0], now_ms);
+  double best_key = KeyWithZ(policy, queue[0], now_ms, z);
   for (size_t i = 1; i < queue.size(); ++i) {
-    const double key = policy.Key(queue[i], now_ms);
+    const double key = KeyWithZ(policy, queue[i], now_ms, z);
     // Strict (key, id) lexicographic order: ids are unique, so the
     // minimum is unique and independent of the queue's layout history.
     if (key < best_key ||

@@ -25,19 +25,43 @@ enum EventTag : uint8_t {
   kEvFinish = 3,   // [tag][id][t][met]
 };
 
-void AppendU64(std::vector<uint8_t>* log, uint64_t v) {
-  for (int i = 0; i < 8; ++i) log->push_back(uint8_t(v >> (8 * i)));
-}
+constexpr size_t kArrivalBytes = 42;
+constexpr size_t kStartBytes = 17;
+constexpr size_t kFinishBytes = 18;
 
-void AppendF64(std::vector<uint8_t>* log, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(log, bits);
-}
+/// One event record, assembled on the stack and appended to the log in
+/// one insert.
+template <size_t N>
+class Record {
+ public:
+  explicit Record(EventTag tag) { U8(tag); }
 
-/// A job occupying a server slot.
+  void U8(uint8_t v) { bytes_[size_++] = v; }
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) U8(uint8_t(v >> (8 * i)));
+  }
+  void F64(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    U64(bits);
+  }
+
+  void AppendTo(std::vector<uint8_t>* log) const {
+    UQP_CHECK(size_ == N) << "event record is " << size_ << " bytes, not "
+                          << N;
+    log->insert(log->end(), bytes_, bytes_ + N);
+  }
+
+ private:
+  uint8_t bytes_[N] = {};
+  size_t size_ = 0;
+};
+
+/// A job occupying a server slot, with the prediction its admission was
+/// decided with (reported against at completion).
 struct RunningJob {
   ScheduledJob job;
+  Prediction as_decided;
   double start_ms = 0.0;
   double finish_ms = 0.0;  // start + true runtime (unknown to policies)
 };
@@ -209,9 +233,15 @@ SimResult Simulator::Run(const ScheduleScenario& scenario,
   const size_t n = scenario.arrival_ms.size();
   m.arrivals = n;
 
-  std::vector<ScheduledJob> queue;        // admitted, waiting for a slot
-  std::vector<RunningJob> running;        // occupying the K slots
-  std::vector<Prediction> decision_pred(n);  // as-decided, for feedback
+  // Only the jobs in flight are held: the admitted queue (with each
+  // job's as-decided prediction at the same index) and the K slots.
+  std::vector<ScheduledJob> queue;
+  std::vector<Prediction> queue_pred;
+  std::vector<RunningJob> running;
+  // Every arrival writes one record and every admitted job a start and a
+  // finish, so this never reallocates; pages past the last record are
+  // never touched.
+  log.reserve(n * (kArrivalBytes + kStartBytes + kFinishBytes));
 
   size_t next_arrival = 0;
   double now = 0.0;
@@ -239,7 +269,8 @@ SimResult Simulator::Run(const ScheduleScenario& scenario,
       job.optimizer_cost = scenario.pool_cost[scenario.job_plan[id]];
       auto pred_or = service.Predict(scenario.pool[scenario.job_plan[id]]);
       UQP_CHECK(pred_or.ok()) << "simulated prediction failed";
-      job.predicted_ms = pred_or->distribution();
+      Prediction pred = std::move(pred_or).value();
+      job.predicted_ms = pred.distribution();
 
       ++m.admission_checks;
       const double backlog =
@@ -247,24 +278,25 @@ SimResult Simulator::Run(const ScheduleScenario& scenario,
       const double budget = job.deadline_ms - now - backlog;
       const bool admits = admission.Admits(job, budget);
 
-      log.push_back(kEvArrival);
-      AppendU64(&log, id);
-      AppendF64(&log, now);
-      log.push_back(admits ? 1 : 0);
-      AppendF64(&log, job.predicted_ms.mean);
-      AppendF64(&log, job.predicted_ms.variance);
-      AppendF64(&log, job.deadline_ms);
+      Record<kArrivalBytes> rec(kEvArrival);
+      rec.U64(id);
+      rec.F64(now);
+      rec.U8(admits ? 1 : 0);
+      rec.F64(job.predicted_ms.mean);
+      rec.F64(job.predicted_ms.variance);
+      rec.F64(job.deadline_ms);
+      rec.AppendTo(&log);
 
       if (admits) {
         ++m.admitted;
-        decision_pred[id] = *pred_or;
         queue.push_back(job);
+        queue_pred.push_back(std::move(pred));
       } else {
         ++m.rejected;
       }
     } else {
       // Completion.
-      const RunningJob done = running[completion];
+      const RunningJob done = std::move(running[completion]);
       running.erase(running.begin() + ptrdiff_t(completion));
       now = done.finish_ms;
       const size_t id = done.job.id;
@@ -280,13 +312,14 @@ SimResult Simulator::Run(const ScheduleScenario& scenario,
       // Close the loop: the observation lands against the prediction the
       // admission decision was made with.
       service.ReportObservedAgainst(
-          scenario.pool_fingerprint[scenario.job_plan[id]], decision_pred[id],
+          scenario.pool_fingerprint[scenario.job_plan[id]], done.as_decided,
           true_ms);
 
-      log.push_back(kEvFinish);
-      AppendU64(&log, id);
-      AppendF64(&log, now);
-      log.push_back(met ? 1 : 0);
+      Record<kFinishBytes> rec(kEvFinish);
+      rec.U64(id);
+      rec.F64(now);
+      rec.U8(met ? 1 : 0);
+      rec.AppendTo(&log);
     }
 
     // Fill freed slots from the queue by the ordering policy.
@@ -295,14 +328,17 @@ SimResult Simulator::Run(const ScheduleScenario& scenario,
       const size_t pick = PickNext(policy.ordering, queue, now);
       RunningJob r;
       r.job = queue[pick];
+      r.as_decided = std::move(queue_pred[pick]);
       r.start_ms = now;
       r.finish_ms = now + scenario.true_ms[r.job.id];
       queue.erase(queue.begin() + ptrdiff_t(pick));
+      queue_pred.erase(queue_pred.begin() + ptrdiff_t(pick));
 
-      log.push_back(kEvStart);
-      AppendU64(&log, r.job.id);
-      AppendF64(&log, now);
-      running.push_back(r);
+      Record<kStartBytes> rec(kEvStart);
+      rec.U64(r.job.id);
+      rec.F64(now);
+      rec.AppendTo(&log);
+      running.push_back(std::move(r));
     }
   }
 

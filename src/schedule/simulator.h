@@ -136,6 +136,13 @@ uint64_t EventLogHash(const std::vector<uint8_t>& log);
 /// remaining deadline budget minus a backlog estimate (queued + running
 /// predicted work over K slots, measured in the policy's own signal), and
 /// a freed slot dispatches by the ordering policy's (key, id) minimum.
+///
+/// A replay's state is bounded by the jobs in flight: each admitted job
+/// carries its as-decided Prediction from the queue to its slot and into
+/// ReportObservedAgainst at completion, so only queue + K predictions are
+/// alive at once. The event log is reserved up front to its bound (every
+/// job admitted) and each record goes in with one append; capacity that
+/// rejected jobs leave unwritten is never touched.
 class Simulator {
  public:
   Simulator(const Database* db, const SampleDb* samples, CostUnits units,

@@ -200,6 +200,25 @@ class ScheduleSimTest : public ::testing::Test {
     return o;
   }
 
+  /// A copy of the fixture scenario for a test to edit (plans are
+  /// move-only, so the pool is cloned).
+  static ScheduleScenario ScenarioCopy() {
+    const ScheduleScenario& s = *scenario_;
+    ScheduleScenario copy;
+    for (const Plan& plan : s.pool) copy.pool.push_back(plan.Clone());
+    copy.pool_cost = s.pool_cost;
+    copy.pool_fingerprint = s.pool_fingerprint;
+    copy.pool_ref_mean_ms = s.pool_ref_mean_ms;
+    copy.job_plan = s.job_plan;
+    copy.arrival_ms = s.arrival_ms;
+    copy.deadline_ms = s.deadline_ms;
+    copy.true_ms = s.true_ms;
+    copy.cost_scale_ms = s.cost_scale_ms;
+    copy.rate_qps = s.rate_qps;
+    copy.servers = s.servers;
+    return copy;
+  }
+
   static SimPolicy DistPolicy() {
     SimPolicy p;
     p.admission = {AdmissionPolicyKind::kDistribution, 0.15, 1.0};
@@ -278,6 +297,80 @@ TEST_F(ScheduleSimTest, PoliciesDivergeOnTheSameScenario) {
   EXPECT_NE(rd.event_log, rm.event_log);
   EXPECT_GT(rd.metrics.admitted, 0u);
   EXPECT_GT(rm.metrics.admitted, 0u);
+}
+
+TEST_F(ScheduleSimTest, DriftMidReplayRecalibratesDeterministically) {
+  // The machine runs 4x slower than the service's calibration: every
+  // observed runtime diverges from its prediction, so the feedback loop
+  // publishes a new calibration part-way through the replay. Every
+  // admitted job still reports against the prediction its admission was
+  // decided with, and the replay stays byte-identical at every thread
+  // count and on reruns. The window is 4 reports because only 8 of the
+  // 48 jobs are admitted under the slowdown.
+  ScheduleScenario drifted = ScenarioCopy();
+  for (double& t : drifted.true_ms) t *= 4.0;
+  CostUnits slowed = *units_;
+  for (int u = 0; u < kNumCostUnits; ++u) slowed.units[u].mean *= 4.0;
+  auto options = [&slowed](int threads) {
+    ServiceOptions o = Options(threads);
+    o.feedback.window_size = 4;
+    o.feedback.recalibrate = [slowed]() { return slowed; };
+    return o;
+  };
+
+  const SimPolicy policy = DistPolicy();
+  std::vector<std::vector<uint8_t>> logs;
+  for (int threads : {1, 2, 4}) {
+    Simulator sim(db_, samples_, *units_, options(threads));
+    const SimResult r = sim.Run(drifted, policy);
+    EXPECT_GE(r.service_stats.recalibrations, 1u) << threads << " threads";
+    EXPECT_EQ(r.service_stats.feedback_reports, r.metrics.admitted)
+        << threads << " threads";
+    logs.push_back(r.event_log);
+  }
+  ASSERT_FALSE(logs[0].empty());
+  EXPECT_EQ(logs[0], logs[1]);
+  EXPECT_EQ(logs[0], logs[2]);
+
+  Simulator again(db_, samples_, *units_, options(1));
+  EXPECT_EQ(again.Run(drifted, policy).event_log, logs[0]);
+  EXPECT_EQ(again.Run(drifted, policy).event_log, logs[0]);
+
+  // The new calibration landed before the replay ended: later arrivals
+  // were predicted under it, so the log differs from a detect-only run.
+  Simulator detect_only(db_, samples_, *units_, Options(1));
+  EXPECT_NE(detect_only.Run(drifted, policy).event_log, logs[0]);
+}
+
+TEST_F(ScheduleSimTest, EventLogHoldsOneFixedWidthRecordPerEvent) {
+  // Arrival records are 42 bytes, start 17 and finish 18, and every
+  // admitted job starts and finishes exactly once.
+  auto expect_size = [](const SimResult& r) {
+    EXPECT_EQ(r.event_log.size(),
+              42 * r.metrics.arrivals + (17 + 18) * r.metrics.admitted);
+  };
+  Simulator sim(db_, samples_, *units_, Options(2));
+  const SimResult fixture = sim.Run(*scenario_, DistPolicy());
+  expect_size(fixture);
+  EXPECT_GT(fixture.metrics.admitted, 0u);
+  EXPECT_GT(fixture.metrics.rejected, 0u);
+
+  // Deadline at arrival: no policy has a budget, so only arrival records.
+  ScheduleScenario hopeless = ScenarioCopy();
+  hopeless.deadline_ms = hopeless.arrival_ms;
+  const SimResult none = sim.Run(hopeless, DistPolicy());
+  expect_size(none);
+  EXPECT_EQ(none.metrics.admitted, 0u);
+  EXPECT_EQ(none.event_log.size(), 42 * none.metrics.arrivals);
+  EXPECT_EQ(none.service_stats.feedback_reports, 0u);
+
+  // Deadlines far beyond any backlog: every arrival is admitted.
+  ScheduleScenario relaxed = ScenarioCopy();
+  for (double& d : relaxed.deadline_ms) d += 1e12;
+  const SimResult all = sim.Run(relaxed, DistPolicy());
+  expect_size(all);
+  EXPECT_EQ(all.metrics.admitted, all.metrics.arrivals);
+  EXPECT_EQ(all.service_stats.feedback_reports, all.metrics.arrivals);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@ class UQP_CAPABILITY("mutex") Mutex {
 
   void Lock() UQP_ACQUIRE() { mu_.lock(); }
   void Unlock() UQP_RELEASE() { mu_.unlock(); }
-  bool TryLock() UQP_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

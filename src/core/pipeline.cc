@@ -149,10 +149,11 @@ VarianceBreakdown PredictionPipeline::Recompute(const Prediction& prediction,
   const CalibrationPtr snapshot =
       prediction.calibration != nullptr ? prediction.calibration
                                         : calibration();
-  const VarianceEngine engine(&prediction.estimates(),
-                              &prediction.cost_functions(), &snapshot->units,
-                              variant, bound);
-  return engine.Compute();
+  return variance_combine_
+      .Run(VarianceCombineInput{prediction.sample_run.get(),
+                                prediction.cost_fit.get(), &snapshot->units,
+                                variant, bound})
+      .breakdown;
 }
 
 }  // namespace uqp

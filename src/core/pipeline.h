@@ -53,7 +53,6 @@ struct PredictorOptions {
   /// derivation depends only on sample cardinality — never thread count —
   /// so auto mode keeps the bit-identical guarantee across num_threads.
   int64_t max_batch_size = 1024;
-  FitOptions fit;
 };
 
 struct SampleRunOutput;
@@ -167,7 +166,7 @@ class SampleRunStage {
   SampleRunStage(const Database* db, const SampleDb* samples,
                  AggregateEstimateMode aggregate_mode,
                  ScanEstimateMode scan_mode, int num_threads = 1,
-                 TaskRunner* task_runner = nullptr,
+                 MorselPool* task_runner = nullptr,
                  int64_t max_batch_size = 1024)
       : estimator_(db, samples, aggregate_mode, scan_mode, num_threads,
                    task_runner, max_batch_size) {}
@@ -193,8 +192,7 @@ struct CostFitOutput {
 /// ranges (paper §4).
 class CostFitStage {
  public:
-  CostFitStage(const Database* db, FitOptions options)
-      : fitter_(db, options) {}
+  explicit CostFitStage(const Database* db) : fitter_(db) {}
 
   StatusOr<CostFitOutput> Run(const CostFitInput& input) const;
 
@@ -244,13 +242,13 @@ class PredictionPipeline {
   PredictionPipeline(const Database* db, const SampleDb* samples,
                      CostUnits units,
                      PredictorOptions options = PredictorOptions(),
-                     TaskRunner* task_runner = nullptr)
+                     MorselPool* task_runner = nullptr)
       : calibration_(MakeCalibrationSnapshot(units, 1, "offline")),
         epoch_(1),
         options_(options),
         sample_run_(db, samples, options.aggregate_mode, options.scan_mode,
                     options.num_threads, task_runner, options.max_batch_size),
-        cost_fit_(db, options.fit) {}
+        cost_fit_(db) {}
 
   /// The current calibration snapshot (safe to call while a concurrent
   /// SetCalibration publishes a new epoch). Every prediction resolves this
@@ -309,10 +307,11 @@ class PredictionPipeline {
   Prediction PredictFromArtifacts(const StageArtifacts& artifacts,
                                   const CalibrationPtr& snapshot) const;
 
-  /// Stage 3 only, under a different variant/bound (ablation reuse).
-  /// Combines under the prediction's own calibration snapshot (falling
-  /// back to the current one for foreign predictions), so recomputation
-  /// is referentially transparent across concurrent epoch swaps.
+  /// Stage 3 only, under a different variant/bound (ablation reuse): the
+  /// same VarianceCombineStage, not counted by combine_count(). Combines
+  /// under the prediction's own calibration snapshot (falling back to the
+  /// current one for foreign predictions), so recomputation is
+  /// referentially transparent across concurrent epoch swaps.
   VarianceBreakdown Recompute(const Prediction& prediction,
                               PredictorVariant variant,
                               CovarianceBoundKind bound) const;

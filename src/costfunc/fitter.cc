@@ -11,6 +11,11 @@ namespace uqp {
 
 namespace {
 
+/// W: subintervals of the 3σ interval for 1-D shapes (W+1 points).
+constexpr int kGrid1d = 6;
+/// W per axis for 2-D shapes ((W+1)² points).
+constexpr int kGrid2d = 4;
+
 /// The likely range of a selectivity: [μ - 3σ, μ + 3σ] clamped to [0, 1]
 /// (paper §4.2; Pr(X in I) ≈ 0.997). Degenerate intervals are widened
 /// slightly for numerical conditioning.
@@ -39,8 +44,7 @@ struct GridRange {
 /// via the leaf-row products (Nl = |Rl| Xl etc., paper §4.1).
 class Oracle {
  public:
-  Oracle(const PlanNode& node, const Database& db, const EngineConfig& engine)
-      : node_(node), engine_(engine) {
+  Oracle(const PlanNode& node, const Database& db) : node_(node) {
     ctx_.type = node.type;
     ctx_.qual_ops = PredicateOpCount(node.predicate.get());
     if (IsScan(node.type)) {
@@ -66,12 +70,11 @@ class Oracle {
     if (node_.right != nullptr) {
       ctx.right_rows = std::max(0.0, xr) * node_.right->leaf_row_product;
     }
-    return EstimateResources(ctx, engine_);
+    return EstimateResources(ctx, kEngineConfig);
   }
 
  private:
   const PlanNode& node_;
-  EngineConfig engine_;
   OperatorContext ctx_;
 };
 
@@ -102,16 +105,15 @@ Grid GridOf(CostFuncType type) {
   return Grid::kConstant;
 }
 
-size_t GridSize(Grid grid, const FitOptions& options) {
+size_t GridSize(Grid grid) {
   switch (grid) {
     case Grid::kConstant:
       return 1;
     case Grid::kOutput:
     case Grid::kLeft:
-      return static_cast<size_t>(options.grid_1d) + 1;
+      return kGrid1d + 1;
     case Grid::kBoth:
-      return (static_cast<size_t>(options.grid_2d) + 1) *
-             (static_cast<size_t>(options.grid_2d) + 1);
+      return (kGrid2d + 1) * (kGrid2d + 1);
   }
   return 0;
 }
@@ -120,7 +122,7 @@ size_t GridSize(Grid grid, const FitOptions& options) {
 /// The non-varying selectivities sit at their means.
 void AppendGrid(Grid grid, const Oracle& oracle, const Gaussian& gx,
                 const Gaussian& gl, const Gaussian& gr,
-                const FitOptions& options, std::vector<FitPoint>* pts) {
+                std::vector<FitPoint>* pts) {
   auto probe = [&](double x, double xl, double xr) {
     pts->push_back({x, xl, xr, oracle.Counters(x, xl, xr)});
   };
@@ -130,24 +132,24 @@ void AppendGrid(Grid grid, const Oracle& oracle, const Gaussian& gx,
       break;
     case Grid::kOutput: {
       const GridRange range(gx);
-      for (int i = 0; i <= options.grid_1d; ++i) {
-        probe(range.Point(i, options.grid_1d), gl.mean, gr.mean);
+      for (int i = 0; i <= kGrid1d; ++i) {
+        probe(range.Point(i, kGrid1d), gl.mean, gr.mean);
       }
       break;
     }
     case Grid::kLeft: {
       const GridRange range(gl);
-      for (int i = 0; i <= options.grid_1d; ++i) {
-        probe(gx.mean, range.Point(i, options.grid_1d), gr.mean);
+      for (int i = 0; i <= kGrid1d; ++i) {
+        probe(gx.mean, range.Point(i, kGrid1d), gr.mean);
       }
       break;
     }
     case Grid::kBoth: {
       const GridRange left(gl), right(gr);
-      for (int i = 0; i <= options.grid_2d; ++i) {
-        const double xl = left.Point(i, options.grid_2d);
-        for (int j = 0; j <= options.grid_2d; ++j) {
-          probe(gx.mean, xl, right.Point(j, options.grid_2d));
+      for (int i = 0; i <= kGrid2d; ++i) {
+        const double xl = left.Point(i, kGrid2d);
+        for (int j = 0; j <= kGrid2d; ++j) {
+          probe(gx.mean, xl, right.Point(j, kGrid2d));
         }
       }
       break;
@@ -230,16 +232,16 @@ StatusOr<OperatorCostFunctions> CostFunctionFitter::FitNode(
   }
   size_t num_points = 0;
   for (int g = 0; g < kNumGrids; ++g) {
-    if (needed[g]) num_points += GridSize(static_cast<Grid>(g), options_);
+    if (needed[g]) num_points += GridSize(static_cast<Grid>(g));
   }
-  const Oracle oracle(node, *db_, options_.engine);
+  const Oracle oracle(node, *db_);
   std::vector<FitPoint> pts;
   pts.reserve(num_points);
   size_t grid_begin[kNumGrids], grid_end[kNumGrids];
   for (int g = 0; g < kNumGrids; ++g) {
     grid_begin[g] = pts.size();
     if (needed[g]) {
-      AppendGrid(static_cast<Grid>(g), oracle, gx, gl, gr, options_, &pts);
+      AppendGrid(static_cast<Grid>(g), oracle, gx, gl, gr, &pts);
     }
     grid_end[g] = pts.size();
   }

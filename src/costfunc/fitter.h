@@ -26,23 +26,15 @@ struct OperatorCostFunctions {
   int var_right = -1;
 };
 
-/// Grid/fit configuration (paper §4.2).
-struct FitOptions {
-  /// W: subintervals of the 3σ interval for 1-D shapes (W+1 points).
-  int grid_1d = 6;
-  /// W per axis for 2-D shapes ((W+1)² points).
-  int grid_2d = 4;
-  EngineConfig engine;
-};
-
 /// Fits the logical cost functions of every operator in a plan by probing
 /// the optimizer's cost model on a grid of selectivity points centered on
 /// the estimated distributions (μ ± 3σ, clamped to [0, 1]) and solving the
-/// nonnegativity-constrained least-squares problem of §4.2.
+/// nonnegativity-constrained least-squares problem of §4.2. The grid is the
+/// paper's: W = 6 subintervals of the 3σ interval for 1-D shapes (7
+/// points), W = 4 per axis for 2-D shapes (25 points).
 class CostFunctionFitter {
  public:
-  CostFunctionFitter(const Database* db, FitOptions options = FitOptions())
-      : db_(db), options_(options) {}
+  explicit CostFunctionFitter(const Database* db) : db_(db) {}
 
   StatusOr<std::vector<OperatorCostFunctions>> FitPlan(
       const Plan& plan, const PlanEstimates& estimates) const;
@@ -53,7 +45,6 @@ class CostFunctionFitter {
 
  private:
   const Database* db_;
-  FitOptions options_;
 };
 
 }  // namespace uqp

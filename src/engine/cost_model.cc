@@ -168,10 +168,9 @@ ResourceVector EstimateNodeResources(const PlanNode& node, const Database& db,
 ResourceVector OptimizerResources(const Plan& plan, const Database& db) {
   CardinalityEstimator estimator(&db);
   const std::vector<double> rows = estimator.EstimatePlan(plan);
-  const EngineConfig config;
   ResourceVector total;
   for (const PlanNode* node : plan.NodesPreorder()) {
-    total += EstimateNodeResources(*node, db, rows, config);
+    total += EstimateNodeResources(*node, db, rows, kEngineConfig);
   }
   return total;
 }

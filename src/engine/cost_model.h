@@ -44,6 +44,11 @@ struct EngineConfig {
   double work_mem_bytes = 64.0 * 1024;
 };
 
+/// The engine configuration every layer uses: the executor spills, and the
+/// optimizer's cost model and the fitter's oracle charge, against one
+/// work_mem.
+inline constexpr EngineConfig kEngineConfig{};
+
 /// Inputs the optimizer cost model needs for one operator.
 struct OperatorContext {
   OpType type = OpType::kSeqScan;

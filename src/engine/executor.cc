@@ -404,7 +404,6 @@ class ExecContext {
   }
 
   bool prov() const { return options_.collect_provenance; }
-  const EngineConfig& engine() const { return options_.engine; }
   int64_t batch() const { return std::max<int64_t>(1, options_.max_batch_size); }
 
   /// Cooperative cancellation probe, latched: once the caller's token
@@ -425,9 +424,9 @@ class ExecContext {
   }
 
   /// Intra-query fan-out is on: shard chunked loops and join children
-  /// across the task runner.
+  /// across the pool.
   bool parallel() const { return options_.task_runner != nullptr; }
-  TaskRunner* runner() const { return options_.task_runner; }
+  MorselPool* runner() const { return options_.task_runner; }
 
   OpStats& stats(const PlanNode& node) {
     return stats_[static_cast<size_t>(node.id)];
@@ -817,7 +816,7 @@ class NodeRunner {
     // Grace-hash spill I/O if the build side exceeds work_mem.
     const double build_bytes =
         st.right_rows * node.right->output_schema.TupleWidthBytes();
-    if (build_bytes > ctx_->engine().work_mem_bytes) {
+    if (build_bytes > kEngineConfig.work_mem_bytes) {
       st.actual.ns +=
           2.0 * (PagesFor(st.left_rows, node.left->output_schema.TupleWidthBytes()) +
                  PagesFor(st.right_rows, node.right->output_schema.TupleWidthBytes()));
@@ -1092,7 +1091,7 @@ class NodeRunner {
     st.actual.no += static_cast<double>(comparisons);
     st.actual.nt += static_cast<double>(n);
     const double bytes = static_cast<double>(n) * in.schema.TupleWidthBytes();
-    if (bytes > ctx_->engine().work_mem_bytes) {
+    if (bytes > kEngineConfig.work_mem_bytes) {
       st.actual.ns += 3.0 * PagesFor(static_cast<double>(n),
                                      in.schema.TupleWidthBytes());
     }
@@ -1273,7 +1272,7 @@ class NodeRunner {
     st.actual.nt += static_cast<double>(in.num_rows());
     const double bytes =
         static_cast<double>(in.num_rows()) * in.schema.TupleWidthBytes();
-    if (bytes > ctx_->engine().work_mem_bytes) {
+    if (bytes > kEngineConfig.work_mem_bytes) {
       st.actual.ns += 2.0 * PagesFor(static_cast<double>(in.num_rows()),
                                      in.schema.TupleWidthBytes());
     }

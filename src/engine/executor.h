@@ -17,38 +17,27 @@
 
 namespace uqp {
 
-/// Abstract fan-out primitive for intra-query parallelism: runs every task
-/// index in [0, n) exactly once, possibly on multiple threads, and returns
-/// only when all of them finished. The calling thread participates, so an
-/// implementation backed by a saturated pool degrades to the caller doing
-/// all the work itself — never to a deadlock. Implementations must support
-/// nested RunTasks calls from inside a task (the executor fans out both
-/// join children and, within each, table chunks). MorselPool is the one
-/// implementation; PredictionService hands the executor its own
-/// MorselPool through an adapter that only adds a fault-injection probe.
-class TaskRunner {
- public:
-  virtual ~TaskRunner() = default;
-  virtual void RunTasks(int64_t n, const std::function<void(int64_t)>& fn) = 0;
-};
-
 /// The worker pool, the only one in the tree: `num_threads - 1` helper
-/// threads popping one FIFO queue of closures. Two kinds of work share it. Submit queues a
-/// whole job (PredictionService's PredictAsync requests). RunTasks
-/// implements TaskRunner: it queues min(num_threads - 1, n - 1) helper
-/// closures behind whatever is already queued, then the calling thread
-/// pulls task indexes from a shared atomic counter alongside any helper
-/// that reaches the front (morsel-driven dispatch: skewed tasks rebalance
-/// dynamically, while merge order stays the deterministic task-index order
-/// chosen by the caller). A saturated pool thus degrades to each caller
-/// running its own tasks. Callers hand one to the executor through
+/// threads popping one FIFO queue of closures. Two kinds of work share it.
+/// Submit queues a whole job (PredictionService's PredictAsync requests).
+/// RunTasks is the fan-out primitive for intra-query parallelism: it runs
+/// every task index in [0, n) exactly once and returns only when all of
+/// them finished. It queues min(num_threads - 1, n - 1) helper closures
+/// behind whatever is already queued, then the calling thread pulls task
+/// indexes from a shared atomic counter alongside any helper that reaches
+/// the front (morsel-driven dispatch: skewed tasks rebalance dynamically,
+/// while merge order stays the deterministic task-index order chosen by the
+/// caller). A saturated pool thus degrades to each caller running its own
+/// tasks, never to a deadlock, and RunTasks may be called again from inside
+/// a task (the executor fans out both join children and, within each,
+/// table chunks). Callers hand one to the executor through
 /// ExecOptions::task_runner; long-lived callers (the sampling estimator,
 /// the service, benches) share one instance across runs.
-class MorselPool : public TaskRunner {
+class MorselPool {
  public:
   explicit MorselPool(int num_threads);
   /// Calls Shutdown().
-  ~MorselPool() override;
+  ~MorselPool();
 
   MorselPool(const MorselPool&) = delete;
   MorselPool& operator=(const MorselPool&) = delete;
@@ -56,7 +45,7 @@ class MorselPool : public TaskRunner {
   int num_threads() const { return static_cast<int>(threads_.size()) + 1; }
 
   /// After Shutdown, runs every index on the calling thread.
-  void RunTasks(int64_t n, const std::function<void(int64_t)>& fn) override;
+  void RunTasks(int64_t n, const std::function<void(int64_t)>& fn);
 
   /// Queues `task` behind everything already queued (FIFO, so the oldest
   /// job is served first). A pool without helper threads runs it on the
@@ -225,7 +214,7 @@ struct ExecOptions {
   /// standard-library implementations, whose introsorts compare
   /// differently), aggregate sums by the chunk-table merge tree, and
   /// aggregate output order by first appearance in the input.
-  TaskRunner* task_runner = nullptr;
+  MorselPool* task_runner = nullptr;
   /// Cooperative cancellation probe. When set, the executor polls it at
   /// operator boundaries and at morsel-shard boundaries inside
   /// RunTaskRange / RunShardedTasks; once it returns true the run stops
@@ -235,7 +224,6 @@ struct ExecOptions {
   /// result — a cancelled run returns only the error. Null means "never
   /// cancelled" and costs nothing on the hot path.
   std::function<bool()> cancelled;
-  EngineConfig engine;
 };
 
 /// Result of executing a plan. Its blocks read cells from the Database and

@@ -92,8 +92,6 @@ struct PlanIdentity {
   std::string key;
 };
 
-struct PlannerConfig;
-
 /// A finalized physical plan: ids assigned, schemas derived, leaf order
 /// fixed. Leaf order is the in-order sequence of scan operators; the
 /// sampling layer uses leaf positions to bind (possibly distinct) sample
@@ -148,8 +146,7 @@ class Plan {
   // The planner derives the logical tree once before its rewrite and
   // finalizes the rewritten plan; only the second pass needs the identity.
   friend StatusOr<Plan> OptimizePlan(std::unique_ptr<PlanNode> root,
-                                     const Database& db,
-                                     const PlannerConfig& config);
+                                     const Database& db);
   /// Finalize without the identity: ids, schemas and leaf spans.
   Status Derive(const Database& db);
 

@@ -8,6 +8,13 @@ namespace uqp {
 
 namespace {
 
+/// Estimated scan selectivity at or below which an index scan is preferred
+/// over a sequential scan (when the predicate is an indexable range).
+constexpr double kIndexSelectivityThreshold = 0.12;
+/// Estimated inner cardinality at or below which an equi-join runs as a
+/// nested-loop join instead of a hash join.
+constexpr double kNestLoopInnerRows = 64.0;
+
 /// Estimated selectivity of the range the predicate implies over an
 /// indexed column, or 1.0 if the predicate has no range on it.
 double IndexRangeSelectivity(const Expr* e, int column, const TableStats& stats) {
@@ -25,25 +32,18 @@ double IndexRangeSelectivity(const Expr* e, int column, const TableStats& stats)
 }
 
 void RewriteNode(PlanNode* node, const Database& db,
-                 const CardinalityEstimator& cards,
-                 const std::vector<double>& rows_by_id,
-                 const PlannerConfig& config) {
-  if (node->left != nullptr) {
-    RewriteNode(node->left.get(), db, cards, rows_by_id, config);
-  }
-  if (node->right != nullptr) {
-    RewriteNode(node->right.get(), db, cards, rows_by_id, config);
-  }
+                 const std::vector<double>& rows_by_id) {
+  if (node->left != nullptr) RewriteNode(node->left.get(), db, rows_by_id);
+  if (node->right != nullptr) RewriteNode(node->right.get(), db, rows_by_id);
 
   if (node->type == OpType::kSeqScan && node->predicate != nullptr) {
     const Table& table = db.GetTable(node->table_name);
     const TableStats& stats = db.catalog().Get(node->table_name);
-    (void)rows_by_id;
     // Choose the indexed column with the most selective range implied by
     // the predicate; remaining conjuncts run as a residual filter
     // (PostgreSQL's Index Cond + Filter).
     int best_col = -1;
-    double best_sel = config.index_selectivity_threshold;
+    double best_sel = kIndexSelectivityThreshold;
     for (int c = 0; c < table.schema().num_columns(); ++c) {
       if (!table.HasIndex(c)) continue;
       const double sel = IndexRangeSelectivity(node->predicate.get(), c, stats);
@@ -66,7 +66,7 @@ void RewriteNode(PlanNode* node, const Database& db,
       return;
     }
     const double inner_rows = rows_by_id[static_cast<size_t>(node->right->id)];
-    if (inner_rows <= config.nestloop_inner_rows) {
+    if (inner_rows <= kNestLoopInnerRows) {
       node->type = OpType::kNestLoopJoin;
     }
   }
@@ -74,17 +74,17 @@ void RewriteNode(PlanNode* node, const Database& db,
 
 }  // namespace
 
-StatusOr<Plan> OptimizePlan(std::unique_ptr<PlanNode> root, const Database& db,
-                            const PlannerConfig& config) {
+StatusOr<Plan> OptimizePlan(std::unique_ptr<PlanNode> root,
+                            const Database& db) {
   if (root == nullptr) return Status::InvalidArgument("empty logical tree");
   Plan plan(std::move(root));
   // Ids, schemas and leaf spans for the estimator; the identity waits for
   // the rewritten plan.
   UQP_RETURN_IF_ERROR(plan.Derive(db));
 
-  CardinalityEstimator cards(&db);
-  const std::vector<double> rows_by_id = cards.EstimatePlan(plan);
-  RewriteNode(plan.mutable_root(), db, cards, rows_by_id, config);
+  const std::vector<double> rows_by_id =
+      CardinalityEstimator(&db).EstimatePlan(plan);
+  RewriteNode(plan.mutable_root(), db, rows_by_id);
 
   // Operator types changed: the identity is computed here, once (ids are
   // unchanged by the rewrite, but Finalize also re-validates index scans).

@@ -8,25 +8,17 @@
 
 namespace uqp {
 
-/// Heuristic physical-planning knobs.
-struct PlannerConfig {
-  /// Estimated scan selectivity below which an index scan is preferred
-  /// over a sequential scan (when the predicate is an indexable range).
-  double index_selectivity_threshold = 0.12;
-  /// Estimated inner cardinality at or below which an equi-join runs as a
-  /// nested-loop join instead of a hash join.
-  double nestloop_inner_rows = 64.0;
-};
-
 /// Rewrites a logical tree (scans as SeqScan, joins as HashJoin) into a
-/// physical plan: access-path selection (seq vs index scan) and join
-/// algorithm choice (hash vs nested loop; joins without keys become
-/// nested-loop cross joins with residual predicates).
+/// physical plan: access-path selection (an index scan when the predicate
+/// implies a range of estimated selectivity at most 0.12 on an indexed
+/// column, else a seq scan) and join algorithm choice (a nested loop when
+/// the inner is estimated at most 64 rows, else a hash join; joins without
+/// keys become nested-loop cross joins with residual predicates).
 ///
 /// Column references are preserved: children are never reordered, so key
 /// and aggregate column indexes written against the logical tree remain
 /// valid in the physical plan.
-StatusOr<Plan> OptimizePlan(std::unique_ptr<PlanNode> root, const Database& db,
-                            const PlannerConfig& config = PlannerConfig());
+StatusOr<Plan> OptimizePlan(std::unique_ptr<PlanNode> root,
+                            const Database& db);
 
 }  // namespace uqp

@@ -8,6 +8,14 @@
 
 namespace uqp {
 
+namespace {
+
+/// Actual running time of a query: the average of 5 runs (the paper's
+/// protocol).
+constexpr int kRunsPerQuery = 5;
+
+}  // namespace
+
 std::vector<QueryOutcome> EvaluationResult::outcomes() const {
   std::vector<QueryOutcome> out;
   out.reserve(records.size());
@@ -43,10 +51,8 @@ Status ExperimentHarness::LoadWorkload(const std::string& kind, int size_hint) {
   Executor executor(&db_);
   for (WorkloadQuery& q : queries) {
     UQP_ASSIGN_OR_RETURN(Plan plan,
-                         OptimizePlan(std::move(q.logical), db_, options_.planner));
-    ExecOptions exec_options;
-    exec_options.engine = options_.engine;
-    UQP_ASSIGN_OR_RETURN(ExecResult full, executor.Execute(plan, exec_options));
+                         OptimizePlan(std::move(q.logical), db_));
+    UQP_ASSIGN_OR_RETURN(ExecResult full, executor.Execute(plan, ExecOptions()));
     PreparedQuery pq;
     pq.name = std::move(q.name);
     pq.plan = std::move(plan);
@@ -101,9 +107,7 @@ Status ExperimentHarness::EnsureArtifacts(SrState* sr,
   if (sr->artifacts.count(workload) > 0) return Status::OK();
   const auto& prepared = workloads_.at(workload);
   SamplingEstimator estimator(&db_, sr->samples.get());
-  FitOptions fit = options_.fit;
-  fit.engine = options_.engine;
-  CostFunctionFitter fitter(&db_, fit);
+  CostFunctionFitter fitter(&db_);
   std::vector<QueryArtifacts> artifacts;
   artifacts.reserve(prepared.size());
   for (const PreparedQuery& pq : prepared) {
@@ -125,7 +129,7 @@ const std::vector<double>& ExperimentHarness::ActualTimesFor(
   std::vector<double> times;
   times.reserve(prepared.size());
   for (const PreparedQuery& pq : prepared) {
-    times.push_back(ms->machine->ExecuteAveraged(pq.full, options_.runs_per_query));
+    times.push_back(ms->machine->ExecuteAveraged(pq.full, kRunsPerQuery));
   }
   auto [pos, _] = ms->actual_times.emplace(workload, std::move(times));
   return pos->second;

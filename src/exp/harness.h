@@ -23,10 +23,6 @@ struct HarnessOptions {
   std::string profile = "1gb";  ///< "1gb" | "10gb" | "tiny"
   double zipf = 0.0;            ///< 0 = uniform, 1 = skewed (paper z = 1)
   uint64_t seed = 42;
-  int runs_per_query = 5;  ///< paper protocol: average of 5 runs
-  EngineConfig engine;
-  FitOptions fit;
-  PlannerConfig planner;
 };
 
 /// Per-query record of one evaluation.

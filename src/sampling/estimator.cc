@@ -87,7 +87,7 @@ StatusOr<PlanEstimates> SamplingEstimator::Estimate(
   // supplied a runner (the service layer sharing its worker pool), use it;
   // otherwise an ephemeral pool lives for this call.
   const int threads = ResolveNumThreads(num_threads_);
-  TaskRunner* runner = threads > 1 ? task_runner_ : nullptr;
+  MorselPool* runner = threads > 1 ? task_runner_ : nullptr;
   std::unique_ptr<MorselPool> owned_pool;
   if (threads > 1 && runner == nullptr) {
     owned_pool = std::make_unique<MorselPool>(threads);

@@ -121,7 +121,7 @@ class SamplingEstimator {
                     AggregateEstimateMode aggregate_mode =
                         AggregateEstimateMode::kOptimizer,
                     ScanEstimateMode scan_mode = ScanEstimateMode::kSampling,
-                    int num_threads = 1, TaskRunner* task_runner = nullptr,
+                    int num_threads = 1, MorselPool* task_runner = nullptr,
                     int64_t max_batch_size = 1024)
       : db_(db),
         samples_(samples),
@@ -159,7 +159,7 @@ class SamplingEstimator {
   int num_threads_ = 1;
   /// Shared pool for the fan-out; when null and num_threads > 1 an
   /// ephemeral MorselPool covers one Estimate call.
-  TaskRunner* task_runner_ = nullptr;
+  MorselPool* task_runner_ = nullptr;
   /// Executor chunk granularity for the sample run (see
   /// ExecOptions::max_batch_size). <= 0 = auto: derived per plan from the
   /// bound sample-table cardinalities via AutoSampleBatchSize.

@@ -9,8 +9,7 @@
 
 namespace uqp {
 
-SampleDb SampleDb::Build(const Database& db, const SampleOptions& options,
-                         TaskRunner* task_runner) {
+SampleDb SampleDb::Build(const Database& db, const SampleOptions& options) {
   UQP_CHECK(options.sampling_ratio > 0.0 && options.sampling_ratio <= 1.0)
       << "sampling ratio must be in (0, 1]";
   UQP_CHECK(options.copies_per_relation >= 1);
@@ -69,13 +68,8 @@ SampleDb SampleDb::Build(const Database& db, const SampleOptions& options,
 
   const int threads = ResolveNumThreads(options.num_threads);
   if (threads > 1 && units.size() > 1) {
-    TaskRunner* runner = task_runner;
-    std::unique_ptr<MorselPool> owned;
-    if (runner == nullptr) {
-      owned = std::make_unique<MorselPool>(threads);
-      runner = owned.get();
-    }
-    runner->RunTasks(static_cast<int64_t>(units.size()), [&](int64_t i) {
+    MorselPool pool(threads);
+    pool.RunTasks(static_cast<int64_t>(units.size()), [&](int64_t i) {
       build_unit(units[static_cast<size_t>(i)]);
     });
   } else {

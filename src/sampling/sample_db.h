@@ -11,8 +11,6 @@
 
 namespace uqp {
 
-class TaskRunner;  // engine/executor.h
-
 /// Options for building the offline sample tables.
 struct SampleOptions {
   /// Fraction of each relation taken as sample (paper §6.3's SR knob).
@@ -38,12 +36,11 @@ struct SampleOptions {
 /// annotations of paper §3.2.2).
 class SampleDb {
  public:
-  /// Builds the samples, fanning (relation, copy) table builds across
-  /// `task_runner` (or an ephemeral pool) when options.num_threads != 1.
-  /// The sample contents depend only on options.seed — not on the thread
-  /// count, the runner, or the database's relation enumeration order.
-  static SampleDb Build(const Database& db, const SampleOptions& options,
-                        TaskRunner* task_runner = nullptr);
+  /// Builds the samples, fanning (relation, copy) table builds across an
+  /// ephemeral pool when options.num_threads != 1. The sample contents
+  /// depend only on options.seed — not on the thread count or the
+  /// database's relation enumeration order.
+  static SampleDb Build(const Database& db, const SampleOptions& options);
 
   const SampleOptions& options() const { return options_; }
 

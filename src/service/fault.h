@@ -35,24 +35,6 @@ struct FaultDecision {
   double latency_ms = 0.0;
 };
 
-/// Fault seam threaded through RunStages / the worker pool. Implementations
-/// must be internally synchronized: OnSampleRun is called concurrently from
-/// every worker.
-class FaultInjector {
- public:
-  virtual ~FaultInjector() = default;
-
-  /// Consulted once per stage-1 attempt for `fingerprint`, BEFORE the real
-  /// stage runs. Attempt numbering (per fingerprint) is the injector's own
-  /// bookkeeping.
-  virtual FaultDecision OnSampleRun(uint64_t fingerprint) = 0;
-
-  /// Pool seam: should the service fire a spurious wakeup (an extra
-  /// NotifyAll with nothing new to do) after this enqueue? Exercises the
-  /// explicit predicate loops around every CondVar wait.
-  virtual bool InjectSpuriousWakeup() { return false; }
-};
-
 /// Per-family fault behavior in a ScheduledFaultInjector.
 struct FaultRule {
   /// Attempts with index < fail_attempts fail deterministically — the
@@ -79,17 +61,26 @@ struct ScheduledFaultOptions {
   uint64_t spurious_every = 0;
 };
 
-/// Seeded, fully deterministic injector. The decision for (fingerprint,
-/// attempt) is a pure function of the seed (a splitmix64-style mix — no
+/// Seeded, fully deterministic injector, the fault seam threaded through
+/// RunStages and the worker pool. The decision for (fingerprint, attempt)
+/// is a pure function of the seed (a splitmix64-style mix — no
 /// std::random_device, no global RNG state), published up front by
 /// ScheduleAt/ScheduleBytes so a harness can pre-draw and compare the
-/// whole schedule across runs and thread counts.
-class ScheduledFaultInjector : public FaultInjector {
+/// whole schedule across runs and thread counts. Internally synchronized:
+/// every worker calls OnSampleRun concurrently.
+class ScheduledFaultInjector {
  public:
   explicit ScheduledFaultInjector(ScheduledFaultOptions options);
 
-  FaultDecision OnSampleRun(uint64_t fingerprint) override;
-  bool InjectSpuriousWakeup() override;
+  /// Consulted once per stage-1 attempt for `fingerprint`, BEFORE the real
+  /// stage runs; attempts are numbered per fingerprint in arrival order.
+  FaultDecision OnSampleRun(uint64_t fingerprint);
+
+  /// Pool seam: should the service fire a spurious wakeup (an extra
+  /// NotifyAll with nothing new to do) after this enqueue? True on every
+  /// spurious_every-th probe. Exercises the explicit predicate loops
+  /// around every CondVar wait.
+  bool InjectSpuriousWakeup();
 
   /// The pre-drawn decision for one (fingerprint, attempt) — pure, never
   /// advances any counter. OnSampleRun returns exactly

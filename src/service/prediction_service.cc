@@ -57,7 +57,7 @@ size_t ThisThreadIndex() {
 PredictionService::PredictionService(const Database* db, const SampleDb* samples,
                                      CostUnits units, ServiceOptions options)
     : pool_(ResolveNumWorkers(options.num_workers) + 1),
-      pipeline_(db, samples, units, options.predictor, &pool_runner_),
+      pipeline_(db, samples, units, options.predictor, &pool_),
       options_(std::move(options)),
       db_(db) {
   // One shard per hardware thread is enough to make same-shard mutex
@@ -721,7 +721,8 @@ std::vector<StatusOr<Prediction>> PredictionService::PredictBatch(
   // alongside. Parked slots are left to their owners, so no pool worker
   // waits on another request's run; an owner in this batch has completed
   // before its joiners are awaited.
-  pool_runner_.RunTasks(static_cast<int64_t>(served.size()), [&](int64_t k) {
+  if (served.size() > 1) MaybeSpuriousWakeup();
+  pool_.RunTasks(static_cast<int64_t>(served.size()), [&](int64_t k) {
     const size_t i = served[static_cast<size_t>(k)];
     Ticket& t = tickets[i];
     results[i] = t.owned != nullptr

@@ -106,10 +106,10 @@ struct ServiceOptions {
   FeedbackOptions feedback;
   /// Test/bench seam: deterministic fault injection (see service/fault.h).
   /// Consulted once per stage-1 attempt (injected latency, injected
-  /// failure) and once per PredictAsync enqueue or pool fan-out (spurious
-  /// wakeups). Null — the production default — costs exactly one pointer
-  /// test per site. Not owned; must outlive the service.
-  FaultInjector* fault_injector = nullptr;
+  /// failure) and once per PredictAsync enqueue or PredictBatch fan-out
+  /// (spurious wakeups). Null — the production default — costs exactly one
+  /// pointer test per site. Not owned; must outlive the service.
+  ScheduledFaultInjector* fault_injector = nullptr;
   /// Per-family circuit breaker: failure_threshold consecutive stage-1
   /// failures quarantine the family (requests shed without touching
   /// stage 1) until a half-open probe succeeds. failure_threshold == 0
@@ -773,9 +773,9 @@ class PredictionService {
   /// FailedPrecondition, recorded as one failed miss, never degraded.
   StatusOr<Prediction> RejectUnfinalized();
 
-  /// Injected spurious wakeup on a pool enqueue or fan-out (test seam): a
-  /// MorselPool::WakeAll with nothing new to do, exercising the explicit
-  /// predicate loops around every CondVar wait.
+  /// Injected spurious wakeup after PredictAsync's enqueue or PredictBatch's
+  /// fan-out (test seam): a MorselPool::WakeAll with nothing new to do,
+  /// exercising the explicit predicate loops around every CondVar wait.
   void MaybeSpuriousWakeup();
 
   /// Inserts a run's entry into the shard (shard mutex held) and publishes
@@ -801,26 +801,10 @@ class PredictionService {
   void Report(uint64_t fingerprint, double observed_ms, bool comparable,
               const FamilyRegistry::ErrorFn& mean_fn);
 
-  /// Hands the worker pool to the executor as a TaskRunner, so intra-plan
-  /// shard tasks and plan-level prediction tasks share one set of threads
-  /// (see ServiceOptions::num_workers). Its one job besides forwarding is
-  /// the fault injector's spurious-wakeup probe on each fan-out.
-  class PoolRunner : public TaskRunner {
-   public:
-    explicit PoolRunner(PredictionService* service) : service_(service) {}
-    void RunTasks(int64_t n, const std::function<void(int64_t)>& fn) override {
-      if (n > 1) service_->MaybeSpuriousWakeup();
-      service_->pool_.RunTasks(n, fn);
-    }
-
-   private:
-    PredictionService* service_;
-  };
-
   /// The worker pool: PredictAsync requests and PredictBatch / intra-plan
-  /// shard helpers queue FIFO on it. Shutdown drains it.
+  /// shard helpers queue FIFO on it (the pipeline's stage-1 runs fan out
+  /// on it). Shutdown drains it. Must outlive (so precede) pipeline_.
   MorselPool pool_;
-  PoolRunner pool_runner_{this};  ///< must outlive (so precede) pipeline_
   PredictionPipeline pipeline_;
   ServiceOptions options_;
   /// The database the pipeline predicts against, kept for the degraded
@@ -910,7 +894,19 @@ class PredictionFuture {
   std::future_status wait_for(
       const std::chrono::duration<Rep, Period>& timeout) const {
     if (pending_ == nullptr) return std::future_status::ready;
-    return wait_until(std::chrono::steady_clock::now() + timeout);
+    using Clock = std::chrono::steady_clock;
+    using Ms = std::chrono::duration<double, std::milli>;
+    const auto now = Clock::now();
+    if (timeout <= timeout.zero()) return wait_until(now);
+    // A timeout past the end of the clock's range (any duration's max()
+    // included) is no deadline, as in MakeContext: `now + timeout` would
+    // overflow. The 1 ms margin absorbs the double rounding of `room`.
+    const Ms room = Clock::time_point::max() - now;
+    if (!(Ms(timeout) < room - Ms(1.0))) {
+      wait();
+      return std::future_status::ready;
+    }
+    return wait_until(now + timeout);
   }
   template <class Clock, class Duration>
   std::future_status wait_until(

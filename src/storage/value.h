@@ -67,12 +67,6 @@ struct Value {
     out.s = StringPool::Global().Intern(v);
     return out;
   }
-  static Value InternedString(int32_t id) {
-    Value out;
-    out.type = ValueType::kString;
-    out.s = id;
-    return out;
-  }
 
   int64_t AsInt64() const;
   /// Numeric coercion: int64 promotes to double.

@@ -23,11 +23,6 @@ Value ConstantPicker::NumericAtFraction(const std::string& table,
   return Value::Double(cs.histogram.ValueAtFraction(fraction));
 }
 
-Value ConstantPicker::RandomNumeric(const std::string& table,
-                                    const std::string& column) {
-  return NumericAtFraction(table, column, rng_->NextDouble());
-}
-
 std::string ConstantPicker::RandomString(const std::string& table,
                                          const std::string& column) {
   const TableStats& stats = db_->catalog().Get(table);

@@ -33,9 +33,6 @@ class ConstantPicker {
   Value NumericAtFraction(const std::string& table, const std::string& column,
                           double fraction) const;
 
-  /// Uniformly random point of the column's value range.
-  Value RandomNumeric(const std::string& table, const std::string& column);
-
   /// Random distinct string value of the column (uniform over distinct).
   std::string RandomString(const std::string& table, const std::string& column);
 

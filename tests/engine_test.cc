@@ -116,8 +116,8 @@ TEST(Executor, SeqScanFilterMatchesReference) {
       }
     }
     ASSERT_EQ(expected_rids.size(), expected_rows);
-    for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
-                               static_cast<TaskRunner*>(&pool)}) {
+    for (MorselPool* runner : {static_cast<MorselPool*>(nullptr),
+                               static_cast<MorselPool*>(&pool)}) {
       for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{1024}}) {
         SCOPED_TRACE(std::to_string(expected_rows) + " rows, batch " +
                      std::to_string(batch) +
@@ -428,8 +428,8 @@ TEST(Executor, JoinChildErrorsKeepLeftPrecedence) {
   }
   MorselPool pool(3);
   Executor executor(&db);
-  for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
-                             static_cast<TaskRunner*>(&pool)}) {
+  for (MorselPool* runner : {static_cast<MorselPool*>(nullptr),
+                             static_cast<MorselPool*>(&pool)}) {
     SCOPED_TRACE(runner == nullptr ? "inline" : "pool");
     ExecOptions options;
     options.task_runner = runner;
@@ -500,8 +500,8 @@ TEST(Executor, CancelledJoinEndsInFullResultOrDeadline) {
   ASSERT_GT(full.output.num_rows(), 0);
   MorselPool pool(3);
   Executor executor(&db);
-  for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
-                             static_cast<TaskRunner*>(&pool)}) {
+  for (MorselPool* runner : {static_cast<MorselPool*>(nullptr),
+                             static_cast<MorselPool*>(&pool)}) {
     SCOPED_TRACE(runner == nullptr ? "inline" : "pool");
     options.task_runner = runner;
     // The probe's call count over an uncancelled run bounds the sweep.
@@ -658,7 +658,7 @@ TEST(Executor, AggregateBatchSizeInvariants) {
   const int kInvariantCols[] = {0, 1, 3, 4};  // key, COUNT, MIN, MAX
   const int kSumCols[] = {2, 5};              // SUM, AVG
   MorselPool pool(3);
-  auto run = [&](int64_t batch, TaskRunner* runner) {
+  auto run = [&](int64_t batch, MorselPool* runner) {
     Plan plan(MakeAggregate(MakeSeqScan("agg_table", NoPred()), {0}, aggs));
     ExecOptions options;
     options.max_batch_size = batch;
@@ -759,8 +759,8 @@ TEST(Executor, SortWithNanKeysIsOrderedAndBatchInvariant) {
   Executor executor(&db);
   MorselPool pool(3);
   std::vector<uint32_t> reference;
-  for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
-                             static_cast<TaskRunner*>(&pool)}) {
+  for (MorselPool* runner : {static_cast<MorselPool*>(nullptr),
+                             static_cast<MorselPool*>(&pool)}) {
     for (const int64_t batch : {int64_t{16}, int64_t{64}, int64_t{1024}, int64_t{8192}}) {
       SCOPED_TRACE("batch " + std::to_string(batch) +
                    (runner == nullptr ? ", no pool" : ", pool of 3"));
@@ -1034,8 +1034,8 @@ TEST(Executor, RetainedBlocksEqualSubtreeOutputs) {
   ASSERT_TRUE(plan.Finalize(db).ok());
   Executor executor(&db);
   MorselPool pool(3);
-  for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
-                             static_cast<TaskRunner*>(&pool)}) {
+  for (MorselPool* runner : {static_cast<MorselPool*>(nullptr),
+                             static_cast<MorselPool*>(&pool)}) {
     SCOPED_TRACE(runner == nullptr ? "no pool" : "pool of 3");
     ExecOptions options;
     options.collect_provenance = true;
@@ -1129,8 +1129,8 @@ TEST(Executor, LateMaterialisedJoinCellsMatchSources) {
     // Sort and Materialize on top permute and pass the row-id tuples on.
     Plan plan(MakeMaterialize(MakeSort(std::move(join), {4, 2})));
     ASSERT_TRUE(plan.Finalize(db).ok());
-    for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
-                               static_cast<TaskRunner*>(&pool)}) {
+    for (MorselPool* runner : {static_cast<MorselPool*>(nullptr),
+                               static_cast<MorselPool*>(&pool)}) {
       const std::string what = std::string(OpTypeName(type)) +
                                (runner == nullptr ? ", no pool" : ", pool");
       ExecOptions options;
@@ -1544,6 +1544,12 @@ TEST(Planner, PicksIndexScanForSelectiveRange) {
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->root()->type, OpType::kIndexScan);
   EXPECT_EQ(plan->root()->index_column, 1);
+  // A range estimated just under the 0.12 index threshold (0.118).
+  plan = OptimizePlan(
+      MakeSeqScan("t1", Expr::Cmp(1, CmpOp::kLe, Value::Double(23.0))), db);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->root()->type, OpType::kIndexScan);
+  EXPECT_EQ(plan->root()->index_column, 1);
 }
 
 TEST(Planner, OptimizedPlanIdentityMatchesAFreshFinalize) {
@@ -1573,6 +1579,11 @@ TEST(Planner, KeepsSeqScanForWideRange) {
       MakeSeqScan("t1", Expr::Cmp(1, CmpOp::kLe, Value::Double(180.0))), db);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->root()->type, OpType::kSeqScan);
+  // A range estimated just over the 0.12 index threshold (0.1203).
+  plan = OptimizePlan(
+      MakeSeqScan("t1", Expr::Cmp(1, CmpOp::kLe, Value::Double(23.5))), db);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->root()->type, OpType::kSeqScan);
 }
 
 TEST(Planner, KeepsSeqScanForUnindexedColumn) {
@@ -1592,6 +1603,14 @@ TEST(Planner, SmallInnerBecomesNestLoop) {
       db);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->root()->type, OpType::kNestLoopJoin);  // t2 has 40 rows
+  // An inner estimated just under the 64-row threshold (63.5 rows of t1).
+  plan = OptimizePlan(
+      MakeHashJoin(MakeSeqScan("t2", NoPred()),
+                   MakeSeqScan("t1", Expr::Cmp(1, CmpOp::kLe, Value::Double(63.0))),
+                   {{0, 0}}),
+      db);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->root()->type, OpType::kNestLoopJoin);
 }
 
 TEST(Planner, LargeInnerStaysHashJoin) {
@@ -1602,6 +1621,14 @@ TEST(Planner, LargeInnerStaysHashJoin) {
       db);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->root()->type, OpType::kHashJoin);  // t1 has 200 rows
+  // An inner estimated just over the 64-row threshold (64.4 rows of t1).
+  plan = OptimizePlan(
+      MakeHashJoin(MakeSeqScan("t2", NoPred()),
+                   MakeSeqScan("t1", Expr::Cmp(1, CmpOp::kLe, Value::Double(64.0))),
+                   {{0, 0}}),
+      db);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->root()->type, OpType::kHashJoin);
 }
 
 TEST(Planner, KeylessJoinBecomesNestLoop) {

@@ -264,8 +264,8 @@ void ExpectScanMatches(const Database& db, const Table& table,
   ASSERT_TRUE(finalized.ok()) << what << ": " << finalized.ToString();
   Executor executor(&db);
   const int ncols = table.schema().num_columns();
-  for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
-                             static_cast<TaskRunner*>(pool)}) {
+  for (MorselPool* runner : {static_cast<MorselPool*>(nullptr),
+                             static_cast<MorselPool*>(pool)}) {
     for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{1024}}) {
       SCOPED_TRACE(what + ", batch " + std::to_string(batch) +
                    (runner == nullptr ? ", no pool" : ", pool"));
@@ -642,8 +642,8 @@ void ExpectJoinMatches(const Database& db, Plan plan, int join_id,
   static MorselPool* pool = new MorselPool(3);
   ASSERT_TRUE(plan.Finalize(db).ok()) << what;
   Executor executor(&db);
-  for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
-                             static_cast<TaskRunner*>(pool)}) {
+  for (MorselPool* runner : {static_cast<MorselPool*>(nullptr),
+                             static_cast<MorselPool*>(pool)}) {
     for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{1024}}) {
       SCOPED_TRACE(what + ", batch " + std::to_string(batch) +
                    (runner == nullptr ? ", no pool" : ", pool"));
@@ -899,8 +899,8 @@ TEST(AggregateShapes, GroupingMatchesReferenceOnEveryShape) {
     ASSERT_TRUE(plan.Finalize(db).ok()) << shape.name;
     Executor executor(&db);
     const int ng = static_cast<int>(shape.group_cols.size());
-    for (TaskRunner* runner : {static_cast<TaskRunner*>(nullptr),
-                               static_cast<TaskRunner*>(&pool)}) {
+    for (MorselPool* runner : {static_cast<MorselPool*>(nullptr),
+                               static_cast<MorselPool*>(&pool)}) {
       for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{1024}}) {
         SCOPED_TRACE(shape.name + ", batch " + std::to_string(batch) +
                      (runner == nullptr ? ", no pool" : ", pool"));

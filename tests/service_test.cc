@@ -476,6 +476,54 @@ TEST_F(ServiceTest, PendingFutureResolvesOnceFromItsContinuation) {
   EXPECT_NE(miss_result->sample_run, nullptr);
 }
 
+TEST_F(ServiceTest, WaitForPastTheClocksRangeWaitsForTheResult) {
+  // A timeout too long to add to now() (any duration's max()) is no
+  // deadline: wait_for blocks until the gated owner is released and reads
+  // ready. Adding it would overflow and wrap the deadline into the past,
+  // so the wait would read timeout at once.
+  ServiceOptions options;
+  options.num_workers = 1;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gated = false;
+  bool release = false;
+  options.post_stages_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    gated = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  PredictionService service(db_, samples_, *units_, options);
+  // Runs plan i's cold miss up to the gate, releases it from another
+  // thread a little later, and waits on its pending future with `timeout`.
+  auto wait_on_gated_run = [&](size_t i, auto timeout) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      gated = release = false;
+    }
+    auto f = service.PredictAsync((*plans_)[i]);
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return gated; });
+    }
+    // The far negative end only checks readiness.
+    EXPECT_EQ(f.wait_for(std::chrono::hours::min()),
+              std::future_status::timeout);
+    std::thread releaser([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+      cv.notify_all();
+    });
+    const std::future_status status = f.wait_for(timeout);
+    releaser.join();
+    EXPECT_EQ(status, std::future_status::ready);
+    EXPECT_TRUE(f.get().ok());
+  };
+  wait_on_gated_run(0, std::chrono::nanoseconds::max());
+  wait_on_gated_run(1, std::chrono::hours::max());
+}
+
 // ---------- Zero-copy cached artifacts ----------
 
 TEST_F(ServiceTest, HotCachePredictionsShareArtifacts) {
